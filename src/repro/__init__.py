@@ -19,8 +19,8 @@ Packages
     The IaaS cloud substrate: clusters, VM lifecycle, schedulers, broker,
     SLA negotiation, billing (Section III-A).
 ``repro.vod``
-    The multi-channel VoD substrate: users, tracker, overlay, delivery
-    models, fluid and event-driven simulators (Sections III-B, VI).
+    The multi-channel VoD substrate: users, tracker, delivery models,
+    fluid and event-driven simulators (Sections III-B, VI).
 ``repro.workload``
     Synthetic workload generation matching the paper's trace (Section
     VI-A).
@@ -57,6 +57,24 @@ Quickstart
 True
 """
 
+import os
+from typing import Union
+
 __version__ = "1.3.0"
 
-__all__ = ["__version__"]
+__all__ = ["__version__", "atomic_write"]
+
+
+def atomic_write(path: Union[str, os.PathLike], data: bytes) -> None:
+    """Replace ``path`` with ``data`` so that a crash leaves either the
+    old file or the new one, never a torn mix.
+
+    The bytes go to ``<path>.tmp`` first and are fsynced before the
+    rename, so the rename cannot land ahead of the data it publishes.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)

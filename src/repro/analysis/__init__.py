@@ -30,7 +30,7 @@ The rule pack (each rule has an ID, docs, fixture tests and a fix hint):
 Surfaces: the ``repro lint`` CLI subcommand (gating in CI against the
 committed ``lint_baseline.json``) and :func:`run_lint` for tests and
 scripts.  A finding on a sanctioned line is suppressed with an inline
-pragma — ``# lint: allow[DET002] <reason>`` — while known debt lives in
+pragma — ``# lint: allow[<rule>] <reason>`` — while known debt lives in
 the baseline and burns down (``scripts/lint_baseline.py --update``).
 See ``docs/static-analysis.md`` for the catalog and workflows.
 """

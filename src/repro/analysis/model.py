@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Iterator
 
 __all__ = ["Finding", "Rule", "fingerprint_counts", "pragma_allows"]
 
-#: Inline suppression pragma: ``# lint: allow[DET002] why this is fine``,
+#: Inline suppression pragma: ``# lint: allow[<rule>] why this is fine``,
 #: either trailing the flagged line or as a standalone comment on the
 #: line directly above it.  ``allow[*]`` suppresses every rule on the
 #: line.  Pragmas are for *sanctioned* sites (reviewed, permanently
@@ -47,7 +47,7 @@ class Finding:
     rule: str  # e.g. "DET001"
     message: str
     hint: str  # how to fix (or sanction) it
-    context: str  # enclosing qualname, e.g. "MeshOverlay.__init__"
+    context: str  # enclosing qualname, e.g. "ChannelShard.__init__"
     snippet: str  # the flagged source line, stripped
 
     @property

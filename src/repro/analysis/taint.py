@@ -19,11 +19,12 @@ The graph is deliberately conservative:
   ``x`` in the project (methods only — plain functions are not
   reachable through an attribute).
 
-Over-approximation yields false positives, never false negatives; the
-pragma/allowlist mechanism (``# lint: allow[DET002] reason``) is how a
-reviewed site is sanctioned — e.g. the engine's ``phase_seconds``
-instrumentation and the sweep's ``.runinfo`` sidecar, which measure
-wall time *about* the run without writing it into artifacts.
+Over-approximation yields false positives, never false negatives; a
+reviewed site is sanctioned with the inline pragma
+(``# lint: allow[<rule>] reason``).  ``src/`` carries no DET002 pragma:
+wall time *about* a run — the sweep's ``.runinfo`` sidecar, the shard
+workers' kernel CPU seconds — is read off the artifact path, and
+``perfbench/`` times the engines by wrapping them from outside.
 """
 
 from __future__ import annotations
@@ -170,15 +171,15 @@ DET002 = Rule(
         "Artifacts must be byte-identical across runs and worker "
         "counts; any `time.*` / `datetime.now` value that can flow "
         "from `advance_epoch`/`result`/`run_cell` into a result is "
-        "volatile state in a deterministic output. Sanctioned timing "
-        "(the engine's `phase_seconds` diagnostics, the sweep's "
-        "`.runinfo` sidecar) is *about* the run, never *in* the "
-        "artifact — mark those sites with `# lint: allow[DET002]`."
+        "volatile state in a deterministic output. Timing *about* "
+        "the run (the sweep's `.runinfo` sidecar, perfbench's "
+        "outside-in tracing) lives off the artifact path, never *in* "
+        "the artifact."
     ),
     hint=(
-        "move timing out of the artifact path (sidecar/diagnostics), "
-        "or sanction a reviewed site inline with "
-        "`# lint: allow[DET002] <why>`"
+        "move timing out of the artifact path (a sidecar, or a wrapper "
+        "applied from outside as perfbench does), or sanction a "
+        "reviewed site inline with `# lint: allow[<rule>] <why>`"
     ),
 )
 

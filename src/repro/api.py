@@ -54,7 +54,7 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
-from repro import __version__
+from repro import __version__, atomic_write
 from repro.experiments.config import PaperConstants, ScenarioConfig
 from repro.workload.catalog import CatalogConfig, GeoCatalogConfig
 
@@ -62,7 +62,6 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "EngineConfig",
     "EpochSnapshot",
-    "Engine",
     "Run",
     "open_run",
     "resume",
@@ -409,37 +408,6 @@ class EpochSnapshot:
         return cls(**kwargs)
 
 
-class Engine:
-    """The protocol every engine behind :func:`open_run` satisfies.
-
-    (Documented as a plain base class rather than ``typing.Protocol`` to
-    keep the 3.9 floor simple; conformance is structural — the concrete
-    engines do not inherit from it.)
-
-    * ``kind`` — ``"closed-loop"`` / ``"catalog"`` / ``"geo-catalog"``.
-    * ``epoch`` / ``epochs_total`` / ``done`` — progress.
-    * ``start()`` — idempotent bootstrap (initial deployment).
-    * ``advance_epoch()`` — run one provisioning epoch, returning the
-      flat payload dict :class:`EpochSnapshot` is built from, or
-      ``None`` once the horizon is reached.
-    * ``result()`` — the monolithic artifact of a drained run.
-    * ``snapshot_state()`` / ``restore_state(state)`` — one picklable
-      object graph for checkpoint/resume.
-    * ``close()`` — release worker processes (idempotent).
-    """
-
-    kind: str
-
-    def start(self) -> None:  # pragma: no cover - protocol stub
-        raise NotImplementedError
-
-    def advance_epoch(self):  # pragma: no cover - protocol stub
-        raise NotImplementedError
-
-    def result(self):  # pragma: no cover - protocol stub
-        raise NotImplementedError
-
-
 def _build_engine(config: EngineConfig):
     """Construct the engine a config describes (no bootstrap yet)."""
     predictor = None
@@ -471,6 +439,20 @@ class Run:
     yet consumed); :meth:`checkpoint` persists the live state at any
     point between epochs.  The handle is a context manager; closing it
     tears down worker processes.
+
+    Every engine behind :func:`open_run` satisfies the same structural
+    protocol (the concrete engines share no base class):
+
+    * ``kind`` — ``"closed-loop"`` / ``"catalog"`` / ``"geo-catalog"``.
+    * ``epoch`` / ``epochs_total`` / ``done`` — progress.
+    * ``start()`` — idempotent bootstrap (initial deployment).
+    * ``advance_epoch()`` — run one provisioning epoch, returning the
+      flat payload dict :class:`EpochSnapshot` is built from, or
+      ``None`` once the horizon is reached.
+    * ``result()`` — the monolithic artifact of a drained run.
+    * ``snapshot_state()`` / ``restore_state(state)`` — one picklable
+      object graph for checkpoint/resume.
+    * ``close()`` — release worker processes (idempotent).
     """
 
     def __init__(self, engine, config: EngineConfig) -> None:
@@ -556,21 +538,10 @@ class Run:
             "config": self.config,
             "state": self._engine.snapshot_state(),
         }
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        atomic_write(
+            path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        )
         return path
-
-    def phase_seconds(self) -> dict:
-        """Cumulative wall-clock phase breakdown of the run so far.
-
-        For the sharded engines: ``kernel`` (inside the shard step
-        kernels), ``merge`` (parent-side epoch merge), ``controller``
-        (bootstrap + replans) and ``ipc`` (worker round-trip overhead).
-        Engines without instrumentation report ``{}``.
-        """
-        return dict(getattr(self._engine, "phase_seconds", {}) or {})
 
     # -- lifecycle -----------------------------------------------------
     def suspend(self) -> None:

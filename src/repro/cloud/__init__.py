@@ -26,7 +26,6 @@ from repro.cloud.broker import (
     SLANegotiator,
 )
 from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
-from repro.cloud.loadbalancer import LoadBalancer, LoadReport
 from repro.cloud.monitor import VMMonitor
 from repro.cloud.scheduler import CloudFacility, NFSScheduler, VMScheduler
 from repro.cloud.vm import VM, VMPool, VMState
@@ -41,8 +40,6 @@ __all__ = [
     "SLANegotiator",
     "NFSClusterSpec",
     "VirtualClusterSpec",
-    "LoadBalancer",
-    "LoadReport",
     "VMMonitor",
     "CloudFacility",
     "NFSScheduler",

@@ -24,6 +24,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import atomic_write
 from repro.core.sla import SLAPenaltyModel
 
 __all__ = [
@@ -171,11 +172,9 @@ def write_controller_summary(
     )
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / "summary.json"
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
+    atomic_write(
+        path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    )
     return path
 
 

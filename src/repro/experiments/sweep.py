@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import __version__
+from repro import __version__, atomic_write
 from repro.experiments import registry
 
 __all__ = [
@@ -266,9 +266,10 @@ class ArtifactStore:
                 "python": platform.python_version(),
             },
         }
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
+        atomic_write(
+            path,
+            (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(),
+        )
         run_info = self._run_info_path(cell)
         run_info.parent.mkdir(parents=True, exist_ok=True)
         run_info.write_text(json.dumps({

@@ -32,7 +32,9 @@ With a ``state_dir``, every run persists under ``runs/<id>/``:
   progress, any live shm segment names, the artifact sha256;
 * ``run.ckpt`` — the latest :meth:`repro.api.Run.checkpoint` (written
   on pause, on explicit request, and every ``checkpoint_every`` epochs);
-* ``artifact.json`` — the canonical result document, once DONE.
+* ``artifact.json`` — the canonical result document, once DONE;
+* ``traceback.txt`` — the full traceback of a FAILED run (``meta.json``
+  and the API keep only its one-line ``error``).
 
 On startup the host re-adopts the directory: DONE/FAILED/CANCELLED
 runs come back as records (results still served), interrupted runs
@@ -50,10 +52,12 @@ import asyncio
 import json
 import os
 import shutil
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro import atomic_write
 from repro.api import EngineConfig, Run, open_run, resume
 from repro.service.artifact import artifact_bytes, result_payload, sha256_hex
 from repro.sim.shm import unlink_stale_segment
@@ -493,6 +497,11 @@ class RunHost:
             self._set_state(hosted, DONE)
         except Exception as exc:  # noqa: BLE001 - a failed run is a state
             hosted.error = f"{type(exc).__name__}: {exc}"
+            if self.state_dir is not None:
+                atomic_write(
+                    self._run_dir(hosted.id) / "traceback.txt",
+                    traceback.format_exc().encode(),
+                )
             self._set_state(hosted, FAILED)
         finally:
             if run is not None:
@@ -590,10 +599,7 @@ class RunHost:
         if self.state_dir is None:
             hosted.artifact_data = data
             return
-        path = self._run_dir(hosted.id) / "artifact.json"
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        atomic_write(self._run_dir(hosted.id) / "artifact.json", data)
 
     # ------------------------------------------------------------------
     # State-dir persistence and adoption
@@ -618,9 +624,10 @@ class RunHost:
             "artifact_sha256": hosted.artifact_sha256,
             "shm_segments": list(hosted.shm_segments),
         }
-        tmp = run_dir / "meta.json.tmp"
-        tmp.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-        os.replace(tmp, run_dir / "meta.json")
+        atomic_write(
+            run_dir / "meta.json",
+            (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode(),
+        )
 
     def _adopt_state_dir(self) -> None:
         """Re-adopt a predecessor host's runs (the crash-recovery pass)."""

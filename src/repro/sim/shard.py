@@ -511,42 +511,25 @@ def report_from_views(
 # ----------------------------------------------------------------------
 
 def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
-                 shard_states: Optional[List[ChannelShard]] = None,
-                 shm_name: Optional[str] = None) -> None:
-    """Long-lived worker: build (or adopt) the owned shards, serve epochs.
+                 shards: List[ChannelShard], shm_name: str) -> None:
+    """Long-lived worker: adopt the owned shards, serve epochs.
 
-    ``shard_states`` carries checkpointed :class:`ChannelShard` objects
-    into the worker on resume (they arrive pickled through the process
-    spawn), skipping the trace rebuild.  Besides epochs, the worker
-    answers ``("snapshot",)`` with its current shards — the parent-side
+    ``shards`` are the parent-built (or checkpoint-restored)
+    :class:`ChannelShard` objects, inherited through the fork or pickled
+    through a spawn.  Besides epochs, the worker answers
+    ``("snapshot",)`` with its current shards — the parent-side
     checkpoint gathers them without interrupting the run.
 
-    With ``shm_name`` the worker writes each epoch's reports into its
-    shards' shared-memory blocks and acks ``("ok", None)``; without it
-    (legacy/fallback) reports travel pickled over the pipe.  Either way
-    the attachment is closed in ``finally`` — the parent owns the
-    segment's unlink, so no worker exit path can leak ``/dev/shm``
-    blocks or trip the resource tracker.
+    Each epoch's reports go into the shards' blocks of the shared-memory
+    segment ``shm_name``, then the worker acks ``("ok", None)``.  The
+    attachment is closed in ``finally`` — the parent owns the segment's
+    unlink, so no worker exit path can leak ``/dev/shm`` blocks or trip
+    the resource tracker.
     """
     segment = None
     try:
-        if shard_states is not None:
-            shards = shard_states
-        else:
-            # The full-catalog shape/spec lists are identical across
-            # shards; compute them once per worker.
-            shapes = channel_shapes(config)
-            all_channels = config.channels()
-            shards = [
-                ChannelShard(
-                    config, i, shapes=shapes, all_channels=all_channels
-                )
-                for i in shard_indices
-            ]
-        layout = None
-        if shm_name is not None:
-            layout = EpochShmLayout(config)
-            segment = attach_segment(shm_name)
+        layout = EpochShmLayout(config)
+        segment = attach_segment(shm_name)
         conn.send(("ready", shard_indices))
         while True:
             message = conn.recv()
@@ -556,27 +539,21 @@ def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
                 conn.send(("ok", shards))
                 continue
             _, t_end, capacities = message
-            if segment is not None:
-                for shard in shards:
-                    shard.set_capacities(capacities)
-                    # CPU time, not wall: time-sliced workers sharing
-                    # cores would otherwise count each other's compute.
-                    started = time.process_time()
-                    report = shard.advance_epoch(t_end)
-                    kernel_seconds = time.process_time() - started
-                    report_to_views(
-                        layout.views(segment.buf, shard.shard_index),
-                        report,
-                        layout.owned_ids[shard.shard_index],
-                        kernel_seconds,
-                    )
-                conn.send(("ok", None))
-            else:
-                reports = []
-                for shard in shards:
-                    shard.set_capacities(capacities)
-                    reports.append(shard.advance_epoch(t_end))
-                conn.send(("ok", reports))
+            for shard in shards:
+                shard.set_capacities(capacities)
+                # CPU time, not wall: time-sliced workers sharing cores
+                # would otherwise count each other's compute.
+                # perfbench reads it as sim.shard.advance_cpu_s / critical_s.
+                started = time.process_time()
+                report = shard.advance_epoch(t_end)
+                kernel_seconds = time.process_time() - started
+                report_to_views(
+                    layout.views(segment.buf, shard.shard_index),
+                    report,
+                    layout.owned_ids[shard.shard_index],
+                    kernel_seconds,
+                )
+            conn.send(("ok", None))
     except EOFError:
         pass
     except BaseException:
@@ -839,15 +816,6 @@ class ShardedSimulator:
         self._closed = False
         self._layout: Optional[EpochShmLayout] = None
         self._segment: Optional[ParentSegment] = None
-        #: Cumulative phase breakdown of the run.  ``kernel`` is CPU
-        #: seconds inside the shard kernels (summed across workers);
-        #: ``merge`` and ``controller`` are parent wall clock; ``ipc``
-        #: is the epoch round-trip's wall clock minus kernel CPU —
-        #: serialization, pipe acks and scheduling (0 when workers
-        #: genuinely overlap on spare cores).
-        self.phase_seconds: Dict[str, float] = {
-            "kernel": 0.0, "merge": 0.0, "controller": 0.0, "ipc": 0.0,
-        }
 
     def _build_controller(
         self, predictor: Optional[ArrivalRatePredictor]
@@ -1012,16 +980,11 @@ class ShardedSimulator:
         self, t_end: float, capacities: Dict[int, np.ndarray]
     ) -> List[EpochReport]:
         self._start()
-        started = time.perf_counter()  # lint: allow[DET002] phase timing
-        kernel_seconds = 0.0
         if self._shards is not None:
             reports = []
             for shard in self._shards:
                 shard.set_capacities(capacities)
-                k0 = time.process_time()  # lint: allow[DET002] phase timing
                 reports.append(shard.advance_epoch(t_end))
-                # lint: allow[DET002] phase timing
-                kernel_seconds += time.process_time() - k0
         else:
             for conn in self._conns:
                 self._send(conn, ("epoch", t_end, capacities))
@@ -1033,16 +996,12 @@ class ShardedSimulator:
             buf = self._segment.buf
             interval = self.config.interval_seconds
             for index in range(self.config.effective_shards):
-                views = self._layout.views(buf, index)
-                kernel_seconds += float(views["kernel_seconds"][0])
                 reports.append(
                     report_from_views(
-                        views, index, self._layout.owned_ids[index], interval
+                        self._layout.views(buf, index), index,
+                        self._layout.owned_ids[index], interval,
                     )
                 )
-        wall = time.perf_counter() - started  # lint: allow[DET002] phase timing
-        self.phase_seconds["kernel"] += kernel_seconds
-        self.phase_seconds["ipc"] += max(0.0, wall - kernel_seconds)
         return reports
 
     @staticmethod
@@ -1099,12 +1058,8 @@ class ShardedSimulator:
         if self._run_state is not None:
             return
         config = self.config
-        started = time.perf_counter()  # lint: allow[DET002] phase timing
-        capacities = self._bootstrap_capacities()
-        # lint: allow[DET002] phase timing
-        self.phase_seconds["controller"] += time.perf_counter() - started
         self._run_state = _CatalogRunState(
-            capacities=capacities,
+            capacities=self._bootstrap_capacities(),
             num_epochs=int(
                 math.ceil(config.horizon_seconds / config.interval_seconds)
             ),
@@ -1142,10 +1097,7 @@ class ShardedSimulator:
         k = state.epoch + 1
         t_end = min(k * interval, horizon)
         reports = self._advance_all(t_end, state.capacities)
-        merge_started = time.perf_counter()  # lint: allow[DET002] phase timing
         merged = merge_epoch_reports(reports)
-        # lint: allow[DET002] phase timing
-        self.phase_seconds["merge"] += time.perf_counter() - merge_started
         self._clock.now = t_end
         state.epoch = k
         state.epoch_times.append(t_end)
@@ -1166,11 +1118,7 @@ class ShardedSimulator:
         if t_end + 1e-9 >= horizon or k >= state.num_epochs:
             state.done = True
         else:
-            controller_started = time.perf_counter()  # lint: allow[DET002] phase timing
             state.capacities = self._reprovision(t_end, merged)
-            self.phase_seconds["controller"] += (
-                time.perf_counter() - controller_started  # lint: allow[DET002] phase timing
-            )
             decision = self.controller.decisions[-1]
         return self._epoch_payload(k, t_end, merged, decision)
 

@@ -17,8 +17,8 @@ A block is a flat sequence of 8-byte-aligned scalars and arrays (all
 * i64 scalars: ``n_steps``, ``n_quality``, ``arrivals``, ``departures``,
   ``retrievals``, ``unsmooth``, ``upload_count``, ``peak_step_events``;
 * f64 scalars: ``t_end``, ``sojourn_sum``, ``upload_sum``,
-  ``kernel_seconds`` (the worker's wall time inside the shard kernel,
-  feeding the engine's phase breakdown);
+  ``kernel_seconds`` (the worker's CPU seconds inside the shard kernel,
+  read only by perfbench's per-layer breakdown);
 * f64 step series sized for the worst-case epoch (``step_times``,
   ``cloud_used``, ``peer_used``, ``provisioned``, ``shortfall``) plus
   i64 ``populations``; the valid prefix length is ``n_steps``;

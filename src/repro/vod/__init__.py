@@ -8,7 +8,6 @@ this package is the simulated equivalent:
   for speed at paper scale).
 * :mod:`repro.vod.tracker` — the tracking server: peer lists, per-interval
   arrival/transition statistics for the controller.
-* :mod:`repro.vod.overlay` — mesh overlay construction and churn.
 * :mod:`repro.vod.metrics` — retrieval records and the smooth-playback
   streaming-quality metric.
 * :mod:`repro.vod.delivery` — client-server and P2P (rarest-first)
@@ -22,7 +21,6 @@ this package is the simulated equivalent:
 from repro.vod.channel import ChannelSpec, make_uniform_channels
 from repro.vod.delivery import ClientServerDelivery, P2PDelivery
 from repro.vod.metrics import QualityTracker, RetrievalRecord
-from repro.vod.overlay import MeshOverlay
 from repro.vod.simulator import SimulationResult, VoDSimulator, VoDSystemConfig
 from repro.vod.tracker import IntervalStats, TrackingServer
 from repro.vod.user import UserStore
@@ -34,7 +32,6 @@ __all__ = [
     "P2PDelivery",
     "QualityTracker",
     "RetrievalRecord",
-    "MeshOverlay",
     "SimulationResult",
     "VoDSimulator",
     "VoDSystemConfig",

@@ -21,13 +21,6 @@ from repro.workload.arrivals import (
 )
 from repro.workload.diurnal import DiurnalPattern
 from repro.workload.pareto import BoundedPareto
-from repro.workload.tools import (
-    merge_traces,
-    scale_trace,
-    shift_trace,
-    slice_trace,
-    thin_trace,
-)
 from repro.workload.trace import Session, Trace, TraceConfig, generate_trace
 from repro.workload.zipf import assign_channel_rates, zipf_weights
 
@@ -66,10 +59,5 @@ __all__ = [
     "generate_trace",
     "zipf_weights",
     "assign_channel_rates",
-    "merge_traces",
-    "scale_trace",
-    "shift_trace",
-    "slice_trace",
-    "thin_trace",
     *_CATALOG_EXPORTS,
 ]

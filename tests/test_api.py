@@ -13,6 +13,7 @@ The redesign's contract, pinned down here:
   ``open_run`` is the only entry point.
 """
 
+import os
 import pickle
 import warnings
 
@@ -344,6 +345,29 @@ class TestCheckpointResume:
         with pytest.raises(RuntimeError, match="closed engine"):
             run.checkpoint(tmp_path / "late.ckpt")
         assert not (tmp_path / "late.ckpt").exists()
+
+    def test_checkpoint_is_fsynced_before_rename(self, tmp_path, monkeypatch):
+        """The checkpoint's bytes reach the disk before the rename that
+        publishes them, and no ``.tmp`` file survives the write."""
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = checkpoint_at(EngineConfig(spec=small_catalog()), 1,
+                             tmp_path / "mid.ckpt")
+        assert calls == ["fsync", "replace"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mid.ckpt"]
+        with resume(path) as resumed:
+            assert resumed.epoch == 1
 
     def test_resume_rejects_non_checkpoints(self, tmp_path):
         path = tmp_path / "junk.ckpt"

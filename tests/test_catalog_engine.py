@@ -169,7 +169,8 @@ class TestShardedDeterminism:
         the variable, not a bare int() traceback."""
         config = small_config(horizon_hours=0.25)
         monkeypatch.setenv("REPRO_CATALOG_JOBS", "auto")
-        with pytest.raises(ValueError, match="REPRO_CATALOG_JOBS"):
+        with pytest.warns(DeprecationWarning, match="REPRO_CATALOG_JOBS"), \
+                pytest.raises(ValueError, match="REPRO_CATALOG_JOBS"):
             run_via_api(config)
 
     @pytest.mark.parametrize("raw", ["0", "-3"])

@@ -1,5 +1,5 @@
-"""Tests for the CI gate helpers: the perf-regression check, the
-re-recordable golden fixtures, and the tracker's shard-merge absorb."""
+"""Tests for the CI gate helpers: the re-recordable golden fixtures and
+the tracker's shard-merge absorb."""
 
 import importlib.util
 import json
@@ -19,62 +19,6 @@ def _load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-class TestPerfCheck:
-    def _blocks(self, committed, measured):
-        def wrap(values):
-            return {
-                "kernels": {
-                    label: {"steps_per_sec": value}
-                    for label, value in values.items()
-                }
-            }
-
-        return wrap(committed), wrap(measured)
-
-    def test_flags_regressions_beyond_threshold(self):
-        perf_smoke = _load_script("perf_smoke")
-        committed, measured = self._blocks(
-            {"fig04": 1000.0, "catalog": 10.0},
-            {"fig04": 650.0, "catalog": 9.5},
-        )
-        failures = perf_smoke.check_regressions(committed, measured, 0.30)
-        assert [f[0] for f in failures] == ["fig04"]
-
-    def test_within_threshold_passes(self):
-        perf_smoke = _load_script("perf_smoke")
-        committed, measured = self._blocks(
-            {"fig04": 1000.0}, {"fig04": 750.0}
-        )
-        assert perf_smoke.check_regressions(committed, measured, 0.30) == []
-
-    def test_new_kernels_do_not_fail_retroactively(self):
-        perf_smoke = _load_script("perf_smoke")
-        committed, measured = self._blocks({}, {"catalog": 5.0})
-        assert perf_smoke.check_regressions(committed, measured, 0.30) == []
-        assert perf_smoke.check_regressions(None, measured, 0.30) == []
-
-    def test_skip_catalog_preserves_committed_reference(self, tmp_path):
-        """A quick --skip-catalog run must carry the committed catalog
-        entry forward instead of silently erasing the gate reference."""
-        perf_smoke = _load_script("perf_smoke")
-        out = tmp_path / "bench.json"
-        reference = {"steps_per_sec": 12.0, "jobs": 4}
-        out.write_text(json.dumps({
-            "schema": perf_smoke.BENCH_SCHEMA,
-            "baseline": {"kernels": {}},
-            "current": {"kernels": {"catalog": dict(reference)}},
-            "speedup": {},
-        }))
-        assert perf_smoke.main([
-            "--steps", "2", "--warmup-scale", "0.001",
-            "--skip-catalog", "--out", str(out),
-        ]) == 0
-        kernels = json.loads(out.read_text())["current"]["kernels"]
-        assert kernels["catalog"]["steps_per_sec"] == 12.0
-        assert kernels["catalog"]["carried_forward"] is True
-        assert "fig04" in kernels  # the quick run still measured the rest
 
 
 class TestGoldenRecorder:

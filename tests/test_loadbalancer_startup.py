@@ -1,12 +1,10 @@
-"""Tests for repro.cloud.loadbalancer and repro.queueing.startup."""
+"""Tests for repro.queueing.startup."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.cloud.loadbalancer import LoadBalancer
-from repro.cloud.vm import VM, VMState
 from repro.queueing.capacity import CapacityModel, solve_channel_capacity
 from repro.queueing.startup import StartupDelayModel, channel_startup_delay
 from repro.queueing.transitions import uniform_jump_matrix
@@ -15,90 +13,6 @@ from repro.vod.queue_sim import JacksonChannelSimulator
 R = 10e6 / 8.0
 r = 50_000.0
 T0 = 300.0
-
-
-def running_vm(vm_id, assignment):
-    vm = VM(vm_id=vm_id, cluster="standard", state=VMState.RUNNING)
-    vm.assignment.update(assignment)
-    return vm
-
-
-class TestLoadBalancerDispatch:
-    def test_demand_lands_on_assigned_vm(self):
-        vms = [running_vm(1, {("c", 0): 1.0}), running_vm(2, {("c", 1): 1.0})]
-        balancer = LoadBalancer(R)
-        report = balancer.dispatch(vms, {("c", 0): 0.5 * R})
-        assert report.per_vm_load[1] == pytest.approx(0.5 * R)
-        assert report.per_vm_load[2] == 0.0
-        assert report.dropped == 0.0
-
-    def test_least_loaded_first(self):
-        vms = [
-            running_vm(1, {("c", 0): 1.0}),
-            running_vm(2, {("c", 0): 1.0}),
-        ]
-        balancer = LoadBalancer(R)
-        report = balancer.dispatch(
-            vms, {("c", 0): 1.0 * R}
-        )
-        # Split across both VMs rather than saturating one.
-        assert report.per_vm_load[1] == pytest.approx(R)
-        # First fills least-loaded (vm 1), then the next.
-        assert report.total_load == pytest.approx(R)
-
-    def test_headroom_respected(self):
-        vms = [running_vm(1, {("c", 0): 0.4, ("c", 1): 0.6})]
-        balancer = LoadBalancer(R)
-        report = balancer.dispatch(vms, {("c", 0): R})
-        # Only 40% of the VM is assigned to chunk 0.
-        assert report.per_vm_load[1] == pytest.approx(0.4 * R)
-        assert report.dropped == pytest.approx(0.6 * R)
-
-    def test_unserved_chunk_dropped(self):
-        vms = [running_vm(1, {("c", 0): 1.0})]
-        report = LoadBalancer(R).dispatch(vms, {("x", 9): R})
-        assert report.dropped == pytest.approx(R)
-
-    def test_non_running_vms_ignored(self):
-        vm = running_vm(1, {("c", 0): 1.0})
-        vm.state = VMState.BOOTING
-        report = LoadBalancer(R).dispatch([vm], {("c", 0): R})
-        assert report.dropped == pytest.approx(R)
-
-    def test_imbalance_metric(self):
-        vms = [running_vm(1, {("c", 0): 1.0}), running_vm(2, {("c", 1): 1.0})]
-        report = LoadBalancer(R).dispatch(
-            vms, {("c", 0): R, ("c", 1): R}
-        )
-        assert report.imbalance == pytest.approx(0.0)
-
-    def test_negative_demand_rejected(self):
-        with pytest.raises(ValueError):
-            LoadBalancer(R).dispatch([], {("c", 0): -1.0})
-
-
-class TestLoadBalancerRebalance:
-    def test_overloaded_vm_offloads(self):
-        hot = running_vm(1, {("c", 0): 0.9, ("c", 1): 0.6})  # 1.5 total
-        cold = running_vm(2, {})
-        moves = LoadBalancer(R).rebalance([hot, cold])
-        assert moves >= 1
-        assert hot.assigned_fraction() <= 1.0 + 1e-9
-        assert cold.assigned_fraction() > 0.0
-        # Total assignment mass conserved.
-        total = hot.assigned_fraction() + cold.assigned_fraction()
-        assert total == pytest.approx(1.5)
-
-    def test_no_target_leaves_overload(self):
-        hot = running_vm(1, {("c", 0): 0.9, ("c", 1): 0.6})
-        full = running_vm(2, {("d", 0): 1.0})
-        moves = LoadBalancer(R).rebalance([hot, full])
-        assert moves == 0
-        assert hot.assigned_fraction() == pytest.approx(1.5)
-
-    def test_balanced_fleet_untouched(self):
-        vms = [running_vm(i, {("c", i): 0.8}) for i in range(3)]
-        assert LoadBalancer(R).rebalance(vms) == 0
 
 
 class TestStartupDelayModel:

@@ -12,7 +12,9 @@ The host contracts pinned here:
   artifact; an explicit checkpoint request resolves to a loadable file;
 * persistence — auto-checkpoints appear on the epoch cadence, graceful
   ``close()`` leaves interrupted runs re-adoptable, and a second host
-  on the same state dir finishes them byte-identically.
+  on the same state dir finishes them byte-identically;
+* failure — an engine exception fails the run with a one-line
+  ``error`` and leaves the full traceback in the run's state dir.
 """
 
 import asyncio
@@ -20,7 +22,7 @@ import json
 
 import pytest
 
-from repro.api import EngineConfig, open_run, resume
+from repro.api import EngineConfig, Run, open_run, resume
 from repro.service import QueueFullError, RunHost, UnknownRunError
 from repro.service.artifact import artifact_bytes, result_payload, sha256_hex
 from repro.workload.catalog import catalog_config
@@ -325,3 +327,29 @@ def test_adopted_done_run_still_serves_artifact(tmp_path):
     run_id, first = asyncio.run(first_host())
     second = asyncio.run(second_host(run_id))
     assert first == second
+
+
+# ----------------------------------------------------------------------
+# Failure
+# ----------------------------------------------------------------------
+def test_failed_run_keeps_its_traceback(tmp_path, monkeypatch):
+    def exploding_advance(self):
+        raise RuntimeError("injected engine failure")
+
+    monkeypatch.setattr(Run, "advance", exploding_advance)
+
+    async def scenario():
+        host = RunHost(max_concurrent=1, state_dir=tmp_path)
+        await host.start()
+        run_id = host.submit(small_config())
+        assert await host.wait(run_id) == "failed"
+        info = host.run_info(run_id)
+        await host.close()
+        return run_id, info
+
+    run_id, info = asyncio.run(scenario())
+    assert info["error"] == "RuntimeError: injected engine failure"
+    text = (tmp_path / "runs" / run_id / "traceback.txt").read_text()
+    assert text.startswith("Traceback (most recent call last):")
+    assert "exploding_advance" in text
+    assert "RuntimeError: injected engine failure" in text
