@@ -313,12 +313,13 @@ CKP001 = Rule(
         "Engine state graphs are pickled whole by checkpoint()/resume() "
         "(CHECKPOINT_SCHEMA); a lambda or locally-defined closure "
         "assigned to `self.<attr>` makes the instance unpicklable — the "
-        "exact bug class the EpochClock/_SimulatorClock classes "
-        "replaced by hand in PR 5."
+        "exact bug class the billing clock, `EpochClock`, avoids: a "
+        "plain attribute-holding class instead of a closure over the "
+        "engine."
     ),
     hint=(
         "use a small module-level class or function instead of a "
-        "lambda/closure (cf. EpochClock in sim/shard.py)"
+        "lambda/closure (cf. EpochClock in sim/loop.py)"
     ),
 )
 

@@ -13,8 +13,11 @@ The graph is deliberately conservative:
 
 * resolved dotted calls (``module.func(...)``, imported names,
   constructors → ``__init__``) become precise edges;
-* ``self.x(...)`` prefers the defining class's method, then any
-  same-named method in the module, then in the project;
+* ``self.x(...)`` edges to the defining class's ``x`` and to every
+  override of ``x`` in the project's subclasses of that class
+  (transitively, so an ``EpochLoop`` hook reaches each engine's
+  implementation); without a defining-class ``x`` it edges to every
+  method named ``x`` in the project;
 * any other ``obj.x(...)`` attribute call edges to *every* method named
   ``x`` in the project (methods only — plain functions are not
   reachable through an attribute).
@@ -58,6 +61,25 @@ WALL_CLOCK = frozenset({
 })
 
 
+def _overrides(
+    project: Project, cls_qual: str, name: str
+) -> List[FunctionInfo]:
+    """Method ``name`` as redefined in the project's subclasses of
+    ``cls_qual``, transitively (template-method hooks)."""
+    out: List[FunctionInfo] = []
+    seen: Set[str] = set()
+    pending = list(project.subclasses.get(cls_qual, ()))
+    while pending:
+        sub = pending.pop()
+        if sub.full_qualname in seen:
+            continue
+        seen.add(sub.full_qualname)
+        if name in sub.methods:
+            out.append(sub.methods[name])
+        pending.extend(project.subclasses.get(sub.full_qualname, ()))
+    return out
+
+
 def _edges(project: Project, func: FunctionInfo) -> List[FunctionInfo]:
     """Conservative call edges out of one function."""
     out: List[FunctionInfo] = []
@@ -77,6 +99,7 @@ def _edges(project: Project, func: FunctionInfo) -> List[FunctionInfo]:
                     own = cls.methods[name]
             if own is not None:
                 out.append(own)
+                out.extend(_overrides(project, cls_qual, name))
             else:
                 # unresolved self-call (inherited / dynamically bound):
                 # conservatively edge to every same-named method

@@ -303,6 +303,11 @@ class Project:
                     self.methods_by_name.setdefault(func.name, []).append(func)
             for cls in module.classes:
                 self.classes[cls.full_qualname] = cls
+        #: base qualname -> the project's classes deriving from it directly
+        self.subclasses: Dict[str, List[ClassInfo]] = {}
+        for cls in self.classes.values():
+            for base in cls.bases:
+                self.subclasses.setdefault(base, []).append(cls)
 
     @property
     def file_count(self) -> int:

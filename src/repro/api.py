@@ -70,8 +70,10 @@ __all__ = [
 
 #: Bump when the checkpoint payload layout changes; old checkpoints then
 #: fail loudly instead of being misread.  Schema 2 added
-#: :attr:`EngineConfig.controller`.
-CHECKPOINT_SCHEMA = 2
+#: :attr:`EngineConfig.controller`; schema 3 is the pickled graph of the
+#: shared :class:`repro.sim.loop.EpochLoop` (one run-state record, one
+#: clock).
+CHECKPOINT_SCHEMA = 3
 
 #: The deprecated environment fallback for :attr:`EngineConfig.workers`.
 WORKERS_ENV_VAR = "REPRO_CATALOG_JOBS"
@@ -440,8 +442,9 @@ class Run:
     point between epochs.  The handle is a context manager; closing it
     tears down worker processes.
 
-    Every engine behind :func:`open_run` satisfies the same structural
-    protocol (the concrete engines share no base class):
+    Every engine behind :func:`open_run` is a
+    :class:`repro.sim.loop.EpochLoop` subclass, which provides this
+    protocol:
 
     * ``kind`` — ``"closed-loop"`` / ``"catalog"`` / ``"geo-catalog"``.
     * ``epoch`` / ``epochs_total`` / ``done`` — progress.
@@ -452,7 +455,9 @@ class Run:
     * ``result()`` — the monolithic artifact of a drained run.
     * ``snapshot_state()`` / ``restore_state(state)`` — one picklable
       object graph for checkpoint/resume.
-    * ``close()`` — release worker processes (idempotent).
+    * ``close()`` / ``suspend()`` — release worker processes
+      (idempotent; no-ops for the closed loop).
+    * ``shm_segment_name`` — the live ``/dev/shm`` epoch segment, if any.
     """
 
     def __init__(self, engine, config: EngineConfig) -> None:
@@ -555,9 +560,7 @@ class Run:
         indefinitely calls this so paused runs hold no processes or
         ``/dev/shm`` blocks.
         """
-        suspend = getattr(self._engine, "suspend", None)
-        if suspend is not None:
-            suspend()
+        self._engine.suspend()
 
     def shm_segments(self) -> List[str]:
         """Names of live ``/dev/shm`` segments owned by this run.
@@ -567,7 +570,7 @@ class Run:
         process can be reclaimed on restart
         (:func:`repro.sim.shm.unlink_stale_segment`).
         """
-        name = getattr(self._engine, "shm_segment_name", None)
+        name = self._engine.shm_segment_name
         return [name] if name else []
 
     def close(self) -> None:

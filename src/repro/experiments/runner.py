@@ -6,10 +6,10 @@ statistics; the provisioning controller analyses them, optimizes rentals
 and negotiates with the cloud facility; the granted capacities feed back
 into the simulator for the next interval.
 
-:class:`ClosedLoopEngine` exposes the loop one provisioning interval at
-a time (the :mod:`repro.api` streaming/checkpoint protocol, mirroring
-:class:`repro.sim.shard.ShardedSimulator`); ``repro.api.open_run`` is
-the one-shot entry point.
+:class:`ClosedLoopEngine` runs the loop one provisioning interval at a
+time on :class:`repro.sim.loop.EpochLoop`, the epoch driver it shares
+with the catalog engines; ``repro.api.open_run`` is the one-shot entry
+point.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.cloud.billing import CostReport
-from repro.cloud.broker import Broker
-from repro.cloud.scheduler import CloudFacility
-from repro.core.controller import controller_class
 from repro.core.demand import DemandEstimator
 from repro.core.predictor import ArrivalRatePredictor
 from repro.core.provisioner import ProvisioningDecision
 from repro.experiments.config import ScenarioConfig
+from repro.sim.loop import EpochLoop, KernelCursor, _EpochData
 from repro.vod.simulator import SimulationResult, VoDSimulator, VoDSystemConfig
 from repro.vod.tracker import TrackingServer
 from repro.workload.trace import Trace, generate_trace
@@ -65,30 +63,16 @@ class ClosedLoopResult:
         return np.asarray(self.used_series) * 8.0 / 1e6
 
 
-class _SimulatorClock:
-    """Picklable clock adapter: the facility reads the simulator's time.
-
-    A named class instead of ``lambda: simulator.now`` so the whole
-    control-plane graph pickles for checkpointing.
-    """
-
-    __slots__ = ("simulator",)
-
-    def __init__(self, simulator: VoDSimulator) -> None:
-        self.simulator = simulator
-
-    def __call__(self) -> float:
-        return self.simulator.now
-
-
-class ClosedLoopEngine:
+class ClosedLoopEngine(EpochLoop):
     """One scenario's closed loop, advanced one interval at a time.
 
-    Construction is lazy: the trace, simulator and control plane are
-    built on the first :meth:`advance_epoch` (or :meth:`start`), so a
-    checkpoint resume can adopt restored state without paying for a
-    trace rebuild.  A fully drained engine's :meth:`result` is
-    byte-identical to the historical monolithic-loop return.
+    The epoch loop is :class:`~repro.sim.loop.EpochLoop`'s; the data
+    plane is one in-process :class:`VoDSimulator` that records straight
+    into the controller's tracker.  The trace and simulator are built
+    at bootstrap (:meth:`start`), so a checkpoint resume adopts restored
+    state without paying for a trace rebuild.  A fully drained engine's
+    :meth:`result` is byte-identical to the historical monolithic-loop
+    return.
 
     Parameters
     ----------
@@ -122,105 +106,51 @@ class ClosedLoopEngine:
     ) -> None:
         self.scenario = scenario
         self._trace = trace
-        self._predictor = predictor
-        self._min_capacity_per_chunk = min_capacity_per_chunk
-        self._controller_key = controller or "paper"
-        self._built = False
-        self._done = False
-        self._epoch = 0
-        # Streaming cursors (not part of the historical result).
-        self._arrivals_prev = 0
-        self._departures_prev = 0
-        self._quality_cursor = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def epoch(self) -> int:
-        """Completed provisioning intervals so far."""
-        return self._epoch
-
-    @property
-    def epochs_total(self) -> int:
-        scenario = self.scenario
-        return int(np.ceil(
-            scenario.horizon_seconds / scenario.constants.interval_seconds
-        ))
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    # ------------------------------------------------------------------
-    def _build(self) -> None:
-        if self._built:
-            return
-        self._built = True
-        scenario = self.scenario
+        self.simulator: Optional[VoDSimulator] = None
+        self._cursor = KernelCursor()
         constants = scenario.constants
         channels = scenario.channels()
+        behaviour = scenario.behaviour_matrix()
+        super().__init__(
+            scenario,
+            constants.interval_seconds,
+            tracker=TrackingServer(
+                num_channels=scenario.num_channels,
+                chunks_per_channel=[ch.num_chunks for ch in channels],
+                interval_seconds=constants.interval_seconds,
+            ),
+            estimator=DemandEstimator(
+                scenario.capacity_model(),
+                mode=scenario.mode,
+                prior_matrices={ch.channel_id: behaviour for ch in channels},
+            ),
+            predictor=predictor,
+            controller=controller,
+            min_capacity_per_chunk=(
+                min_capacity_per_chunk
+                if min_capacity_per_chunk is not None
+                else constants.streaming_rate
+            ),
+        )
+
+    # ------------------------------------------------------------------
+    def _bootstrap(self) -> ProvisioningDecision:
+        """Build the trace and simulator, then the initial deployment."""
+        scenario = self.scenario
         trace = self._trace
         if trace is None:
             trace = generate_trace(scenario.trace_config())
-
-        interval = constants.interval_seconds
-        self.tracker = TrackingServer(
-            num_channels=scenario.num_channels,
-            chunks_per_channel=[ch.num_chunks for ch in channels],
-            interval_seconds=interval,
-        )
-        sim_config = VoDSystemConfig(
-            mode=scenario.mode,
-            dt=scenario.dt,
-            user_rate_cap=constants.vm_bandwidth,
-            seed=scenario.seed,
-        )
         self.simulator = VoDSimulator(
-            channels, trace, sim_config, tracker=self.tracker
+            scenario.channels(),
+            trace,
+            VoDSystemConfig(
+                mode=scenario.mode,
+                dt=scenario.dt,
+                user_rate_cap=scenario.constants.vm_bandwidth,
+                seed=scenario.seed,
+            ),
+            tracker=self.tracker,
         )
-        self.facility = CloudFacility(
-            scenario.vm_clusters(),
-            scenario.nfs_clusters(),
-            clock=_SimulatorClock(self.simulator),
-        )
-        self.broker = Broker(self.facility)
-
-        behaviour = scenario.behaviour_matrix()
-        self._estimator = DemandEstimator(
-            scenario.capacity_model(),
-            mode=scenario.mode,
-            prior_matrices={ch.channel_id: behaviour for ch in channels},
-        )
-        floor = (
-            self._min_capacity_per_chunk
-            if self._min_capacity_per_chunk is not None
-            else constants.streaming_rate
-        )
-        controller_cls = controller_class(self._controller_key)
-        self.controller = controller_cls(
-            self._estimator,
-            self.tracker,
-            self.broker,
-            scenario.sla_terms(),
-            predictor=self._predictor,
-            min_capacity_per_chunk=floor,
-        )
-
-        self.interval_times: List[float] = []
-        self.used_series: List[float] = []
-        self.peer_series: List[float] = []
-        self.provisioned_series: List[float] = []
-        self.population_series: List[int] = []
-        self.channel_population_series: List[Dict[int, int]] = []
-        self.vm_cost_series: List[float] = []
-        self._samples_before = 0
-
-    def start(self) -> None:
-        """Build the system and apply the bootstrap deployment
-        (idempotent; resumes skip the bootstrap)."""
-        if self._built:
-            return
-        self._build()
-        scenario = self.scenario
         expected_rates = {
             ch.channel_id: float(rate)
             for ch, rate in zip(
@@ -229,196 +159,73 @@ class ClosedLoopEngine:
             )
         }
         upload_mean = scenario.upload_distribution().mean()
-        decision = self.controller.bootstrap(
+        return self.controller.bootstrap(
             0.0, expected_rates, peer_upload=upload_mean
         )
-        for channel_id, capacity in decision.per_channel_capacity.items():
-            self.simulator.set_cloud_capacity(channel_id, capacity)
 
-    # ------------------------------------------------------------------
-    def advance_epoch(self) -> Optional[Dict[str, Any]]:
-        """Advance one provisioning interval; ``None`` once finished.
-
-        Returns the interval's streaming payload (the flat summary
-        :mod:`repro.api` wraps into an ``EpochSnapshot``).
-        """
-        self.start()
-        if self._done:
-            return None
-        scenario = self.scenario
+    def _advance_data(
+        self, t_end: float, capacities: Dict[int, np.ndarray]
+    ) -> _EpochData:
         simulator = self.simulator
-        interval = scenario.constants.interval_seconds
-        log = simulator.bandwidth
-
-        k = self._epoch + 1
-        t_end = min(k * interval, scenario.horizon_seconds)
-        simulator.advance_to(t_end)
-
-        # Interval-aggregate bandwidth for the Fig 4 series, straight off
-        # the array-backed log (no per-sample object traffic).
-        window = slice(self._samples_before, len(log))
-        empty = window.start == window.stop
-        self._samples_before = len(log)
-        self.interval_times.append(t_end)
-        self.used_series.append(
-            0.0 if empty else float(np.mean(log.cloud_used[window]))
+        for channel_id, capacity in capacities.items():
+            simulator.set_cloud_capacity(channel_id, capacity)
+        deltas = self._cursor.advance(simulator, t_end)
+        data = _EpochData(
+            stats=[],
+            upload_sum=0.0,
+            upload_count=0,
+            channel_populations=simulator.channel_populations(),
+            **deltas,
         )
-        self.peer_series.append(
-            0.0 if empty else float(np.mean(log.peer_used[window]))
+        # Billing reads the simulator's own float clock, not t_end.
+        self._clock.now = simulator.now
+        return data
+
+    def _reprovision(
+        self, t_end: float, data: _EpochData
+    ) -> ProvisioningDecision:
+        peer_upload = (
+            self.simulator.mean_peer_upload()
+            if self.scenario.mode == "p2p" else None
         )
-        self.provisioned_series.append(
-            0.0 if empty else float(np.mean(log.provisioned[window]))
-        )
-        self.population_series.append(simulator.population())
-        self.channel_population_series.append(simulator.channel_populations())
-        self._epoch = k
+        return self.controller.run_interval(t_end, peer_upload=peer_upload)
 
-        decision = None
-        if t_end >= scenario.horizon_seconds or k >= self.epochs_total:
-            self._done = True
-        else:
-            peer_upload = (
-                simulator.mean_peer_upload()
-                if scenario.mode == "p2p" else None
-            )
-            decision = self.controller.run_interval(
-                t_end, peer_upload=peer_upload
-            )
-            for channel_id, capacity in decision.per_channel_capacity.items():
-                simulator.set_cloud_capacity(channel_id, capacity)
-            self.vm_cost_series.append(decision.hourly_vm_cost)
-        return self._epoch_payload(k, t_end, window, empty, decision)
+    def _make_result(self) -> ClosedLoopResult:
+        run = self._run
+        epochs = run.epochs
 
-    def _epoch_payload(
-        self, k: int, t_end: float, window: slice, empty: bool, decision,
-    ) -> Dict[str, Any]:
-        simulator = self.simulator
-        log = simulator.bandwidth
+        def means(series: str) -> List[float]:
+            # Interval-aggregate bandwidth for the Fig 4 series.
+            return [
+                float(np.mean(getattr(e, series))) if e.step_times.size
+                else 0.0
+                for e in epochs
+            ]
 
-        def mean_mbps(series: np.ndarray) -> float:
-            return 0.0 if empty else float(np.mean(series[window])) * 8.0 / 1e6
-
-        samples = simulator.quality.samples[self._quality_cursor:]
-        self._quality_cursor = len(simulator.quality.samples)
-        ratios = [
-            1.0 if s.total_users == 0 else s.total_smooth / s.total_users
-            for s in samples
-        ]
-        arrivals = simulator.arrivals - self._arrivals_prev
-        departures = simulator.departures - self._departures_prev
-        self._arrivals_prev = simulator.arrivals
-        self._departures_prev = simulator.departures
-        population = self.population_series[-1]
-        return {
-            "epoch": k,
-            "t_end": float(t_end),
-            "arrivals": int(arrivals),
-            "departures": int(departures),
-            "population": int(population),
-            # The fluid loop only samples population at interval
-            # boundaries, so the boundary value doubles as the peak.
-            "peak_population": int(population),
-            "used_mbps": mean_mbps(log.cloud_used),
-            "peer_mbps": mean_mbps(log.peer_used),
-            "provisioned_mbps": mean_mbps(log.provisioned),
-            "shortfall_mbps": mean_mbps(log.shortfall),
-            "quality": float(np.mean(ratios)) if ratios else 1.0,
-            "vm_cost_per_hour": (
-                float(decision.hourly_vm_cost) if decision is not None else 0.0
-            ),
-            "decision": decision,
-        }
-
-    # ------------------------------------------------------------------
-    def result(self) -> ClosedLoopResult:
-        """The monolithic result of the (fully drained) run."""
-        if not self._done:
-            raise RuntimeError(
-                "the run is not finished; drain advance_epoch() (or use "
-                "run()) before asking for the result"
-            )
-        simulator = self.simulator
         return ClosedLoopResult(
             scenario=self.scenario,
-            simulation=simulator.result(),
+            simulation=self.simulator.result(),
             decisions=self.controller.decisions,
-            cost_report=self.facility.billing.report(simulator.now),
-            interval_times=self.interval_times,
-            provisioned_series=self.provisioned_series,
-            used_series=self.used_series,
-            peer_series=self.peer_series,
-            population_series=self.population_series,
-            channel_population_series=self.channel_population_series,
-            vm_cost_series=self.vm_cost_series,
+            cost_report=self.facility.billing.report(self._clock.now),
+            interval_times=run.epoch_times,
+            provisioned_series=means("provisioned"),
+            used_series=means("cloud_used"),
+            peer_series=means("peer_used"),
+            population_series=[
+                sum(e.channel_populations.values()) for e in epochs
+            ],
+            channel_population_series=[
+                e.channel_populations for e in epochs
+            ],
+            vm_cost_series=run.vm_cost_series,
         )
 
-    def run(self) -> ClosedLoopResult:
-        """Execute the whole horizon and return the monolithic result."""
-        while self.advance_epoch() is not None:
-            pass
-        return self.result()
-
-    def close(self) -> None:
-        """Nothing to tear down (kept for engine-protocol symmetry)."""
-
-    def suspend(self) -> None:
-        """No worker processes to park (engine-protocol symmetry)."""
-
-    def __enter__(self) -> "ClosedLoopEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
-    # Checkpoint support (repro.api's checkpoint()/resume())
+    # Checkpoint support: the simulator is the data plane's state
     # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, Any]:
-        """One picklable object graph capturing the whole run."""
-        self.start()
-        return {
-            "epoch": self._epoch,
-            "done": self._done,
-            "samples_before": self._samples_before,
-            "arrivals_prev": self._arrivals_prev,
-            "departures_prev": self._departures_prev,
-            "quality_cursor": self._quality_cursor,
-            "simulator": self.simulator,
-            "tracker": self.tracker,
-            "facility": self.facility,
-            "broker": self.broker,
-            "estimator": self._estimator,
-            "controller": self.controller,
-            "interval_times": self.interval_times,
-            "used_series": self.used_series,
-            "peer_series": self.peer_series,
-            "provisioned_series": self.provisioned_series,
-            "population_series": self.population_series,
-            "channel_population_series": self.channel_population_series,
-            "vm_cost_series": self.vm_cost_series,
-        }
+    def _data_plane_state(self) -> Dict[str, Any]:
+        return {"simulator": self.simulator, "cursor": self._cursor}
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Adopt a :meth:`snapshot_state` graph (before any epoch ran)."""
-        if self._built:
-            raise RuntimeError("can only restore into a fresh engine")
-        self._built = True
-        self._epoch = state["epoch"]
-        self._done = state["done"]
-        self._samples_before = state["samples_before"]
-        self._arrivals_prev = state["arrivals_prev"]
-        self._departures_prev = state["departures_prev"]
-        self._quality_cursor = state["quality_cursor"]
+    def _restore_data_plane(self, state: Dict[str, Any]) -> None:
         self.simulator = state["simulator"]
-        self.tracker = state["tracker"]
-        self.facility = state["facility"]
-        self.broker = state["broker"]
-        self._estimator = state["estimator"]
-        self.controller = state["controller"]
-        self.interval_times = state["interval_times"]
-        self.used_series = state["used_series"]
-        self.peer_series = state["peer_series"]
-        self.provisioned_series = state["provisioned_series"]
-        self.population_series = state["population_series"]
-        self.channel_population_series = state["channel_population_series"]
-        self.vm_cost_series = state["vm_cost_series"]
+        self._cursor = state["cursor"]

@@ -20,8 +20,10 @@ Endpoints::
     POST   /runs/{id}/checkpoint  checkpoint at the next epoch boundary
     DELETE /runs/{id}             cancel (live) / purge (terminal)
 
-Error mapping: malformed configs are 400, unknown runs 404, invalid
-state transitions 409, a full admission queue 503 with ``Retry-After``.
+Error mapping: malformed configs and requests are 400, unknown runs
+404, invalid state transitions 409, a full admission queue 503 with
+``Retry-After``.  A client gets one deadline for its request line and
+headers (408 past it) and at most 100 header lines (431 beyond).
 
 The SSE stream replays the run's retained epoch ring on join (honoring
 ``Last-Event-ID``, so an ``EventSource`` reconnect never re-reads
@@ -49,6 +51,11 @@ from repro.service.host import (
 __all__ = ["ServiceServer"]
 
 _MAX_BODY = 8 * 1024 * 1024
+#: Most header lines one request may carry.
+_MAX_HEADERS = 100
+#: Seconds a client gets to send the request line and headers (one
+#: deadline for both; a slowloris client cannot hold the connection).
+_HEAD_TIMEOUT = 10.0
 #: Seconds of SSE silence before a ``: keepalive`` comment frame.
 _SSE_KEEPALIVE = 15.0
 
@@ -59,8 +66,10 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     503: "Service Unavailable",
 }
 
@@ -150,6 +159,32 @@ class ServiceServer:
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
         try:
+            head = await asyncio.wait_for(
+                self._read_head(reader), timeout=_HEAD_TIMEOUT
+            )
+        except asyncio.TimeoutError:
+            raise _HttpError(
+                408, f"request head not received within {_HEAD_TIMEOUT} s"
+            ) from None
+        if head is None:
+            return None
+        method, target, headers = head
+        length = headers.get("content-length", "") or "0"
+        if not length.isdecimal():  # a non-negative integer, nothing else
+            raise _HttpError(400, f"bad Content-Length {length!r}")
+        length = int(length)
+        if length > _MAX_BODY:
+            raise _HttpError(413, f"body over {_MAX_BODY} bytes")
+        body = await reader.readexactly(length) if length else b""
+        path = target.split("?", 1)[0]
+        return method.upper(), path, headers, body
+
+    @staticmethod
+    async def _read_head(
+        reader: asyncio.StreamReader,
+    ) -> Optional[Tuple[str, str, Dict[str, str]]]:
+        """The request line and headers (``None`` if the client left)."""
+        try:
             request_line = await reader.readline()
         except (ConnectionResetError, asyncio.IncompleteReadError):
             return None
@@ -160,18 +195,13 @@ class ServiceServer:
             raise _HttpError(400, "malformed request line")
         method, target, _version = parts
         headers: Dict[str, str] = {}
-        while True:
+        for _ in range(_MAX_HEADERS + 1):
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
-                break
+                return method, target, headers
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY:
-            raise _HttpError(413, f"body over {_MAX_BODY} bytes")
-        body = await reader.readexactly(length) if length else b""
-        path = target.split("?", 1)[0]
-        return method.upper(), path, headers, body
+        raise _HttpError(431, f"more than {_MAX_HEADERS} header lines")
 
     # ------------------------------------------------------------------
     # Routing

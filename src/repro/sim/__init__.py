@@ -7,6 +7,8 @@ and by the cloud substrate for timed VM lifecycle transitions:
 * :mod:`repro.sim.rng` — deterministic, per-component random streams.
 * :mod:`repro.sim.events` — event records and the event priority queue.
 * :mod:`repro.sim.engine` — the simulation clock and run loop.
+* :mod:`repro.sim.loop` — :class:`EpochLoop`, the one epoch driver
+  every engine subclasses, and :class:`EpochClock`, its billing clock.
 * :mod:`repro.sim.shard` — sharded multi-channel catalog execution:
   channel shards advanced in lock-step epochs across worker processes
   under one provisioning loop, byte-deterministic for any worker count.
@@ -16,14 +18,15 @@ from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RandomStreams, make_rng
 
-#: Lazily re-exported from :mod:`repro.sim.shard`. The shard engine
-#: depends on the cloud/core layers, which themselves import
-#: :mod:`repro.sim.engine` — importing it eagerly here would close an
-#: import cycle, so resolution is deferred to first attribute access.
+#: Lazily re-exported from :mod:`repro.sim.loop` and
+#: :mod:`repro.sim.shard`. Both depend on the cloud/core layers, which
+#: themselves import :mod:`repro.sim.engine` — importing them eagerly
+#: here would close an import cycle, so resolution is deferred to first
+#: attribute access.
+_LOOP_EXPORTS = ("EpochClock", "EpochLoop")
 _SHARD_EXPORTS = (
     "CatalogResult",
     "ChannelShard",
-    "EpochClock",
     "EpochReport",
     "GeoCatalogResult",
     "GeoShardedSimulator",
@@ -37,6 +40,10 @@ _SHARD_EXPORTS = (
 
 
 def __getattr__(name: str):
+    if name in _LOOP_EXPORTS:
+        from repro.sim import loop
+
+        return getattr(loop, name)
     if name in _SHARD_EXPORTS:
         from repro.sim import shard
 
@@ -53,6 +60,7 @@ __all__ = [
     "CatalogResult",
     "ChannelShard",
     "EpochClock",
+    "EpochLoop",
     "EpochReport",
     "GeoCatalogResult",
     "GeoShardedSimulator",

@@ -30,35 +30,34 @@ the worker count**:
 ``tests/test_catalog_engine.py`` pins this down with a jobs-1-vs-4
 byte-identity test and a merge-permutation property test.
 
-The engine runs one epoch at a time (:meth:`ShardedSimulator.
-advance_epoch`), which :mod:`repro.api` streams as ``EpochSnapshot``\\ s
-and checkpoints between (:meth:`ShardedSimulator.snapshot_state` /
-``restore_state`` — worker shard state is gathered/reinjected over the
-process boundary); ``run()`` is the drain-everything convenience and
-byte-identical to the historical monolithic loop.
+The epoch loop, its streaming payload and the control-plane half of a
+checkpoint are :class:`repro.sim.loop.EpochLoop`'s; this module supplies
+the sharded data plane (worker shard state is gathered/reinjected over
+the process boundary for a checkpoint) and the single- and multi-region
+control planes.
 ``tests/test_api.py`` pins the streamed-vs-monolithic and
 checkpoint/resume byte-parity.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
+import os
+import signal
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cloud.billing import CostReport
-from repro.cloud.broker import Broker
-from repro.cloud.scheduler import CloudFacility
 from repro.core.controller import controller_class
 from repro.core.demand import DemandEstimator
 from repro.core.predictor import ArrivalRatePredictor
-from repro.core.provisioner import ProvisioningController, ProvisioningDecision
+from repro.core.provisioner import ProvisioningDecision
 from repro.geo.controller import GeoProvisioningController
+from repro.sim.loop import EpochLoop, KernelCursor, _EpochData
 from repro.sim.shm import EpochShmLayout, ParentSegment, attach_segment
 from repro.vod.metrics import latency_adjusted_quality
 from repro.vod.multi import MultiChannelSimulator, channels_are_uniform
@@ -75,7 +74,6 @@ from repro.workload.catalog import (
 
 __all__ = [
     "ChannelShard",
-    "EpochClock",
     "EpochReport",
     "MergedEpoch",
     "CatalogResult",
@@ -89,27 +87,6 @@ __all__ = [
     "make_engine",
     "summarize_catalog",
 ]
-
-
-class EpochClock:
-    """Picklable simulated-time source shared with the billing meter.
-
-    The engine advances ``now`` at every epoch boundary; the cloud
-    facility reads it through ``__call__``.  A plain attribute-holding
-    callable (rather than a closure over the engine) keeps the whole
-    control-plane state graph picklable for checkpointing.
-    """
-
-    __slots__ = ("now",)
-
-    def __init__(self, now: float = 0.0) -> None:
-        self.now = float(now)
-
-    def __call__(self) -> float:
-        return self.now
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EpochClock({self.now})"
 
 
 # ----------------------------------------------------------------------
@@ -187,12 +164,7 @@ class ChannelShard:
             self.sim = VoDSimulator(
                 channels, trace, sim_config, tracker=tracker
             )
-        self._quality_cursor = 0
-        self._retrievals = 0
-        self._unsmooth = 0
-        self._sojourn_sum = 0.0
-        self._arrivals = 0
-        self._departures = 0
+        self._cursor = KernelCursor()
 
     def set_capacities(self, capacities: Dict[int, np.ndarray]) -> None:
         """Install the owned channels' slice of a capacity broadcast."""
@@ -204,31 +176,7 @@ class ChannelShard:
     def advance_epoch(self, t_end: float) -> EpochReport:
         """Run lock-step to ``t_end`` and report this epoch's deltas."""
         sim = self.sim
-        log_start = len(sim.bandwidth)
-        populations: List[int] = []
-        while sim.now + 1e-9 < t_end:
-            sim.step()
-            populations.append(sim.population())
-        log = sim.bandwidth
-        window = slice(log_start, len(log))
-
-        quality = sim.quality
-        samples = [
-            (s.time, int(s.total_smooth), int(s.total_users))
-            for s in quality.samples[self._quality_cursor:]
-        ]
-        self._quality_cursor = len(quality.samples)
-        retrievals = quality.total_retrievals - self._retrievals
-        unsmooth = quality.unsmooth_retrievals - self._unsmooth
-        sojourn_sum = quality.sojourn_sum - self._sojourn_sum
-        arrivals = sim.arrivals - self._arrivals
-        departures = sim.departures - self._departures
-        self._retrievals = quality.total_retrievals
-        self._unsmooth = quality.unsmooth_retrievals
-        self._sojourn_sum = quality.sojourn_sum
-        self._arrivals = sim.arrivals
-        self._departures = sim.departures
-
+        deltas = self._cursor.advance(sim, t_end)
         if isinstance(sim, MultiChannelSimulator):
             stats = sim.close_interval()
         else:
@@ -237,56 +185,12 @@ class ChannelShard:
         upload_sum, upload_count = sim.peer_upload_totals()
         return EpochReport(
             shard_index=self.shard_index,
-            t_end=t_end,
             stats=stats,
-            step_times=log.time[window].copy(),
-            cloud_used=log.cloud_used[window].copy(),
-            peer_used=log.peer_used[window].copy(),
-            provisioned=log.provisioned[window].copy(),
-            shortfall=log.shortfall[window].copy(),
-            populations=np.asarray(populations, dtype=np.int64),
-            quality_samples=samples,
-            arrivals=arrivals,
-            departures=departures,
-            retrievals=retrievals,
-            unsmooth=unsmooth,
-            sojourn_sum=sojourn_sum,
             upload_sum=upload_sum,
             upload_count=upload_count,
-            peak_step_events=sim.peak_step_events,
             channel_populations=dict(sim.channel_populations()),
+            **deltas,
         )
-
-
-@dataclass
-class _EpochData:
-    """The accumulator schema one epoch produces.
-
-    Shared by :class:`EpochReport` (one shard's deltas) and
-    :class:`MergedEpoch` (the catalog-wide merge) so a statistic added
-    to one cannot silently go missing from the other — only
-    :func:`merge_epoch_reports` then needs the matching accumulation.
-    Everything is picklable (reports cross the worker boundary).
-    """
-
-    t_end: float
-    stats: List[IntervalStats]
-    step_times: np.ndarray
-    cloud_used: np.ndarray
-    peer_used: np.ndarray
-    provisioned: np.ndarray
-    shortfall: np.ndarray
-    populations: np.ndarray
-    quality_samples: List[Tuple[float, int, int]]
-    arrivals: int
-    departures: int
-    retrievals: int
-    unsmooth: int
-    sojourn_sum: float
-    upload_sum: float
-    upload_count: int
-    peak_step_events: int
-    channel_populations: Dict[int, int]
 
 
 @dataclass
@@ -510,6 +414,10 @@ def report_from_views(
 # Worker processes
 # ----------------------------------------------------------------------
 
+#: How often an idle shard worker checks that its parent is alive.
+_PARENT_POLL_SECONDS = 1.0
+
+
 def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
                  shards: List[ChannelShard], shm_name: str) -> None:
     """Long-lived worker: adopt the owned shards, serve epochs.
@@ -525,13 +433,25 @@ def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
     attachment is closed in ``finally`` — the parent owns the segment's
     unlink, so no worker exit path can leak ``/dev/shm`` blocks or trip
     the resource tracker.
+
+    The worker restores the default SIGINT/SIGTERM actions (a fork
+    inherits an asyncio host's handlers, which ignore SIGTERM) and exits
+    once its parent pid changes: a dead parent never shows up as EOF,
+    because forked workers hold copies of the parent's pipe ends.
     """
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = os.getppid()
     segment = None
     try:
         layout = EpochShmLayout(config)
         segment = attach_segment(shm_name)
         conn.send(("ready", shard_indices))
         while True:
+            if not conn.poll(_PARENT_POLL_SECONDS):
+                if os.getppid() != parent:
+                    break
+                continue
             message = conn.recv()
             if message[0] == "stop":
                 break
@@ -725,36 +645,13 @@ def summarize_catalog(result: CatalogResult) -> Dict[str, float]:
 # The engine
 # ----------------------------------------------------------------------
 
-@dataclass
-class _CatalogRunState:
-    """Everything one in-flight catalog run has accumulated so far.
-
-    Kept as one picklable object so a checkpoint is exactly this state
-    plus the control-plane objects and the shard simulators.
-    """
-
-    capacities: Dict[int, np.ndarray]
-    num_epochs: int
-    epoch: int = 0
-    done: bool = False
-    epoch_times: List[float] = field(default_factory=list)
-    step_chunks: List[MergedEpoch] = field(default_factory=list)
-    arrivals: int = 0
-    departures: int = 0
-    retrievals: int = 0
-    unsmooth: int = 0
-    sojourn_sum: float = 0.0
-    peak_step_events: int = 0
-    channel_populations: Dict[int, int] = field(default_factory=dict)
-
-
-class ShardedSimulator:
+class ShardedSimulator(EpochLoop):
     """Lock-step epochs over channel shards + one provisioning loop.
 
-    The engine advances one provisioning epoch at a time
-    (:meth:`advance_epoch`), which is what :mod:`repro.api` streams;
-    :meth:`run` is the drain-everything convenience and produces results
-    byte-identical to the historical monolithic loop.
+    The epoch loop itself is :class:`~repro.sim.loop.EpochLoop`'s; this
+    engine supplies the sharded data plane (in-process shards, or worker
+    processes reporting through the shared-memory epoch plane) and the
+    single-region control plane.
 
     Parameters
     ----------
@@ -783,31 +680,26 @@ class ShardedSimulator:
     ) -> None:
         self.config = config
         self.jobs = max(1, min(int(jobs), config.effective_shards))
-        self._controller_key = controller or "paper"
-        self._clock = EpochClock(0.0)
         self._peer_upload: Optional[float] = None
-        self.vm_cost_series: List[float] = []
-        self._run_state: Optional[_CatalogRunState] = None
         self._restored_shards: Optional[List[ChannelShard]] = None
-
-        self.tracker = TrackingServer(
-            num_channels=config.channel_slots,
-            chunks_per_channel=[config.chunks_per_channel]
-            * config.channel_slots,
-            interval_seconds=config.interval_seconds,
+        super().__init__(
+            config,
+            config.interval_seconds,
+            tracker=TrackingServer(
+                num_channels=config.channel_slots,
+                chunks_per_channel=[config.chunks_per_channel]
+                * config.channel_slots,
+                interval_seconds=config.interval_seconds,
+            ),
+            estimator=DemandEstimator(
+                config.capacity_model(),
+                mode=config.mode,
+                default_prior=config.behaviour_matrix(),
+            ),
+            predictor=predictor,
+            controller=controller,
+            min_capacity_per_chunk=config.constants.streaming_rate,
         )
-        self.facility = CloudFacility(
-            config.vm_clusters(),
-            config.nfs_clusters(),
-            clock=self._clock,
-        )
-        self.broker = Broker(self.facility)
-        self._estimator = DemandEstimator(
-            config.capacity_model(),
-            mode=config.mode,
-            default_prior=config.behaviour_matrix(),
-        )
-        self.controller = self._build_controller(predictor)
 
         self._shards: Optional[List[ChannelShard]] = None  # jobs == 1
         self._workers: List[mp.Process] = []
@@ -817,33 +709,7 @@ class ShardedSimulator:
         self._layout: Optional[EpochShmLayout] = None
         self._segment: Optional[ParentSegment] = None
 
-    def _build_controller(
-        self, predictor: Optional[ArrivalRatePredictor]
-    ) -> ProvisioningController:
-        """The control plane: single-region Eqn (6)/(7) provisioning,
-        under the selected policy (the paper's by default)."""
-        cls = controller_class(self._controller_key)
-        return cls(
-            self._estimator,
-            self.tracker,
-            self.broker,
-            self.config.sla_terms(),
-            predictor=predictor,
-            min_capacity_per_chunk=self.config.constants.streaming_rate,
-        )
-
-    @property
-    def _now(self) -> float:
-        """Current control-plane time (the epoch clock's reading)."""
-        return self._clock.now
-
     # ------------------------------------------------------------------
-    def __enter__(self) -> "ShardedSimulator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def close(self) -> None:
         """Tear down worker processes and the shm segment (idempotent)."""
         if self._closed:
@@ -904,6 +770,8 @@ class ShardedSimulator:
         """
         return self._segment.name if self._segment is not None else None
 
+    # ------------------------------------------------------------------
+    # The data plane: shards, in process or in worker processes
     # ------------------------------------------------------------------
     def _start(self) -> None:
         if self._started:
@@ -1004,19 +872,20 @@ class ShardedSimulator:
                 )
         return reports
 
-    @staticmethod
-    def _sorted_capacities(
-        decision: ProvisioningDecision,
-    ) -> Dict[int, np.ndarray]:
-        return {
-            channel_id: decision.per_channel_capacity[channel_id]
-            for channel_id in sorted(decision.per_channel_capacity)
-        }
+    def _advance_data(
+        self, t_end: float, capacities: Dict[int, np.ndarray]
+    ) -> MergedEpoch:
+        merged = merge_epoch_reports(self._advance_all(t_end, capacities))
+        self._clock.now = t_end
+        for stats in merged.stats:
+            self.tracker.absorb(stats)
+        return merged
 
     # ------------------------------------------------------------------
-    # Control-plane hooks (the geo engine overrides these three)
+    # Control-plane hooks (the geo engine overrides the controller and
+    # the result)
     # ------------------------------------------------------------------
-    def _bootstrap_capacities(self) -> Dict[int, np.ndarray]:
+    def _bootstrap(self) -> ProvisioningDecision:
         """Initial deployment: expected per-slot rates -> capacities."""
         config = self.config
         rates = config.channel_rates()
@@ -1025,14 +894,13 @@ class ShardedSimulator:
             config.upload_distribution().mean()
             if config.mode == "p2p" else None
         )
-        decision = self.controller.bootstrap(
+        return self.controller.bootstrap(
             0.0, expected, peer_upload=self._peer_upload
         )
-        return self._sorted_capacities(decision)
 
     def _reprovision(
         self, t_end: float, merged: MergedEpoch
-    ) -> Dict[int, np.ndarray]:
+    ) -> ProvisioningDecision:
         """One periodic provisioning round on the merged statistics."""
         config = self.config
         live_upload = (
@@ -1040,181 +908,56 @@ class ShardedSimulator:
             if config.mode == "p2p" and merged.upload_count
             else self._peer_upload
         )
-        decision = self.controller.run_interval(
+        return self.controller.run_interval(
             t_end,
             peer_upload=live_upload if config.mode == "p2p" else None,
         )
-        self.vm_cost_series.append(decision.hourly_vm_cost)
-        return self._sorted_capacities(decision)
 
-    def _make_result(self, **kwargs) -> CatalogResult:
-        return CatalogResult(**kwargs)
-
-    # ------------------------------------------------------------------
-    # Epoch-wise execution (the repro.api streaming protocol)
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Bootstrap the run (idempotent): initial deployment + state."""
-        if self._run_state is not None:
-            return
-        config = self.config
-        self._run_state = _CatalogRunState(
-            capacities=self._bootstrap_capacities(),
-            num_epochs=int(
-                math.ceil(config.horizon_seconds / config.interval_seconds)
-            ),
-        )
-
-    @property
-    def epoch(self) -> int:
-        """Completed epochs so far (0 before the first)."""
-        return self._run_state.epoch if self._run_state is not None else 0
-
-    @property
-    def epochs_total(self) -> int:
-        config = self.config
-        return int(math.ceil(config.horizon_seconds / config.interval_seconds))
-
-    @property
-    def done(self) -> bool:
-        return self._run_state is not None and self._run_state.done
-
-    def advance_epoch(self) -> Optional[Dict[str, Any]]:
-        """Run one lock-step epoch; ``None`` once the horizon is reached.
-
-        Returns the epoch's streaming payload (the flat summary
-        :mod:`repro.api` wraps into an ``EpochSnapshot``).  The sequence
-        of operations is exactly the historical monolithic loop's, so a
-        fully drained engine yields byte-identical results.
-        """
-        self.start()
-        state = self._run_state
-        config = self.config
-        if state.done:
-            return None
-        interval = config.interval_seconds
-        horizon = config.horizon_seconds
-        k = state.epoch + 1
-        t_end = min(k * interval, horizon)
-        reports = self._advance_all(t_end, state.capacities)
-        merged = merge_epoch_reports(reports)
-        self._clock.now = t_end
-        state.epoch = k
-        state.epoch_times.append(t_end)
-        state.step_chunks.append(merged)
-        for stats in merged.stats:
-            self.tracker.absorb(stats)
-        state.arrivals += merged.arrivals
-        state.departures += merged.departures
-        state.retrievals += merged.retrievals
-        state.unsmooth += merged.unsmooth
-        state.sojourn_sum += merged.sojourn_sum
-        state.peak_step_events = max(
-            state.peak_step_events, merged.peak_step_events
-        )
-        state.channel_populations = merged.channel_populations
-
-        decision = None
-        if t_end + 1e-9 >= horizon or k >= state.num_epochs:
-            state.done = True
-        else:
-            state.capacities = self._reprovision(t_end, merged)
-            decision = self.controller.decisions[-1]
-        return self._epoch_payload(k, t_end, merged, decision)
-
-    def _epoch_payload(
-        self, k: int, t_end: float, merged: MergedEpoch, decision,
-    ) -> Dict[str, Any]:
-        """Flat per-epoch summary for streaming consumers."""
-        def mean_mbps(series: np.ndarray) -> float:
-            return float(series.mean()) * 8.0 / 1e6 if series.size else 0.0
-
-        ratios = [
-            1.0 if users == 0 else smooth / users
-            for _, smooth, users in merged.quality_samples
-        ]
-        return {
-            "epoch": k,
-            "t_end": float(t_end),
-            "arrivals": int(merged.arrivals),
-            "departures": int(merged.departures),
-            "population": (
-                int(merged.populations[-1]) if merged.populations.size else 0
-            ),
-            "peak_population": (
-                int(merged.populations.max()) if merged.populations.size else 0
-            ),
-            "used_mbps": mean_mbps(merged.cloud_used),
-            "peer_mbps": mean_mbps(merged.peer_used),
-            "provisioned_mbps": mean_mbps(merged.provisioned),
-            "shortfall_mbps": mean_mbps(merged.shortfall),
-            "quality": float(np.mean(ratios)) if ratios else 1.0,
-            "vm_cost_per_hour": (
-                float(decision.hourly_vm_cost) if decision is not None else 0.0
-            ),
-            "decision": decision,
-        }
-
-    def result(self) -> CatalogResult:
-        """The merged result of the (fully drained) run."""
-        if self._run_state is None or not self._run_state.done:
-            raise RuntimeError(
-                "the run is not finished; drain advance_epoch() (or use "
-                "run()) before asking for the result"
-            )
-        state = self._run_state
-        step_chunks = state.step_chunks
-        times = np.concatenate([m.step_times for m in step_chunks]) \
-            if step_chunks else np.empty(0)
-        populations = np.concatenate([m.populations for m in step_chunks]) \
-            if step_chunks else np.empty(0, dtype=np.int64)
-        quality_samples = [s for m in step_chunks for s in m.quality_samples]
+    def _make_result(self, result_cls=CatalogResult, **extra) -> CatalogResult:
+        """The merged result; ``extra`` fields go to ``result_cls``."""
+        run = self._run
+        epochs = run.epochs
+        times = np.concatenate([m.step_times for m in epochs])
+        populations = np.concatenate([m.populations for m in epochs])
+        quality_samples = [s for m in epochs for s in m.quality_samples]
         quality_times = np.asarray([t for t, _, _ in quality_samples])
         quality = np.asarray([
             1.0 if users == 0 else smooth / users
             for _, smooth, users in quality_samples
         ])
-        return self._make_result(
+        retrievals = sum(m.retrievals for m in epochs)
+        sojourn_sum = 0.0
+        for m in epochs:
+            sojourn_sum += m.sojourn_sum
+        return result_cls(
             config=self.config,
             times=times,
-            cloud_used=np.concatenate([m.cloud_used for m in step_chunks])
-            if step_chunks else np.empty(0),
-            peer_used=np.concatenate([m.peer_used for m in step_chunks])
-            if step_chunks else np.empty(0),
-            provisioned=np.concatenate([m.provisioned for m in step_chunks])
-            if step_chunks else np.empty(0),
-            shortfall=np.concatenate([m.shortfall for m in step_chunks])
-            if step_chunks else np.empty(0),
+            cloud_used=np.concatenate([m.cloud_used for m in epochs]),
+            peer_used=np.concatenate([m.peer_used for m in epochs]),
+            provisioned=np.concatenate([m.provisioned for m in epochs]),
+            shortfall=np.concatenate([m.shortfall for m in epochs]),
             populations=populations,
             quality_times=quality_times,
             quality=quality,
-            epoch_times=list(state.epoch_times),
-            arrivals=state.arrivals,
-            departures=state.departures,
+            epoch_times=list(run.epoch_times),
+            arrivals=sum(m.arrivals for m in epochs),
+            departures=sum(m.departures for m in epochs),
             final_population=int(populations[-1]) if populations.size else 0,
             peak_population=int(populations.max()) if populations.size else 0,
-            total_retrievals=state.retrievals,
-            unsmooth_retrievals=state.unsmooth,
-            mean_sojourn=(
-                state.sojourn_sum / state.retrievals
-                if state.retrievals else 0.0
-            ),
+            total_retrievals=retrievals,
+            unsmooth_retrievals=sum(m.unsmooth for m in epochs),
+            mean_sojourn=sojourn_sum / retrievals if retrievals else 0.0,
             decisions=list(self.controller.decisions),
-            vm_cost_series=list(self.vm_cost_series),
-            cost_report=self.facility.billing.report(self._now),
-            channel_populations=state.channel_populations,
+            vm_cost_series=list(run.vm_cost_series),
+            cost_report=self.facility.billing.report(self._clock.now),
+            channel_populations=epochs[-1].channel_populations,
             steps=int(times.size),
-            peak_step_events=state.peak_step_events,
+            peak_step_events=max(m.peak_step_events for m in epochs),
+            **extra,
         )
 
-    def run(self) -> CatalogResult:
-        """Execute the whole horizon and return the merged result."""
-        while self.advance_epoch() is not None:
-            pass
-        return self.result()
-
     # ------------------------------------------------------------------
-    # Checkpoint support (repro.api's checkpoint()/resume())
+    # Checkpoint support: the shards are the data plane's state
     # ------------------------------------------------------------------
     def _gather_shards(self) -> List[ChannelShard]:
         """The current shard simulators, in shard-index order."""
@@ -1236,39 +979,15 @@ class ShardedSimulator:
         shards.sort(key=lambda shard: shard.shard_index)
         return shards
 
-    def snapshot_state(self) -> Dict[str, Any]:
-        """One picklable object graph capturing the whole run.
-
-        The control-plane objects go in together so shared references
-        (controller -> tracker/broker -> facility) survive a pickle
-        round-trip as one consistent graph.
-        """
-        self.start()
+    def _data_plane_state(self) -> Dict[str, Any]:
         return {
-            "run": self._run_state,
-            "clock": self._clock,
-            "tracker": self.tracker,
-            "facility": self.facility,
-            "broker": self.broker,
-            "estimator": self._estimator,
-            "controller": self.controller,
-            "vm_cost_series": self.vm_cost_series,
             "peer_upload": self._peer_upload,
             "shards": self._gather_shards(),
         }
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Adopt a :meth:`snapshot_state` graph (before any epoch ran)."""
-        if self._started or self._run_state is not None:
+    def _restore_data_plane(self, state: Dict[str, Any]) -> None:
+        if self._started:
             raise RuntimeError("can only restore into a fresh engine")
-        self._run_state = state["run"]
-        self._clock = state["clock"]
-        self.tracker = state["tracker"]
-        self.facility = state["facility"]
-        self.broker = state["broker"]
-        self._estimator = state["estimator"]
-        self.controller = state["controller"]
-        self.vm_cost_series = state["vm_cost_series"]
         self._peer_upload = state["peer_upload"]
         self._restored_shards = list(state["shards"])
 
@@ -1309,7 +1028,7 @@ class GeoShardedSimulator(ShardedSimulator):
         )
 
     def _build_controller(
-        self, predictor: Optional[ArrivalRatePredictor]
+        self, predictor, terms, min_capacity_per_chunk
     ) -> GeoProvisioningController:
         config = self.config
         cls = controller_class(self._controller_key, geo=True)
@@ -1318,23 +1037,23 @@ class GeoShardedSimulator(ShardedSimulator):
             self.tracker,
             self.broker,
             config.geo_topology(),
-            config.sla_terms(),
+            terms,
             config.slot_region,
             config.slot_channel,
             predictor=predictor,
             exact=config.exact,
-            min_capacity_per_chunk=config.constants.streaming_rate,
+            min_capacity_per_chunk=min_capacity_per_chunk,
         )
 
-    def _make_result(self, **kwargs) -> GeoCatalogResult:
+    def _make_result(self) -> GeoCatalogResult:
         # Decision k capacitates epoch k+1 (the bootstrap capacitates
         # epoch 1), so the decision list truncated to the epoch count is
         # exactly the per-epoch in-effect telemetry.
         decisions = self.controller.decisions
-        epochs = len(kwargs["epoch_times"])
+        epochs = len(self._run.epoch_times)
         telemetry = [d.epoch_telemetry() for d in decisions[:epochs]]
-        return GeoCatalogResult(
-            **kwargs,
+        return super()._make_result(
+            GeoCatalogResult,
             region_names=list(self.config.region_names),
             epoch_discounts=[t["discount"] for t in telemetry],
             epoch_remote_fractions=[t["remote_fraction"] for t in telemetry],

@@ -244,8 +244,8 @@ def unlink_stale_segment(name: str) -> bool:
     ``/dev/shm`` entry survives until someone unlinks it.  The service
     host records its runs' segment names in the state dir exactly so
     its restart can call this janitor; by then the workers are gone
-    too (their control pipes hit EOF when the parent died), so the
-    unlink here is the segment's last reference.
+    too (each exits once its parent pid changes), so the unlink here
+    is the segment's last reference.
 
     Returns ``True`` if a segment by that name existed and was
     unlinked, ``False`` if it was already gone.

@@ -10,7 +10,9 @@ The service-level acceptance contracts:
   epoch exactly once and in order;
 * SSE replay — a consumer joining mid-run (``Last-Event-ID``) gets the
   missed epochs from the ring, then the live tail;
-* HTTP error mapping — 400 / 404 / 409 / 503 (with ``Retry-After``);
+* HTTP error mapping — 400 / 404 / 409 / 503 (with ``Retry-After``),
+  and raw-socket hostile input: a stalled request head (408), too many
+  headers (431), a malformed ``Content-Length`` (400);
 * crash recovery — a ``repro serve`` subprocess SIGKILLed mid-run
   leaves a state dir from which a fresh server finishes the run with a
   byte-identical artifact and no leaked ``/dev/shm`` segment.
@@ -21,6 +23,7 @@ import contextlib
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -193,6 +196,54 @@ def test_error_statuses():
         client.wait(run_id)
 
 
+def _raw_exchange(url: str, request: bytes) -> bytes:
+    """Send raw bytes to the server; everything it answers until close."""
+    host, port = url.rsplit("/", 1)[-1].split(":")
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def test_stalled_request_head_gets_408(monkeypatch):
+    monkeypatch.setattr("repro.service.server._HEAD_TIMEOUT", 0.3)
+    with running_service() as url:
+        # A request line, then silence: no blank line ever ends the head.
+        reply = _raw_exchange(url, b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+        assert reply.startswith(b"HTTP/1.1 408 "), reply
+
+
+def test_too_many_headers_get_431():
+    headers = b"".join(b"X-Pad-%d: 1\r\n" % i for i in range(101))
+    with running_service() as url:
+        reply = _raw_exchange(
+            url, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        )
+        assert reply.startswith(b"HTTP/1.1 431 "), reply
+        # exactly the cap is still served
+        headers = b"".join(b"X-Pad-%d: 1\r\n" % i for i in range(100))
+        reply = _raw_exchange(
+            url, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        )
+        assert reply.startswith(b"HTTP/1.1 200 "), reply
+
+
+@pytest.mark.parametrize("length", [b"twelve", b"-1", b"1.5"])
+def test_bad_content_length_gets_400(length):
+    with running_service() as url:
+        reply = _raw_exchange(
+            url,
+            b"POST /runs HTTP/1.1\r\nContent-Length: " + length
+            + b"\r\n\r\n{}",
+        )
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert b"Content-Length" in reply
+
+
 def test_dashboard_and_health():
     with running_service() as url:
         client = ServiceClient(url)
@@ -221,6 +272,27 @@ def _spawn_serve(state_dir) -> "tuple[subprocess.Popen, str]":
     return process, url
 
 
+def _child_pids(pid: int) -> set:
+    """Child processes of ``pid``, over all of its threads (the host
+    forks shard workers from the thread that advances the run)."""
+    pids = set()
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with contextlib.suppress(FileNotFoundError):
+            with open(f"/proc/{pid}/task/{task}/children") as handle:
+                pids.update(int(child) for child in handle.read().split())
+    return pids
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` still runs (an unreaped zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
 def test_sigkill_restart_resume_byte_identical(tmp_path):
     # 2 h at 10-minute epochs: 12 epochs, so the kill lands mid-run.
     config = small_config(horizon_hours=2.0, workers=2)
@@ -235,12 +307,23 @@ def test_sigkill_restart_resume_byte_identical(tmp_path):
             # Two auto-checkpointed epochs recorded, then pull the plug.
             if event["event"] == "epoch" and event["data"]["index"] >= 2:
                 break
+        children = _child_pids(process.pid)
+        assert children, "the run's shard workers should be alive"
         process.send_signal(signal.SIGKILL)
         process.wait(timeout=30)
     finally:
         if process.poll() is None:  # pragma: no cover - cleanup backstop
             process.kill()
             process.wait(timeout=30)
+        process.stdout.close()
+
+    # The orphaned shard workers (and the shm resource tracker they kept
+    # open) notice the dead parent and exit on their own.
+    deadline = time.monotonic() + 10.0
+    while any(map(_alive, children)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    survivors = sorted(pid for pid in children if _alive(pid))
+    assert not survivors, f"children outlived the killed server: {survivors}"
 
     meta = json.loads((tmp_path / "runs" / run_id / "meta.json").read_text())
     assert meta["state"] == "running"  # the crash left it mid-flight
@@ -261,6 +344,7 @@ def test_sigkill_restart_resume_byte_identical(tmp_path):
         except subprocess.TimeoutExpired:  # pragma: no cover
             process.kill()
             process.wait(timeout=30)
+        process.stdout.close()
 
     # The janitor + graceful close left nothing in /dev/shm (give the
     # kernel a beat; the session-level conftest guard re-checks too).
