@@ -3,8 +3,8 @@
 Paper: client-server averages 0.97; P2P averages 0.95 — a minor quality
 tradeoff for the large cost saving.
 
-Timed kernel: the per-sample quality computation over the user stores
-(the metric the system evaluates every five minutes).
+Timed kernel: the per-sample quality computation over the kernel's row
+table (the metric the system evaluates every five minutes).
 
 Registry scenario: ``fig05`` (``repro sweep fig05``).
 """
@@ -13,7 +13,9 @@ import numpy as np
 
 from repro.experiments.figures import fig5_streaming_quality
 from repro.experiments.reporting import downsample, format_table
-from repro.vod.user import UserStore
+from repro.vod.channel import make_uniform_channels
+from repro.vod.multi import MultiChannelSimulator, VoDSystemConfig
+from repro.workload.trace import Session, ShardTraceArrays, Trace
 
 
 def test_fig05_streaming_quality(benchmark, cs_result, p2p_result, emit):
@@ -45,12 +47,18 @@ def test_fig05_streaming_quality(benchmark, cs_result, p2p_result, emit):
     assert float(data["p2p_average"]) >= 0.88
     assert abs(float(data["p2p_average"]) - float(data["cs_average"])) <= 0.1
 
-    # Timed kernel: the 5-minute smooth-user sweep on a busy store.
-    store = UserStore(20)
+    # Timed kernel: the 5-minute smooth-user sweep over 2000 users of 20
+    # channels, a tenth of them with a recent unsmooth retrieval.
     rng = np.random.default_rng(0)
-    for i in range(2000):
-        uid = store.add_user(float(i), int(rng.integers(0, 20)), 50_000.0)
-        if rng.random() < 0.1:
-            store.complete_chunk(uid, float(i), smooth=False)
-
-    benchmark(lambda: store.smooth_users(2000.0, 300.0, overdue_after=300.0))
+    sessions = [
+        Session(float(i), int(rng.integers(0, 20)), 0, 50_000.0)
+        for i in range(2000)
+    ]
+    sim = MultiChannelSimulator(
+        make_uniform_channels(20, 20, 50_000.0, 300.0),
+        ShardTraceArrays.from_trace(Trace(config_summary={}, sessions=sessions)),
+        VoDSystemConfig(dt=2000.0),
+    )
+    sim.step()  # admits everyone at t=2000, no capacity so none progress
+    sim._row_unsmooth[: sim._n][rng.random(sim._n) < 0.1] = 1900.0
+    benchmark(sim._sample_quality)

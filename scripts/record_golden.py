@@ -6,8 +6,9 @@ vectorized kernel reproduces the scalar kernel's fixed-seed trajectories
 float accumulation order, hence identical quality series, bandwidth
 series and arrival/departure counts.
 
-This script runs the small fixed-capacity kernel scenarios plus two
-closed-loop runs and writes their trajectories to ``tests/golden/``.
+This script runs the small fixed-capacity kernel scenarios, two
+closed-loop runs and two small sharded catalogs, and writes their
+trajectories to ``tests/golden/``.
 JSON float serialization uses ``repr`` round-tripping, so the recorded
 values are binary-exact.
 
@@ -33,10 +34,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.api import open_run
+from repro.api import EngineConfig, open_run
 from repro.experiments.config import small_scenario
 from repro.vod.simulator import VoDSimulator, VoDSystemConfig
-from repro.workload.trace import generate_trace
+from repro.workload.catalog import CATALOG_VARIANTS, catalog_config
+from repro.workload.trace import ShardTraceArrays, generate_trace
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
@@ -65,7 +67,9 @@ def kernel_trajectory(mode: str, *, steps: int = 360,
         sojourn_slack=1.0,
         seed=scenario.seed,
     )
-    sim = VoDSimulator(scenario.channels(), trace, config)
+    sim = VoDSimulator(
+        scenario.channels(), ShardTraceArrays.from_trace(trace), config
+    )
     for spec in sim.channels:
         sim.set_cloud_capacity(
             spec.channel_id, np.full(spec.num_chunks, capacity_per_chunk)
@@ -117,6 +121,56 @@ def closed_loop_trajectory(mode: str) -> dict:
     }
 
 
+def catalog_trajectory(mode: str) -> dict:
+    """Run a small sharded catalog through ``open_run`` and dump it.
+
+    8 channels x 4 chunks over 4 shards for half an hour, in the flash
+    variant with its crowd moved into the window, and three provisioning
+    epochs, so the controller reprovisions twice on merged shard
+    statistics.
+    """
+    config = catalog_config(
+        mode=mode, num_channels=8, chunks_per_channel=4, horizon_hours=0.5,
+        arrival_rate=3.0, num_shards=4, dt=60.0, interval_minutes=10.0,
+        **dict(CATALOG_VARIANTS["flash"], flash_hour=0.25),
+    )
+    with open_run(EngineConfig(spec=config, workers=1)) as run:
+        result = run.result()
+    return {
+        "scenario": {"mode": mode, "variant": "flash", "num_channels": 8,
+                     "num_shards": 4, "horizon_hours": 0.5},
+        "arrivals": int(result.arrivals),
+        "departures": int(result.departures),
+        "final_population": int(result.final_population),
+        "peak_population": int(result.peak_population),
+        "total_retrievals": int(result.total_retrievals),
+        "unsmooth_retrievals": int(result.unsmooth_retrievals),
+        "mean_sojourn": float(result.mean_sojourn),
+        "steps": int(result.steps),
+        "peak_step_events": int(result.peak_step_events),
+        "times": [float(x) for x in result.times],
+        "cloud_used": [float(x) for x in result.cloud_used],
+        "peer_used": [float(x) for x in result.peer_used],
+        "provisioned": [float(x) for x in result.provisioned],
+        "shortfall": [float(x) for x in result.shortfall],
+        "populations": [int(x) for x in result.populations],
+        "quality_times": [float(x) for x in result.quality_times],
+        "quality": [float(x) for x in result.quality],
+        "epoch_times": [float(x) for x in result.epoch_times],
+        "vm_cost_series": [float(x) for x in result.vm_cost_series],
+        "decision_capacities": [
+            {str(c): [float(x) for x in cap]
+             for c, cap in sorted(d.per_channel_capacity.items())}
+            for d in result.decisions
+        ],
+        "channel_populations": {
+            str(c): int(n) for c, n in sorted(
+                result.channel_populations.items()
+            )
+        },
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=GOLDEN_DIR,
@@ -132,6 +186,8 @@ def main(argv=None) -> int:
             "client-server"
         ),
         "closed_loop_p2p.json": closed_loop_trajectory("p2p"),
+        "catalog_client_server.json": catalog_trajectory("client-server"),
+        "catalog_p2p.json": catalog_trajectory("p2p"),
     }
     for name, payload in fixtures.items():
         path = out_dir / name

@@ -19,8 +19,7 @@ The rule pack (each rule has an ID, docs, fixture tests and a fix hint):
 * :data:`~repro.analysis.taint.DET003` — unordered ``set`` iteration /
   reduction in the same artifact-reachable paths.
 * :data:`~repro.analysis.rules.DET004` — ``os.environ`` reads outside
-  the sanctioned resolution points (``repro.api.resolve_workers`` and
-  ``experiments/config.py``).
+  the sanctioned resolution point (``experiments/config.py``).
 * :data:`~repro.analysis.rules.RES001` — ``SharedMemory`` lifecycle:
   creates paired with unlinks, workers never unlink (the ``sim/shm.py``
   contract).

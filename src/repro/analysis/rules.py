@@ -30,9 +30,6 @@ class LintConfig:
     rng_modules: Tuple[str, ...] = ("sim/rng.py",)
     #: Files whose environment reads are the sanctioned resolution point.
     env_modules: Tuple[str, ...] = ("experiments/config.py",)
-    #: ``path-suffix:qualname`` functions sanctioned to read the
-    #: environment (the one shared validation path).
-    env_functions: Tuple[str, ...] = ("api.py:resolve_workers",)
     #: The module owning the SharedMemory create/unlink lifecycle.
     shm_modules: Tuple[str, ...] = ("sim/shm.py",)
     #: Artifact-producing entry points for the reachability rules.
@@ -49,18 +46,6 @@ def _sanctioned_path(module: ModuleInfo, suffixes: Tuple[str, ...]) -> bool:
     for suffix in suffixes:
         want = suffix.split("/")
         if parts[-len(want):] == want:
-            return True
-    return False
-
-
-def _sanctioned_function(
-    module: ModuleInfo, context: str, specs: Tuple[str, ...]
-) -> bool:
-    for spec in specs:
-        path_suffix, _, qualname = spec.partition(":")
-        if _sanctioned_path(module, (path_suffix,)) and (
-            context == qualname or context.startswith(qualname + ".")
-        ):
             return True
     return False
 
@@ -125,7 +110,7 @@ DET001 = Rule(
 
 
 # ----------------------------------------------------------------------
-# DET004 — environment reads outside the sanctioned resolution points
+# DET004 — environment reads outside the sanctioned resolution point
 # ----------------------------------------------------------------------
 
 def _check_det004(project: Project, config: LintConfig) -> Iterator[Finding]:
@@ -146,13 +131,10 @@ def _check_det004(project: Project, config: LintConfig) -> Iterator[Finding]:
                     dotted = resolved
             if dotted is None:
                 continue
-            context = module.context_of(node)
-            if _sanctioned_function(module, context, config.env_functions):
-                continue
             yield _finding(
                 module, node, DET004,
                 f"environment read {dotted!r} outside the sanctioned "
-                f"resolution points",
+                f"resolution point",
             )
 
 
@@ -163,14 +145,12 @@ DET004 = Rule(
         "Configuration must flow through explicit config objects; an "
         "`os.environ` read buried in engine code makes results depend "
         "on ambient shell state that is invisible to the cell hash and "
-        "the checkpoint. The sanctioned points are "
-        "`repro.api.resolve_workers` (the one workers-count path) and "
+        "the checkpoint. The one sanctioned point is "
         "`experiments/config.py` (scale resolution)."
     ),
     hint=(
-        "thread the value through the config/spec (or, for worker "
-        "counts, repro.api.resolve_workers) instead of reading the "
-        "environment at use site"
+        "thread the value through the config/spec instead of reading "
+        "the environment at use site"
     ),
 )
 

@@ -7,10 +7,8 @@ all three engines the repo grew — the single-region closed loop
 multi-region geo catalog (:mod:`repro.sim.shard`):
 
 * :class:`EngineConfig` — one typed config: the scenario/catalog spec
-  plus ``workers`` as a first-class field (the deprecated
-  ``REPRO_CATALOG_JOBS`` environment variable remains a warned
-  fallback through :func:`resolve_workers`, the single validation
-  path).
+  plus ``workers`` as a first-class field (validated by
+  :func:`resolve_workers`, the single validation path).
 * :func:`open_run` — returns a :class:`Run` handle.  ``run.epochs()``
   streams one :class:`EpochSnapshot` per provisioning epoch *as it
   completes* (demand, grants, provisioning decision, quality, cost);
@@ -47,7 +45,6 @@ from __future__ import annotations
 import operator
 import os
 import pickle
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
@@ -72,52 +69,31 @@ __all__ = [
 #: fail loudly instead of being misread.  Schema 2 added
 #: :attr:`EngineConfig.controller`; schema 3 is the pickled graph of the
 #: shared :class:`repro.sim.loop.EpochLoop` (one run-state record, one
-#: clock).
-CHECKPOINT_SCHEMA = 3
-
-#: The deprecated environment fallback for :attr:`EngineConfig.workers`.
-WORKERS_ENV_VAR = "REPRO_CATALOG_JOBS"
+#: clock); schema 4 pickles every engine's data plane as the one
+#: simulation kernel, :class:`repro.vod.multi.MultiChannelSimulator`.
+CHECKPOINT_SCHEMA = 4
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
     """The one shared worker-count validation path.
 
-    ``workers`` (when given) is authoritative: it must be integral and
-    is clamped to at least 1 (engine results are worker-invariant, so
-    serial is always a correct interpretation of "0 workers").  When
-    ``None``, the deprecated ``REPRO_CATALOG_JOBS`` environment variable
-    is consulted as a *warned* fallback with the same validation:
-    garbage raises a :class:`ValueError` naming the variable, values
-    below 1 clamp to 1, unset/blank means serial.
+    ``workers`` must be integral and is clamped to at least 1 (engine
+    results are worker-invariant, so serial is always a correct
+    interpretation of "0 workers"); ``None`` means serial.
     """
-    if workers is not None:
-        try:
-            # operator.index accepts any integral type but rejects
-            # floats, so workers=2.9 errors instead of truncating to 2
-            # (strings still parse, matching the env var's semantics).
-            count = int(workers) if isinstance(workers, str) \
-                else operator.index(workers)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"workers must be an integer worker count, got {workers!r}"
-            ) from None
-        return max(1, count)
-    raw = os.environ.get(WORKERS_ENV_VAR, "")
-    if not raw.strip():
+    if workers is None:
         return 1
-    warnings.warn(
-        f"the {WORKERS_ENV_VAR} environment variable is deprecated; set "
-        f"EngineConfig.workers (or pass --jobs / jobs=) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
     try:
-        jobs = int(raw)
-    except ValueError:
+        # operator.index accepts any integral type but rejects floats,
+        # so workers=2.9 errors instead of truncating to 2 (strings
+        # still parse).
+        count = int(workers) if isinstance(workers, str) \
+            else operator.index(workers)
+    except (TypeError, ValueError):
         raise ValueError(
-            f"{WORKERS_ENV_VAR} must be an integer worker count, got {raw!r}"
+            f"workers must be an integer worker count, got {workers!r}"
         ) from None
-    return max(1, jobs)
+    return max(1, count)
 
 
 #: Any spec the engines understand (GeoCatalogConfig is a CatalogConfig).
@@ -208,10 +184,9 @@ class EngineConfig:
         type — see :attr:`kind`.
     workers:
         Worker processes for the sharded engines; results are
-        byte-identical for any value.  ``None`` falls back to the
-        deprecated ``REPRO_CATALOG_JOBS`` environment variable (warned),
-        else 1.  The closed loop is single-process: ``workers`` > 1
-        there is a configuration error.
+        byte-identical for any value.  ``None`` means 1.  The closed
+        loop is single-process: ``workers`` > 1 there is a configuration
+        error.
     predictor:
         Optional arrival-rate predictor registry key (e.g. ``"ewma"``;
         see ``repro.experiments.registry.PREDICTORS``).  ``None`` keeps
@@ -267,7 +242,7 @@ class EngineConfig:
         return "closed-loop"
 
     def resolved_workers(self) -> int:
-        """The effective worker count (env fallback applied, validated)."""
+        """The effective worker count (validated)."""
         if self.kind == "closed-loop":
             return 1
         return resolve_workers(self.workers)

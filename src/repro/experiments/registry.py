@@ -540,10 +540,8 @@ def _run_micro_vm_lifecycle(
 #: Worker parallelism for catalog cells stays *outside* the cell
 #: identity: the engine is byte-deterministic in the worker count, so
 #: sweep artifacts are directly comparable no matter how a run was
-#: parallelized.  Cells execute through :mod:`repro.api` with
-#: ``workers=None``, i.e. the deprecated ``REPRO_CATALOG_JOBS``
-#: environment variable still works as a warned fallback (the api's one
-#: shared validation path).
+#: parallelized.  Cells execute through :mod:`repro.api` serially
+#: (``workers=None``); the sweep parallelizes across cells.
 def _run_catalog_cell(*, seed: int, variant: str = "zipf",
                       **params) -> Dict[str, float]:
     # Imported lazily: repro.api builds on the sim/workload/cloud/core

@@ -25,9 +25,13 @@ from repro.core.predictor import ArrivalRatePredictor
 from repro.core.provisioner import ProvisioningDecision
 from repro.experiments.config import ScenarioConfig
 from repro.sim.loop import EpochLoop, KernelCursor, _EpochData
-from repro.vod.simulator import SimulationResult, VoDSimulator, VoDSystemConfig
+from repro.vod.multi import (
+    MultiChannelSimulator,
+    SimulationResult,
+    VoDSystemConfig,
+)
 from repro.vod.tracker import TrackingServer
-from repro.workload.trace import Trace, generate_trace
+from repro.workload.trace import ShardTraceArrays, Trace, generate_trace
 
 __all__ = ["ClosedLoopResult", "ClosedLoopEngine"]
 
@@ -67,12 +71,13 @@ class ClosedLoopEngine(EpochLoop):
     """One scenario's closed loop, advanced one interval at a time.
 
     The epoch loop is :class:`~repro.sim.loop.EpochLoop`'s; the data
-    plane is one in-process :class:`VoDSimulator` that records straight
-    into the controller's tracker.  The trace and simulator are built
-    at bootstrap (:meth:`start`), so a checkpoint resume adopts restored
-    state without paying for a trace rebuild.  A fully drained engine's
-    :meth:`result` is byte-identical to the historical monolithic-loop
-    return.
+    plane is one in-process
+    :class:`~repro.vod.multi.MultiChannelSimulator` over the whole
+    scenario, whose closed intervals the controller's tracker absorbs.
+    The trace and simulator are built at bootstrap (:meth:`start`), so a
+    checkpoint resume adopts restored state without paying for a trace
+    rebuild.  A fully drained engine's :meth:`result` is byte-identical
+    to the historical monolithic-loop return.
 
     Parameters
     ----------
@@ -106,7 +111,7 @@ class ClosedLoopEngine(EpochLoop):
     ) -> None:
         self.scenario = scenario
         self._trace = trace
-        self.simulator: Optional[VoDSimulator] = None
+        self.simulator: Optional[MultiChannelSimulator] = None
         self._cursor = KernelCursor()
         constants = scenario.constants
         channels = scenario.channels()
@@ -140,16 +145,16 @@ class ClosedLoopEngine(EpochLoop):
         trace = self._trace
         if trace is None:
             trace = generate_trace(scenario.trace_config())
-        self.simulator = VoDSimulator(
+        self.simulator = MultiChannelSimulator(
             scenario.channels(),
-            trace,
+            ShardTraceArrays.from_trace(trace),
             VoDSystemConfig(
                 mode=scenario.mode,
                 dt=scenario.dt,
                 user_rate_cap=scenario.constants.vm_bandwidth,
                 seed=scenario.seed,
             ),
-            tracker=self.tracker,
+            interval_seconds=scenario.constants.interval_seconds,
         )
         expected_rates = {
             ch.channel_id: float(rate)
@@ -170,6 +175,8 @@ class ClosedLoopEngine(EpochLoop):
         for channel_id, capacity in capacities.items():
             simulator.set_cloud_capacity(channel_id, capacity)
         deltas = self._cursor.advance(simulator, t_end)
+        for stats in simulator.close_interval():
+            self.tracker.absorb(stats)
         data = _EpochData(
             stats=[],
             upload_sum=0.0,
@@ -184,6 +191,8 @@ class ClosedLoopEngine(EpochLoop):
     def _reprovision(
         self, t_end: float, data: _EpochData
     ) -> ProvisioningDecision:
+        # The live mean (0.0 with no peers), not the catalogs' fallback
+        # to the bootstrap mean: the two differ when the system is empty.
         peer_upload = (
             self.simulator.mean_peer_upload()
             if self.scenario.mode == "p2p" else None

@@ -23,7 +23,9 @@ Endpoints::
 Error mapping: malformed configs and requests are 400, unknown runs
 404, invalid state transitions 409, a full admission queue 503 with
 ``Retry-After``.  A client gets one deadline for its request line and
-headers (408 past it) and at most 100 header lines (431 beyond).
+headers (408 past it), at most 100 header lines (431 beyond) and at
+most 64 KiB per line (431 beyond); a client that leaves before its
+whole body arrived gets no answer.
 
 The SSE stream replays the run's retained epoch ring on join (honoring
 ``Last-Event-ID``, so an ``EventSource`` reconnect never re-reads
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from http import HTTPStatus
 from typing import Any, Dict, Optional, Tuple
 
 from repro.api import EngineConfig
@@ -58,20 +61,6 @@ _MAX_HEADERS = 100
 _HEAD_TIMEOUT = 10.0
 #: Seconds of SSE silence before a ``: keepalive`` comment frame.
 _SSE_KEEPALIVE = 15.0
-
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    204: "No Content",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    408: "Request Timeout",
-    409: "Conflict",
-    413: "Payload Too Large",
-    431: "Request Header Fields Too Large",
-    503: "Service Unavailable",
-}
 
 
 class _HttpError(Exception):
@@ -175,17 +164,30 @@ class ServiceServer:
         length = int(length)
         if length > _MAX_BODY:
             raise _HttpError(413, f"body over {_MAX_BODY} bytes")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            return None  # the client left before its body arrived
         path = target.split("?", 1)[0]
         return method.upper(), path, headers, body
 
     @staticmethod
+    async def _readline(reader: asyncio.StreamReader) -> bytes:
+        """One head line; a line past the reader's 64 KiB limit is 431."""
+        try:
+            return await reader.readline()
+        except ValueError:  # StreamReader's limit overrun
+            raise _HttpError(
+                431, "request line or header line over 64 KiB"
+            ) from None
+
+    @classmethod
     async def _read_head(
-        reader: asyncio.StreamReader,
+        cls, reader: asyncio.StreamReader,
     ) -> Optional[Tuple[str, str, Dict[str, str]]]:
         """The request line and headers (``None`` if the client left)."""
         try:
-            request_line = await reader.readline()
+            request_line = await cls._readline(reader)
         except (ConnectionResetError, asyncio.IncompleteReadError):
             return None
         if not request_line:
@@ -196,7 +198,7 @@ class ServiceServer:
         method, target, _version = parts
         headers: Dict[str, str] = {}
         for _ in range(_MAX_HEADERS + 1):
-            line = await reader.readline()
+            line = await cls._readline(reader)
             if line in (b"\r\n", b"\n", b""):
                 return method, target, headers
             name, _, value = line.decode("latin-1").partition(":")
@@ -360,7 +362,7 @@ class ServiceServer:
         content_type: str,
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        reason = _REASONS.get(status, "Unknown")
+        reason = HTTPStatus(status).phrase
         head = [
             f"HTTP/1.1 {status} {reason}",
             f"Content-Type: {content_type}",

@@ -13,8 +13,8 @@ checkpoint.  An engine subclasses it and supplies only what differs:
   simulated system to the epoch boundary under the current capacities,
   set the clock to the boundary reached and return the epoch's
   :class:`_EpochData` (the closed loop steps one in-process
-  :class:`~repro.vod.simulator.VoDSimulator`; the catalog engines drive
-  shards, :mod:`repro.sim.shard`);
+  :class:`~repro.vod.multi.MultiChannelSimulator`; the catalog engines
+  drive shards of them, :mod:`repro.sim.shard`);
 * ``_bootstrap()`` / ``_reprovision(t_end, data)`` — the initial and
   each periodic provisioning decision, made by the controller that
   ``_build_controller`` builds (single-region by default);
@@ -73,9 +73,10 @@ class _EpochData:
     cannot silently go missing from another — only
     :func:`~repro.sim.shard.merge_epoch_reports` then needs the matching
     accumulation.  Everything is picklable (reports cross the worker
-    boundary).  The closed loop's tracker is the controller's own, so
-    its epochs carry no ``stats``, and it reads the live peer upload at
-    reprovision time instead of ``upload_sum``/``upload_count``.
+    boundary).  The closed loop absorbs its kernel's statistics into the
+    controller's tracker straight away, so its epochs carry no
+    ``stats``, and it reads the live peer upload at reprovision time
+    instead of ``upload_sum``/``upload_count``.
     """
 
     t_end: float
@@ -99,11 +100,10 @@ class _EpochData:
 
 
 class KernelCursor:
-    """The one way to cut an epoch out of a simulation kernel.
+    """The one way to cut an epoch out of the simulation kernel
+    (:class:`~repro.vod.multi.MultiChannelSimulator`).
 
-    Works with either kernel (:class:`~repro.vod.simulator.VoDSimulator`
-    or :class:`~repro.vod.multi.MultiChannelSimulator`) and is pickled
-    with the kernel it follows.  ``totals`` are the kernel's cumulative
+    Pickled with the kernel it follows.  ``totals`` are the kernel's cumulative
     (retrievals, unsmooth retrievals, sojourn sum, arrivals,
     departures) at the last epoch boundary.
     """

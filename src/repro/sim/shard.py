@@ -2,7 +2,7 @@
 
 A catalog of hundreds of channels is partitioned into
 :class:`ChannelShard`\\ s — each shard owns a fixed subset of channels and
-runs them in its own :class:`~repro.vod.simulator.VoDSimulator`.  Shards
+runs them in its own :class:`~repro.vod.multi.MultiChannelSimulator`.  Shards
 advance in **lock-step epochs** of one provisioning interval T: the
 parent broadcasts the current per-channel cloud capacities, every shard
 simulates its channels up to the epoch boundary, and returns an
@@ -60,13 +60,14 @@ from repro.geo.controller import GeoProvisioningController
 from repro.sim.loop import EpochLoop, KernelCursor, _EpochData
 from repro.sim.shm import EpochShmLayout, ParentSegment, attach_segment
 from repro.vod.metrics import latency_adjusted_quality
-from repro.vod.multi import MultiChannelSimulator, channels_are_uniform
-from repro.vod.simulator import VoDSimulator, VoDSystemConfig
+from repro.vod.multi import MultiChannelSimulator, VoDSystemConfig
 from repro.vod.tracker import IntervalStats, TrackingServer
 from repro.workload.catalog import (
     CatalogConfig,
     GeoCatalogConfig,
-    build_shard_trace,
+    # No shard builds a session-list trace any more; perfbench's layer
+    # wiring still wraps the name here, so it stays importable.
+    build_shard_trace,  # noqa: F401 (perfbench)
     build_shard_trace_arrays,
     channel_shapes,
     shard_channel_ids,
@@ -94,17 +95,9 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 class ChannelShard:
-    """A fixed subset of the catalog's channels in one simulator.
-
-    Client-server catalogs with a uniform channel set (every family
-    :func:`make_uniform_channels` builds) run on the fused
-    :class:`~repro.vod.multi.MultiChannelSimulator` kernel — one
-    vectorized pass per phase over the whole channel set.  P2P mode and
-    heterogeneous channels keep one :class:`VoDSimulator` over the
-    shard's channels (the historical per-channel kernel); both kernels
-    are byte-identical for any configuration both accept, and
-    checkpoints restored from either keep their original kernel.
-    """
+    """A fixed subset of the catalog's channels in one simulation kernel
+    (:class:`~repro.vod.multi.MultiChannelSimulator`, one vectorized pass
+    per phase over the whole channel set, in either delivery mode)."""
 
     def __init__(
         self,
@@ -132,38 +125,14 @@ class ChannelShard:
             user_rate_cap=config.constants.vm_bandwidth,
             seed=config.seed,
         )
-        if config.mode == "client-server" and channels_are_uniform(channels):
-            trace_arrays = build_shard_trace_arrays(
+        self.sim = MultiChannelSimulator(
+            channels,
+            build_shard_trace_arrays(
                 config, self.channel_ids, shapes=owned_shapes
-            )
-            self.sim = MultiChannelSimulator(
-                channels,
-                trace_arrays,
-                sim_config,
-                interval_seconds=config.interval_seconds,
-            )
-        else:
-            trace = build_shard_trace(
-                config, self.channel_ids, shapes=owned_shapes
-            )
-            # The tracker is sized for the whole catalog's slot space so
-            # global channel ids index it directly; only owned channels
-            # ever receive observations, and reports carry only the
-            # owned slice.  History is disabled: the owned slice ships
-            # to the control plane every epoch, so retaining closed
-            # intervals here would only grow memory linearly with the
-            # horizon.
-            tracker = TrackingServer(
-                num_channels=config.channel_slots,
-                chunks_per_channel=(
-                    [config.chunks_per_channel] * config.channel_slots
-                ),
-                interval_seconds=config.interval_seconds,
-                keep_history=False,
-            )
-            self.sim = VoDSimulator(
-                channels, trace, sim_config, tracker=tracker
-            )
+            ),
+            sim_config,
+            interval_seconds=config.interval_seconds,
+        )
         self._cursor = KernelCursor()
 
     def set_capacities(self, capacities: Dict[int, np.ndarray]) -> None:
@@ -177,11 +146,7 @@ class ChannelShard:
         """Run lock-step to ``t_end`` and report this epoch's deltas."""
         sim = self.sim
         deltas = self._cursor.advance(sim, t_end)
-        if isinstance(sim, MultiChannelSimulator):
-            stats = sim.close_interval()
-        else:
-            stats_all = sim.tracker.close_interval()
-            stats = [stats_all[c] for c in self.channel_ids]
+        stats = sim.close_interval()
         upload_sum, upload_count = sim.peer_upload_totals()
         return EpochReport(
             shard_index=self.shard_index,

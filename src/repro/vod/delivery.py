@@ -1,40 +1,27 @@
-"""Bandwidth delivery models: client-server and P2P rarest-first.
+"""P2P delivery: rarest-first peer supply with cloud top-up.
 
-Per simulation step, a delivery model turns the current per-chunk state of
-one channel into per-chunk *per-user* download rates, and reports how much
-cloud versus peer bandwidth was consumed. Both models cap a single user's
-download rate at the VM bandwidth R, consistent with the queueing analysis
-where one (queueing-theoretic) server serves one user at rate R.
+Per simulation step, the kernel (:mod:`repro.vod.multi`) hands each P2P
+channel's state to :meth:`P2PDelivery.allocate`, which turns it into
+per-chunk *per-user* download rates and reports how much cloud versus
+peer bandwidth was consumed.  A single user's download rate is capped at
+the VM bandwidth R, consistent with the queueing analysis where one
+(queueing-theoretic) server serves one user at rate R.
 
-Client-server: every downloader is served from the cloud only; the chunk's
-provisioned cloud capacity is shared equally among its downloaders.
-
-P2P (mesh-pull, rarest-first): peer upload capacity is allocated to chunks
-in increasing order of replication, each chunk drawing from its owners'
-remaining upload; the cloud supplies only the shortfall ("resort to
-streaming servers only when deemed necessary").
-
-Both models share the :class:`DeliveryModel` base (per-user cap
-validation, per-chunk demand accounting). The P2P inner loop slices the
-ownership matrix once per step, iterates only chunks that have both
-demand and owners, and draws down the owners' remaining upload in place.
+Peer upload capacity is allocated to chunks in increasing order of
+replication, each chunk drawing from its owners' remaining upload; the
+cloud supplies only the shortfall ("resort to streaming servers only
+when deemed necessary").  Client-server delivery (every downloader
+served from the cloud, each chunk's capacity shared equally) is the
+kernel's own vectorized solve over all channels at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from repro.vod.user import UserStore
-
-__all__ = [
-    "DeliveryOutcome",
-    "DeliveryModel",
-    "ClientServerDelivery",
-    "P2PDelivery",
-]
+__all__ = ["DeliveryOutcome", "P2PDelivery"]
 
 
 @dataclass(frozen=True)
@@ -60,93 +47,61 @@ class DeliveryOutcome:
     cloud_shortfall: float
 
 
-class DeliveryModel:
-    """Shared surface of the per-channel delivery models."""
+class P2PDelivery:
+    """Mesh-pull P2P with rarest-first peer allocation and cloud top-up."""
 
     def __init__(self, user_cap: float) -> None:
         if user_cap <= 0:
             raise ValueError("per-user rate cap must be > 0")
         self.user_cap = user_cap
 
-    def _chunk_state(
-        self, store: UserStore, cloud_capacity: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(downloaders, capacity) per chunk, shape-checked."""
-        downloaders = store.downloaders_per_chunk().astype(float)
-        capacity = np.asarray(cloud_capacity, dtype=float)
-        if capacity.shape != downloaders.shape:
-            raise ValueError("cloud capacity must have one entry per chunk")
-        return downloaders, capacity
-
     def allocate(
-        self, store: UserStore, cloud_capacity: np.ndarray
-    ) -> DeliveryOutcome:
-        raise NotImplementedError
-
-
-class ClientServerDelivery(DeliveryModel):
-    """All demand is served by the cloud (paper's C/S mode)."""
-
-    def allocate(
-        self, store: UserStore, cloud_capacity: np.ndarray
-    ) -> DeliveryOutcome:
-        """Share each chunk's cloud capacity equally among its downloaders."""
-        downloaders, capacity = self._chunk_state(store, cloud_capacity)
-        rates = np.zeros_like(capacity)
-        busy = downloaders > 0
-        rates[busy] = np.minimum(self.user_cap, capacity[busy] / downloaders[busy])
-        served = float((rates * downloaders).sum())
-        demand = float(downloaders.sum() * self.user_cap)
-        return DeliveryOutcome(
-            per_user_rates=rates,
-            cloud_used=served,
-            peer_used=0.0,
-            cloud_shortfall=max(0.0, demand - served),
-        )
-
-
-class P2PDelivery(DeliveryModel):
-    """Mesh-pull P2P with rarest-first peer allocation and cloud top-up."""
-
-    def allocate(
-        self, store: UserStore, cloud_capacity: np.ndarray
+        self,
+        downloaders: np.ndarray,
+        owners_count: np.ndarray,
+        owned: np.ndarray,
+        upload: np.ndarray,
+        cloud_capacity: np.ndarray,
     ) -> DeliveryOutcome:
         """Allocate peer upload rarest-first, then top up from the cloud.
+
+        ``downloaders`` and ``owners_count`` give, per chunk, the users
+        downloading it and the live users holding it; ``owned`` is the
+        ``(chunks, users)`` ownership of the channel's live users and
+        ``upload`` their upload capacities, both with users in arrival
+        order (the order the peer pools are reduced in).
 
         Owner bandwidth committed to a rarer chunk is unavailable to less
         rare ones, implemented by drawing each chunk's contribution from
         its owners' *remaining* upload capacity proportionally — the fluid
         counterpart of the paper's Eqn (5) accounting.
         """
-        downloaders, capacity = self._chunk_state(store, cloud_capacity)
-
-        active = store.active_indices()
-        num_chunks = store.num_chunks
+        downloaders = np.asarray(downloaders, dtype=float)
+        capacity = np.asarray(cloud_capacity, dtype=float)
+        if capacity.shape != downloaders.shape:
+            raise ValueError("cloud capacity must have one entry per chunk")
+        num_chunks = downloaders.size
         rates = np.zeros(num_chunks, dtype=float)
-        if active.size == 0:
+        if upload.size == 0:
             return DeliveryOutcome(rates, 0.0, 0.0, 0.0)
 
         # Rarest first among chunks with both demand and at least one owner
         # (chunks failing either test can contribute no peer supply — skip
         # them before touching any per-user array). Owner counts are
-        # maintained incrementally by the store, so ordering the chunks
+        # maintained incrementally by the kernel, so ordering the chunks
         # costs O(J), not a matrix reduction.
-        owners_count = store.owners_per_chunk()
         order = np.lexsort((np.arange(num_chunks), owners_count))
         order = order[(downloaders[order] > 0) & (owners_count[order] > 0)]
         peer_supply = np.zeros(num_chunks, dtype=float)
         if order.size:
-            # The store maintains a transposed, arrival-ordered mirror of
-            # (ownership x upload), so each visited chunk's owner mask is
-            # a contiguous row view with no per-step matrix slicing;
+            # Each visited chunk's owner mask is a row of ``owned``;
             # `remaining` (the peers' unallocated upload) is the only
             # per-user array materialized, drawn down in place.
-            owned, upload = store.peer_supply_mirror()
-            remaining = upload.copy()
+            remaining = np.array(upload, dtype=float)
             for chunk in order:
                 # Integer owner indices beat boolean masks here: the
                 # gather/scatter then touch owners(chunk) elements, not
-                # every mirror column.
+                # every user.
                 owners = np.nonzero(owned[chunk])[0]
                 pool = remaining[owners]
                 available = float(np.add.reduce(pool))

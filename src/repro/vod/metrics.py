@@ -15,24 +15,12 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 __all__ = [
-    "RetrievalRecord",
     "QualitySample",
     "QualityTracker",
     "latency_adjusted_quality",
 ]
 
 DEFAULT_WINDOW_SECONDS = 300.0  # "the past 5 minutes"
-
-
-@dataclass(frozen=True)
-class RetrievalRecord:
-    """One completed chunk retrieval."""
-
-    time: float
-    channel: int
-    chunk: int
-    sojourn: float
-    smooth: bool
 
 
 @dataclass(frozen=True)
@@ -54,11 +42,12 @@ class QualitySample:
 
 
 class QualityTracker:
-    """Collects retrievals and periodic quality samples.
+    """Collects retrieval totals and periodic quality samples.
 
-    The per-user smooth state lives in the simulator's
-    :class:`~repro.vod.user.UserStore` (vectorized); this tracker stores the
-    resulting samples and retrieval summaries for reporting.
+    The per-user smooth state lives in the simulation kernel's row table
+    (:class:`~repro.vod.multi.MultiChannelSimulator`), which also owns
+    the retrieval totals' accumulation order; this tracker stores the
+    resulting samples and totals for reporting.
     """
 
     def __init__(self, window_seconds: float = DEFAULT_WINDOW_SECONDS) -> None:
@@ -68,58 +57,11 @@ class QualityTracker:
         self.samples: List[QualitySample] = []
         self.total_retrievals = 0
         self.unsmooth_retrievals = 0
-        self._sojourn_sum = 0.0
-        self._per_channel_retrievals: Dict[int, int] = {}
-        self._per_channel_unsmooth: Dict[int, int] = {}
+        #: Summed sojourn of every completed retrieval (the sharded
+        #: engine merges these raw accumulators).
+        self.sojourn_sum = 0.0
 
     # ------------------------------------------------------------------
-    def record_retrieval(
-        self, time: float, channel: int, chunk: int, sojourn: float, smooth: bool
-    ) -> None:
-        """Account one completed retrieval (aggregates only, O(1) memory)."""
-        self.total_retrievals += 1
-        self._sojourn_sum += sojourn
-        self._per_channel_retrievals[channel] = (
-            self._per_channel_retrievals.get(channel, 0) + 1
-        )
-        if not smooth:
-            self.unsmooth_retrievals += 1
-            self._per_channel_unsmooth[channel] = (
-                self._per_channel_unsmooth.get(channel, 0) + 1
-            )
-
-    def record_retrievals(
-        self,
-        time: float,
-        channel: int,
-        chunks: np.ndarray,
-        sojourns: np.ndarray,
-        smooth: np.ndarray,
-    ) -> None:
-        """Batch :meth:`record_retrieval` for one channel's step.
-
-        The sojourn accumulator uses a vectorized partial sum, so its
-        float rounding can differ from scalar accumulation in the last
-        ulp; ``mean_sojourn`` is a reporting-only aggregate (nothing
-        feeds it back into the control loop), so it sits deliberately
-        outside the kernel's byte-identical parity contract.
-        """
-        del time  # kept for signature symmetry with record_retrieval
-        count = int(len(chunks))
-        if count == 0:
-            return
-        self.total_retrievals += count
-        self._sojourn_sum += float(np.sum(sojourns))
-        self._per_channel_retrievals[channel] = (
-            self._per_channel_retrievals.get(channel, 0) + count
-        )
-        unsmooth = count - int(np.count_nonzero(smooth))
-        if unsmooth:
-            self.unsmooth_retrievals += unsmooth
-            self._per_channel_unsmooth[channel] = (
-                self._per_channel_unsmooth.get(channel, 0) + unsmooth
-            )
-
     def record_sample(
         self,
         time: float,
@@ -169,15 +111,10 @@ class QualityTracker:
         return 1.0 - self.unsmooth_retrievals / self.total_retrievals
 
     @property
-    def sojourn_sum(self) -> float:
-        """Raw sojourn accumulator (the sharded engine merges these)."""
-        return self._sojourn_sum
-
-    @property
     def mean_sojourn(self) -> float:
         if self.total_retrievals == 0:
             return 0.0
-        return self._sojourn_sum / self.total_retrievals
+        return self.sojourn_sum / self.total_retrievals
 
     def quality_series(self) -> Tuple[np.ndarray, np.ndarray]:
         """(times, qualities) arrays for plotting Fig 5."""
@@ -195,13 +132,6 @@ class QualityTracker:
                 if users >= min_users:
                     points.append((users, sample.per_channel[channel]))
         return points
-
-    def channel_retrieval_summary(self, channel: int) -> Tuple[int, int]:
-        """(retrievals, unsmooth retrievals) for one channel."""
-        return (
-            self._per_channel_retrievals.get(channel, 0),
-            self._per_channel_unsmooth.get(channel, 0),
-        )
 
 
 def latency_adjusted_quality(

@@ -1,43 +1,64 @@
-"""Fused structure-of-arrays kernel for one shard's whole channel set.
+"""The simulation kernel: every channel of a system in one structure-of-arrays pass.
 
-:class:`MultiChannelSimulator` advances every channel of a shard in one
-vectorized pass per phase, instead of looping Python-side over one
-:class:`~repro.vod.simulator.VoDSimulator` store per channel.  All users
-of all channels live in one dense **row table** in admission order — a
-structure-of-arrays column per attribute (channel, current chunk,
-received bytes, enter time, upload capacity, hold state, alive flag)
-with a tail cursor for O(1) appends.  Departures only flip the alive
-flag (and drop the chunk to ``-1`` so dead rows mask out of delivery);
-the table is re-packed by one stable ``flatnonzero`` gather, *lazily* —
-once per epoch at the report boundary, or mid-epoch only when dead rows
-exceed half the table.  Per-channel state the delivery model needs is a
-``(channels, chunks)`` capacity matrix, and each step runs:
+:class:`MultiChannelSimulator` is the paper's testbed in simulation: it
+advances in fixed steps of ``dt`` simulated seconds, admitting sessions
+from the workload trace, delivering chunk bandwidth (client-server, or
+P2P rarest-first with cloud top-up), completing retrievals — smooth iff
+the sojourn was at most ``sojourn_slack * T0`` — and moving each user to
+the next chunk sampled from the channel's behaviour matrix, or out.
+Cloud capacity per chunk is an input, set by the provisioning controller
+between intervals.  Every engine runs it: the closed loop over the whole
+scenario, the catalog engines once per shard.
 
-1. fused admissions from the shard's arrival-sorted trace arrays;
+All users of all channels live in one dense **row table** in admission
+order — a structure-of-arrays column per attribute (channel, current
+chunk, received bytes, enter time, upload capacity, hold state, alive
+flag, and in P2P mode the chunks owned) with a tail cursor for O(1)
+appends.  Departures only flip the alive flag (and drop the chunk to
+``-1`` so dead rows mask out of delivery); the table is re-packed by one
+stable ``flatnonzero`` gather, *lazily* — once per epoch at the report
+boundary, or mid-epoch only when dead rows exceed half the table.
+Per-channel state the delivery needs is a ``(channels, chunks)`` capacity
+matrix (plus, in P2P mode, a ``(channels, chunks)`` live-owner count),
+and each step runs:
+
+1. fused admissions from the arrival-sorted trace arrays;
 2. fused hold releases across every channel;
-3. one ``(channels, chunks)`` client-server delivery solve (bincount of
-   downloaders, elementwise rate shares, row sums);
+3. the delivery solve: one ``(channels, chunks)`` client-server solve
+   (bincount of downloaders, elementwise rate shares, row sums), or one
+   :meth:`~repro.vod.delivery.P2PDelivery.allocate` per channel with
+   downloaders, in ascending channel order;
 4. fused download advance and completion detection;
 5. per-channel completion handling in ascending channel order (the only
    phase that must stay a loop: behaviour-stream draws and the sojourn
    accumulator are per-channel ordered state), then fused transition
    application;
-6. fused quality sampling on the 5-minute grid.
+6. quality sampling on the 5-minute grid.
+
+A user is in exactly one of two phases: downloading a chunk (``chunk >=
+0``, a job in that chunk's queue), or ``HOLDING`` — the download
+finished before the chunk's playback slot ended, so the user watches
+until the slot ends, then moves on (or departs).  This playback pacing
+keeps session durations tied to the video length rather than to raw
+bandwidth, the regime in which the paper's "mean sojourn = T0"
+equilibrium is self-consistent.
 
 Byte-identity contract
 ----------------------
-The kernel's fixed-seed trajectories are byte-identical to running one
-``VoDSimulator`` per channel (the configuration the golden traces and
-the jobs-1-vs-N sweeps pin down).  The invariants that make this true:
+The kernel's fixed-seed trajectories are byte-identical to those of the
+historical per-channel kernel (one user store and one delivery solve per
+channel), which the ``tests/golden/`` fixtures pin.  The invariants that
+make this true:
 
 * channels only interact within a step through integer counters and
   integer-valued ``bincount`` accumulations (exact in any grouping), so
   phases can be fused across channels;
 * every float reduction either stays per-channel in arrival order (the
-  upload-capacity and sojourn accumulators, element-by-element), or is
-  a row-wise ``.sum(axis=1)`` over a C-contiguous matrix (bitwise equal
-  to the per-channel 1-D ``.sum()``), or a sequential Python add over
-  channels in ascending id order (the step's bandwidth totals);
+  upload-capacity and sojourn accumulators, element-by-element, and the
+  P2P peer pools), or is a row-wise ``.sum(axis=1)`` over a
+  C-contiguous matrix (bitwise equal to the per-channel 1-D ``.sum()``),
+  or a sequential Python add over channels in ascending id order (the
+  step's bandwidth totals);
 * per-channel RNG streams are keyed by global channel id and consumed
   in the same order and batch sizes as the per-channel kernel,
   including its ``<= 4`` completions scalar path;
@@ -51,56 +72,214 @@ the jobs-1-vs-N sweeps pin down).  The invariants that make this true:
   trailing ``0.0`` rate — an exact ``+ 0.0`` on their buffers, so
   deferring compaction never perturbs a float.
 
-The fused kernel covers the client-server mode with a uniform channel
-set (what every catalog family built by
-:func:`~repro.vod.channel.make_uniform_channels` produces).  P2P mode
-and heterogeneous channels keep the per-channel kernel — see
-:meth:`repro.sim.shard.ChannelShard`.
+P2P parity adds two: a channel's ``allocate`` sees exactly its live
+rows, in arrival order — the owners and upload pools the per-channel
+peer-supply mirror held — and the live-owner counts change only on a
+first completion of a chunk (+1) and on departure (minus the row's
+ownership), the per-channel store's rules.  Channels without
+downloaders skip the solve: it would add an exact ``0.0`` to each
+total.
+
+The kernel needs a uniform channel set (shared chunk count, rate,
+duration and behaviour matrix), which every channel family in the repo
+(:func:`~repro.vod.channel.make_uniform_channels`) produces.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
 from repro.sim.rng import RandomStreams
 from repro.vod.channel import ChannelSpec
-from repro.vod.simulator import BandwidthLog, BandwidthSample, VoDSystemConfig
+from repro.vod.delivery import P2PDelivery
+from repro.vod.metrics import QualityTracker
 from repro.vod.tracker import IntervalStats
-from repro.vod.user import HOLDING
-from repro.workload.catalog import ShardTraceArrays
 
-__all__ = ["MultiChannelSimulator", "channels_are_uniform"]
+if TYPE_CHECKING:
+    from repro.workload.trace import ShardTraceArrays
+
+__all__ = [
+    "HOLDING",
+    "VoDSystemConfig",
+    "BandwidthSample",
+    "BandwidthLog",
+    "SimulationResult",
+    "MultiChannelSimulator",
+    "channels_are_uniform",
+]
 
 _GROW = 256
 
 
-class _QualitySampleLite(NamedTuple):
-    """One quality sample, aggregate counts only (what the shard ships)."""
-
-    time: float
-    total_smooth: int
-    total_users: int
+HOLDING = -2  # chunk sentinel: the user is watching, not downloading
 
 
-class _ShardQuality:
-    """Aggregate-only stand-in for :class:`~repro.vod.metrics.QualityTracker`.
+@dataclass(frozen=True)
+class VoDSystemConfig:
+    """Simulator parameters.
 
-    The shard report only ships totals (retrievals, unsmooth count, the
-    sojourn accumulator, per-sample smooth/user counts), so the fused
-    kernel skips the per-channel dictionaries the full tracker keeps.
-    The float accumulation order of ``sojourn_sum`` is owned by
-    :meth:`MultiChannelSimulator._sample_transitions` and matches the
-    per-channel kernel's scalar/batch split exactly.
+    Attributes
+    ----------
+    mode:
+        ``"client-server"`` or ``"p2p"``.
+    dt:
+        Step length in simulated seconds. Must divide the quality sample
+        interval reasonably; 5-30 s is a good range.
+    user_rate_cap:
+        Per-user download cap, normally the VM bandwidth R.
+    quality_window / quality_sample_interval:
+        The "smooth in the past 5 minutes" metric parameters.
+    sojourn_slack:
+        A retrieval is smooth iff sojourn <= slack * T0. The paper's
+        criterion is slack = 1.
+    seed:
+        Master seed for behaviour sampling.
     """
 
-    def __init__(self, window_seconds: float) -> None:
-        self.window_seconds = float(window_seconds)
-        self.samples: List[_QualitySampleLite] = []
-        self.total_retrievals = 0
-        self.unsmooth_retrievals = 0
-        self.sojourn_sum = 0.0
+    mode: str = "client-server"
+    dt: float = 10.0
+    user_rate_cap: float = 10e6 / 8.0
+    quality_window: float = 300.0
+    quality_sample_interval: float = 300.0
+    sojourn_slack: float = 1.0
+    seed: int = 7
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("client-server", "p2p"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.dt <= 0:
+            raise ValueError("dt must be > 0")
+        if self.user_rate_cap <= 0:
+            raise ValueError("user_rate_cap must be > 0")
+        if self.quality_window <= 0 or self.quality_sample_interval <= 0:
+            raise ValueError("quality parameters must be > 0")
+        if self.sojourn_slack <= 0:
+            raise ValueError("sojourn_slack must be > 0")
+
+
+@dataclass(frozen=True)
+class BandwidthSample:
+    """Aggregate bandwidth usage over one step."""
+
+    time: float
+    cloud_used: float  # bytes/second
+    peer_used: float  # bytes/second
+    provisioned: float  # bytes/second (sum of per-chunk capacities)
+    shortfall: float
+
+
+class BandwidthLog:
+    """Preallocated array-backed log of per-step bandwidth usage.
+
+    Replaces the historical ``List[BandwidthSample]``: appending a step
+    is one row write into a doubling array, and the per-field series the
+    experiment layer aggregates over are zero-copy views. Iteration and
+    indexing still yield :class:`BandwidthSample` objects, so existing
+    consumers (``for s in result.bandwidth``, ``len``, ``[i]``) are
+    unaffected.
+    """
+
+    _FIELDS = ("time", "cloud_used", "peer_used", "provisioned", "shortfall")
+
+    __slots__ = ("_data", "_len")
+
+    def __init__(self, capacity: int = 1024) -> None:
+        self._data = np.zeros((max(1, int(capacity)), len(self._FIELDS)))
+        self._len = 0
+
+    def append(
+        self,
+        time: float,
+        cloud_used: float,
+        peer_used: float,
+        provisioned: float,
+        shortfall: float,
+    ) -> None:
+        if self._len == self._data.shape[0]:
+            grown = np.zeros((2 * self._data.shape[0], self._data.shape[1]))
+            grown[: self._len] = self._data
+            self._data = grown
+        self._data[self._len] = (time, cloud_used, peer_used, provisioned,
+                                 shortfall)
+        self._len += 1
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _sample(self, i: int) -> BandwidthSample:
+        return BandwidthSample(*self._data[i])
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[BandwidthSample, List[BandwidthSample]]:
+        if isinstance(index, slice):
+            return [self._sample(i) for i in range(*index.indices(self._len))]
+        i = index if index >= 0 else self._len + index
+        if not 0 <= i < self._len:
+            raise IndexError(index)
+        return self._sample(i)
+
+    def __iter__(self) -> Iterator[BandwidthSample]:
+        for i in range(self._len):
+            yield self._sample(i)
+
+    # Per-field series (zero-copy views over the filled prefix).
+    @property
+    def time(self) -> np.ndarray:
+        return self._data[: self._len, 0]
+
+    @property
+    def cloud_used(self) -> np.ndarray:
+        return self._data[: self._len, 1]
+
+    @property
+    def peer_used(self) -> np.ndarray:
+        return self._data[: self._len, 2]
+
+    @property
+    def provisioned(self) -> np.ndarray:
+        return self._data[: self._len, 3]
+
+    @property
+    def shortfall(self) -> np.ndarray:
+        return self._data[: self._len, 4]
+
+    def snapshot(self) -> "BandwidthLog":
+        """An independent copy trimmed to the filled prefix."""
+        copy = BandwidthLog(capacity=max(1, self._len))
+        copy._data[: self._len] = self._data[: self._len]
+        copy._len = self._len
+        return copy
+
+
+@dataclass
+class SimulationResult:
+    """Everything an experiment needs after a run."""
+
+    config: VoDSystemConfig
+    quality: QualityTracker
+    bandwidth: BandwidthLog
+    arrivals: int
+    departures: int
+    final_population: int
+    steps: int = 0
+    peak_step_events: int = 0
+
+    def bandwidth_series(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(times, cloud_used, peer_used) arrays, bytes/second."""
+        return (
+            self.bandwidth.time.copy(),
+            self.bandwidth.cloud_used.copy(),
+            self.bandwidth.peer_used.copy(),
+        )
+
+    def mean_cloud_bandwidth(self) -> float:
+        if not len(self.bandwidth):
+            return 0.0
+        return float(np.mean(self.bandwidth.cloud_used))
 
 
 def channels_are_uniform(channels) -> bool:
@@ -122,14 +301,15 @@ def channels_are_uniform(channels) -> bool:
 
 
 class MultiChannelSimulator:
-    """All channels of one shard in a single structure-of-arrays kernel.
+    """The multi-channel VoD system under simulation, in one kernel.
 
-    Drop-in for the shard's per-channel :class:`VoDSimulator` loop: the
-    external surface (``step``/``population``/``set_cloud_capacity``/
-    ``bandwidth``/``quality``/``peer_upload_totals``/...) matches what
-    :class:`repro.sim.shard.ChannelShard` consumes, and
-    :meth:`close_interval` plays the tracker's role for the owned
-    channels.
+    ``trace`` holds the sessions to admit (sessions of channels not in
+    ``channels`` are skipped); ``config.mode`` picks client-server or
+    P2P delivery.  The engines step it (``step``/``advance_to``), install
+    capacities between epochs (``set_cloud_capacity``), read ``bandwidth``,
+    ``quality`` and the population counters, and take each epoch's
+    tracker statistics from :meth:`close_interval`; :meth:`result`
+    snapshots a whole run.
     """
 
     def __init__(
@@ -142,11 +322,6 @@ class MultiChannelSimulator:
     ) -> None:
         if not channels:
             raise ValueError("need at least one channel")
-        if config.mode != "client-server":
-            raise ValueError(
-                "MultiChannelSimulator only implements client-server "
-                "delivery; use the per-channel kernel for p2p"
-            )
         if not channels_are_uniform(channels):
             raise ValueError(
                 "MultiChannelSimulator needs a uniform channel set"
@@ -162,11 +337,11 @@ class MultiChannelSimulator:
         self.num_chunks = first.num_chunks
         self.chunk_size = first.chunk_size_bytes
         self.t0 = first.chunk_duration
-        # Precomputed scalar thresholds, same expressions as the
-        # per-channel kernel evaluates inline.
+        # Precomputed scalar thresholds (the smoothness and stall rules).
         self._smooth_after = config.sojourn_slack * self.t0 + 1e-9
         self._overdue_after = config.sojourn_slack * self.t0
         self.channel_ids = np.asarray(ids, dtype=np.int64)
+        self._ids = ids
         self._local_of: Dict[int, int] = {cid: i for i, cid in enumerate(ids)}
         self._cumulative = np.cumsum(
             np.asarray(first.behaviour, dtype=float), axis=1
@@ -183,12 +358,11 @@ class MultiChannelSimulator:
         self.departures = 0
         self.steps = 0
         self.peak_step_events = 0
-        self.quality = _ShardQuality(config.quality_window)
+        self.quality = QualityTracker(config.quality_window)
         self.bandwidth = BandwidthLog()
         self._next_quality_sample = config.quality_sample_interval
 
-        # Trace (already (time, channel)-sorted); unknown channels are
-        # skipped exactly like the per-channel admit loop skips them.
+        # Trace (already arrival-sorted); unknown channels are skipped.
         known = np.isin(trace.channels, self.channel_ids)
         channels_arr = trace.channels[known]
         lookup = np.searchsorted(self.channel_ids, channels_arr)
@@ -198,9 +372,8 @@ class MultiChannelSimulator:
         self._trace_upload = trace.upload_capacities[known]
         self._cursor = 0
 
-        # Provisioned capacity: (C, J) matrix + per-channel sums whose
-        # ascending-id ordered dict mirrors the per-channel kernel's
-        # total reduction order.
+        # Provisioned capacity: (C, J) matrix + per-channel sums, reduced
+        # in ascending-id order for the total.
         C, J = self.num_channels, self.num_chunks
         self._capacity = np.zeros((C, J))
         self._capacity_sums: Dict[int, float] = {cid: 0.0 for cid in ids}
@@ -217,8 +390,7 @@ class MultiChannelSimulator:
 
         # Per-user state, one ROW per session, dense in admission order —
         # each channel's subsequence is that channel's arrival order, the
-        # kernel's only ordering source (slot numbering is unobservable
-        # in the per-channel kernel; mirrors UserStore.active_indices()).
+        # kernel's only ordering source (row numbering is unobservable).
         # Rows append at the tail on admission; departures flip
         # ``_row_alive`` and mark the table stale, and ``_compact()``
         # squeezes the dead rows out of every column in one ordered
@@ -242,9 +414,21 @@ class MultiChannelSimulator:
         self._hold_count = 0
         self._chan_count = np.zeros(C, dtype=np.int64)
         self._total_active = 0
+        # P2P only: the rarest-first solve, the ownership column (chunk-
+        # major, so a channel's owner masks gather as contiguous rows)
+        # and the per-(channel, chunk) count of live owners.  The
+        # client-server hot path never touches them.
+        if config.mode == "p2p":
+            self._delivery = P2PDelivery(config.user_rate_cap)
+            self._row_owned = np.empty((J, cap), dtype=bool)
+            self._owners = np.zeros((C, J), dtype=np.int64)
+        else:
+            self._delivery = None
+            self._row_owned = None
+            self._owners = None
 
     # ------------------------------------------------------------------
-    # External control surface (mirrors VoDSimulator)
+    # External control surface
     # ------------------------------------------------------------------
     def set_cloud_capacity(self, channel_id: int, capacity: np.ndarray) -> None:
         """Install the provisioned per-chunk cloud bandwidth (bytes/s)."""
@@ -265,8 +449,8 @@ class MultiChannelSimulator:
 
     def total_provisioned(self) -> float:
         if self._capacity_dirty:
-            # Deferred, but the same ascending-channel reduction the
-            # per-channel kernel performs on every install.
+            # Deferred: one ascending-channel reduction of the cached
+            # per-channel sums (never a re-reduction of every array).
             self._provisioned_total = float(sum(self._capacity_sums.values()))
             self._capacity_dirty = False
         return self._provisioned_total
@@ -283,10 +467,12 @@ class MultiChannelSimulator:
 
     def peer_upload_totals(self) -> Tuple[float, int]:
         """(sum, count) of active peers' upload capacities, reduced
-        channel by channel in ascending id order (the per-channel
-        kernel's store iteration order, arrival order within each
-        channel).  Idle channels contribute an exact ``+ 0.0``, so
-        skipping them is bitwise-neutral."""
+        channel by channel in ascending id order (arrival order within
+        each channel).  Idle channels contribute an exact ``+ 0.0``, so
+        skipping them is bitwise-neutral.
+
+        Split out from :meth:`mean_peer_upload` so the sharded engine
+        can merge the raw accumulators across shards before dividing."""
         count = self._compact()
         if count == 0:
             return 0.0, 0
@@ -301,15 +487,17 @@ class MultiChannelSimulator:
         return total, count
 
     def mean_peer_upload(self) -> float:
+        """Mean upload capacity over all active peers (bytes/second)."""
         total, count = self.peer_upload_totals()
         return total / count if count else 0.0
 
     def close_interval(self) -> List[IntervalStats]:
         """This interval's per-channel statistics; resets accumulators.
 
-        Plays :meth:`TrackingServer.close_interval` for the owned
-        channels (ascending id order), with arrays copied out so the
-        report owns its data.
+        One :class:`IntervalStats` per channel (ascending id order), with
+        arrays copied out so the caller owns its data; the engine
+        absorbs them into the controller's
+        :class:`~repro.vod.tracker.TrackingServer`.
         """
         out: List[IntervalStats] = []
         for i, cid in enumerate(self.channel_ids):
@@ -359,6 +547,10 @@ class MultiChannelSimulator:
             fresh = np.empty(cap, dtype=arr.dtype)
             fresh[:n] = arr[:n]
             setattr(self, name, fresh)
+        if self._row_owned is not None:
+            fresh = np.empty((self.num_chunks, cap), dtype=bool)
+            fresh[:, :n] = self._row_owned[:, :n]
+            self._row_owned = fresh
 
     def _compact(self) -> int:
         """Squeeze dead rows out of every column; returns the live count.
@@ -375,6 +567,8 @@ class MultiChannelSimulator:
                 # Fancy-index reads copy before the assignment writes,
                 # so compacting into the same buffer is safe.
                 arr[:m] = arr[idx]
+            if self._row_owned is not None:
+                self._row_owned[:, :m] = self._row_owned[:, idx]
             self._n = m
             self._stale = False
         return self._n
@@ -414,6 +608,8 @@ class MultiChannelSimulator:
         self._row_upload[n0:n1] = uploads
         self._row_unsmooth[n0:n1] = -np.inf
         self._row_alive[n0:n1] = True
+        if self._row_owned is not None:
+            self._row_owned[:, n0:n1] = False
         self._n = n1
         uniq, first_idx, per_channel = np.unique(
             locals_, return_index=True, return_counts=True
@@ -422,7 +618,7 @@ class MultiChannelSimulator:
             uniq.tolist(), first_idx.tolist(), per_channel.tolist()
         ):
             # Element-by-element in arrival order: summation order is
-            # part of the parity contract (see TrackingServer).
+            # part of the parity contract.
             # ``sum(seq, start)`` adds left to right from ``start`` —
             # the same float operations as an explicit loop.
             self._iv_upload_sum[c] = sum(
@@ -462,6 +658,13 @@ class MultiChannelSimulator:
             # Dead rows must not look held: the release scan runs before
             # the next compaction can drop them.
             self._row_chunk[d_rows] = -1
+            if self._owners is not None:
+                # A departing owner leaves every chunk it held.
+                chunks, cols = np.nonzero(self._row_owned[:, d_rows])
+                own_flat = self._owners.ravel()
+                own_flat -= np.bincount(
+                    d_locals[cols] * J + chunks, minlength=own_flat.size
+                )
             dep_flat = self._iv_departures.ravel()
             dep_flat += np.bincount(
                 d_locals * J + finished[departing], minlength=dep_flat.size
@@ -503,11 +706,11 @@ class MultiChannelSimulator:
         )
         return int(rows.size)
 
-    def _deliver_and_complete(self) -> Tuple[List[float], List[float], int]:
-        """One fused delivery solve + download advance + completions.
+    def _deliver_and_complete(self) -> Tuple[float, float, float, int]:
+        """One delivery solve + fused download advance + completions.
 
-        Returns per-channel (served, shortfall) lists in ascending
-        channel order plus the completion event count.
+        Returns the step's (cloud used, peer used, shortfall) totals and
+        the completion event count.
         """
         C, J = self.num_channels, self.num_chunks
         dt = self.config.dt
@@ -541,15 +744,26 @@ class MultiChannelSimulator:
             )
         rates = np.zeros(C * J + 1)
         rates_cj = rates[: C * J].reshape(C, J)
-        busy = counts > 0
-        rates_cj[busy] = np.minimum(
-            user_cap, self._capacity[busy] / counts[busy]
-        )
-        # Row-wise sums over a C-contiguous matrix are bitwise equal to
-        # each channel's own 1-D pairwise .sum().
-        served = (rates_cj * counts).sum(axis=1)
-        demand = counts.sum(axis=1) * user_cap
-        shortfall = np.maximum(0.0, demand - served)
+        if self._delivery is not None:
+            cloud_used, peer_used, shortfall = self._solve_p2p(
+                counts, rates_cj
+            )
+        else:
+            busy = counts > 0
+            rates_cj[busy] = np.minimum(
+                user_cap, self._capacity[busy] / counts[busy]
+            )
+            # Row-wise sums over a C-contiguous matrix are bitwise equal
+            # to each channel's own 1-D pairwise .sum(); the totals are
+            # sequential Python adds in ascending channel order
+            # (``sum(seq, 0.0)`` adds left to right from 0.0).
+            served = (rates_cj * counts).sum(axis=1)
+            demand = counts.sum(axis=1) * user_cap
+            cloud_used = sum(served.tolist(), 0.0)
+            shortfall = sum(
+                np.maximum(0.0, demand - served).tolist(), 0.0
+            )
+            peer_used = 0.0
 
         events = 0
         if n:
@@ -577,6 +791,8 @@ class MultiChannelSimulator:
                     comp_local = comp_local[order]
                     finished = finished[order]
                 events = int(comp.size)
+                if self._owners is not None:
+                    self._take_ownership(comp, comp_local, finished)
                 enters = self._row_enter[comp]
                 sojourns = now - enters
                 smooth = sojourns <= self._smooth_after
@@ -603,7 +819,59 @@ class MultiChannelSimulator:
                         finished[immediate],
                         nxt[immediate],
                     )
-        return served.tolist(), shortfall.tolist(), events
+        return cloud_used, peer_used, shortfall, events
+
+    def _solve_p2p(
+        self, counts: np.ndarray, rates_cj: np.ndarray
+    ) -> Tuple[float, float, float]:
+        """Rarest-first P2P delivery, channel by channel.
+
+        Every channel with downloaders hands
+        :meth:`~repro.vod.delivery.P2PDelivery.allocate` its live rows in
+        arrival order; the per-user rates land in ``rates_cj`` and the
+        step totals add up in ascending channel order.
+        """
+        n = self._n
+        chan = self._row_chan[:n]
+        # Channel-major, arrival order within each channel; each
+        # channel's segment is as long as its live population.
+        if self._stale:
+            live = np.flatnonzero(self._row_alive[:n])
+            order = live[np.argsort(chan[live], kind="stable")]
+        else:
+            order = np.argsort(chan, kind="stable")
+        ends = np.cumsum(self._chan_count).tolist()
+        allocate = self._delivery.allocate
+        cloud_used = peer_used = shortfall = 0.0
+        for c in np.flatnonzero(counts.any(axis=1)).tolist():
+            rows = order[ends[c] - int(self._chan_count[c]) : ends[c]]
+            outcome = allocate(
+                counts[c],
+                self._owners[c],
+                self._row_owned[:, rows],
+                self._row_upload[rows],
+                self._capacity[c],
+            )
+            rates_cj[c] = outcome.per_user_rates
+            cloud_used += outcome.cloud_used
+            peer_used += outcome.peer_used
+            shortfall += outcome.cloud_shortfall
+        return cloud_used, peer_used, shortfall
+
+    def _take_ownership(
+        self, comp: np.ndarray, comp_local: np.ndarray, finished: np.ndarray
+    ) -> None:
+        """Completed rows own their finished chunk; a first completion
+        (not a re-download after a VCR jump) adds a live owner."""
+        owned = self._row_owned
+        newly = ~owned[finished, comp]
+        owned[finished, comp] = True
+        if newly.any():
+            own_flat = self._owners.ravel()
+            own_flat += np.bincount(
+                comp_local[newly] * self.num_chunks + finished[newly],
+                minlength=own_flat.size,
+            )
 
     def _sample_transitions(
         self,
@@ -656,8 +924,8 @@ class MultiChannelSimulator:
 
     def _sample_quality(self) -> None:
         n = self._n
-        total_users = self._total_active
-        if total_users:
+        users = self._chan_count
+        if self._total_active:
             window = self.config.quality_window
             ok = self._row_unsmooth[:n] <= self.now - window
             overdue = (self._row_chunk[:n] >= 0) & (
@@ -666,13 +934,14 @@ class MultiChannelSimulator:
             ok &= ~overdue
             if self._stale:
                 ok &= self._row_alive[:n]
-            # The report only ships totals, and integer sums are exact in
-            # any grouping — identical to summing per-channel counts.
-            total_smooth = int(np.count_nonzero(ok))
+            smooth = np.bincount(
+                self._row_chan[:n][ok], minlength=self.num_channels
+            ).tolist()
         else:
-            total_smooth = 0
-        self.quality.samples.append(
-            _QualitySampleLite(self.now, total_smooth, total_users)
+            smooth = [0] * self.num_channels
+        ids = self._ids
+        self.quality.record_sample(
+            self.now, dict(zip(ids, smooth)), dict(zip(ids, users.tolist()))
         )
 
     # ------------------------------------------------------------------
@@ -688,15 +957,10 @@ class MultiChannelSimulator:
         self.now += self.config.dt
         events = self._admit_arrivals()
         events += self._release_holds()
-        served, shortfall_per, completions = self._deliver_and_complete()
+        cloud_used, peer_used, shortfall, completions = (
+            self._deliver_and_complete()
+        )
         events += completions
-
-        # Sequential Python adds in ascending channel order — the
-        # per-channel kernel's step-total accumulation order
-        # (``sum(seq, 0.0)`` adds left to right from 0.0).
-        cloud_used = sum(served, 0.0)
-        shortfall = sum(shortfall_per, 0.0)
-        peer_used = 0.0
         provisioned = self.total_provisioned()
         self.bandwidth.append(
             self.now, cloud_used, peer_used, provisioned, shortfall
@@ -724,3 +988,16 @@ class MultiChannelSimulator:
             )
         while self.now + 1e-9 < until:
             self.step()
+
+    def result(self) -> SimulationResult:
+        """Snapshot the run's outputs."""
+        return SimulationResult(
+            config=self.config,
+            quality=self.quality,
+            bandwidth=self.bandwidth.snapshot(),
+            arrivals=self.arrivals,
+            departures=self.departures,
+            final_population=self.population(),
+            steps=self.steps,
+            peak_step_events=self.peak_step_events,
+        )

@@ -1,49 +1,21 @@
-"""Time-stepped fluid VoD simulator (the paper's testbed, in simulation).
+"""The time-stepped fluid VoD simulator (the paper's testbed, in simulation).
 
-The simulator advances in fixed steps of ``dt`` simulated seconds. Each
-step it:
-
-1. admits arriving sessions from the workload trace (tracker notified);
-2. runs the channel's delivery model (client-server or P2P) to get
-   per-chunk per-user download rates given the currently provisioned cloud
-   capacity;
-3. advances all active downloads and handles completions: a retrieval is
-   smooth iff its sojourn was at most ``sojourn_slack * T0``; the user then
-   moves to the next chunk sampled from the channel's behaviour matrix (the
-   tracker observing the transition) or departs;
-4. samples the streaming-quality metric on its 5-minute grid.
-
-Cloud capacity per chunk is an input (set by the provisioning controller
-between intervals), making the simulator composable with
-:mod:`repro.core.provisioner` for closed-loop experiments, or usable with
-fixed capacity for open-loop analysis validation.
-
-The step kernel is batch-vectorized: every per-channel pass (hold
-release, delivery, download advance, completion handling) is a fixed
-number of array operations regardless of population, and all of a
-channel's behaviour transitions for a step are sampled with one batch RNG
-draw and one ``searchsorted``-equivalent pass over the precomputed
-cumulative behaviour rows. The kernel's fixed-seed trajectories are
-byte-identical to the original scalar implementation's (see
-docs/performance.md for the invariants and tests/test_kernel_parity.py
-for the enforcement).
+``VoDSimulator`` is the historical name of the one simulation kernel,
+:class:`repro.vod.multi.MultiChannelSimulator` — the same class object,
+so code written against either name drives (and patches) the same
+kernel.  The simulator's configuration and result types live with the
+kernel and are re-exported here.
 """
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
-
-from repro.sim.rng import RandomStreams
-from repro.vod.channel import ChannelSpec
-from repro.vod.delivery import ClientServerDelivery, P2PDelivery
-from repro.vod.metrics import QualityTracker
-from repro.vod.tracker import TrackingServer
-from repro.vod.user import UserStore
-from repro.workload.trace import Session, Trace
+from repro.vod.multi import (
+    BandwidthLog,
+    BandwidthSample,
+    MultiChannelSimulator,
+    SimulationResult,
+    VoDSystemConfig,
+)
 
 __all__ = [
     "VoDSystemConfig",
@@ -53,550 +25,4 @@ __all__ = [
     "BandwidthLog",
 ]
 
-
-@dataclass(frozen=True)
-class VoDSystemConfig:
-    """Simulator parameters.
-
-    Attributes
-    ----------
-    mode:
-        ``"client-server"`` or ``"p2p"``.
-    dt:
-        Step length in simulated seconds. Must divide the quality sample
-        interval reasonably; 5-30 s is a good range.
-    user_rate_cap:
-        Per-user download cap, normally the VM bandwidth R.
-    quality_window / quality_sample_interval:
-        The "smooth in the past 5 minutes" metric parameters.
-    sojourn_slack:
-        A retrieval is smooth iff sojourn <= slack * T0. The paper's
-        criterion is slack = 1.
-    seed:
-        Master seed for behaviour sampling.
-    """
-
-    mode: str = "client-server"
-    dt: float = 10.0
-    user_rate_cap: float = 10e6 / 8.0
-    quality_window: float = 300.0
-    quality_sample_interval: float = 300.0
-    sojourn_slack: float = 1.0
-    seed: int = 7
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("client-server", "p2p"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.user_rate_cap <= 0:
-            raise ValueError("user_rate_cap must be > 0")
-        if self.quality_window <= 0 or self.quality_sample_interval <= 0:
-            raise ValueError("quality parameters must be > 0")
-        if self.sojourn_slack <= 0:
-            raise ValueError("sojourn_slack must be > 0")
-
-
-@dataclass(frozen=True)
-class BandwidthSample:
-    """Aggregate bandwidth usage over one step."""
-
-    time: float
-    cloud_used: float  # bytes/second
-    peer_used: float  # bytes/second
-    provisioned: float  # bytes/second (sum of per-chunk capacities)
-    shortfall: float
-
-
-class BandwidthLog:
-    """Preallocated array-backed log of per-step bandwidth usage.
-
-    Replaces the historical ``List[BandwidthSample]``: appending a step
-    is one row write into a doubling array, and the per-field series the
-    experiment layer aggregates over are zero-copy views. Iteration and
-    indexing still yield :class:`BandwidthSample` objects, so existing
-    consumers (``for s in result.bandwidth``, ``len``, ``[i]``) are
-    unaffected.
-    """
-
-    _FIELDS = ("time", "cloud_used", "peer_used", "provisioned", "shortfall")
-
-    __slots__ = ("_data", "_len")
-
-    def __init__(self, capacity: int = 1024) -> None:
-        self._data = np.zeros((max(1, int(capacity)), len(self._FIELDS)))
-        self._len = 0
-
-    def append(
-        self,
-        time: float,
-        cloud_used: float,
-        peer_used: float,
-        provisioned: float,
-        shortfall: float,
-    ) -> None:
-        if self._len == self._data.shape[0]:
-            grown = np.zeros((2 * self._data.shape[0], self._data.shape[1]))
-            grown[: self._len] = self._data
-            self._data = grown
-        self._data[self._len] = (time, cloud_used, peer_used, provisioned,
-                                 shortfall)
-        self._len += 1
-
-    def __len__(self) -> int:
-        return self._len
-
-    def _sample(self, i: int) -> BandwidthSample:
-        return BandwidthSample(*self._data[i])
-
-    def __getitem__(
-        self, index: Union[int, slice]
-    ) -> Union[BandwidthSample, List[BandwidthSample]]:
-        if isinstance(index, slice):
-            return [self._sample(i) for i in range(*index.indices(self._len))]
-        i = index if index >= 0 else self._len + index
-        if not 0 <= i < self._len:
-            raise IndexError(index)
-        return self._sample(i)
-
-    def __iter__(self) -> Iterator[BandwidthSample]:
-        for i in range(self._len):
-            yield self._sample(i)
-
-    # Per-field series (zero-copy views over the filled prefix).
-    @property
-    def time(self) -> np.ndarray:
-        return self._data[: self._len, 0]
-
-    @property
-    def cloud_used(self) -> np.ndarray:
-        return self._data[: self._len, 1]
-
-    @property
-    def peer_used(self) -> np.ndarray:
-        return self._data[: self._len, 2]
-
-    @property
-    def provisioned(self) -> np.ndarray:
-        return self._data[: self._len, 3]
-
-    @property
-    def shortfall(self) -> np.ndarray:
-        return self._data[: self._len, 4]
-
-    def snapshot(self) -> "BandwidthLog":
-        """An independent copy trimmed to the filled prefix."""
-        copy = BandwidthLog(capacity=max(1, self._len))
-        copy._data[: self._len] = self._data[: self._len]
-        copy._len = self._len
-        return copy
-
-
-@dataclass
-class SimulationResult:
-    """Everything an experiment needs after a run."""
-
-    config: VoDSystemConfig
-    quality: QualityTracker
-    bandwidth: BandwidthLog
-    arrivals: int
-    departures: int
-    final_population: int
-    steps: int = 0
-    peak_step_events: int = 0
-
-    def bandwidth_series(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(times, cloud_used, peer_used) arrays, bytes/second."""
-        return (
-            self.bandwidth.time.copy(),
-            self.bandwidth.cloud_used.copy(),
-            self.bandwidth.peer_used.copy(),
-        )
-
-    def mean_cloud_bandwidth(self) -> float:
-        if not len(self.bandwidth):
-            return 0.0
-        return float(np.mean(self.bandwidth.cloud_used))
-
-
-class VoDSimulator:
-    """The multi-channel VoD system under simulation."""
-
-    def __init__(
-        self,
-        channels: Sequence[ChannelSpec],
-        trace: Trace,
-        config: VoDSystemConfig,
-        *,
-        tracker: Optional[TrackingServer] = None,
-    ) -> None:
-        if not channels:
-            raise ValueError("need at least one channel")
-        self.channels = list(channels)
-        self._channels_by_id: Dict[int, ChannelSpec] = {
-            ch.channel_id: ch for ch in self.channels
-        }
-        if len(self._channels_by_id) != len(self.channels):
-            raise ValueError("channel ids must be unique")
-        self.config = config
-        self.now = 0.0
-        self._streams = RandomStreams(config.seed)
-
-        self.stores: Dict[int, UserStore] = {
-            ch.channel_id: UserStore(ch.num_chunks) for ch in self.channels
-        }
-        delivery_cls = (
-            ClientServerDelivery if config.mode == "client-server"
-            else P2PDelivery
-        )
-        self.delivery = {
-            ch.channel_id: delivery_cls(config.user_rate_cap)
-            for ch in self.channels
-        }
-        self.cloud_capacity: Dict[int, np.ndarray] = {
-            ch.channel_id: np.zeros(ch.num_chunks) for ch in self.channels
-        }
-        # Cached per-channel capacity sums: installing one channel's
-        # capacity must not re-reduce every other channel's array (the
-        # catalog engine broadcasts capacities channel by channel every
-        # epoch, which made this path O(channels^2) array reductions).
-        # The total is still the sum of per-channel sums in channel
-        # order, so the float value is bit-identical to the old full
-        # recomputation.
-        self._capacity_sums: Dict[int, float] = {
-            ch.channel_id: 0.0 for ch in self.channels
-        }
-        self._provisioned_total = 0.0
-        self.tracker = tracker or TrackingServer(
-            num_channels=len(self.channels),
-            chunks_per_channel=[ch.num_chunks for ch in self.channels],
-        )
-        self.quality = QualityTracker(config.quality_window)
-        self.bandwidth = BandwidthLog()
-        self.arrivals = 0
-        self.departures = 0
-        self.steps = 0
-        #: Most events (arrivals + completions + hold releases) any single
-        #: step has processed — the sweep artifacts record this as the
-        #: cell's burstiness indicator.
-        self.peak_step_events = 0
-
-        # Sessions sorted by arrival; consume with a cursor.
-        self._sessions: List[Session] = sorted(
-            trace.sessions, key=lambda s: s.arrival_time
-        )
-        self._session_times = [s.arrival_time for s in self._sessions]
-        self._cursor = 0
-        self._next_quality_sample = config.quality_sample_interval
-
-        # Precompute per-channel behaviour sampling tables:
-        # row-wise cumulative probabilities with departure as the last bin.
-        self._cumulative: Dict[int, np.ndarray] = {}
-        self._stream_keys: Dict[int, str] = {}
-        for ch in self.channels:
-            p = np.asarray(ch.behaviour, dtype=float)
-            self._cumulative[ch.channel_id] = np.cumsum(p, axis=1)
-            self._stream_keys[ch.channel_id] = str(ch.channel_id)
-
-    # ------------------------------------------------------------------
-    # External control surface
-    # ------------------------------------------------------------------
-    def set_cloud_capacity(self, channel_id: int, capacity: np.ndarray) -> None:
-        """Install the provisioned per-chunk cloud bandwidth (bytes/s)."""
-        spec = self._channel(channel_id)
-        cap = np.asarray(capacity, dtype=float)
-        if cap.shape != (spec.num_chunks,):
-            raise ValueError(
-                f"capacity must have {spec.num_chunks} entries, got {cap.shape}"
-            )
-        if np.any(cap < 0):
-            raise ValueError("capacities must be nonnegative")
-        self.cloud_capacity[channel_id] = cap
-        self._capacity_sums[channel_id] = cap.sum()
-        self._provisioned_total = float(sum(self._capacity_sums.values()))
-
-    def total_provisioned(self) -> float:
-        return self._provisioned_total
-
-    def population(self) -> int:
-        return sum(store.num_active for store in self.stores.values())
-
-    def channel_populations(self) -> Dict[int, int]:
-        return {cid: store.num_active for cid, store in self.stores.items()}
-
-    def peer_upload_totals(self) -> Tuple[float, int]:
-        """(sum, count) of active peers' upload capacities.
-
-        Split out from :meth:`mean_peer_upload` so the sharded engine can
-        merge the raw accumulators across shards before dividing.
-        """
-        total = 0.0
-        count = 0
-        for store in self.stores.values():
-            idx = store.active_indices()
-            total += float(store.upload[idx].sum())
-            count += int(idx.size)
-        return total, count
-
-    def mean_peer_upload(self) -> float:
-        """Mean upload capacity over all active peers (bytes/second)."""
-        total, count = self.peer_upload_totals()
-        return total / count if count else 0.0
-
-    def _channel(self, channel_id: int) -> ChannelSpec:
-        try:
-            return self._channels_by_id[channel_id]
-        except KeyError:
-            raise KeyError(f"unknown channel {channel_id}") from None
-
-    # ------------------------------------------------------------------
-    # Core loop
-    # ------------------------------------------------------------------
-    def _admit_arrivals(self) -> int:
-        end = bisect.bisect_right(self._session_times, self.now, lo=self._cursor)
-        admitted = 0
-        if end - self._cursor > 2:
-            # Flash-crowd path: group the step's admissions per channel
-            # (order within a channel is trace order, so slot and
-            # sequence assignment match the scalar path exactly).
-            by_channel: Dict[int, List[Session]] = {}
-            for session in self._sessions[self._cursor : end]:
-                if session.channel in self.stores:
-                    by_channel.setdefault(session.channel, []).append(session)
-            for channel_id, sessions in by_channel.items():
-                starts = np.asarray(
-                    [s.start_chunk for s in sessions], dtype=np.int64
-                )
-                uploads = np.asarray(
-                    [s.upload_capacity for s in sessions], dtype=float
-                )
-                self.stores[channel_id].add_users(self.now, starts, uploads)
-                self.tracker.record_arrivals(channel_id, starts, uploads)
-                admitted += len(sessions)
-        else:
-            for session in self._sessions[self._cursor : end]:
-                store = self.stores.get(session.channel)
-                if store is None:
-                    continue  # trace may cover more channels than this system
-                store.add_user(
-                    self.now, session.start_chunk, session.upload_capacity
-                )
-                self.tracker.record_arrival(
-                    session.channel, session.start_chunk, session.upload_capacity
-                )
-                admitted += 1
-        self.arrivals += admitted
-        self._cursor = end
-        return admitted
-
-    def _sample_transitions(self, channel_id: int, chunks: np.ndarray) -> np.ndarray:
-        """Next chunk per finished chunk, or -1 for departure.
-
-        One batch draw from the channel's behaviour stream covers every
-        transition of the step; the draw order (users in arrival order)
-        and per-value decision match the scalar kernel's
-        ``searchsorted(cum, u, side="right")`` exactly.
-        """
-        rows = self._cumulative[channel_id][chunks]  # (n, J)
-        u = self._streams.batch(
-            len(chunks), "behaviour", self._stream_keys[channel_id]
-        )
-        nxt = (rows <= u[:, None]).sum(axis=1)
-        nxt[u >= rows[:, -1]] = -1
-        return nxt
-
-    def _handle_completion_scalar(
-        self, spec: ChannelSpec, store: UserStore, uid: int
-    ) -> None:
-        """Single-completion fast path.
-
-        Small configurations complete zero or one chunk per channel-step;
-        scalar indexing sidesteps the batch machinery's fixed cost. Every
-        arithmetic operation and the RNG draw are identical to the batch
-        path (``batch(1)`` consumes exactly one stream value), so the
-        trajectories are the same bit for bit — the golden-parity tests
-        cover both paths.
-        """
-        now = self.now
-        t0 = spec.chunk_duration
-        enter = float(store.enter_time[uid])
-        sojourn = now - enter
-        smooth = sojourn <= self.config.sojourn_slack * t0 + 1e-9
-        finished = store.complete_chunk(uid, now, smooth)
-        self.quality.record_retrieval(
-            now, spec.channel_id, finished, sojourn, smooth
-        )
-        cum = self._cumulative[spec.channel_id][finished]
-        u = self._streams.get(
-            "behaviour", self._stream_keys[spec.channel_id]
-        ).random()
-        nxt = -1 if u >= cum[-1] else int((cum <= u).sum())
-        release = enter + max(t0, sojourn)
-        if release <= now + 1e-9:
-            self._apply_transition_scalar(spec, store, uid, finished, nxt)
-        else:
-            store.begin_hold(uid, release, nxt, finished)
-
-    def _apply_transition_scalar(
-        self, spec: ChannelSpec, store: UserStore, uid: int,
-        finished: int, nxt: int,
-    ) -> None:
-        if nxt < 0:
-            store.depart(uid)
-            self.tracker.record_departure(spec.channel_id, finished)
-            self.departures += 1
-        else:
-            store.start_chunk_download(uid, nxt, self.now)
-            self.tracker.record_transition(spec.channel_id, finished, nxt)
-
-    def _handle_completions(self, spec: ChannelSpec, store: UserStore) -> int:
-        chunk_size = spec.chunk_size_bytes
-        t0 = spec.chunk_duration
-        uids = store.completed(chunk_size)
-        if uids.size == 0:
-            return 0
-        if uids.size <= 4:
-            # A scalar sweep in arrival order IS the original algorithm
-            # (one RNG draw per user, same accumulation order), and beats
-            # the batch machinery's fixed cost for a handful of events.
-            for uid in uids:
-                self._handle_completion_scalar(spec, store, int(uid))
-            return int(uids.size)
-        now = self.now
-        enters = store.enter_time[uids]  # fancy indexing: a copy
-        sojourns = now - enters
-        smooth = sojourns <= self.config.sojourn_slack * t0 + 1e-9
-        finished = store.complete_chunks(uids, now, smooth)
-        self.quality.record_retrievals(
-            now, spec.channel_id, finished, sojourns, smooth
-        )
-        nxt = self._sample_transitions(spec.channel_id, finished)
-        # Playback pacing: the chunk's playback slot ends at
-        # enter + max(T0, sojourn); a fast download leaves the user
-        # watching (holding) until then, a slow one moves on at once.
-        release = enters + np.maximum(t0, sojourns)
-        immediate = release <= now + 1e-9
-        immediate_count = int(immediate.sum())
-        if immediate_count:
-            self._apply_transitions(
-                spec, store, uids[immediate], finished[immediate], nxt[immediate]
-            )
-        if immediate_count < uids.size:
-            holding = ~immediate
-            store.begin_holds(
-                uids[holding], release[holding], nxt[holding], finished[holding]
-            )
-        return int(uids.size)
-
-    def _apply_transitions(
-        self,
-        spec: ChannelSpec,
-        store: UserStore,
-        uids: np.ndarray,
-        finished: np.ndarray,
-        nxt: np.ndarray,
-    ) -> None:
-        departing = nxt < 0
-        departing_count = int(departing.sum())
-        if departing_count:
-            store.depart_many(uids[departing])
-            self.tracker.record_departures(spec.channel_id, finished[departing])
-            self.departures += departing_count
-        if departing_count < uids.size:
-            moving = ~departing
-            store.start_chunk_downloads(uids[moving], nxt[moving], self.now)
-            self.tracker.record_transitions(
-                spec.channel_id, finished[moving], nxt[moving]
-            )
-
-    def _release_holds(self, spec: ChannelSpec, store: UserStore) -> int:
-        uids = store.due_holds(self.now)
-        if uids.size == 0:
-            return 0
-        if uids.size <= 4:
-            for uid in uids:
-                uid = int(uid)
-                self._apply_transition_scalar(
-                    spec, store, uid,
-                    int(store.hold_from[uid]), int(store.hold_next[uid]),
-                )
-            return int(uids.size)
-        # hold_* reads are fancy-indexed copies, safe across the apply.
-        self._apply_transitions(
-            spec, store, uids, store.hold_from[uids], store.hold_next[uids]
-        )
-        return int(uids.size)
-
-    def _sample_quality(self) -> None:
-        smooth_counts: Dict[int, int] = {}
-        user_counts: Dict[int, int] = {}
-        for spec in self.channels:
-            store = self.stores[spec.channel_id]
-            smooth, total = store.smooth_users(
-                self.now,
-                self.config.quality_window,
-                overdue_after=self.config.sojourn_slack * spec.chunk_duration,
-            )
-            smooth_counts[spec.channel_id] = smooth
-            user_counts[spec.channel_id] = total
-        self.quality.record_sample(self.now, smooth_counts, user_counts)
-
-    def step(self) -> BandwidthSample:
-        """Advance one ``dt`` step; returns the step's bandwidth sample."""
-        dt = self.config.dt
-        self.now += dt
-        events = self._admit_arrivals()
-
-        cloud_used = 0.0
-        peer_used = 0.0
-        shortfall = 0.0
-        for spec in self.channels:
-            store = self.stores[spec.channel_id]
-            events += self._release_holds(spec, store)
-            outcome = self.delivery[spec.channel_id].allocate(
-                store, self.cloud_capacity[spec.channel_id]
-            )
-            store.advance_downloads(outcome.per_user_rates, dt)
-            events += self._handle_completions(spec, store)
-            cloud_used += outcome.cloud_used
-            peer_used += outcome.peer_used
-            shortfall += outcome.cloud_shortfall
-
-        provisioned = self.total_provisioned()
-        self.bandwidth.append(
-            self.now, cloud_used, peer_used, provisioned, shortfall
-        )
-        self.steps += 1
-        if events > self.peak_step_events:
-            self.peak_step_events = events
-
-        if self.now + 1e-9 >= self._next_quality_sample:
-            self._sample_quality()
-            self._next_quality_sample += self.config.quality_sample_interval
-        return BandwidthSample(
-            time=self.now,
-            cloud_used=cloud_used,
-            peer_used=peer_used,
-            provisioned=provisioned,
-            shortfall=shortfall,
-        )
-
-    def advance_to(self, until: float) -> None:
-        """Run steps until the clock reaches (or passes) ``until``."""
-        if until < self.now:
-            raise ValueError(f"cannot advance backwards to {until} < {self.now}")
-        while self.now + 1e-9 < until:
-            self.step()
-
-    def result(self) -> SimulationResult:
-        """Snapshot the run's outputs."""
-        return SimulationResult(
-            config=self.config,
-            quality=self.quality,
-            bandwidth=self.bandwidth.snapshot(),
-            arrivals=self.arrivals,
-            departures=self.departures,
-            final_population=self.population(),
-            steps=self.steps,
-            peak_step_events=self.peak_step_events,
-        )
+VoDSimulator = MultiChannelSimulator

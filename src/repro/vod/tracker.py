@@ -1,34 +1,26 @@
 """The tracking server (paper Sections IV-C and V-B).
 
-The tracker maintains, per channel, the peer lists and chunk-availability
-bitmaps the P2P protocol needs, and accumulates the per-interval statistics
-the provisioning controller consumes at the end of every interval T:
+The tracker accumulates, per channel, the per-interval statistics the
+provisioning controller consumes at the end of every interval T:
 
 * the average external user arrival rate Lambda^(c);
 * observed chunk-to-chunk transition and departure counts (from which the
   controller estimates the viewing pattern P^(c));
 * the mean peer upload capacity (for the Eqn (5) contribution estimate).
+
+The simulation kernel observes them (it also keeps the per-user peer
+state the P2P protocol needs) and hands each closed interval over as
+:class:`IntervalStats`, which the controller's tracker absorbs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-__all__ = ["IntervalStats", "TrackingServer", "CloudEntryTicket"]
-
-
-@dataclass(frozen=True)
-class CloudEntryTicket:
-    """The 3-tuple the tracker hands a peer with insufficient peer supply:
-    a cloud entry point address, candidate ports, and a ticket the entry
-    point verifies before port-forwarding to a serving VM."""
-
-    entry_ip: str
-    ports: List[int]
-    ticket: str
+__all__ = ["IntervalStats", "TrackingServer"]
 
 
 @dataclass
@@ -65,7 +57,8 @@ class IntervalStats:
 
 
 class TrackingServer:
-    """Accumulates observations and closes them out per interval.
+    """The controller's view of the system: one open interval of
+    per-channel statistics, closed out every T.
 
     Parameters
     ----------
@@ -82,14 +75,7 @@ class TrackingServer:
         num_channels: int,
         chunks_per_channel: List[int],
         interval_seconds: float = 3600.0,
-        *,
-        entry_ip: str = "10.0.0.1",
-        keep_history: bool = True,
     ) -> None:
-        """``keep_history=False`` drops closed intervals instead of
-        retaining them — shard-side trackers ship their statistics to
-        the control plane every epoch and would otherwise accumulate
-        one dead stats set per channel per epoch for the whole run."""
         if num_channels <= 0:
             raise ValueError("need at least one channel")
         if len(chunks_per_channel) != num_channels:
@@ -99,11 +85,7 @@ class TrackingServer:
         self.num_channels = num_channels
         self.chunks_per_channel = list(chunks_per_channel)
         self.interval_seconds = interval_seconds
-        self.entry_ip = entry_ip
-        self.keep_history = keep_history
-        self._ticket_counter = 0
         self._stats = [self._fresh_stats(c) for c in range(num_channels)]
-        self.history: List[List[IntervalStats]] = [[] for _ in range(num_channels)]
 
     def _fresh_stats(self, channel_id: int) -> IntervalStats:
         j = self.chunks_per_channel[channel_id]
@@ -119,67 +101,13 @@ class TrackingServer:
         """A zero-observation stats record (used for bootstrap estimates)."""
         return self._fresh_stats(channel_id)
 
-    # ------------------------------------------------------------------
-    # Observations (called by the simulator)
-    # ------------------------------------------------------------------
-    def record_arrival(
-        self, channel_id: int, start_chunk: int, upload_capacity: float
-    ) -> None:
-        stats = self._stats[channel_id]
-        stats.arrivals += 1
-        stats.start_chunk_counts[start_chunk] += 1
-        stats.upload_capacity_sum += upload_capacity
-        stats.upload_capacity_samples += 1
-
-    def record_arrivals(
-        self,
-        channel_id: int,
-        start_chunks: np.ndarray,
-        upload_capacities: np.ndarray,
-    ) -> None:
-        """Batch :meth:`record_arrival` (one step's admissions, one call).
-
-        The upload-capacity accumulator is advanced element by element in
-        input order — summation order is part of the kernel's parity
-        contract — while the integer-valued counts are vectorized.
-        """
-        stats = self._stats[channel_id]
-        count = len(start_chunks)
-        stats.arrivals += count
-        np.add.at(stats.start_chunk_counts, start_chunks, 1.0)
-        for value in upload_capacities.tolist():
-            stats.upload_capacity_sum += value
-        stats.upload_capacity_samples += count
-
-    def record_transition(self, channel_id: int, from_chunk: int, to_chunk: int) -> None:
-        self._stats[channel_id].transition_counts[from_chunk, to_chunk] += 1
-
-    def record_transitions(
-        self, channel_id: int, from_chunks: np.ndarray, to_chunks: np.ndarray
-    ) -> None:
-        """Batch :meth:`record_transition` (one step's moves, one call)."""
-        np.add.at(
-            self._stats[channel_id].transition_counts,
-            (from_chunks, to_chunks),
-            1.0,
-        )
-
-    def record_departure(self, channel_id: int, from_chunk: int) -> None:
-        self._stats[channel_id].departure_counts[from_chunk] += 1
-
-    def record_departures(self, channel_id: int, from_chunks: np.ndarray) -> None:
-        """Batch :meth:`record_departure`."""
-        np.add.at(
-            self._stats[channel_id].departure_counts, from_chunks, 1.0
-        )
-
     def absorb(self, stats: IntervalStats) -> None:
-        """Fold another tracker's interval deltas into the open interval.
+        """Fold a kernel's closed interval into the open interval.
 
-        The sharded engine runs one tracker per shard and merges their
-        closed intervals into a control-plane tracker in fixed shard
-        order, so the controller sees the whole catalog's statistics
-        (see :mod:`repro.sim.shard`).  Shapes must match the channel.
+        Every engine's kernel closes its interval at the epoch boundary
+        and the engine absorbs the statistics here (the sharded engines
+        in fixed shard order), so the controller sees the whole system's
+        statistics.  Shapes must match the channel.
         """
         mine = self._stats[stats.channel_id]
         if mine.transition_counts.shape != stats.transition_counts.shape:
@@ -196,37 +124,10 @@ class TrackingServer:
         mine.upload_capacity_samples += stats.upload_capacity_samples
 
     # ------------------------------------------------------------------
-    # P2P protocol surface
-    # ------------------------------------------------------------------
-    def issue_cloud_ticket(self) -> CloudEntryTicket:
-        """Hand out a cloud entry ticket (insufficient peer supply path)."""
-        self._ticket_counter += 1
-        return CloudEntryTicket(
-            entry_ip=self.entry_ip,
-            ports=[9000 + (self._ticket_counter % 16)],
-            ticket=f"tkt-{self._ticket_counter:08d}",
-        )
-
-    @property
-    def tickets_issued(self) -> int:
-        return self._ticket_counter
-
-    # ------------------------------------------------------------------
     # Interval close-out (called by the controller every T)
     # ------------------------------------------------------------------
     def close_interval(self) -> List[IntervalStats]:
         """Return this interval's statistics and start a fresh interval."""
         closed = self._stats
-        if self.keep_history:
-            for stats in closed:
-                self.history[stats.channel_id].append(stats)
         self._stats = [self._fresh_stats(c) for c in range(self.num_channels)]
         return closed
-
-    def current_arrival_counts(self) -> List[int]:
-        """Arrivals so far in the open interval (for diagnostics)."""
-        return [s.arrivals for s in self._stats]
-
-    def last_closed(self, channel_id: int) -> Optional[IntervalStats]:
-        hist = self.history[channel_id]
-        return hist[-1] if hist else None

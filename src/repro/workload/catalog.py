@@ -112,7 +112,7 @@ from repro.vod.channel import ChannelSpec, default_behaviour_matrix, make_unifor
 from repro.workload.arrivals import poisson_arrival_times
 from repro.workload.diurnal import DiurnalPattern
 from repro.workload.pareto import BoundedPareto
-from repro.workload.trace import Session, Trace
+from repro.workload.trace import Session, ShardTraceArrays, Trace
 from repro.workload.zipf import assign_channel_rates
 
 __all__ = [
@@ -765,30 +765,6 @@ def build_shard_trace(
         "num_sessions": len(sessions),
     }
     return Trace(config_summary=summary, sessions=sessions)
-
-
-@dataclass(frozen=True)
-class ShardTraceArrays:
-    """One shard's trace as parallel arrays, sorted by (time, channel).
-
-    The structure-of-arrays twin of :func:`build_shard_trace`: the same
-    sessions in the same order, without materializing one
-    :class:`~repro.workload.trace.Session` object per arrival.  ``times``
-    is nondecreasing with a stable channel-id tiebreak —
-    ``np.lexsort((channels, times))`` orders identically to the Session
-    sort key ``(arrival_time, channel)``, including stability, so the
-    fused kernel admits users in exactly the order the per-channel
-    kernel would.
-    """
-
-    times: np.ndarray  # float64, sorted
-    channels: np.ndarray  # int64 global channel ids
-    start_chunks: np.ndarray  # int64
-    upload_capacities: np.ndarray  # float64
-
-    @property
-    def num_sessions(self) -> int:
-        return int(self.times.size)
 
 
 def build_shard_trace_arrays(

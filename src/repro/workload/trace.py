@@ -24,7 +24,9 @@ from repro.workload.diurnal import DiurnalPattern
 from repro.workload.pareto import BoundedPareto
 from repro.workload.zipf import assign_channel_rates
 
-__all__ = ["TraceConfig", "Session", "Trace", "generate_trace"]
+__all__ = [
+    "TraceConfig", "Session", "Trace", "ShardTraceArrays", "generate_trace",
+]
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,48 @@ class Trace:
         payload = json.loads(Path(path).read_text())
         sessions = [Session(**row) for row in payload["sessions"]]
         return cls(config_summary=payload["config"], sessions=sessions)
+
+
+@dataclass(frozen=True)
+class ShardTraceArrays:
+    """A trace as parallel arrays, sorted by arrival time.
+
+    The structure-of-arrays form the simulation kernel admits from,
+    without one :class:`Session` object per arrival.  A catalog shard's
+    arrays (:func:`repro.workload.catalog.build_shard_trace_arrays`)
+    break time ties by channel id, ``np.lexsort((channels, times))``;
+    :meth:`from_trace` keeps the trace's own order on ties.  Either way
+    each channel's sessions appear in their arrival order, which is the
+    only order the kernel observes.
+    """
+
+    times: np.ndarray  # float64, sorted
+    channels: np.ndarray  # int64 global channel ids
+    start_chunks: np.ndarray  # int64
+    upload_capacities: np.ndarray  # float64
+
+    @property
+    def num_sessions(self) -> int:
+        return int(self.times.size)
+
+    @classmethod
+    def from_trace(cls, trace: Trace) -> "ShardTraceArrays":
+        """The sessions of ``trace``, stably sorted by arrival time."""
+        sessions = trace.sessions
+        times = np.asarray([s.arrival_time for s in sessions], dtype=float)
+        order = np.argsort(times, kind="stable")
+        return cls(
+            times=times[order],
+            channels=np.asarray(
+                [s.channel for s in sessions], dtype=np.int64
+            )[order],
+            start_chunks=np.asarray(
+                [s.start_chunk for s in sessions], dtype=np.int64
+            )[order],
+            upload_capacities=np.asarray(
+                [s.upload_capacity for s in sessions], dtype=float
+            )[order],
+        )
 
 
 def _sample_start_chunk(

@@ -1,6 +1,6 @@
 """DET004 fixture: this file's path matches ``api.py`` and the function
-is ``resolve_workers`` — the sanctioned resolution point, not flagged —
-while the same read anywhere else in the file still is."""
+is named ``resolve_workers``, which once was a sanctioned resolution
+point; no function is exempt any more, so both reads are flagged."""
 
 import os
 
@@ -8,7 +8,7 @@ import os
 def resolve_workers(workers=None):
     if workers is not None:
         return max(1, int(workers))
-    raw = os.environ.get("FIXTURE_CATALOG_JOBS", "")
+    raw = os.environ.get("FIXTURE_CATALOG_JOBS", "")  # EXPECT[DET004]
     return max(1, int(raw)) if raw.strip() else 1
 
 

@@ -90,12 +90,6 @@ class TestRulePack:
             f for f in fixture_result.findings if f.path == "sim/rng.py"
         ]
 
-    def test_sanctioned_resolve_workers_is_exempt(self, fixture_result):
-        api_findings = [
-            f for f in fixture_result.findings if f.path == "api.py"
-        ]
-        assert all(f.context == "other_function" for f in api_findings)
-
 
 class TestPragmas:
     def test_pragma_parses(self):

@@ -7,8 +7,9 @@ The redesign's contract, pinned down here:
   points, for every engine kind;
 * checkpoint-at-midpoint + resume is byte-identical to an uninterrupted
   run, including across different worker counts on either side;
-* ``EngineConfig.workers`` is authoritative; ``REPRO_CATALOG_JOBS`` is
-  a warned, validated fallback (the one shared path);
+* ``EngineConfig.workers`` is the one worker-count knob, validated by
+  ``resolve_workers``; the retired ``REPRO_CATALOG_JOBS`` variable has
+  no effect;
 * the historical ``run_closed_loop``/``run_catalog`` shims are gone —
   ``open_run`` is the only entry point.
 """
@@ -106,7 +107,7 @@ class TestEngineConfig:
         ).resolved_workers() == 1
 
     def test_closed_loop_ignores_env(self, monkeypatch):
-        """A worker env fallback must never leak into the closed loop."""
+        """The retired worker env variable never reaches the closed loop."""
         monkeypatch.setenv("REPRO_CATALOG_JOBS", "4")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no deprecation warning either
@@ -122,21 +123,10 @@ class TestResolveWorkers:
             warnings.simplefilter("error")
             assert resolve_workers(3) == 3
 
-    def test_env_fallback_warns(self, monkeypatch):
+    def test_retired_env_var_is_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_CATALOG_JOBS", "2")
-        with pytest.warns(DeprecationWarning, match="REPRO_CATALOG_JOBS"):
-            assert resolve_workers(None) == 2
-
-    def test_env_garbage_named_in_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CATALOG_JOBS", "auto")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="REPRO_CATALOG_JOBS"):
-                resolve_workers(None)
-
-    @pytest.mark.parametrize("raw", ["0", "-3"])
-    def test_env_clamped_to_serial(self, raw, monkeypatch):
-        monkeypatch.setenv("REPRO_CATALOG_JOBS", raw)
-        with pytest.warns(DeprecationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert resolve_workers(None) == 1
 
     def test_blank_env_is_serial_and_silent(self, monkeypatch):
@@ -155,7 +145,7 @@ class TestResolveWorkers:
             resolve_workers(2.9)
         with pytest.raises(ValueError, match="workers"):
             EngineConfig(spec=small_catalog(), workers=0.5)
-        assert resolve_workers("3") == 3  # env-style strings still parse
+        assert resolve_workers("3") == 3  # strings still parse
         assert resolve_workers(np.int64(3)) == 3
 
 
@@ -401,16 +391,3 @@ class TestRemovedShims:
         assert "run_catalog" not in repro.sim.__all__
         with pytest.raises(AttributeError):
             repro.sim.run_catalog
-
-    def test_env_fallback_still_flows_through_open_run(self, monkeypatch):
-        """With the shims gone, the warned REPRO_CATALOG_JOBS fallback
-        still applies when EngineConfig.workers is None."""
-        config = small_catalog(horizon_hours=0.25)
-        monkeypatch.setenv("REPRO_CATALOG_JOBS", "2")
-        with pytest.warns(DeprecationWarning, match="REPRO_CATALOG_JOBS"):
-            with open_run(EngineConfig(spec=config)) as run:
-                from_env = summarize_catalog(run.result())
-        monkeypatch.delenv("REPRO_CATALOG_JOBS")
-        with open_run(EngineConfig(spec=config, workers=1)) as run:
-            serial = summarize_catalog(run.result())
-        assert from_env == serial

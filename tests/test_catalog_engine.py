@@ -57,12 +57,8 @@ def small_config(**overrides):
 
 
 def run_via_api(config, workers=None):
-    """Run a catalog config through the public api surface.
-
-    ``workers=None`` exercises the deprecated ``REPRO_CATALOG_JOBS``
-    environment fallback (the only remaining spelling of "let the env
-    decide" now that the ``run_catalog`` shim is gone).
-    """
+    """Run a catalog config through the public api surface
+    (``workers=None`` means serial)."""
     with open_run(EngineConfig(spec=config, workers=workers)) as run:
         return run.result()
 
@@ -155,36 +151,6 @@ class TestShardedDeterminism:
             assert a.tobytes() == b.tobytes(), name
         assert serial.channel_populations == parallel.channel_populations
         assert serial.vm_cost_series == parallel.vm_cost_series
-
-    def test_env_jobs_fallback(self, monkeypatch):
-        config = small_config(horizon_hours=0.25)
-        monkeypatch.setenv("REPRO_CATALOG_JOBS", "2")
-        with pytest.warns(DeprecationWarning, match="REPRO_CATALOG_JOBS"):
-            from_env = summarize_catalog(run_via_api(config))
-        explicit = summarize_catalog(run_via_api(config, workers=1))
-        assert from_env == explicit
-
-    def test_env_garbage_named_in_error(self, monkeypatch):
-        """Garbage REPRO_CATALOG_JOBS must fail with a message naming
-        the variable, not a bare int() traceback."""
-        config = small_config(horizon_hours=0.25)
-        monkeypatch.setenv("REPRO_CATALOG_JOBS", "auto")
-        with pytest.warns(DeprecationWarning, match="REPRO_CATALOG_JOBS"), \
-                pytest.raises(ValueError, match="REPRO_CATALOG_JOBS"):
-            run_via_api(config)
-
-    @pytest.mark.parametrize("raw", ["0", "-3"])
-    def test_env_clamped_to_serial(self, raw, monkeypatch):
-        """0/negative worker counts clamp to 1 instead of being passed
-        through (results are jobs-invariant, so serial == correct)."""
-        config = small_config(horizon_hours=0.25)
-        monkeypatch.setenv("REPRO_CATALOG_JOBS", raw)
-        with pytest.warns(DeprecationWarning, match="REPRO_CATALOG_JOBS"):
-            clamped = summarize_catalog(run_via_api(config))
-        monkeypatch.setenv("REPRO_CATALOG_JOBS", "1")
-        with pytest.warns(DeprecationWarning, match="REPRO_CATALOG_JOBS"):
-            serial = summarize_catalog(run_via_api(config))
-        assert clamped == serial
 
     def test_env_blank_is_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_CATALOG_JOBS", "  ")

@@ -1,13 +1,14 @@
 """Tests for the CI gate helpers: the re-recordable golden fixtures and
-the tracker's shard-merge absorb."""
+the tracker's absorb of a kernel's closed interval."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.vod.tracker import TrackingServer
+from repro.vod.tracker import IntervalStats, TrackingServer
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -37,16 +38,26 @@ class TestGoldenRecorder:
 
 class TestTrackerAbsorb:
     def test_absorb_sums_counts(self):
-        source = TrackingServer(2, [3, 3], interval_seconds=600.0)
-        source.record_arrival(1, 0, 100.0)
-        source.record_arrival(1, 2, 50.0)
-        source.record_transition(1, 0, 1)
-        source.record_departure(1, 2)
-
+        source = IntervalStats(
+            channel_id=1,
+            interval_seconds=600.0,
+            arrivals=2,
+            transition_counts=np.array(
+                [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+            ),
+            departure_counts=np.array([0.0, 0.0, 1.0]),
+            upload_capacity_sum=150.0,
+            upload_capacity_samples=2,
+            start_chunk_counts=np.array([1.0, 0.0, 1.0]),
+        )
         target = TrackingServer(2, [3, 3], interval_seconds=600.0)
-        target.record_arrival(1, 0, 10.0)
-        for stats in source.close_interval():
-            target.absorb(stats)
+        earlier = target.empty_stats(1)
+        earlier.arrivals = 1
+        earlier.start_chunk_counts[0] = 1.0
+        earlier.upload_capacity_sum = 10.0
+        earlier.upload_capacity_samples = 1
+        target.absorb(earlier)
+        target.absorb(source)
         merged = target.close_interval()[1]
         assert merged.arrivals == 3
         assert merged.upload_capacity_sum == pytest.approx(160.0)
@@ -58,4 +69,4 @@ class TestTrackerAbsorb:
         source = TrackingServer(1, [4], interval_seconds=600.0)
         target = TrackingServer(1, [3], interval_seconds=600.0)
         with pytest.raises(ValueError, match="shape"):
-            target.absorb(source.close_interval()[0])
+            target.absorb(source.empty_stats(0))

@@ -24,12 +24,17 @@ def tracker():
 
 
 def populate(tracker, channel=0, arrivals=360, upload=2 * r):
-    for _ in range(arrivals):
-        tracker.record_arrival(channel, 0, upload)
-    for _ in range(100):
-        tracker.record_transition(channel, 0, 1)
-        tracker.record_transition(channel, 1, 2)
-        tracker.record_departure(channel, 3)
+    """One interval's observations, absorbed the way the engines hand
+    a kernel's closed interval to the controller's tracker."""
+    stats = tracker.empty_stats(channel)
+    stats.arrivals = arrivals
+    stats.start_chunk_counts[0] = arrivals
+    stats.upload_capacity_sum = arrivals * upload
+    stats.upload_capacity_samples = arrivals
+    stats.transition_counts[0, 1] = 100
+    stats.transition_counts[1, 2] = 100
+    stats.departure_counts[3] = 100
+    tracker.absorb(stats)
 
 
 class TestClientServer:

@@ -19,7 +19,7 @@ from repro.queueing.capacity import CapacityModel
 from repro.vod.channel import make_uniform_channels
 from repro.vod.simulator import VoDSimulator, VoDSystemConfig
 from repro.vod.tracker import TrackingServer
-from repro.workload.trace import Session, Trace
+from repro.workload.trace import Session, ShardTraceArrays, Trace
 
 R = 10e6 / 8.0
 r = 50_000.0
@@ -48,12 +48,27 @@ def make_controller(facility, vm_budget=100.0, storage_budget=1.0):
     return controller, tracker
 
 
+def flood(tracker, arrivals):
+    """``arrivals`` sessions entering channel 0 at chunk 0 this interval."""
+    stats = tracker.empty_stats(0)
+    stats.arrivals = arrivals
+    stats.start_chunk_counts[0] = arrivals
+    stats.upload_capacity_sum = arrivals * r
+    stats.upload_capacity_samples = arrivals
+    tracker.absorb(stats)
+
+
+def arrays(sessions):
+    return ShardTraceArrays.from_trace(
+        Trace(config_summary={}, sessions=sessions)
+    )
+
+
 class TestInfeasibleVMBudget:
     def test_partial_plan_and_ledger_flag(self):
         facility = tiny_facility(vms=50)
         controller, tracker = make_controller(facility, vm_budget=2.0)
-        for _ in range(7200):  # a flood of arrivals
-            tracker.record_arrival(0, 0, r)
+        flood(tracker, 7200)
         decision = controller.run_interval(3600.0)
         assert not decision.vm_plan.feasible
         assert decision.vm_plan.unserved_vms > 0
@@ -64,8 +79,7 @@ class TestInfeasibleVMBudget:
     def test_capacity_infeasibility(self):
         facility = tiny_facility(vms=1)
         controller, tracker = make_controller(facility)
-        for _ in range(7200):
-            tracker.record_arrival(0, 0, r)
+        flood(tracker, 7200)
         decision = controller.run_interval(3600.0)
         assert not decision.vm_plan.feasible
         assert facility.total_active_vms() == 1  # used all it had
@@ -75,8 +89,7 @@ class TestInfeasibleStorage:
     def test_unplaced_chunks_flagged_and_not_applied(self):
         facility = tiny_facility(storage_chunks=2)  # 4 chunks won't fit
         controller, tracker = make_controller(facility)
-        for _ in range(360):
-            tracker.record_arrival(0, 0, r)
+        flood(tracker, 360)
         decision = controller.run_interval(3600.0)
         assert decision.storage_plan is not None
         assert not decision.storage_plan.feasible
@@ -108,8 +121,7 @@ class TestSLARejection:
             vm_budget_per_hour=30.0, storage_budget_per_hour=1e-9
         )
         object.__setattr__(controller.terms, "vm_budget_per_hour", 30.0)
-        for _ in range(3600):
-            tracker.record_arrival(0, 0, r)
+        flood(tracker, 3600)
         decision = controller.run_interval(3600.0)
         # Either accepted within the tighter budget or rejected-but-alive.
         assert decision in controller.decisions
@@ -119,10 +131,7 @@ class TestSLARejection:
 class TestStarvedSimulator:
     def test_zero_capacity_channel_degrades_not_crashes(self):
         channels = make_uniform_channels(1, 4, r, T0)
-        trace = Trace(
-            config_summary={},
-            sessions=[Session(float(i), 0, 0, 0.0) for i in range(10)],
-        )
+        trace = arrays([Session(float(i), 0, 0, 0.0) for i in range(10)])
         sim = VoDSimulator(
             channels, trace,
             VoDSystemConfig(mode="client-server", dt=10.0, user_rate_cap=R),
@@ -135,10 +144,7 @@ class TestStarvedSimulator:
 
     def test_recovery_after_capacity_restored(self):
         channels = make_uniform_channels(1, 4, r, T0)
-        trace = Trace(
-            config_summary={},
-            sessions=[Session(0.0, 0, 0, 0.0)],
-        )
+        trace = arrays([Session(0.0, 0, 0, 0.0)])
         sim = VoDSimulator(
             channels, trace,
             VoDSystemConfig(mode="client-server", dt=10.0, user_rate_cap=R),
@@ -164,7 +170,7 @@ class TestEmptySystem:
     def test_simulator_with_no_sessions(self):
         channels = make_uniform_channels(2, 3, r, T0)
         sim = VoDSimulator(
-            channels, Trace(config_summary={}, sessions=[]),
+            channels, arrays([]),
             VoDSystemConfig(mode="p2p", dt=30.0, user_rate_cap=R),
         )
         sim.advance_to(3600.0)

@@ -1,13 +1,17 @@
-"""Golden-parity tests for the vectorized step kernel.
+"""Golden-parity tests for the simulation kernel.
 
-The fixtures under ``tests/golden/`` were recorded from the original
-scalar kernel (one Python iteration and one scalar RNG draw per event)
-with ``scripts/record_golden.py``. The vectorized kernel's contract —
-see docs/performance.md — is that on fixed seeds it reproduces those
+The fixtures under ``tests/golden/`` were recorded with
+``scripts/record_golden.py`` from earlier kernels: the raw-kernel and
+closed-loop ones from the original scalar kernel (one Python iteration
+and one scalar RNG draw per event), the two catalog ones from the
+per-channel kernel (one user store and one delivery solve per channel)
+that the fused kernel replaced. The kernel's contract — see
+docs/performance.md — is that on fixed seeds it reproduces those
 trajectories *byte for byte*: the same per-channel RNG stream
 consumption order, the same float-reduction order over users, hence
 identical quality series, bandwidth series and arrival/departure counts,
-in both delivery modes, for the raw kernel and the full closed loop.
+in both delivery modes, for the raw kernel, the full closed loop and
+the sharded catalog.
 
 ``mean_sojourn`` is the one deliberate exception: it is a reporting-only
 aggregate (nothing feeds it back into the control loop), so its
@@ -74,6 +78,22 @@ class TestClosedLoopParity:
         _assert_matches_golden(
             record_golden.closed_loop_trajectory("p2p"),
             "closed_loop_p2p.json",
+        )
+
+
+class TestCatalogParity:
+    """Small sharded catalogs, recorded from the per-channel kernel."""
+
+    def test_client_server(self):
+        _assert_matches_golden(
+            record_golden.catalog_trajectory("client-server"),
+            "catalog_client_server.json",
+        )
+
+    def test_p2p(self):
+        _assert_matches_golden(
+            record_golden.catalog_trajectory("p2p"),
+            "catalog_p2p.json",
         )
 
 

@@ -1,19 +1,11 @@
-"""Byte-identity of the fused structure-of-arrays catalog kernel.
+"""The simulation kernel's engine wiring and row-table invariants.
 
-``ChannelShard`` routes uniform client-server catalogs onto
-:class:`~repro.vod.multi.MultiChannelSimulator` — one structure-of-arrays
-pass per phase over every user of every channel in the shard — while P2P
-and heterogeneous catalogs keep the per-channel ``VoDSimulator``.  The
-contract (docs/performance.md) is that the two kernels are byte-identical
-for any configuration both accept: identical per-channel RNG stream
-consumption order and identical float-reduction orders, hence identical
-engine results bit for bit.
-
-These tests force the per-channel kernel through the routing predicate
-(``channels_are_uniform``) and compare whole engine runs bitwise against
-the fused kernel, across the workload variants that stress different
-code paths (zipf skew, pure diurnal, flash crowds, the geo control
-plane), plus the kernel's internal row-table invariants.
+Every engine runs :class:`~repro.vod.multi.MultiChannelSimulator` — one
+structure-of-arrays pass per phase over every user of every channel.
+Its byte-identity against the historical per-channel kernel is pinned by
+the golden fixtures (``tests/test_kernel_parity.py``); these tests pin
+the sharded wiring and the row table's internal invariants under churn,
+in both delivery modes.
 """
 
 import numpy as np
@@ -21,7 +13,7 @@ import pytest
 
 import repro.sim.shard as shard_mod
 from repro.sim.shard import make_engine
-from repro.vod.multi import MultiChannelSimulator
+from repro.vod.multi import HOLDING, MultiChannelSimulator
 from repro.workload.catalog import catalog_config, geo_catalog_config
 
 RESULT_ARRAYS = (
@@ -54,21 +46,9 @@ def small_config(**overrides):
     return catalog_config(**params)
 
 
-def run_engine(config, jobs=1, force_per_channel=False):
-    """Run the catalog once; optionally pin the per-channel kernel.
-
-    The routing predicate is patched in :mod:`repro.sim.shard`'s
-    namespace, where ``ChannelShard`` looks it up; shards are built in
-    the parent process, so the patch holds for any worker count.
-    """
-    original = shard_mod.channels_are_uniform
-    if force_per_channel:
-        shard_mod.channels_are_uniform = lambda channels: False
-    try:
-        with make_engine(config, jobs=jobs) as engine:
-            return engine.run()
-    finally:
-        shard_mod.channels_are_uniform = original
+def run_engine(config, jobs=1):
+    with make_engine(config, jobs=jobs) as engine:
+        return engine.run()
 
 
 def assert_results_identical(a, b):
@@ -88,7 +68,8 @@ def assert_results_identical(a, b):
 
 
 class TestFusedKernelParity:
-    """Fused SoA kernel vs the per-channel kernel, bit for bit."""
+    """The one kernel under the sharded engine: every shard builds it,
+    and no worker layout changes its results."""
 
     @pytest.mark.parametrize("variant,overrides", [
         ("zipf", {}),
@@ -96,28 +77,31 @@ class TestFusedKernelParity:
         ("flash", dict(flash_fraction=0.4, flash_amplitude=6.0)),
     ])
     def test_catalog_variants(self, variant, overrides):
-        config = small_config(**overrides)
-        reference = run_engine(config, force_per_channel=True)
-        fused = run_engine(config)
-        assert_results_identical(reference, fused)
+        """P2P catalogs (the rarest-first path) are byte-identical for
+        jobs=1 and an uneven jobs=3 split in every workload variant."""
+        config = small_config(mode="p2p", **overrides)
+        assert_results_identical(
+            run_engine(config), run_engine(config, jobs=3)
+        )
 
     def test_geo_catalog(self):
         config = geo_catalog_config(
-            num_channels=4, chunks_per_channel=4, horizon_hours=0.5,
-            arrival_rate=3.0, num_shards=4, dt=60.0, interval_minutes=10.0,
-            topology="us-eu",
+            mode="p2p", num_channels=4, chunks_per_channel=4,
+            horizon_hours=0.5, arrival_rate=3.0, num_shards=4, dt=60.0,
+            interval_minutes=10.0, topology="us-eu",
         )
-        reference = run_engine(config, force_per_channel=True)
-        fused = run_engine(config)
-        assert_results_identical(reference, fused)
-        assert reference.epoch_discounts == fused.epoch_discounts
-        assert reference.epoch_remote_fractions == fused.epoch_remote_fractions
+        serial = run_engine(config)
+        parallel = run_engine(config, jobs=3)
+        assert_results_identical(serial, parallel)
+        assert serial.epoch_discounts == parallel.epoch_discounts
+        assert serial.epoch_remote_fractions == \
+            parallel.epoch_remote_fractions
 
     def test_fused_kernel_actually_selected(self):
-        """Guard the routing: the parity above must compare two kernels."""
-        config = small_config()
-        shard = shard_mod.ChannelShard(config, 0)
-        assert isinstance(shard.sim, MultiChannelSimulator)
+        """One kernel: every shard, in either mode, builds it."""
+        for mode in ("client-server", "p2p"):
+            shard = shard_mod.ChannelShard(small_config(mode=mode), 0)
+            assert type(shard.sim) is MultiChannelSimulator
 
     def test_workers_do_not_change_fused_results(self):
         """jobs=1 vs an uneven jobs=3 split over the shm epoch path."""
@@ -130,11 +114,9 @@ class TestFusedKernelParity:
 class TestRowTableInvariants:
     """The kernel's dense row table under churn (docs/performance.md)."""
 
-    def _stepped(self, steps=40):
-        config = small_config()
-        shard = shard_mod.ChannelShard(config, 0)
-        sim = shard.sim
-        assert isinstance(sim, MultiChannelSimulator)
+    def _stepped(self, steps=40, mode="client-server"):
+        config = small_config(mode=mode)
+        sim = shard_mod.ChannelShard(config, 0).sim
         for _ in range(steps):
             sim.step()
         return sim
@@ -166,9 +148,26 @@ class TestRowTableInvariants:
 
     def test_dead_rows_never_look_held(self):
         """Departed rows must not re-enter the hold-release scan."""
-        from repro.vod.multi import HOLDING
-
         sim = self._stepped()
         n = sim._n
         dead = ~sim._row_alive[:n]
         assert not np.any(sim._row_chunk[:n][dead] == HOLDING)
+
+    def test_owner_counts_match_ownership_column(self):
+        """P2P: each (channel, chunk) live-owner count is the ownership
+        column's sum over that channel's live rows, at every step."""
+        sim = self._stepped(steps=0, mode="p2p")
+        for cid in sim.channel_ids.tolist():
+            sim.set_cloud_capacity(cid, np.full(sim.num_chunks, 2e6))
+        owned_any = False
+        for _ in range(30):
+            sim.step()
+            n = sim._n
+            alive = sim._row_alive[:n]
+            expected = np.zeros_like(sim._owners)
+            for c in range(sim.num_channels):
+                rows = alive & (sim._row_chan[:n] == c)
+                expected[c] = sim._row_owned[:, :n][:, rows].sum(axis=1)
+            np.testing.assert_array_equal(sim._owners, expected)
+            owned_any |= bool(expected.any())
+        assert owned_any  # the run did complete chunks

@@ -11,7 +11,7 @@ from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
 from repro.core.packing import pack_allocations
 from repro.vod.channel import make_uniform_channels
 from repro.vod.simulator import VoDSimulator, VoDSystemConfig
-from repro.workload.trace import Session, Trace
+from repro.workload.trace import Session, ShardTraceArrays, Trace
 
 R = 10e6 / 8.0
 r = 50_000.0
@@ -48,7 +48,7 @@ class TestSimulatorInvariants:
         channels = make_uniform_channels(2, 4, r, T0)
         sim = VoDSimulator(
             channels,
-            trace,
+            ShardTraceArrays.from_trace(trace),
             VoDSystemConfig(mode=mode, dt=30.0, user_rate_cap=R, seed=5),
         )
         for ch in channels:

@@ -12,7 +12,9 @@ The service-level acceptance contracts:
   missed epochs from the ring, then the live tail;
 * HTTP error mapping — 400 / 404 / 409 / 503 (with ``Retry-After``),
   and raw-socket hostile input: a stalled request head (408), too many
-  headers (431), a malformed ``Content-Length`` (400);
+  headers or a 70 KB header line (431), a malformed ``Content-Length``
+  (400); fuzzed request heads and bodies only ever parse into a
+  request, a departed client or a 4xx;
 * crash recovery — a ``repro serve`` subprocess SIGKILLed mid-run
   leaves a state dir from which a fresh server finishes the run with a
   byte-identical artifact and no leaked ``/dev/shm`` segment.
@@ -30,9 +32,12 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import EngineConfig, open_run
 from repro.service import RunHost, ServiceClient, ServiceError, ServiceServer
+from repro.service.server import _HttpError
 from repro.service.artifact import artifact_bytes, result_payload, sha256_hex
 from repro.workload.catalog import catalog_config
 
@@ -230,6 +235,54 @@ def test_too_many_headers_get_431():
             url, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
         )
         assert reply.startswith(b"HTTP/1.1 200 "), reply
+
+
+def test_overlong_header_line_gets_431():
+    with running_service() as url:
+        reply = _raw_exchange(
+            url,
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000
+            + b"\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 431 "), reply
+
+
+#: Head lines a fuzzed request is built from: arbitrary bytes, lines
+#: around the reader's 64 KiB limit, and well-formed pieces with
+#: hostile values.
+_HEAD_LINES = st.one_of(
+    st.binary(max_size=120),
+    st.integers(65_000, 70_000).map(lambda n: b"x" * n),
+    st.sampled_from([
+        b"GET /healthz HTTP/1.1", b"POST /runs HTTP/1.1", b"GET / x",
+        b"Content-Length: 5", b"Content-Length: 0", b"Content-Length: -1",
+        b"content-length: 99999999999999999999", b"Content-Length: \xb2",
+        b"Content-Length:", b"Host: x", b":", b"",
+    ]),
+)
+
+
+@given(
+    lines=st.lists(_HEAD_LINES, max_size=6),
+    ending=st.sampled_from([b"", b"\r\n", b"\r\n\r\n", b"\n\n"]),
+    body=st.binary(max_size=16),
+)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_request_is_parsed_dropped_or_4xx(lines, ending, body):
+    """Whatever a client sends, the parser returns a request or ``None``
+    (the client left) or raises a 4xx ``_HttpError`` — nothing else."""
+    async def parse():
+        reader = asyncio.StreamReader()
+        reader.feed_data(b"\r\n".join(lines) + ending + body)
+        reader.feed_eof()
+        return await ServiceServer(host=None)._read_request(reader)
+
+    try:
+        request = asyncio.run(parse())
+    except _HttpError as exc:
+        assert 400 <= exc.status < 500, exc.status
+    else:
+        assert request is None or len(request) == 4
 
 
 @pytest.mark.parametrize("length", [b"twelve", b"-1", b"1.5"])

@@ -1,11 +1,13 @@
-"""Tests for repro.vod.simulator: the fluid VoD simulator."""
+"""Tests for the fluid VoD simulator (``repro.vod.simulator.VoDSimulator``,
+the simulation kernel's historical name)."""
 
 import numpy as np
 import pytest
 
 from repro.vod.channel import ChannelSpec, make_uniform_channels
+from repro.vod.multi import HOLDING
 from repro.vod.simulator import VoDSimulator, VoDSystemConfig
-from repro.workload.trace import Session, Trace
+from repro.workload.trace import Session, ShardTraceArrays, Trace
 
 R = 10e6 / 8.0
 r = 50_000.0
@@ -13,7 +15,15 @@ T0 = 300.0
 
 
 def make_trace(sessions):
-    return Trace(config_summary={}, sessions=sessions)
+    return ShardTraceArrays.from_trace(
+        Trace(config_summary={}, sessions=sessions)
+    )
+
+
+def live_chunks(sim):
+    """Current chunk (or HOLDING) of every live user, in admission order."""
+    n = sim._n
+    return sim._row_chunk[:n][sim._row_alive[:n]]
 
 
 def channels(num=1, chunks=4):
@@ -45,7 +55,7 @@ class TestArrivalsAndDepartures:
         trace = make_trace([Session(1.0, 0, 2, 123.0)])
         sim = VoDSimulator(channels(), trace, config())
         sim.advance_to(20.0)
-        stats = sim.tracker.close_interval()[0]
+        stats = sim.close_interval()[0]
         assert stats.arrivals == 1
         assert stats.start_chunk_counts[2] == 1
         assert stats.mean_upload_capacity == pytest.approx(123.0)
@@ -64,8 +74,8 @@ class TestDownloadDynamics:
         # Full VM bandwidth for chunk 0: 15 MB at 1.25 MB/s = 12 s.
         sim.set_cloud_capacity(0, np.array([R, 0, 0, 0]))
         sim.advance_to(30.0)
-        store = sim.stores[0]
-        assert store.owned[0, 0]
+        # Chunk 0 is done; the user watches it out (holds).
+        assert live_chunks(sim).tolist() == [HOLDING]
         assert sim.quality.total_retrievals == 1
         assert sim.quality.smooth_retrieval_fraction == 1.0
 
@@ -94,16 +104,15 @@ class TestDownloadDynamics:
         sim = VoDSimulator(channels(), trace, config(seed=3))
         sim.set_cloud_capacity(0, np.full(4, R))
         sim.advance_to(100.0)  # download done at ~12 s, playback runs to 300
-        store = sim.stores[0]
-        assert store.owned[0, 0]
+        assert sim.quality.total_retrievals == 1
         # Still watching chunk 0 (holding), not downloading chunk 1.
-        assert store.downloaders_per_chunk().sum() == 0
+        assert live_chunks(sim).tolist() == [HOLDING]
         sim.advance_to(320.0)
         # The hold released at ~310: the user departed, is downloading the
         # next chunk, or already finished it (fast) and holds again.
-        downloading = store.downloaders_per_chunk().sum() > 0
-        departed = store.num_active == 0
-        progressed = bool(store.owned[0, 1:].any())
+        downloading = bool((live_chunks(sim) >= 0).any())
+        departed = sim.population() == 0
+        progressed = sim.quality.total_retrievals >= 2
         assert downloading or departed or progressed
 
     def test_session_duration_tied_to_playback_not_bandwidth(self):
@@ -117,8 +126,8 @@ class TestDownloadDynamics:
         sim.set_cloud_capacity(0, np.full(4, 10 * R))
         sim.advance_to(2 * T0)
         # After 2 playback slots the user cannot have watched all 4 chunks.
-        assert sim.stores[0].num_active + sim.departures == 1
-        assert sim.stores[0].owned[0].sum() <= 3
+        assert sim.population() + sim.departures == 1
+        assert sim.quality.total_retrievals <= 3
 
 
 class TestQualityMetric:
