@@ -7,8 +7,9 @@ float accumulation order, hence identical quality series, bandwidth
 series and arrival/departure counts.
 
 This script runs the small fixed-capacity kernel scenarios, two
-closed-loop runs and two small sharded catalogs, and writes their
-trajectories to ``tests/golden/``.
+closed-loop runs, two small sharded catalogs and the 15 cells of the
+``ablation-controllers`` grid, and writes their trajectories (metrics,
+for the grid) to ``tests/golden/``.
 JSON float serialization uses ``repr`` round-tripping, so the recorded
 values are binary-exact.
 
@@ -35,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import EngineConfig, open_run
+from repro.experiments import registry
 from repro.experiments.config import small_scenario
 from repro.vod.simulator import VoDSimulator, VoDSystemConfig
 from repro.workload.catalog import CATALOG_VARIANTS, catalog_config
@@ -171,6 +173,20 @@ def catalog_trajectory(mode: str) -> dict:
     }
 
 
+def controller_cells() -> dict:
+    """Every ``ablation-controllers`` cell's metrics at the registry
+    defaults, seed 2011: each provisioning policy on each catalog shape
+    (single-region zipf and flash, multi-region geo), keyed
+    ``"<controller>/<catalog>"``."""
+    spec = registry.get("ablation-controllers")
+    return {
+        f"{params['controller']}/{params['catalog']}": spec.run_cell(
+            params, seed=2011
+        )
+        for params in spec.grid_points()
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=GOLDEN_DIR,
@@ -197,6 +213,10 @@ def main(argv=None) -> int:
             f"departures={payload['departures']}, "
             f"retrievals={payload['total_retrievals']})"
         )
+    cells = controller_cells()
+    path = out_dir / "controllers.json"
+    path.write_text(json.dumps(cells, indent=1) + "\n")
+    print(f"wrote {path} ({len(cells)} controller cells)")
     return 0
 
 

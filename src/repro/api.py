@@ -70,8 +70,10 @@ __all__ = [
 #: :attr:`EngineConfig.controller`; schema 3 is the pickled graph of the
 #: shared :class:`repro.sim.loop.EpochLoop` (one run-state record, one
 #: clock); schema 4 pickles every engine's data plane as the one
-#: simulation kernel, :class:`repro.vod.multi.MultiChannelSimulator`.
-CHECKPOINT_SCHEMA = 4
+#: simulation kernel, :class:`repro.vod.multi.MultiChannelSimulator`;
+#: schema 5 pickles one controller class per region shape, holding its
+#: provisioning policy as an object (``repro.core.controller``).
+CHECKPOINT_SCHEMA = 5
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -190,7 +192,9 @@ class EngineConfig:
     predictor:
         Optional arrival-rate predictor registry key (e.g. ``"ewma"``;
         see ``repro.experiments.registry.PREDICTORS``).  ``None`` keeps
-        the paper's last-interval rule.
+        the paper's last-interval rule.  The ``reactive`` and ``adapt``
+        controllers form their own rate estimate, so naming a predictor
+        with either is a configuration error.
     controller:
         Optional provisioning-policy registry key (e.g. ``"mpc"``; see
         ``repro.core.controller.CONTROLLERS``).  ``None`` keeps the
@@ -230,6 +234,14 @@ class EngineConfig:
                 raise ValueError(
                     f"unknown controller {self.controller!r} "
                     f"(registered: {', '.join(CONTROLLERS)})"
+                )
+            if (
+                self.predictor is not None
+                and not CONTROLLERS[self.controller].uses_predictor
+            ):
+                raise ValueError(
+                    f"controller {self.controller!r} never consults a "
+                    f"predictor; drop predictor={self.predictor!r}"
                 )
 
     @property

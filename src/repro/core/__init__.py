@@ -14,8 +14,9 @@ This package implements the paper's primary contribution (Section V):
 * :mod:`repro.core.predictor` — demand predictors: the paper's
   last-interval rule plus moving-average and EWMA extensions.
 * :mod:`repro.core.controller` — the provisioning-controller protocol,
-  the shared observe/predict/analyze skeleton, the rival-policy zoo
-  (reactive, Adapt, PID, MPC) and the controller registry.
+  the shared observe/predict/analyze/rent loop, the provisioning
+  policies (the paper's and the reactive, Adapt, PID and MPC rivals)
+  and the policy registry.
 * :mod:`repro.core.provisioner` — the dynamic cloud provisioning controller
   that closes the loop every interval T.
 * :mod:`repro.core.sla` — consumer-side SLA terms, budget accounting and
@@ -23,12 +24,12 @@ This package implements the paper's primary contribution (Section V):
 """
 
 from repro.core.controller import (
+    CONTROLLERS,
     AdaptEstimator,
     Controller,
     PIDLoop,
     ProvisioningControllerBase,
     ReactiveScaler,
-    controller_class,
     controller_names,
 )
 from repro.core.demand import ChannelDemand, DemandEstimator, aggregate_demand
@@ -55,12 +56,12 @@ from repro.core.vm_allocation import (
 )
 
 __all__ = [
+    "CONTROLLERS",
     "AdaptEstimator",
     "Controller",
     "PIDLoop",
     "ProvisioningControllerBase",
     "ReactiveScaler",
-    "controller_class",
     "controller_names",
     "ChannelDemand",
     "DemandEstimator",

@@ -1,32 +1,31 @@
 """The provisioning-controller protocol and the rival-policy zoo.
 
-The paper has exactly one provisioning policy: last-interval prediction
-plus the Section V threshold replan, wired through
-:class:`~repro.core.provisioner.ProvisioningController` (single region)
-and :class:`~repro.geo.controller.GeoProvisioningController` (multi
-region).  This module extracts the shared skeleton both controllers run
-— close the tracker interval, pick per-channel target rates, run the
-Section IV demand analysis, optionally reshape the demand vector, then
-optimize/negotiate/apply — so a *policy* is a small strategy over that
-skeleton rather than a fork of the whole loop:
+The paper has exactly one provisioning loop: observe the closed
+interval, predict the next arrival rates, run the Section IV demand
+analysis, then optimize, negotiate and rent (Section V-B).  This module
+holds that loop once and makes the *policy* a plain object the
+controller is handed, not a class it inherits:
 
 * :class:`Controller` — the structural protocol every engine drives
   (``bootstrap`` / ``run_interval`` / ``provision`` / ``decisions``).
-* :class:`ProvisioningControllerBase` — the shared skeleton.  The paper
-  controller IS this skeleton with the default hooks; byte-for-byte, its
-  ``run_interval`` performs the same operations in the same order as the
-  historical monolithic method.
-* Policy mixins — :class:`ReactivePolicy`, :class:`AdaptPolicy`,
-  :class:`PIDPolicy`, :class:`MPCPolicy` — override one of two hooks:
-  ``_target_rates`` (what arrival rates to provision for) or
-  ``_shape_demands`` (how to transform the analyzed demand vector).
-  Each mixin composes with either concrete controller, so every policy
-  exists in a single-region and a geo flavor without duplication.
+* :class:`ProvisioningControllerBase` — the loop, shared by the two
+  region shapes, :class:`~repro.core.provisioner.ProvisioningController`
+  (single region) and
+  :class:`~repro.geo.controller.GeoProvisioningController` (multi
+  region).  It also owns the tail of every decision: the broker request,
+  the rejection catch, the storage bookkeeping, the budget ledger and
+  the per-chunk capacity floor.  A flavour's ``provision`` keeps only
+  its solver calls and its decision type.
+* Policies — :class:`PaperPolicy` and its rivals :class:`ReactivePolicy`,
+  :class:`AdaptPolicy`, :class:`PIDPolicy`, :class:`MPCPolicy`.  The
+  controller calls two hooks on its policy, handing itself over:
+  ``target_rates(controller, stats)`` (what arrival rates to provision
+  for) and ``shape_demands(controller, demands)`` (how to transform the
+  analyzed demand vector).  Any policy works with either region shape.
 * :data:`CONTROLLERS` — the registry keyed by the ``controller`` knob
   (:class:`repro.api.EngineConfig`, ``repro run/catalog/geo
-  --controller``, the ``ablation-controllers`` scenarios).  Classes are
-  resolved lazily by dotted path so this module never imports the geo
-  layer at import time (the geo package imports the core one).
+  --controller``, the ``ablation-controllers`` scenarios), mapping each
+  key to its policy class.
 
 The rival policies:
 
@@ -47,19 +46,23 @@ The rival policies:
     Receding-horizon model-predictive control: forecast demand growth
     over the horizon, provision for the window's peak, and bound the
     anticipatory demand by solving the *exact*
-    :class:`~repro.geo.allocation.GeoVMProblem` LP (PR 4's solver) over
-    the shaped demand — falling back to the greedy when the grown
-    demand makes the LP infeasible under the budget.
+    :class:`~repro.geo.allocation.GeoVMProblem` LP over the shaped
+    demand — falling back to the greedy when the grown demand makes the
+    LP infeasible under the budget.
+
+``reactive`` and ``adapt`` form their own rate estimate, so they never
+consult the controller's arrival-rate predictor
+(``uses_predictor = False``); the others do.
 """
 
 from __future__ import annotations
 
-import importlib
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
+from repro.cloud.broker import NegotiationError, ResourceRequest
 from repro.core.demand import ChannelDemand, ChunkKey
 from repro.core.predictor import LastIntervalPredictor
 from repro.core.sla import BudgetLedger
@@ -71,16 +74,28 @@ __all__ = [
     "ReactiveScaler",
     "AdaptEstimator",
     "PIDLoop",
+    "PaperPolicy",
     "ReactivePolicy",
     "AdaptPolicy",
     "PIDPolicy",
     "MPCPolicy",
-    "ControllerInfo",
     "CONTROLLERS",
     "controller_names",
-    "controller_class",
     "storage_demand_shifted",
+    "STORAGE_REPLAN_THRESHOLD",
 ]
+
+#: Relative L1 change in the chunk-demand vector that triggers a storage
+#: replan ("if the demand for chunks has changed significantly since
+#: last interval", Section V-B).
+STORAGE_REPLAN_THRESHOLD = 0.25
+
+#: The PID policy's utilization setpoint (analyzed demand / granted).
+PID_SETPOINT = 1.0
+
+#: The MPC policy's horizon (intervals) and per-interval growth clamp.
+MPC_HORIZON = 3
+MPC_MAX_GROWTH = 3.0
 
 
 def storage_demand_shifted(
@@ -92,8 +107,6 @@ def storage_demand_shifted(
 
     True when videos were added/removed (key sets differ) or the
     relative L1 change of the demand vector exceeds ``threshold``.
-    Shared by the single-region and geo controllers so the replan rule
-    cannot silently diverge between them.
     """
     if set(current) != set(last):
         return True  # videos added or removed
@@ -141,38 +154,31 @@ class Controller(Protocol):
 
 
 class ProvisioningControllerBase:
-    """The shared observe -> predict -> analyze -> provision skeleton.
+    """The shared observe -> predict -> analyze -> provision loop.
 
-    Subclasses provide :meth:`provision` (what to optimize and how to
-    apply it — the single-region Eqn (6)/(7) pipeline or the geo
-    allocator) and may override the two policy hooks:
+    Subclasses provide :meth:`provision` (the single-region Eqn (6)/(7)
+    pipeline or the geo allocator), ``topology`` (the region graph the
+    MPC policy solves over) and ``_regional_demands`` (demands grouped
+    by viewer region); they finish each decision with :meth:`_rent` and
+    :meth:`_channel_capacities`.
 
-    * :meth:`_target_rates` — per-channel arrival rates to provision
-      for, given the closed interval's statistics.  The default is the
-      paper's rule: feed each observation to the predictor and ask it
-      for the next rate (last-interval by default).
-    * :meth:`_shape_demands` — transform the analyzed demand vector
-      before the optimizers see it.  The default is the identity; the
-      PID and MPC policies act here.
-
-    ``bootstrap`` never shapes: the initial deployment has no history
-    for any policy to act on, so it is policy-invariant by construction
-    (and byte-identical to the paper's).
+    ``bootstrap`` never consults the policy: the initial deployment has
+    no history for any policy to act on, so it is policy-invariant by
+    construction (and byte-identical to the paper's).
 
     Parameters
     ----------
-    storage_replan_threshold:
-        Relative L1 change in the chunk-demand vector that triggers a
-        storage replan ("if the demand for chunks has changed
-        significantly since last interval", Section V-B).
+    predictor:
+        Arrival-rate predictor the paper-style policies consult
+        (last-interval by default).
+    policy:
+        The provisioning policy (a :data:`CONTROLLERS` value, built);
+        the paper's by default.
     min_capacity_per_chunk:
         Optional floor (bytes/s) on granted capacity for chunks with a
         nonzero expected population; guards the first interval after a
         channel wakes up.
     """
-
-    #: Registry key of the policy this class implements.
-    policy = "paper"
 
     def __init__(
         self,
@@ -182,17 +188,15 @@ class ProvisioningControllerBase:
         terms,
         *,
         predictor=None,
-        storage_replan_threshold: float = 0.25,
+        policy=None,
         min_capacity_per_chunk: float = 0.0,
     ) -> None:
-        if storage_replan_threshold < 0:
-            raise ValueError("threshold must be >= 0")
         self.estimator = estimator
         self.tracker = tracker
         self.broker = broker
         self.terms = terms
         self.predictor = predictor or LastIntervalPredictor()
-        self.storage_replan_threshold = storage_replan_threshold
+        self.policy = policy if policy is not None else PaperPolicy()
         self.min_capacity_per_chunk = min_capacity_per_chunk
         self.ledger = BudgetLedger(terms)
         self.decisions: List[Any] = []
@@ -216,36 +220,79 @@ class ProvisioningControllerBase:
         return storage_demand_shifted(
             self._last_chunk_demand or {},
             chunk_demand,
-            self.storage_replan_threshold,
+            STORAGE_REPLAN_THRESHOLD,
         )
 
     # ------------------------------------------------------------------
-    # Policy hooks
+    # The shared tail of every decision
     # ------------------------------------------------------------------
-    def _target_rates(
-        self, now: float, interval_stats: Sequence[IntervalStats]
-    ) -> Dict[int, float]:
-        """Per-channel arrival rates to provision the next interval for.
+    def _rent(
+        self,
+        now: float,
+        vm_targets: Mapping[str, int],
+        storage_plan,
+        chunk_demand: Mapping[Any, float],
+        *,
+        feasible: bool,
+    ):
+        """Request the planned VMs and storage from the broker.
 
-        The paper's rule: every observation goes to the predictor, which
-        then answers for the channel.  Policies that form their own
-        rate estimate override this (the predictor is theirs to ignore).
+        Then keep the storage bookkeeping and record the interval in the
+        budget ledger.  ``feasible`` says whether the VM plan met its
+        demand.  Returns ``(agreement, rejected)``: the broker's
+        agreement, or the reason it refused the request.
         """
-        del now
-        predicted: Dict[int, float] = {}
-        for stats in interval_stats:
-            self.predictor.observe(stats.channel_id, stats.arrival_rate)
-            predicted[stats.channel_id] = self.predictor.predict(
-                stats.channel_id
-            )
-        return predicted
+        placement = (
+            storage_plan.to_facility_placement(self.chunk_size_bytes)
+            if storage_plan is not None and storage_plan.feasible
+            else None
+        )
+        request = ResourceRequest(
+            vm_targets=vm_targets,
+            storage_placement=placement,
+            max_hourly_budget=self.terms.total_budget_per_hour,
+        )
+        agreement = None
+        rejected: Optional[str] = None
+        try:
+            agreement = self.broker.request(request)
+        except NegotiationError as exc:
+            rejected = str(exc)
 
-    def _shape_demands(
-        self, now: float, demands: List[ChannelDemand]
-    ) -> List[ChannelDemand]:
-        """Transform the analyzed demand vector (identity by default)."""
-        del now
-        return demands
+        if storage_plan is not None and storage_plan.feasible and agreement:
+            self._storage_planned = True
+        self._last_chunk_demand = dict(chunk_demand)
+
+        self.ledger.record(
+            now,
+            agreement.hourly_vm_cost if agreement else 0.0,
+            self.broker.facility.billing.current_storage_cost_rate(),
+            feasible=feasible
+            and (storage_plan is None or storage_plan.feasible)
+            and rejected is None,
+        )
+        return agreement, rejected
+
+    def _channel_capacities(
+        self,
+        demands: Sequence[ChannelDemand],
+        grants: Mapping[ChunkKey, float],
+    ) -> Dict[int, np.ndarray]:
+        """Granted bytes/s per channel chunk, plus the populated-chunk
+        floor."""
+        arrays: Dict[int, np.ndarray] = {}
+        for demand in demands:
+            j = demand.cloud_demand.size
+            arr = np.zeros(j, dtype=float)
+            for i in range(j):
+                arr[i] = grants.get((demand.channel_id, i), 0.0)
+            if self.min_capacity_per_chunk > 0:
+                populated = demand.expected_in_system > 0
+                arr[populated] = np.maximum(
+                    arr[populated], self.min_capacity_per_chunk
+                )
+            arrays[demand.channel_id] = arr
+        return arrays
 
     # ------------------------------------------------------------------
     # The subclass-provided optimization pipeline
@@ -294,11 +341,11 @@ class ProvisioningControllerBase:
         per-interval sample mean.
         """
         interval_stats: List[IntervalStats] = self.tracker.close_interval()
-        predicted = self._target_rates(now, interval_stats)
+        predicted = self.policy.target_rates(self, interval_stats)
         demands = self.estimator.estimate_all(
             interval_stats, arrival_rates=predicted, peer_upload=peer_upload
         )
-        return self.provision(now, self._shape_demands(now, demands))
+        return self.provision(now, self.policy.shape_demands(self, demands))
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +484,7 @@ class PIDLoop:
 
 
 # ----------------------------------------------------------------------
-# Policy mixins (compose with either concrete controller)
+# Policies (each works with either region shape)
 # ----------------------------------------------------------------------
 
 def _scaled_demand(demand: ChannelDemand, gain: float) -> ChannelDemand:
@@ -446,171 +493,122 @@ def _scaled_demand(demand: ChannelDemand, gain: float) -> ChannelDemand:
     return replace(demand, cloud_demand=demand.cloud_demand * float(gain))
 
 
-class ReactivePolicy:
-    """Reactive threshold scaling over the shared skeleton."""
+class PaperPolicy:
+    """Last-interval prediction + threshold replan (Section V-B).
 
-    policy = "reactive"
+    Every observation goes to the controller's predictor, which then
+    answers for the channel; the analyzed demand vector is provisioned
+    as is.  The rivals override one of the two hooks.
+    """
 
-    def __init__(
-        self,
-        *args,
-        reactive_up_threshold: float = 1.1,
-        reactive_down_threshold: float = 0.7,
-        reactive_headroom: float = 0.2,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self.reactive = ReactiveScaler(
-            up_threshold=reactive_up_threshold,
-            down_threshold=reactive_down_threshold,
-            headroom=reactive_headroom,
-        )
+    #: Does the policy consult the controller's arrival-rate predictor?
+    uses_predictor = True
 
-    def _target_rates(self, now, interval_stats):
-        del now
+    def target_rates(
+        self, controller, interval_stats: Sequence[IntervalStats]
+    ) -> Dict[int, float]:
+        """Per-channel arrival rates to provision the next interval for."""
+        predictor = controller.predictor
+        predicted: Dict[int, float] = {}
+        for stats in interval_stats:
+            predictor.observe(stats.channel_id, stats.arrival_rate)
+            predicted[stats.channel_id] = predictor.predict(stats.channel_id)
+        return predicted
+
+    def shape_demands(
+        self, controller, demands: List[ChannelDemand]
+    ) -> List[ChannelDemand]:
+        """Transform the analyzed demand vector (identity here)."""
+        del controller
+        return demands
+
+
+class _RulePolicy(PaperPolicy):
+    """Target rates from a per-channel rule (``self.rule.update``)
+    instead of the predictor."""
+
+    uses_predictor = False
+    rule: Any
+
+    def target_rates(self, controller, interval_stats):
+        del controller
         return {
-            stats.channel_id: self.reactive.update(
+            stats.channel_id: self.rule.update(
                 stats.channel_id, stats.arrival_rate
             )
             for stats in interval_stats
         }
 
 
-class AdaptPolicy:
-    """Adapt-style weighted-history estimation over the shared skeleton."""
+class ReactivePolicy(_RulePolicy):
+    """Threshold scaling with hysteresis and headroom
+    (:class:`ReactiveScaler`)."""
 
-    policy = "adapt"
-
-    def __init__(
-        self,
-        *args,
-        adapt_weight: float = 0.5,
-        adapt_negative_damping: float = 15.0,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self.adapt = AdaptEstimator(
-            weight=adapt_weight, negative_damping=adapt_negative_damping
-        )
-
-    def _target_rates(self, now, interval_stats):
-        del now
-        return {
-            stats.channel_id: self.adapt.update(
-                stats.channel_id, stats.arrival_rate
-            )
-            for stats in interval_stats
-        }
+    def __init__(self) -> None:
+        self.rule = ReactiveScaler()
 
 
-class PIDPolicy:
+class AdaptPolicy(_RulePolicy):
+    """Adapt-style weighted level + trend estimation
+    (:class:`AdaptEstimator`, after the OpenDC prototype)."""
+
+    def __init__(self) -> None:
+        self.rule = AdaptEstimator()
+
+
+class PIDPolicy(PaperPolicy):
     """PID on the demand/grant utilization error, shaping the demand.
 
     The measured signal is the ratio of this interval's analyzed total
     demand to the capacity actually granted last interval; the error is
-    its excess over ``pid_setpoint``.  The loop's clamped gain
+    its excess over :data:`PID_SETPOINT`.  The loop's clamped gain
     multiplies every channel's demand vector, so persistent
     under-provisioning (ratio > setpoint) escalates the request and
     slack capacity relaxes it — bounded actuation by construction.
     """
 
-    policy = "pid"
+    def __init__(self) -> None:
+        self.loop = PIDLoop()
 
-    def __init__(
-        self,
-        *args,
-        pid_kp: float = 0.6,
-        pid_ki: float = 0.15,
-        pid_kd: float = 0.1,
-        pid_setpoint: float = 1.0,
-        pid_min_gain: float = 0.5,
-        pid_max_gain: float = 4.0,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        if pid_setpoint <= 0:
-            raise ValueError("setpoint must be > 0")
-        self.pid_setpoint = float(pid_setpoint)
-        self.pid = PIDLoop(
-            kp=pid_kp,
-            ki=pid_ki,
-            kd=pid_kd,
-            min_gain=pid_min_gain,
-            max_gain=pid_max_gain,
-        )
-
-    def _last_granted_total(self) -> float:
-        if not self.decisions:
-            return 0.0
-        last = self.decisions[-1]
-        return float(
-            sum(arr.sum() for arr in last.per_channel_capacity.values())
-        )
-
-    def _shape_demands(self, now, demands):
-        del now
+    def shape_demands(self, controller, demands):
         total = float(sum(d.total_cloud_demand for d in demands))
-        granted = self._last_granted_total()
+        granted = 0.0
+        if controller.decisions:
+            last = controller.decisions[-1]
+            granted = float(
+                sum(arr.sum() for arr in last.per_channel_capacity.values())
+            )
         if granted <= 0.0 or total <= 0.0:
             return demands  # no utilization signal yet
-        error = total / granted - self.pid_setpoint
-        gain = self.pid.update(error)
+        gain = self.loop.update(total / granted - PID_SETPOINT)
         if gain == 1.0:
             return demands
         return [_scaled_demand(d, gain) for d in demands]
 
 
-class MPCPolicy:
+class MPCPolicy(PaperPolicy):
     """Receding-horizon MPC with the exact geo LP as the inner solve.
 
     Each interval: record the analyzed total demand, estimate the
     per-interval growth factor from the last step, and provision for the
-    anticipated *peak* over the next ``mpc_horizon`` intervals
-    (``growth ** horizon``, growth clamped to ``mpc_max_growth``).  The
-    grown demand is then bounded by reality: the exact
+    anticipated *peak* over the next :data:`MPC_HORIZON` intervals
+    (``growth ** horizon``, growth clamped to :data:`MPC_MAX_GROWTH`).
+    The grown demand is then bounded by reality: the exact
     :class:`~repro.geo.allocation.GeoVMProblem` LP is solved over it
-    under the VM budget, and each chunk's anticipatory demand is clipped
-    to the capacity that solve could actually place (never below the
-    unshaped analysis).  When the grown demand is infeasible under the
-    budget the LP has no solution — ``mpc_lp_fallbacks`` counts those
-    intervals and the greedy's best-effort partial plan bounds the
-    shaping instead.
-
-    Subclasses say what problem to solve via :meth:`_mpc_topology` and
-    :meth:`_mpc_regional_demands` (a degenerate one-region topology for
-    the single-region controller, the real one for geo).
+    under the VM budget, on the controller's ``topology`` (one
+    ``"local"`` region for the single-region controller), and each
+    chunk's anticipatory demand is clipped to the capacity that solve
+    could actually place (never below the unshaped analysis).  When the
+    grown demand is infeasible under the budget the LP has no solution —
+    ``lp_fallbacks`` counts those intervals and the greedy's best-effort
+    partial plan bounds the shaping instead.
     """
 
-    policy = "mpc"
+    def __init__(self) -> None:
+        self.lp_fallbacks = 0
+        self._rate_history: List[float] = []
 
-    def __init__(
-        self,
-        *args,
-        mpc_horizon: int = 3,
-        mpc_max_growth: float = 3.0,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        if mpc_horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if mpc_max_growth < 1.0:
-            raise ValueError("max growth must be >= 1")
-        self.mpc_horizon = int(mpc_horizon)
-        self.mpc_max_growth = float(mpc_max_growth)
-        self.mpc_lp_fallbacks = 0
-        self._mpc_rate_history: List[float] = []
-
-    # -- the problem the subclass exposes ------------------------------
-    def _mpc_topology(self):
-        raise NotImplementedError
-
-    def _mpc_regional_demands(
-        self, demands: Sequence[ChannelDemand]
-    ) -> Mapping[str, Mapping[Any, float]]:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    def _mpc_solve(self, demands: Sequence[ChannelDemand]):
+    def _solve(self, controller, demands: Sequence[ChannelDemand]):
         """Exact LP over the shaped demand; greedy when infeasible."""
         # Lazy import: the geo package imports the core one at init.
         from repro.geo.allocation import (
@@ -620,39 +618,39 @@ class MPCPolicy:
         )
 
         problem = GeoVMProblem(
-            topology=self._mpc_topology(),
-            demands=self._mpc_regional_demands(demands),
-            vm_bandwidth=self.vm_bandwidth,
-            budget_per_hour=self.terms.vm_budget_per_hour,
+            topology=controller.topology,
+            demands=controller._regional_demands(demands),
+            vm_bandwidth=controller.vm_bandwidth,
+            budget_per_hour=controller.terms.vm_budget_per_hour,
         )
         plan = lp_geo_allocation(problem)
         if not plan.feasible:
-            self.mpc_lp_fallbacks += 1
+            self.lp_fallbacks += 1
             plan = greedy_geo_allocation(problem)
         return plan
 
-    def _shape_demands(self, now, demands):
-        del now
+    def shape_demands(self, controller, demands):
         total = float(sum(d.total_cloud_demand for d in demands))
-        history = self._mpc_rate_history
+        history = self._rate_history
         prev = history[-1] if history else None
         history.append(total)
-        if len(history) > self.mpc_horizon + 1:
-            del history[: len(history) - (self.mpc_horizon + 1)]
+        if len(history) > MPC_HORIZON + 1:
+            del history[: len(history) - (MPC_HORIZON + 1)]
         if prev is None or prev <= 0.0 or total <= 0.0:
             return demands  # no growth signal yet
-        growth = min(self.mpc_max_growth, total / prev)
-        factor = max(1.0, growth ** self.mpc_horizon)
+        growth = min(MPC_MAX_GROWTH, total / prev)
+        factor = max(1.0, growth ** MPC_HORIZON)
         shaped = (
             demands
             if factor <= 1.0 + 1e-12
             else [_scaled_demand(d, factor) for d in demands]
         )
-        plan = self._mpc_solve(shaped)
+        plan = self._solve(controller, shaped)
         served: Dict[Any, float] = {}
         for (_viewer, chunk, _serving, _cluster), z in \
                 plan.allocations.items():
-            served[chunk] = served.get(chunk, 0.0) + z * self.vm_bandwidth
+            served[chunk] = served.get(chunk, 0.0) + \
+                z * controller.vm_bandwidth
         clipped: List[ChannelDemand] = []
         for base, grown in zip(demands, shaped):
             arr = np.asarray(grown.cloud_demand, dtype=float).copy()
@@ -669,73 +667,16 @@ class MPCPolicy:
 # The registry
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ControllerInfo:
-    """One registered policy: its key, blurb, and concrete classes
-    (dotted paths, resolved lazily to keep the core/geo import graph
-    acyclic)."""
-
-    name: str
-    title: str
-    single: Tuple[str, str]  # (module, class) for the single-region flavor
-    geo: Tuple[str, str]  # (module, class) for the multi-region flavor
-
-
-CONTROLLERS: Dict[str, ControllerInfo] = {
-    info.name: info
-    for info in (
-        ControllerInfo(
-            "paper",
-            "last-interval prediction + threshold replan (Section V-B)",
-            ("repro.core.provisioner", "ProvisioningController"),
-            ("repro.geo.controller", "GeoProvisioningController"),
-        ),
-        ControllerInfo(
-            "reactive",
-            "threshold scaling with hysteresis and headroom",
-            ("repro.core.provisioner", "ReactiveProvisioningController"),
-            ("repro.geo.controller", "ReactiveGeoProvisioningController"),
-        ),
-        ControllerInfo(
-            "adapt",
-            "Adapt-style weighted level+trend estimator (OpenDC prototype)",
-            ("repro.core.provisioner", "AdaptProvisioningController"),
-            ("repro.geo.controller", "AdaptGeoProvisioningController"),
-        ),
-        ControllerInfo(
-            "pid",
-            "PID on the demand/grant utilization error, anti-windup",
-            ("repro.core.provisioner", "PIDProvisioningController"),
-            ("repro.geo.controller", "PIDGeoProvisioningController"),
-        ),
-        ControllerInfo(
-            "mpc",
-            "receding-horizon MPC, exact geo LP inner solve",
-            ("repro.core.provisioner", "MPCProvisioningController"),
-            ("repro.geo.controller", "MPCGeoProvisioningController"),
-        ),
-    )
+#: Policy key -> policy class, paper first.
+CONTROLLERS: Dict[str, type] = {
+    "paper": PaperPolicy,
+    "reactive": ReactivePolicy,
+    "adapt": AdaptPolicy,
+    "pid": PIDPolicy,
+    "mpc": MPCPolicy,
 }
 
 
 def controller_names() -> Tuple[str, ...]:
     """The registered policy keys, registry order (paper first)."""
     return tuple(CONTROLLERS)
-
-
-def controller_class(name: str, *, geo: bool = False) -> type:
-    """Resolve a policy key to its concrete controller class.
-
-    ``geo`` selects the multi-region flavor.  Unknown keys fail fast,
-    naming the registered policies (the same style as the predictor
-    registry and ``--set`` preflight).
-    """
-    try:
-        info = CONTROLLERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown controller {name!r} "
-            f"(registered: {', '.join(CONTROLLERS)})"
-        ) from None
-    module_name, class_name = info.geo if geo else info.single
-    return getattr(importlib.import_module(module_name), class_name)

@@ -20,30 +20,23 @@ user scale and viewing pattern information") is :meth:`bootstrap`, which
 runs the same pipeline on operator-supplied expected rates instead of
 tracker measurements.
 
-Steps 1-2 and 5 are the shared skeleton in
-:class:`repro.core.controller.ProvisioningControllerBase`; this module
-owns the single-region optimization pipeline (steps 3-4) and the
-concrete rival-policy controllers obtained by composing the policy
-mixins with it (``repro.core.controller`` documents the policies).
+Steps 1-2, the request of step 4 and the grants of step 5 are the
+shared loop in :class:`repro.core.controller.ProvisioningControllerBase`,
+which also holds the controller's provisioning policy
+(``repro.core.controller`` documents the policies); this module owns the
+single-region optimization pipeline (step 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.cloud.broker import NegotiationError, ResourceRequest, SLAAgreement
-from repro.core.controller import (
-    AdaptPolicy,
-    MPCPolicy,
-    PIDPolicy,
-    ProvisioningControllerBase,
-    ReactivePolicy,
-    storage_demand_shifted,
-)
-from repro.core.demand import ChannelDemand, ChunkKey, aggregate_demand
+from repro.cloud.broker import SLAAgreement
+from repro.core.controller import ProvisioningControllerBase
+from repro.core.demand import ChannelDemand, aggregate_demand
 from repro.core.packing import PackingResult, pack_allocations
 from repro.core.storage_rental import StoragePlan, StorageProblem, greedy_storage_rental
 from repro.core.vm_allocation import VMAllocationPlan, VMProblem, greedy_vm_allocation
@@ -51,11 +44,6 @@ from repro.core.vm_allocation import VMAllocationPlan, VMProblem, greedy_vm_allo
 __all__ = [
     "ProvisioningDecision",
     "ProvisioningController",
-    "ReactiveProvisioningController",
-    "AdaptProvisioningController",
-    "PIDProvisioningController",
-    "MPCProvisioningController",
-    "storage_demand_shifted",
 ]
 
 
@@ -120,32 +108,28 @@ class ProvisioningDecision:
 class ProvisioningController(ProvisioningControllerBase):
     """Closes the provisioning loop between tracker, analysis and cloud.
 
-    The observe/predict/analyze skeleton (and the policy hooks) live in
+    The observe/predict/analyze loop and the policy live in
     :class:`~repro.core.controller.ProvisioningControllerBase`; this
-    class supplies the single-region optimization pipeline.
+    class supplies the single-region optimization pipeline.  Its
+    ``topology`` is one ``"local"`` region over the facility's VM
+    clusters, the problem the MPC policy's inner solve sees.
     """
 
     decisions: List[ProvisioningDecision]
 
-    # ------------------------------------------------------------------
-    def _grants_to_channel_arrays(
-        self,
-        demands: Sequence[ChannelDemand],
-        grants: Mapping[ChunkKey, float],
-    ) -> Dict[int, np.ndarray]:
-        arrays: Dict[int, np.ndarray] = {}
-        for demand in demands:
-            j = demand.cloud_demand.size
-            arr = np.zeros(j, dtype=float)
-            for i in range(j):
-                arr[i] = grants.get((demand.channel_id, i), 0.0)
-            if self.min_capacity_per_chunk > 0:
-                populated = demand.expected_in_system > 0
-                arr[populated] = np.maximum(
-                    arr[populated], self.min_capacity_per_chunk
-                )
-            arrays[demand.channel_id] = arr
-        return arrays
+    def __init__(self, estimator, tracker, broker, terms, **kwargs) -> None:
+        super().__init__(estimator, tracker, broker, terms, **kwargs)
+        # Lazy import: the geo package imports the core one at init.
+        from repro.geo.region import GeoTopology, RegionSpec
+
+        self.topology = GeoTopology(
+            [RegionSpec("local", tuple(broker.facility.vm_specs.values()))],
+            {},
+            {},
+        )
+
+    def _regional_demands(self, demands):
+        return {"local": aggregate_demand(demands)}
 
     # ------------------------------------------------------------------
     # Decision pipeline (shared by bootstrap and periodic runs)
@@ -184,24 +168,10 @@ class ProvisioningController(ProvisioningControllerBase):
         # --- Request to the cloud -----------------------------------------
         vm_targets = {spec.name: 0 for spec in vm_specs}
         vm_targets.update(vm_plan.integer_vm_counts())
-        placement = (
-            storage_plan.to_facility_placement(self.chunk_size_bytes)
-            if storage_plan is not None and storage_plan.feasible
-            else None
+        agreement, rejected = self._rent(
+            now, vm_targets, storage_plan, chunk_demand,
+            feasible=vm_plan.feasible,
         )
-        request = ResourceRequest(
-            vm_targets=vm_targets,
-            storage_placement=placement,
-            max_hourly_budget=self.terms.total_budget_per_hour,
-        )
-        agreement: Optional[SLAAgreement] = None
-        rejected: Optional[str] = None
-        try:
-            agreement = self.broker.request(request)
-        except NegotiationError as exc:
-            rejected = str(exc)
-
-        grants = vm_plan.chunk_bandwidth(self.vm_bandwidth)
         decision = ProvisioningDecision(
             time=now,
             demands=demands,
@@ -209,67 +179,12 @@ class ProvisioningController(ProvisioningControllerBase):
             storage_plan=storage_plan,
             packing=packing,
             agreement=agreement,
-            per_channel_capacity=self._grants_to_channel_arrays(demands, grants),
+            per_channel_capacity=self._channel_capacities(
+                demands, vm_plan.chunk_bandwidth(self.vm_bandwidth)
+            ),
             rejected=rejected,
             cluster_utilities={spec.name: spec.utility for spec in vm_specs},
             nfs_utilities={spec.name: spec.utility for spec in nfs_specs},
         )
         self.decisions.append(decision)
-
-        if storage_plan is not None and storage_plan.feasible and agreement:
-            self._storage_planned = True
-        self._last_chunk_demand = dict(chunk_demand)
-
-        vm_rate = agreement.hourly_vm_cost if agreement else 0.0
-        storage_rate = self.broker.facility.billing.current_storage_cost_rate()
-        self.ledger.record(
-            now,
-            vm_rate,
-            storage_rate,
-            feasible=vm_plan.feasible
-            and (storage_plan is None or storage_plan.feasible)
-            and rejected is None,
-        )
         return decision
-
-
-class ReactiveProvisioningController(ReactivePolicy, ProvisioningController):
-    """Single-region reactive threshold scaling (``controller="reactive"``)."""
-
-
-class AdaptProvisioningController(AdaptPolicy, ProvisioningController):
-    """Single-region Adapt-style proactive estimator (``controller="adapt"``)."""
-
-
-class PIDProvisioningController(PIDPolicy, ProvisioningController):
-    """Single-region PID demand shaping (``controller="pid"``)."""
-
-
-class MPCProvisioningController(MPCPolicy, ProvisioningController):
-    """Single-region receding-horizon MPC (``controller="mpc"``).
-
-    The inner solve runs the exact geo LP over a degenerate one-region
-    topology wrapping this facility's VM clusters.
-    """
-
-    def _mpc_topology(self):
-        topology = getattr(self, "_mpc_cached_topology", None)
-        if topology is None:
-            # Lazy import: the geo package imports the core one at init.
-            from repro.geo.region import GeoTopology, RegionSpec
-
-            topology = GeoTopology(
-                [
-                    RegionSpec(
-                        "local",
-                        tuple(self.broker.facility.vm_specs.values()),
-                    )
-                ],
-                {},
-                {},
-            )
-            self._mpc_cached_topology = topology
-        return topology
-
-    def _mpc_regional_demands(self, demands):
-        return {"local": aggregate_demand(demands)}

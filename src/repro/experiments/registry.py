@@ -52,11 +52,12 @@ from repro.queueing.capacity import CapacityModel, solve_channel_capacity
 from repro.sim.rng import make_rng
 from repro.queueing.transitions import mixture_matrix, sequential_matrix, uniform_jump_matrix
 from repro.vod.channel import default_behaviour_matrix
-# Only CATALOG_VARIANTS may be imported from repro.workload.catalog at
-# module level (it is defined before that module's own experiment-layer
-# imports); everything else from the catalog/shard layer is imported
-# lazily inside _run_catalog_cell to keep the import graph acyclic.
-from repro.workload.catalog import CATALOG_VARIANTS
+# Only CATALOG_VARIANTS and GEO_TOPOLOGIES may be imported from
+# repro.workload.catalog at module level (they are defined before that
+# module's own experiment-layer imports); everything else from the
+# catalog/shard layer is imported lazily inside _run_catalog_cell to
+# keep the import graph acyclic.
+from repro.workload.catalog import CATALOG_VARIANTS, GEO_TOPOLOGIES
 from repro.workload.diurnal import DiurnalPattern
 
 __all__ = [
@@ -606,15 +607,17 @@ _GEO_CATALOG_DEFAULTS = {
 # Geo extension (paper Section VII) — three regions, shifted flash crowds.
 # ----------------------------------------------------------------------
 
-GEO_REGION_OFFSETS: Dict[str, float] = {
-    "us-east": -5.0,
-    "eu-west": 1.0,
-    "ap-south": 5.5,
-}
+_GEO_PRESET = GEO_TOPOLOGIES["us-eu-ap"]
+
+#: Viewer region -> UTC offset (hours) of the ``us-eu-ap`` preset.
+GEO_REGION_OFFSETS: Dict[str, float] = dict(
+    zip(_GEO_PRESET["regions"], _GEO_PRESET["utc_offset_hours"])
+)
 
 
 def geo_topology(vms_per_cluster: int = 10) -> GeoTopology:
-    """Three regions with Table II-style clusters and priced cross links."""
+    """The ``us-eu-ap`` preset's three regions with Table II-style
+    clusters and priced cross links."""
     def clusters(price_factor: float) -> Tuple[VirtualClusterSpec, ...]:
         rows = [("standard", 0.6, 0.45), ("medium", 0.8, 0.70),
                 ("advanced", 1.0, 0.80)]
@@ -626,24 +629,16 @@ def geo_topology(vms_per_cluster: int = 10) -> GeoTopology:
             for n, u, p in rows
         )
 
-    regions = [
-        RegionSpec("us-east", clusters(1.00)),
-        RegionSpec("eu-west", clusters(1.10)),
-        RegionSpec("ap-south", clusters(0.85)),
-    ]
     return GeoTopology(
-        regions,
-        latency_ms={
-            ("us-east", "eu-west"): 80.0,
-            ("us-east", "ap-south"): 220.0,
-            ("eu-west", "ap-south"): 150.0,
-        },
-        egress_price_per_gb={
-            ("us-east", "eu-west"): 0.02,
-            ("us-east", "ap-south"): 0.05,
-            ("eu-west", "ap-south"): 0.04,
-        },
-        latency_halflife_ms=200.0,
+        [
+            RegionSpec(name, clusters(factor))
+            for name, factor in zip(
+                _GEO_PRESET["regions"], _GEO_PRESET["price_factors"]
+            )
+        ],
+        latency_ms=dict(_GEO_PRESET["latency_ms"]),
+        egress_price_per_gb=dict(_GEO_PRESET["egress_price_per_gb"]),
+        latency_halflife_ms=float(_GEO_PRESET["latency_halflife_ms"]),
     )
 
 

@@ -31,7 +31,7 @@ from repro.vod.multi import (
     VoDSystemConfig,
 )
 from repro.vod.tracker import TrackingServer
-from repro.workload.trace import ShardTraceArrays, Trace, generate_trace
+from repro.workload.trace import ShardTraceArrays, generate_trace
 
 __all__ = ["ClosedLoopResult", "ClosedLoopEngine"]
 
@@ -83,15 +83,9 @@ class ClosedLoopEngine(EpochLoop):
     ----------
     scenario:
         The scenario preset to run.
-    trace:
-        Optional pre-generated trace (defaults to the scenario's).
     predictor:
         Optional predictor override (the predictor ablation uses this);
         defaults to the paper's last-interval rule.
-    min_capacity_per_chunk:
-        Capacity floor override; defaults to one streaming rate per
-        chunk, which keeps a just-woken channel from starving its first
-        viewers.
     controller:
         Registered provisioning-policy key
         (:func:`repro.core.controller.controller_names`); ``None`` means
@@ -104,13 +98,10 @@ class ClosedLoopEngine(EpochLoop):
         self,
         scenario: ScenarioConfig,
         *,
-        trace: Optional[Trace] = None,
         predictor: Optional[ArrivalRatePredictor] = None,
-        min_capacity_per_chunk: Optional[float] = None,
         controller: Optional[str] = None,
     ) -> None:
         self.scenario = scenario
-        self._trace = trace
         self.simulator: Optional[MultiChannelSimulator] = None
         self._cursor = KernelCursor()
         constants = scenario.constants
@@ -131,20 +122,13 @@ class ClosedLoopEngine(EpochLoop):
             ),
             predictor=predictor,
             controller=controller,
-            min_capacity_per_chunk=(
-                min_capacity_per_chunk
-                if min_capacity_per_chunk is not None
-                else constants.streaming_rate
-            ),
         )
 
     # ------------------------------------------------------------------
     def _bootstrap(self) -> ProvisioningDecision:
         """Build the trace and simulator, then the initial deployment."""
         scenario = self.scenario
-        trace = self._trace
-        if trace is None:
-            trace = generate_trace(scenario.trace_config())
+        trace = generate_trace(scenario.trace_config())
         self.simulator = MultiChannelSimulator(
             scenario.channels(),
             ShardTraceArrays.from_trace(trace),

@@ -22,11 +22,12 @@ Each decision yields
   the engine folds into the quality metrics
   (:func:`repro.vod.metrics.latency_adjusted_quality`).
 
-The observe/predict/analyze skeleton is
+The observe/predict/analyze loop, the broker request, the budget
+ledger and the capacity floor are
 :class:`repro.core.controller.ProvisioningControllerBase` — shared with
-the single-region controller, so the geo loop is a strategy over the
-same skeleton, not a fork — and the policy mixins compose with this
-class the same way (``repro.core.controller`` documents the policies).
+the single-region controller, so the geo loop is the same loop over a
+different solver, not a fork — and it holds any provisioning policy the
+same way (``repro.core.controller`` documents the policies).
 """
 
 from __future__ import annotations
@@ -36,14 +37,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cloud.broker import Broker, NegotiationError, ResourceRequest, SLAAgreement
-from repro.core.controller import (
-    AdaptPolicy,
-    MPCPolicy,
-    PIDPolicy,
-    ProvisioningControllerBase,
-    ReactivePolicy,
-)
+from repro.cloud.broker import Broker, SLAAgreement
+from repro.core.controller import ProvisioningControllerBase
 from repro.core.demand import ChannelDemand, DemandEstimator
 from repro.core.predictor import ArrivalRatePredictor
 from repro.core.sla import SLATerms
@@ -60,10 +55,6 @@ from repro.vod.tracker import TrackingServer
 __all__ = [
     "GeoProvisioningDecision",
     "GeoProvisioningController",
-    "ReactiveGeoProvisioningController",
-    "AdaptGeoProvisioningController",
-    "PIDGeoProvisioningController",
-    "MPCGeoProvisioningController",
 ]
 
 
@@ -125,7 +116,7 @@ class GeoProvisioningController(ProvisioningControllerBase):
 
     Parameters
     ----------
-    estimator / tracker / broker / terms / predictor:
+    estimator / tracker / broker / terms / predictor / policy:
         Same roles as in the single-region controller; the tracker and
         predictor are keyed by slot id.
     topology:
@@ -141,10 +132,6 @@ class GeoProvisioningController(ProvisioningControllerBase):
         Use the LP optimum instead of the greedy each interval.
     min_capacity_per_chunk:
         Same floor semantics as the single-region controller.
-    storage_replan_threshold:
-        Relative L1 change in the channel-chunk demand vector that
-        triggers a storage replan (same rule as the single-region
-        controller).
     """
 
     decisions: List[GeoProvisioningDecision]
@@ -160,10 +147,9 @@ class GeoProvisioningController(ProvisioningControllerBase):
         slot_channel: Callable[[int], int],
         *,
         predictor: Optional[ArrivalRatePredictor] = None,
+        policy=None,
         exact: bool = False,
         min_capacity_per_chunk: float = 0.0,
-        storage_replan_threshold: float = 0.25,
-        **kwargs,
     ) -> None:
         super().__init__(
             estimator,
@@ -171,9 +157,8 @@ class GeoProvisioningController(ProvisioningControllerBase):
             broker,
             terms,
             predictor=predictor,
-            storage_replan_threshold=storage_replan_threshold,
+            policy=policy,
             min_capacity_per_chunk=min_capacity_per_chunk,
-            **kwargs,
         )
         self.topology = topology
         self.slot_region = slot_region
@@ -199,33 +184,14 @@ class GeoProvisioningController(ProvisioningControllerBase):
                 region[chunk_key] = delta
         return regional
 
-    def _capacity_arrays(
-        self,
-        demands: Sequence[ChannelDemand],
-        plan: GeoAllocationPlan,
-    ) -> Dict[int, np.ndarray]:
-        """Granted bytes/s per slot chunk: R × Σ serving cells, plus the
-        populated-chunk floor (same contract as the single-region
-        controller's grants)."""
-        grants: Dict[int, Dict[int, float]] = {}
-        for (_viewer, (slot, chunk), _s, _cl), z in plan.allocations.items():
-            slot_grants = grants.setdefault(slot, {})
-            slot_grants[chunk] = (
-                slot_grants.get(chunk, 0.0) + z * self.vm_bandwidth
-            )
-        arrays: Dict[int, np.ndarray] = {}
-        for demand in demands:
-            j = demand.cloud_demand.size
-            arr = np.zeros(j, dtype=float)
-            for i, value in grants.get(demand.channel_id, {}).items():
-                arr[i] = value
-            if self.min_capacity_per_chunk > 0:
-                populated = demand.expected_in_system > 0
-                arr[populated] = np.maximum(
-                    arr[populated], self.min_capacity_per_chunk
-                )
-            arrays[demand.channel_id] = arr
-        return arrays
+    def _slot_grants(
+        self, plan: GeoAllocationPlan
+    ) -> Dict[object, float]:
+        """Granted bytes/s per ``(slot, chunk)``: R × Σ serving cells."""
+        grants: Dict[object, float] = {}
+        for (_viewer, key, _s, _cl), z in plan.allocations.items():
+            grants[key] = grants.get(key, 0.0) + z * self.vm_bandwidth
+        return grants
 
     def _channel_chunk_demand(
         self, demands: Sequence[ChannelDemand]
@@ -304,22 +270,10 @@ class GeoProvisioningController(ProvisioningControllerBase):
         for (region, cluster), total in sorted(plan.cluster_totals().items()):
             vm_targets[f"{region}:{cluster}"] = int(np.ceil(total - 1e-9))
 
-        placement = (
-            storage_plan.to_facility_placement(self.chunk_size_bytes)
-            if storage_plan is not None and storage_plan.feasible
-            else None
+        agreement, rejected = self._rent(
+            now, vm_targets, storage_plan, chunk_demand,
+            feasible=plan.feasible,
         )
-        request = ResourceRequest(
-            vm_targets=vm_targets,
-            storage_placement=placement,
-            max_hourly_budget=self.terms.total_budget_per_hour,
-        )
-        agreement: Optional[SLAAgreement] = None
-        rejected: Optional[str] = None
-        try:
-            agreement = self.broker.request(request)
-        except NegotiationError as exc:
-            rejected = str(exc)
 
         # On rejection the facility keeps its previous VM allocation, so
         # the previous egress level keeps accruing too — metering the
@@ -337,7 +291,9 @@ class GeoProvisioningController(ProvisioningControllerBase):
             demands=demands,
             plan=plan,
             agreement=agreement,
-            per_channel_capacity=self._capacity_arrays(demands, plan),
+            per_channel_capacity=self._channel_capacities(
+                demands, self._slot_grants(plan)
+            ),
             storage_plan=storage_plan,
             rejected=rejected,
             egress_rate_per_hour=egress_rate,
@@ -345,37 +301,4 @@ class GeoProvisioningController(ProvisioningControllerBase):
             remote_fraction=plan.remote_fraction(),
         )
         self.decisions.append(decision)
-
-        if storage_plan is not None and storage_plan.feasible and agreement:
-            self._storage_planned = True
-        self._last_chunk_demand = dict(chunk_demand)
         return decision
-
-
-class ReactiveGeoProvisioningController(
-    ReactivePolicy, GeoProvisioningController
-):
-    """Multi-region reactive threshold scaling (``controller="reactive"``)."""
-
-
-class AdaptGeoProvisioningController(AdaptPolicy, GeoProvisioningController):
-    """Multi-region Adapt-style proactive estimator (``controller="adapt"``)."""
-
-
-class PIDGeoProvisioningController(PIDPolicy, GeoProvisioningController):
-    """Multi-region PID demand shaping (``controller="pid"``)."""
-
-
-class MPCGeoProvisioningController(MPCPolicy, GeoProvisioningController):
-    """Multi-region receding-horizon MPC (``controller="mpc"``).
-
-    The inner solve is the real topology's exact LP — the same
-    :class:`~repro.geo.allocation.GeoVMProblem` the ``exact`` paper
-    controller would solve, but over the horizon-grown demand.
-    """
-
-    def _mpc_topology(self):
-        return self.topology
-
-    def _mpc_regional_demands(self, demands):
-        return self._regional_demands(demands)

@@ -36,7 +36,8 @@ import numpy as np
 
 from repro.cloud.broker import Broker
 from repro.cloud.scheduler import CloudFacility
-from repro.core.controller import controller_class
+from repro.core.controller import CONTROLLERS
+from repro.core.provisioner import ProvisioningController
 from repro.vod.tracker import IntervalStats
 
 __all__ = ["EpochClock", "EpochLoop", "EpochRun", "KernelCursor"]
@@ -184,11 +185,13 @@ class EpochLoop:
     provisioning epoch at a time.
 
     A subclass builds its tracker and demand estimator and passes them
-    here with its spec (horizon, clusters, SLA terms), its epoch length
-    T and the controller's predictor, policy key and per-chunk capacity
-    floor; this constructor builds the cloud facility (billed on the one
-    :class:`EpochClock`), the broker and the controller.  Bootstrap is
-    lazy (:meth:`start`), so a checkpoint resume adopts restored state
+    here with its spec (horizon, clusters, SLA terms, streaming rate),
+    its epoch length T and the controller's predictor and policy key;
+    this constructor builds the cloud facility (billed on the one
+    :class:`EpochClock`), the broker and the controller, whose per-chunk
+    capacity floor is one streaming rate (it keeps a just-woken channel
+    from starving its first viewers).  Bootstrap is lazy
+    (:meth:`start`), so a checkpoint resume adopts restored state
     without paying for it.
     """
 
@@ -205,11 +208,9 @@ class EpochLoop:
         estimator,
         predictor=None,
         controller: Optional[str] = None,
-        min_capacity_per_chunk: float = 0.0,
     ) -> None:
         self._horizon = spec.horizon_seconds
         self._interval = interval_seconds
-        self._controller_key = controller or "paper"
         self._clock = EpochClock(0.0)
         self._run: Optional[EpochRun] = None
         self.tracker = tracker
@@ -219,20 +220,17 @@ class EpochLoop:
         self.broker = Broker(self.facility)
         self._estimator = estimator
         self.controller = self._build_controller(
-            predictor, spec.sla_terms(), min_capacity_per_chunk
+            spec.sla_terms(),
+            predictor=predictor,
+            policy=CONTROLLERS[controller or "paper"](),
+            min_capacity_per_chunk=spec.constants.streaming_rate,
         )
 
-    def _build_controller(self, predictor, terms, min_capacity_per_chunk):
-        """The control plane: single-region Eqn (6)/(7) provisioning,
-        under the selected policy (the paper's by default)."""
-        cls = controller_class(self._controller_key)
-        return cls(
-            self._estimator,
-            self.tracker,
-            self.broker,
-            terms,
-            predictor=predictor,
-            min_capacity_per_chunk=min_capacity_per_chunk,
+    def _build_controller(self, terms, **options):
+        """The control plane: single-region Eqn (6)/(7) provisioning.
+        ``options`` carry the predictor, the policy and the floor."""
+        return ProvisioningController(
+            self._estimator, self.tracker, self.broker, terms, **options
         )
 
     # ------------------------------------------------------------------

@@ -52,7 +52,6 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.cloud.billing import CostReport
-from repro.core.controller import controller_class
 from repro.core.demand import DemandEstimator
 from repro.core.predictor import ArrivalRatePredictor
 from repro.core.provisioner import ProvisioningDecision
@@ -663,7 +662,6 @@ class ShardedSimulator(EpochLoop):
             ),
             predictor=predictor,
             controller=controller,
-            min_capacity_per_chunk=config.constants.streaming_rate,
         )
 
         self._shards: Optional[List[ChannelShard]] = None  # jobs == 1
@@ -993,11 +991,10 @@ class GeoShardedSimulator(ShardedSimulator):
         )
 
     def _build_controller(
-        self, predictor, terms, min_capacity_per_chunk
+        self, terms, **options
     ) -> GeoProvisioningController:
         config = self.config
-        cls = controller_class(self._controller_key, geo=True)
-        return cls(
+        return GeoProvisioningController(
             self._estimator,
             self.tracker,
             self.broker,
@@ -1005,9 +1002,8 @@ class GeoShardedSimulator(ShardedSimulator):
             terms,
             config.slot_region,
             config.slot_channel,
-            predictor=predictor,
             exact=config.exact,
-            min_capacity_per_chunk=min_capacity_per_chunk,
+            **options,
         )
 
     def _make_result(self) -> GeoCatalogResult:

@@ -233,6 +233,21 @@ class TestStreamingParity:
         with pytest.raises(ValueError, match="unknown controller"):
             EngineConfig(spec=small_scenario("p2p"), controller="oracle")
 
+    @pytest.mark.parametrize("controller", ["reactive", "adapt"])
+    def test_predictor_the_policy_ignores_fails_fast(self, controller):
+        with pytest.raises(ValueError, match="never consults a predictor"):
+            EngineConfig(spec=small_scenario("p2p"), controller=controller,
+                         predictor="ewma")
+        document = EngineConfig(
+            spec=small_scenario("p2p"), controller=controller
+        ).to_dict()
+        document["predictor"] = "ewma"
+        with pytest.raises(ValueError, match="never consults a predictor"):
+            EngineConfig.from_dict(document)
+        for keeps in ("paper", "pid", "mpc"):
+            EngineConfig(spec=small_scenario("p2p"), controller=keeps,
+                         predictor="ewma")
+
     def test_open_run_rejects_conflicting_kwargs(self):
         with pytest.raises(TypeError, match="inside the EngineConfig"):
             open_run(EngineConfig(spec=small_catalog()), workers=2)

@@ -2,13 +2,14 @@
 
 Four concerns:
 
-* the registry resolves every policy key to working single-region and
-  geo controller classes and fails fast on unknown keys;
+* the registry maps every policy key to a policy class that both
+  region shapes hold, and unknown keys fail fast;
 * the paper controller is *byte-identical* through the protocol refactor
   (controller=None vs controller="paper", all three engines);
 * the policy state machines match hand-computed traces (reactive
   hysteresis, Adapt level+trend damping, PID anti-windup and bounded
-  actuation, MPC greedy fallback);
+  actuation, MPC greedy fallback) and both region shapes record their
+  budget ledger;
 * the ``ablation-controllers`` summary artifact has the promised schema.
 """
 
@@ -24,17 +25,14 @@ from repro.cloud.scheduler import CloudFacility
 from repro.core.controller import (
     CONTROLLERS,
     AdaptEstimator,
+    MPCPolicy,
     PIDLoop,
+    PIDPolicy,
     ReactiveScaler,
-    controller_class,
     controller_names,
 )
 from repro.core.demand import DemandEstimator
-from repro.core.provisioner import (
-    MPCProvisioningController,
-    PIDProvisioningController,
-    ProvisioningController,
-)
+from repro.core.provisioner import ProvisioningController
 from repro.core.sla import SLATerms
 from repro.queueing.capacity import CapacityModel
 from repro.vod.tracker import TrackingServer
@@ -55,15 +53,15 @@ def make_facility():
     return CloudFacility(vm, nfs)
 
 
-def make_controller(cls=ProvisioningController, budget=40.0, **kwargs):
+def make_controller(policy=None, budget=40.0):
     model = CapacityModel(streaming_rate=r, chunk_duration=300.0,
                           vm_bandwidth=R)
     tracker = TrackingServer(2, [4, 4], interval_seconds=3600.0)
     broker = Broker(make_facility())
     estimator = DemandEstimator(model, "client-server")
-    controller = cls(
+    controller = ProvisioningController(
         estimator, tracker, broker,
-        SLATerms(vm_budget_per_hour=budget), **kwargs
+        SLATerms(vm_budget_per_hour=budget), policy=policy,
     )
     return controller, tracker
 
@@ -93,23 +91,39 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", list(CONTROLLERS))
     def test_both_flavors_resolve_and_carry_policy_key(self, name):
-        single = controller_class(name)
-        geo = controller_class(name, geo=True)
-        assert single is not geo
-        assert single.policy == name
-        assert geo.policy == name
+        for engine in _engines(name):
+            assert type(engine.controller.policy) is CONTROLLERS[name]
 
     def test_unknown_key_names_registered(self):
-        with pytest.raises(KeyError, match="registered: paper, reactive"):
-            controller_class("nope")
+        from repro.api import EngineConfig
+        from repro.workload.catalog import catalog_config
+
+        with pytest.raises(ValueError, match="registered: paper, reactive"):
+            EngineConfig(spec=catalog_config(), controller="nope")
 
     def test_geo_flavors_subclass_geo_controller(self):
         from repro.geo.controller import GeoProvisioningController
 
         for name in CONTROLLERS:
-            assert issubclass(
-                controller_class(name, geo=True), GeoProvisioningController
-            )
+            single, geo = _engines(name)
+            assert type(single.controller) is ProvisioningController
+            assert type(geo.controller) is GeoProvisioningController
+
+
+def _engines(controller):
+    """A single-region and a geo catalog engine (never started) under
+    one policy key."""
+    from repro.sim.shard import make_engine
+    from repro.workload.catalog import catalog_config, geo_catalog_config
+
+    sizes = dict(num_channels=2, chunks_per_channel=2, horizon_hours=0.5,
+                 num_shards=1, interval_minutes=10.0)
+    engines = []
+    for config in (catalog_config(**sizes),
+                   geo_catalog_config(topology="us-eu-ap", **sizes)):
+        with make_engine(config, controller=controller) as engine:
+            engines.append(engine)
+    return engines
 
 
 # ----------------------------------------------------------------------
@@ -254,9 +268,9 @@ class TestPIDLoop:
 # ----------------------------------------------------------------------
 
 class TestPoliciesInTheLoop:
-    @pytest.mark.parametrize("name", [n for n in CONTROLLERS])
+    @pytest.mark.parametrize("name", list(CONTROLLERS))
     def test_every_policy_closes_the_loop(self, name):
-        controller, tracker = make_controller(controller_class(name))
+        controller, tracker = make_controller(CONTROLLERS[name]())
         controller.bootstrap(0.0, {0: 0.1, 1: 0.05})
         feed_interval(tracker, arrivals=360)
         decision = controller.run_interval(3600.0)
@@ -269,12 +283,9 @@ class TestPoliciesInTheLoop:
         """With the budget pinning grants far below demand, the PID sees
         utilization error > 0 every interval and scales the request —
         but never past max_gain times the paper's analysis."""
-        pid_ctrl, pid_tracker = make_controller(
-            PIDProvisioningController, budget=2.0, pid_max_gain=4.0
-        )
-        paper_ctrl, paper_tracker = make_controller(
-            ProvisioningController, budget=2.0
-        )
+        pid_ctrl, pid_tracker = make_controller(PIDPolicy(), budget=2.0)
+        assert pid_ctrl.policy.loop.max_gain == 4.0
+        paper_ctrl, paper_tracker = make_controller(budget=2.0)
         for ctrl, tracker in ((pid_ctrl, pid_tracker),
                               (paper_ctrl, paper_tracker)):
             ctrl.bootstrap(0.0, {0: 1.0, 1: 0.0})
@@ -290,21 +301,19 @@ class TestPoliciesInTheLoop:
         """Growing demand under a near-zero budget makes the exact LP
         infeasible; the controller must count the fallback and keep
         producing decisions from the greedy's partial plan."""
-        controller, tracker = make_controller(
-            MPCProvisioningController, budget=0.001
-        )
+        controller, tracker = make_controller(MPCPolicy(), budget=0.001)
         controller.bootstrap(0.0, {0: 0.5, 1: 0.0})
         feed_interval(tracker, arrivals=1800)
         controller.run_interval(3600.0)  # seeds the rate history
-        assert controller.mpc_lp_fallbacks == 0
+        assert controller.policy.lp_fallbacks == 0
         feed_interval(tracker, arrivals=3600)
         decision = controller.run_interval(7200.0)
-        assert controller.mpc_lp_fallbacks >= 1
+        assert controller.policy.lp_fallbacks >= 1
         assert decision.total_cloud_demand > 0.0
 
     def test_mpc_never_shapes_below_the_analysis(self):
-        controller, tracker = make_controller(MPCProvisioningController)
-        paper, paper_tracker = make_controller(ProvisioningController)
+        controller, tracker = make_controller(MPCPolicy())
+        paper, paper_tracker = make_controller()
         for ctrl, trk in ((controller, tracker), (paper, paper_tracker)):
             ctrl.bootstrap(0.0, {0: 0.5, 1: 0.0})
             feed_interval(trk, arrivals=900)
@@ -314,6 +323,29 @@ class TestPoliciesInTheLoop:
         mpc_demand = controller.decisions[-1].demands[0].cloud_demand
         paper_demand = paper.decisions[-1].demands[0].cloud_demand
         assert np.all(mpc_demand >= paper_demand - 1e-9)
+
+
+class TestBudgetLedger:
+    """Every decision, bootstrap included, is one ledger interval, in
+    both region shapes."""
+
+    @pytest.mark.parametrize("geo", [False, True], ids=["single", "geo"])
+    def test_one_ledger_interval_per_decision(self, geo):
+        from repro.sim.shard import make_engine
+        from repro.workload.catalog import catalog_config, geo_catalog_config
+
+        make = geo_catalog_config if geo else catalog_config
+        extra = {"topology": "us-eu-ap"} if geo else {}
+        config = make(
+            num_channels=4, chunks_per_channel=3, horizon_hours=0.5,
+            arrival_rate=0.5, num_shards=2, dt=60.0, interval_minutes=10.0,
+            **extra,
+        )
+        with make_engine(config, jobs=1) as engine:
+            engine.run()
+        controller = engine.controller
+        assert len(controller.decisions) == 3
+        assert controller.ledger.intervals == len(controller.decisions)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,9 @@ trajectories *byte for byte*: the same per-channel RNG stream
 consumption order, the same float-reduction order over users, hence
 identical quality series, bandwidth series and arrival/departure counts,
 in both delivery modes, for the raw kernel, the full closed loop and
-the sharded catalog.
+the sharded catalog.  ``controllers.json`` pins the summary metrics of
+every provisioning policy on every ``ablation-controllers`` catalog
+shape, recorded before the policies became strategy objects.
 
 ``mean_sojourn`` is the one deliberate exception: it is a reporting-only
 aggregate (nothing feeds it back into the control loop), so its
@@ -41,16 +43,19 @@ _spec.loader.exec_module(record_golden)
 EXACT_EXEMPT = {"mean_sojourn"}
 
 
-def _assert_matches_golden(got: dict, fixture: str) -> None:
-    want = json.loads((GOLDEN / fixture).read_text())
+def _assert_matches(got: dict, want: dict, where: str) -> None:
     for key, expected in want.items():
         if key in EXACT_EXEMPT:
             assert math.isclose(got[key], expected, rel_tol=1e-9), key
         else:
             assert got[key] == expected, (
-                f"{fixture}: {key!r} diverged from the recorded scalar-"
-                f"kernel trajectory (byte-identical parity contract)"
+                f"{where}: {key!r} diverged from the recorded "
+                f"trajectory (byte-identical parity contract)"
             )
+
+
+def _assert_matches_golden(got: dict, fixture: str) -> None:
+    _assert_matches(got, json.loads((GOLDEN / fixture).read_text()), fixture)
 
 
 class TestKernelParity:
@@ -95,6 +100,18 @@ class TestCatalogParity:
             record_golden.catalog_trajectory("p2p"),
             "catalog_p2p.json",
         )
+
+
+class TestControllerParity:
+    """Every provisioning policy on every ``ablation-controllers``
+    catalog shape, at the registry defaults."""
+
+    def test_every_policy_cell(self):
+        got = record_golden.controller_cells()
+        want = json.loads((GOLDEN / "controllers.json").read_text())
+        assert list(got) == list(want)
+        for cell, metrics in want.items():
+            _assert_matches(got[cell], metrics, f"controllers.json[{cell}]")
 
 
 class TestBatchRNGStreamCompatibility:

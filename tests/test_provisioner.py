@@ -134,7 +134,7 @@ class TestRunInterval:
 
 class TestStorageReplanning:
     def test_storage_not_replanned_on_stable_demand(self):
-        controller, tracker, _ = make_controller(storage_replan_threshold=0.5)
+        controller, tracker, _ = make_controller()
         feed_interval(tracker, arrivals=360)
         first = controller.run_interval(3600.0)
         assert first.storage_plan is not None  # first plan always happens
@@ -143,7 +143,7 @@ class TestStorageReplanning:
         assert second.storage_plan is None
 
     def test_storage_replanned_on_large_shift(self):
-        controller, tracker, _ = make_controller(storage_replan_threshold=0.25)
+        controller, tracker, _ = make_controller()
         feed_interval(tracker, channel=0, arrivals=360)
         controller.run_interval(3600.0)
         # Demand moves to channel 1.
