@@ -9,47 +9,36 @@ and compares quality and cost.
 Timed kernel: a predictor sweep over a day of observations.
 """
 
-import os
-
 import numpy as np
 import pytest
 
-from conftest import registry_scenario
-from repro.api import EngineConfig, open_run
 from repro.experiments.registry import get, make_predictor
 from repro.experiments.reporting import format_table
 
-# The ``ablation-predictors`` registry entry's grid (one cell per
-# predictor; ``repro sweep ablation-predictors`` runs the same matrix).
-PREDICTOR_KEYS = tuple(get("ablation-predictors").grid["predictor"])
+# The ``ablation-predictors`` registry entry: one cell per predictor
+# (``repro sweep ablation-predictors`` runs the same matrix).
+SPEC = get("ablation-predictors")
 
 
 @pytest.fixture(scope="module")
 def predictor_results():
-    horizon = 48.0 if os.environ.get("REPRO_FULL") else 12.0
-    results = {}
-    for key in PREDICTOR_KEYS:
-        scenario = registry_scenario(
-            "fig04", mode="client-server", horizon_hours=horizon
-        )
-        with open_run(EngineConfig(spec=scenario, predictor=key)) as run:
-            results[key] = run.result()
-    return results
+    return {
+        key: SPEC.run_cell({"predictor": key})
+        for key in SPEC.grid["predictor"]
+    }
 
 
 def test_predictor_ablation(benchmark, predictor_results, emit):
-    rows = []
-    for name, result in predictor_results.items():
-        shortfalls = [s.shortfall for s in result.simulation.bandwidth]
-        rows.append(
-            [
-                name,
-                f"{result.average_quality:.3f}",
-                f"{result.mean_vm_cost_per_hour:.2f}",
-                f"{np.mean(result.provisioned_mbps()):.0f}",
-                f"{np.mean(shortfalls) * 8 / 1e6:.1f}",
-            ]
-        )
+    rows = [
+        [
+            name,
+            f"{metrics['average_quality']:.3f}",
+            f"{metrics['vm_cost_per_hour']:.2f}",
+            f"{metrics['mean_reserved_mbps']:.0f}",
+            f"{metrics['mean_shortfall_mbps']:.1f}",
+        ]
+        for name, metrics in predictor_results.items()
+    ]
     table = format_table(
         ["predictor", "quality", "VM $/h", "reserved Mbps", "shortfall Mbps"],
         rows,
@@ -57,7 +46,7 @@ def test_predictor_ablation(benchmark, predictor_results, emit):
     )
     emit("ablation_predictors", table)
 
-    qualities = [r.average_quality for r in predictor_results.values()]
+    qualities = [m["average_quality"] for m in predictor_results.values()]
     assert all(q >= 0.85 for q in qualities)
 
     # Timed kernel: a predictor update/predict sweep.

@@ -1,55 +1,17 @@
-"""Shared fixtures for the figure-reproduction benches.
+"""Shared fixtures for the ablation and extension benches.
 
-The closed-loop runs are built through the scenario registry
-(:mod:`repro.experiments.registry`) so the benches, ``repro run`` and
-``repro sweep`` all exercise the same execution path: the shared
-client-server/P2P runs here are exactly the ``fig04`` registry entry's
-two grid cells.
-
-The runs are expensive, so they are computed once per session and shared
-by every bench. Default scale is CI-sized (12 simulated hours, 4
-channels); set ``REPRO_FULL=1`` for the paper-scale run (100 simulated
-hours, 20 channels, ~2500 users — expect several minutes per mode).
-
-Each bench prints its figure's series (run pytest with ``-s`` to see them
-inline) and writes them to ``benchmarks/results/``.
+Each bench builds its cells through the scenario registry
+(:mod:`repro.experiments.registry`), prints its table (run pytest with
+``-s`` to see it inline) and writes it to ``benchmarks/results/``. The
+paper's figure claims are checked by ``repro claims`` (EXPERIMENTS.md),
+not here.
 """
 
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.api import open_run
-from repro.experiments.registry import get
-
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def _full_scale() -> bool:
-    return os.environ.get("REPRO_FULL", "").strip() in ("1", "true", "yes")
-
-
-def registry_scenario(name: str, **params):
-    """One registry cell's ScenarioConfig at the env-selected scale."""
-    if _full_scale():
-        params.setdefault("scale", "paper")
-        params.setdefault("horizon_hours", 100.0)
-    return get(name).config(**params)
-
-
-@pytest.fixture(scope="session")
-def cs_result():
-    """Closed-loop client-server run shared by the benches (fig04 cell)."""
-    with open_run(registry_scenario("fig04", mode="client-server")) as run:
-        return run.result()
-
-
-@pytest.fixture(scope="session")
-def p2p_result():
-    """Closed-loop P2P run shared by the benches (fig04 cell)."""
-    with open_run(registry_scenario("fig04", mode="p2p")) as run:
-        return run.result()
 
 
 @pytest.fixture(scope="session")

@@ -6,21 +6,24 @@ provisioning controller, simulated cloud — once in each delivery mode, and
 prints the paper's headline comparison (Figs 4, 5, 10): cloud bandwidth,
 streaming quality, and hourly VM cost.
 
-Run:  python examples/p2p_vs_client_server.py          (small scale, ~10 s)
-      REPRO_FULL=1 python examples/p2p_vs_client_server.py   (paper scale)
+Run:  python examples/p2p_vs_client_server.py   (small scale, ~10 s)
+
+The paper-scale comparison, checked against the paper's numbers, is
+``repro claims`` (EXPERIMENTS.md).
 """
 
 import numpy as np
 
 from repro.api import open_run
-from repro.experiments.config import scenario_from_env
+from repro.experiments.registry import closed_loop_config
 from repro.experiments.reporting import downsample, format_table
 
 
 def main() -> None:
     results = {}
     for mode in ("client-server", "p2p"):
-        scenario = scenario_from_env(mode, horizon_hours=12.0)
+        scenario = closed_loop_config(mode=mode, scale="small",
+                                      horizon_hours=12.0)
         print(f"running {mode} scenario "
               f"({scenario.num_channels} channels, "
               f"{scenario.horizon_seconds / 3600:.0f} h)...")

@@ -18,8 +18,8 @@ The rule pack (each rule has an ID, docs, fixture tests and a fix hint):
   ``run_cell``), found by a module-level call-graph taint pass.
 * :data:`~repro.analysis.taint.DET003` — unordered ``set`` iteration /
   reduction in the same artifact-reachable paths.
-* :data:`~repro.analysis.rules.DET004` — ``os.environ`` reads outside
-  the sanctioned resolution point (``experiments/config.py``).
+* :data:`~repro.analysis.rules.DET004` — environment reads anywhere in
+  the package (configuration flows through explicit config objects).
 * :data:`~repro.analysis.rules.RES001` — ``SharedMemory`` lifecycle:
   creates paired with unlinks, workers never unlink (the ``sim/shm.py``
   contract).

@@ -28,8 +28,6 @@ class LintConfig:
 
     #: The one module allowed to construct raw numpy / stdlib RNGs.
     rng_modules: Tuple[str, ...] = ("sim/rng.py",)
-    #: Files whose environment reads are the sanctioned resolution point.
-    env_modules: Tuple[str, ...] = ("experiments/config.py",)
     #: The module owning the SharedMemory create/unlink lifecycle.
     shm_modules: Tuple[str, ...] = ("sim/shm.py",)
     #: Artifact-producing entry points for the reachability rules.
@@ -110,13 +108,11 @@ DET001 = Rule(
 
 
 # ----------------------------------------------------------------------
-# DET004 — environment reads outside the sanctioned resolution point
+# DET004 — environment reads
 # ----------------------------------------------------------------------
 
-def _check_det004(project: Project, config: LintConfig) -> Iterator[Finding]:
+def _check_det004(project: Project, _config: LintConfig) -> Iterator[Finding]:
     for module in project.modules:
-        if _sanctioned_path(module, config.env_modules):
-            continue
         for node in ast.walk(module.tree):
             dotted = None
             if isinstance(node, (ast.Attribute, ast.Name)):
@@ -133,8 +129,7 @@ def _check_det004(project: Project, config: LintConfig) -> Iterator[Finding]:
                 continue
             yield _finding(
                 module, node, DET004,
-                f"environment read {dotted!r} outside the sanctioned "
-                f"resolution point",
+                f"environment read {dotted!r}",
             )
 
 
@@ -143,10 +138,9 @@ DET004 = Rule(
     title="stray environment reads",
     doc=(
         "Configuration must flow through explicit config objects; an "
-        "`os.environ` read buried in engine code makes results depend "
+        "environment read buried in engine code makes results depend "
         "on ambient shell state that is invisible to the cell hash and "
-        "the checkpoint. The one sanctioned point is "
-        "`experiments/config.py` (scale resolution)."
+        "the checkpoint. No module is sanctioned to read it."
     ),
     hint=(
         "thread the value through the config/spec instead of reading "

@@ -17,6 +17,10 @@ Commands
 ``sweep``
     Fan a scenario's (grid x seeds) cells across worker processes, with
     cached JSON artifacts (see :mod:`repro.experiments.sweep`).
+``claims``
+    Run the paper's claims ledger (:mod:`repro.experiments.claims`) at
+    paper scale and print ``EXPERIMENTS.md``; exit 1 when a row's
+    measurement contradicts its recorded status.
 ``catalog``
     Run a multi-channel catalog through the sharded engine
     (:mod:`repro.sim.shard`): hundreds of channels partitioned across
@@ -151,6 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a grid axis or default parameter "
                             "(repeatable; VALUE is parsed as JSON, e.g. "
                             "--set mode=p2p --set 'upload_ratio=[0.9,1.2]')")
+
+    sub.add_parser(
+        "claims",
+        help="check the paper's claims ledger and print EXPERIMENTS.md",
+    )
 
     catalog = sub.add_parser(
         "catalog",
@@ -560,6 +569,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_claims(_args: argparse.Namespace) -> int:
+    from repro.experiments import claims
+
+    measured = claims.measure_all()
+    print(claims.render(measured), end="")
+    problems = claims.failures(measured)
+    for line in problems:
+        print(line, file=sys.stderr)
+    return 1 if problems else 0
+
+
 def _catalog_knob_names(factory) -> List[str]:
     """The --set vocabulary of a catalog config factory (its kwargs)."""
     import inspect
@@ -831,6 +851,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "info": _cmd_info,
         "scenarios": _cmd_scenarios,
         "sweep": _cmd_sweep,
+        "claims": _cmd_claims,
         "catalog": _cmd_catalog,
         "geo": _cmd_catalog,  # same engine, geo-flavored defaults
         "lint": _cmd_lint,

@@ -2,11 +2,13 @@
 
 * :mod:`repro.experiments.config` — the paper's parameters: Tables II/III
   cluster configurations, streaming/chunking constants, budgets, and
-  scenario presets (scaled-down for CI, paper-scale via ``REPRO_FULL=1``).
+  scenario presets (CI-sized ``small`` and Section VI-A ``paper`` scale).
 * :mod:`repro.experiments.runner` — the closed-loop runner wiring trace ->
   simulator -> tracker -> controller -> cloud.
 * :mod:`repro.experiments.figures` — one generator per paper figure,
   returning printable series.
+* :mod:`repro.experiments.claims` — the paper's quantitative claims as a
+  checked ledger (``repro claims`` prints ``EXPERIMENTS.md``).
 * :mod:`repro.experiments.reporting` — plain-text table rendering shared
   by the benches.
 * :mod:`repro.experiments.registry` — the scenario registry: every
@@ -26,7 +28,6 @@ from repro.experiments.config import (
     paper_nfs_clusters,
     paper_sla_terms,
     paper_vm_clusters,
-    scenario_from_env,
     small_scenario,
 )
 from repro.experiments.registry import (
@@ -54,7 +55,6 @@ __all__ = [
     "paper_nfs_clusters",
     "paper_sla_terms",
     "paper_vm_clusters",
-    "scenario_from_env",
     "small_scenario",
     "ClosedLoopEngine",
     "ClosedLoopResult",

@@ -9,13 +9,13 @@ All constants below are taken verbatim from the paper:
 * Table II virtual clusters and Table III NFS clusters;
 * budgets B_M = $100/h, B_S = $1/h; provisioning interval T = 1 h.
 
-Scenario presets scale the channel count / population / horizon down so the
-benches run in minutes; setting ``REPRO_FULL=1`` selects paper scale.
+:func:`small_scenario` scales the channel count / population down so the
+closed loop runs in seconds; :func:`paper_scenario` is the Section VI-A
+sizing that ``repro claims`` checks against the paper (EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -40,7 +40,6 @@ __all__ = [
     "ScenarioConfig",
     "small_scenario",
     "paper_scenario",
-    "scenario_from_env",
 ]
 
 
@@ -292,8 +291,9 @@ def paper_scenario(
     catalogue in client-server mode, while Table II lists only 150 VMs —
     the paper's own Fig 4 likewise reserves ~2200 Mbps (~220 VMs), more
     than Table II can provision. We scale the cluster capacities and the
-    VM budget x3 so the paper-scale run is feasible; shapes are
-    unaffected (see EXPERIMENTS.md).
+    VM budget x3 so the paper-scale run is feasible. EXPERIMENTS.md
+    (``repro claims``) compares this preset's runs with the paper's
+    numbers.
     """
     return ScenarioConfig(
         name="paper",
@@ -308,10 +308,3 @@ def paper_scenario(
         cluster_scale=3.0,
         peer_upload_mean=peer_upload_mean,
     )
-
-
-def scenario_from_env(mode: str = "p2p", **kwargs) -> ScenarioConfig:
-    """``REPRO_FULL=1`` selects paper scale, anything else the small one."""
-    if os.environ.get("REPRO_FULL", "").strip() in ("1", "true", "yes"):
-        return paper_scenario(mode, **kwargs)
-    return small_scenario(mode, **kwargs)

@@ -1,9 +1,11 @@
 """Per-figure series generators (paper Section VI).
 
-Every public function takes already-computed :class:`ClosedLoopResult`
-objects (so benches can share expensive runs) and returns plain dicts of
-numpy series shaped like the corresponding paper figure. The benches print
-them; EXPERIMENTS.md records the paper-vs-measured comparison.
+Every public function is a view over already-computed
+:class:`ClosedLoopResult` objects (the ``paper-closed-loop`` and ``fig11``
+cells, so callers share expensive runs) and returns plain dicts of numpy
+series shaped like the corresponding paper figure.
+:mod:`repro.experiments.claims` measures the paper's claims through these
+views; EXPERIMENTS.md records the paper-vs-measured comparison.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ single execution path shared by
 * the sweep orchestrator (:mod:`repro.experiments.sweep`, CLI
   ``repro sweep <name>``),
 * the CLI scenario browser (``repro scenarios``), and
-* the figure-reproduction benches under ``benchmarks/`` (their fixtures
-  build configs through :func:`get`).
+* the paper's claims ledger (:mod:`repro.experiments.claims`, CLI
+  ``repro claims``), which runs ``paper-closed-loop`` and ``fig11``
+  cells through :func:`get`.
 
 A *cell* is one (scenario, grid-point, seed) triple; ``run_cell`` executes
 it and returns a flat JSON-serializable metrics dict, which the sweep
@@ -708,72 +709,9 @@ _CLOSED_LOOP_DEFAULTS = {
 }
 
 register(ScenarioSpec(
-    name="fig04",
-    title="Cloud capacity provisioning vs usage over time",
-    paper_ref="Fig. 4 (Section VI-B)",
-    grid=_MODE_GRID,
-    defaults=_CLOSED_LOOP_DEFAULTS,
-    build=closed_loop_config,
-    expected_seconds=1.0,
-    tags=("figure",),
-))
-
-register(ScenarioSpec(
-    name="fig05",
-    title="Average streaming quality over time (C/S vs P2P)",
-    paper_ref="Fig. 5 (Section VI-B; paper averages 0.97 / 0.95)",
-    grid=_MODE_GRID,
-    defaults=_CLOSED_LOOP_DEFAULTS,
-    build=closed_loop_config,
-    expected_seconds=1.0,
-    tags=("figure",),
-))
-
-register(ScenarioSpec(
-    name="fig06",
-    title="Streaming quality vs channel size (client-server)",
-    paper_ref="Fig. 6 (Section VI-B)",
-    defaults={"mode": "client-server", **_CLOSED_LOOP_DEFAULTS},
-    build=closed_loop_config,
-    expected_seconds=1.0,
-    tags=("figure",),
-))
-
-register(ScenarioSpec(
-    name="fig07",
-    title="Provisioned cloud bandwidth vs channel size",
-    paper_ref="Fig. 7 (Section VI-B)",
-    grid=_MODE_GRID,
-    defaults=_CLOSED_LOOP_DEFAULTS,
-    build=closed_loop_config,
-    expected_seconds=1.0,
-    tags=("figure",),
-))
-
-register(ScenarioSpec(
-    name="fig08",
-    title="Aggregate storage utility per channel over time",
-    paper_ref="Fig. 8 (Section VI-C)",
-    defaults={"mode": "p2p", **_CLOSED_LOOP_DEFAULTS},
-    build=closed_loop_config,
-    expected_seconds=1.0,
-    tags=("figure",),
-))
-
-register(ScenarioSpec(
-    name="fig09",
-    title="Aggregate VM utility per channel over time",
-    paper_ref="Fig. 9 (Section VI-C)",
-    defaults={"mode": "p2p", **_CLOSED_LOOP_DEFAULTS},
-    build=closed_loop_config,
-    expected_seconds=1.0,
-    tags=("figure",),
-))
-
-register(ScenarioSpec(
-    name="fig10",
-    title="Overall VM rental cost over time",
-    paper_ref="Fig. 10 (Section VI-C; paper: ~$48/h C/S vs ~$4.27/h P2P)",
+    name="paper-closed-loop",
+    title="The paper's closed loop, C/S vs P2P (every Figs 4-10 series)",
+    paper_ref="Figs. 4-10 (Section VI-B/C; checked by `repro claims`)",
     grid=_MODE_GRID,
     defaults=_CLOSED_LOOP_DEFAULTS,
     build=closed_loop_config,

@@ -101,14 +101,14 @@ class TestScenarios:
     def test_lists_registered_scenarios(self, capsys):
         assert main(["scenarios"]) == 0
         out = capsys.readouterr().out
-        for name in ("fig04", "fig05", "fig11", "ablation-predictors",
+        for name in ("paper-closed-loop", "fig11", "ablation-predictors",
                      "geo", "flash-crowd"):
             assert name in out
 
     def test_lists_json(self, capsys):
         assert main(["scenarios", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert any(entry["name"] == "fig05" for entry in payload)
+        assert any(entry["name"] == "paper-closed-loop" for entry in payload)
 
     def test_describe_one(self, capsys):
         assert main(["scenarios", "fig11"]) == 0
@@ -142,13 +142,14 @@ class TestSweep:
         assert "1 cells (0 ran, 1 cached)" in capsys.readouterr().out
 
     def test_closed_loop_smoke(self, tmp_path, capsys):
-        assert main(["sweep", "fig05", "--jobs", "1", "--seeds", "1",
+        assert main(["sweep", "paper-closed-loop", "--jobs", "1",
+                     "--seeds", "1",
                      "--out", str(tmp_path),
                      "--set", "mode=p2p", "--set", "horizon_hours=1.0"]) == 0
         out = capsys.readouterr().out
         assert "average_quality" in out
         payload = json.loads(
-            next((tmp_path / "fig05").glob("*.json")).read_text()
+            next((tmp_path / "paper-closed-loop").glob("*.json")).read_text()
         )
         assert payload["params"]["mode"] == "p2p"
 
@@ -157,13 +158,14 @@ class TestSweep:
         assert "unknown scenario" in capsys.readouterr().err
 
     def test_unknown_set_parameter_fails(self, tmp_path, capsys):
-        assert main(["sweep", "fig05", "--out", str(tmp_path),
+        assert main(["sweep", "paper-closed-loop", "--out", str(tmp_path),
                      "--set", "bogus=1"]) == 2
         assert "no parameter" in capsys.readouterr().err
 
     def test_malformed_set_fails(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["sweep", "fig05", "--out", str(tmp_path), "--set", "oops"])
+            main(["sweep", "paper-closed-loop", "--out", str(tmp_path),
+                  "--set", "oops"])
 
 
 class TestCatalog:

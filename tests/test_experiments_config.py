@@ -10,7 +10,6 @@ from repro.experiments.config import (
     paper_scenario,
     paper_sla_terms,
     paper_vm_clusters,
-    scenario_from_env,
     small_scenario,
 )
 from repro.experiments.reporting import downsample, format_table, mbps, series_summary
@@ -115,12 +114,6 @@ class TestScenarios:
         # x3: Table II's 150 VMs cannot host the >=400 VM-equivalents the
         # paper's own client-server analysis requires (see config docstring).
         assert sc.cluster_scale == 3.0
-
-    def test_env_selection(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        assert scenario_from_env().name == "small"
-        monkeypatch.setenv("REPRO_FULL", "1")
-        assert scenario_from_env().name == "paper"
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):

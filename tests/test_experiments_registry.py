@@ -18,7 +18,7 @@ from repro.experiments.registry import (
 )
 
 EXPECTED_SCENARIOS = {
-    "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11",
+    "paper-closed-loop", "fig11",
     "ablation-predictors", "ablation-chunk-size", "flash-crowd", "geo",
 }
 
@@ -44,7 +44,8 @@ class TestLookup:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):
-            register(ScenarioSpec(name="fig04", title="dup", paper_ref="-"))
+            register(ScenarioSpec(name="paper-closed-loop", title="dup",
+                                  paper_ref="-"))
 
     def test_every_spec_documents_itself(self):
         for spec in specs():
@@ -55,13 +56,13 @@ class TestLookup:
 
 class TestGrid:
     def test_grid_points_cartesian_product(self):
-        points = get("fig05").grid_points()
+        points = get("paper-closed-loop").grid_points()
         modes = sorted(p["mode"] for p in points)
         assert modes == ["client-server", "p2p"]
         assert all(p["horizon_hours"] == 12.0 for p in points)
 
     def test_scalar_override_pins_axis(self):
-        points = get("fig05").grid_points({"mode": "p2p"})
+        points = get("paper-closed-loop").grid_points({"mode": "p2p"})
         assert [p["mode"] for p in points] == ["p2p"]
 
     def test_list_override_replaces_axis(self):
@@ -69,13 +70,13 @@ class TestGrid:
         assert sorted(p["upload_ratio"] for p in points) == [0.5, 2.0]
 
     def test_default_override_applies_to_every_point(self):
-        points = get("fig05").grid_points({"horizon_hours": 3.0})
+        points = get("paper-closed-loop").grid_points({"horizon_hours": 3.0})
         assert len(points) == 2
         assert all(p["horizon_hours"] == 3.0 for p in points)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(KeyError, match="no parameter"):
-            get("fig05").grid_points({"bogus_knob": 1})
+            get("paper-closed-loop").grid_points({"bogus_knob": 1})
 
     def test_grid_values_json_serializable(self):
         for spec in specs():
@@ -85,8 +86,8 @@ class TestGrid:
 
 class TestBuild:
     def test_closed_loop_config_modes(self):
-        cs = get("fig04").config(mode="client-server")
-        p2p = get("fig04").config(mode="p2p")
+        cs = get("paper-closed-loop").config(mode="client-server")
+        p2p = get("paper-closed-loop").config(mode="p2p")
         assert isinstance(cs, ScenarioConfig)
         assert cs.mode == "client-server"
         assert p2p.mode == "p2p"
@@ -96,7 +97,7 @@ class TestBuild:
         assert config.peer_upload_mean == pytest.approx(1.2 * 50_000.0)
 
     def test_seed_threads_through(self):
-        config = get("fig05").config(seed=7, mode="p2p")
+        config = get("paper-closed-loop").config(seed=7, mode="p2p")
         assert config.seed == 7
 
     def test_paper_scale(self):
@@ -137,7 +138,7 @@ class TestRunCell:
         json.dumps(metrics)
 
     def test_closed_loop_cell_metrics(self):
-        metrics = get("fig05").run_cell(
+        metrics = get("paper-closed-loop").run_cell(
             {"mode": "p2p", "horizon_hours": 1.0}, seed=3
         )
         assert 0.0 <= metrics["average_quality"] <= 1.0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.predictor import MovingAveragePredictor
+from repro.experiments import claims
 from repro.experiments.config import small_scenario
 from repro.experiments.figures import (
     fig10_vm_cost,
@@ -18,7 +19,9 @@ from repro.experiments.figures import (
     fig7_bandwidth_vs_channel_size,
     fig8_storage_utility,
     fig9_vm_utility,
+    fig11_quality_by_peer_bandwidth,
 )
+from repro.experiments.registry import get
 from repro.experiments.runner import ClosedLoopEngine
 
 
@@ -213,3 +216,129 @@ class TestControlPlaneBehaviour:
         )
         # The initial deployment actually rents VMs before any user shows.
         assert bootstrap.hourly_vm_cost > 0.0
+
+
+@pytest.fixture(scope="module")
+def paper_loop():
+    """The ``paper-closed-loop`` cells at their registry defaults (12 h)."""
+    spec = get("paper-closed-loop")
+    return {
+        mode: run_closed_loop(spec.config(mode=mode))
+        for mode in spec.grid["mode"]
+    }
+
+
+@pytest.fixture(scope="module")
+def fig11_runs():
+    """The ``fig11`` cells at their registry defaults (8 h), by ratio."""
+    spec = get("fig11")
+    return {
+        ratio: run_closed_loop(spec.config(upload_ratio=ratio))
+        for ratio in spec.grid["upload_ratio"]
+    }
+
+
+def _size_buckets(data):
+    """Fig 7 scatter bucketed into size terciles: (label, mean Mbps)."""
+    sizes, bw = data["channel_size"], data["bandwidth_mbps"]
+    edges = np.quantile(sizes, [0.0, 0.34, 0.67, 1.0])
+    out = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mask = (sizes >= lo) & (sizes <= hi)
+        if mask.any():
+            out.append((f"{lo:.0f}-{hi:.0f}", float(bw[mask].mean())))
+    return out
+
+
+class TestPaperShapes:
+    """The paper's figure shapes on the CI-sized registry cells.
+
+    The numeric paper-scale claims live in ``repro claims``
+    (EXPERIMENTS.md); these are the qualitative shapes at small scale.
+    """
+
+    def test_fig4_reserved_covers_used(self, paper_loop):
+        data = fig4_capacity_provisioning(
+            paper_loop["client-server"], paper_loop["p2p"]
+        )
+        assert np.mean(data["cs_reserved_mbps"] >= data["cs_used_mbps"]) >= 0.8
+        assert np.mean(data["p2p_reserved_mbps"] >= data["p2p_used_mbps"]) >= 0.8
+        assert data["p2p_reserved_mbps"].mean() < data["cs_reserved_mbps"].mean()
+        assert data["p2p_used_mbps"].mean() < data["cs_used_mbps"].mean()
+
+    def test_fig5_quality_high_and_close(self, paper_loop):
+        data = fig5_streaming_quality(
+            paper_loop["client-server"], paper_loop["p2p"]
+        )
+        assert float(data["cs_average"]) >= 0.88
+        assert float(data["p2p_average"]) >= 0.88
+        assert abs(float(data["p2p_average"]) - float(data["cs_average"])) <= 0.1
+
+    def test_fig6_big_channels_not_degraded(self, paper_loop):
+        data = fig6_quality_vs_channel_size(paper_loop["client-server"])
+        sizes, quality = data["channel_size"], data["quality"]
+        assert sizes.size > 0
+        big = sizes >= np.median(sizes)
+        small = sizes < np.median(sizes)
+        if big.any() and small.any():
+            assert quality[big].mean() >= quality[small].mean() - 0.1
+        assert quality.mean() >= 0.9
+
+    def test_fig7_p2p_grows_slower_than_cs(self, paper_loop):
+        cs_b = _size_buckets(
+            fig7_bandwidth_vs_channel_size(paper_loop["client-server"])
+        )
+        p2p_b = _size_buckets(fig7_bandwidth_vs_channel_size(paper_loop["p2p"]))
+        assert cs_b[-1][1] >= cs_b[0][1]
+        assert p2p_b[-1][1] <= cs_b[-1][1]
+        cs_growth = cs_b[-1][1] - cs_b[0][1]
+        p2p_growth = p2p_b[-1][1] - p2p_b[0][1]
+        assert p2p_growth <= cs_growth + 1e-9
+
+    def test_fig8_storage_placement_adapts(self, paper_loop):
+        p2p = paper_loop["p2p"]
+        n = p2p.scenario.num_channels
+        channel_ids = sorted({0, n // 2, n - 1})
+        data = fig8_storage_utility(p2p, channel_ids)
+        for c in channel_ids:
+            series = data[f"channel_{c}"]
+            assert np.all(series >= 0.0)
+            assert series.max() > 0.0
+        popular = data[f"channel_{channel_ids[0]}"]
+        assert popular.max() > popular.min()
+
+    def test_fig9_vm_utility_nonnegative(self, paper_loop):
+        p2p = paper_loop["p2p"]
+        n = p2p.scenario.num_channels
+        channel_ids = sorted({0, n // 2, n - 1})
+        data = fig9_vm_utility(p2p, channel_ids)
+        for c in channel_ids:
+            assert np.all(data[f"channel_{c}"] >= 0)
+        assert sum(data[f"channel_{c}"] for c in channel_ids).max() > 0.0
+
+    def test_fig10_p2p_cheaper_storage_negligible(self, paper_loop):
+        data = fig10_vm_cost(paper_loop["client-server"], paper_loop["p2p"])
+        assert data["p2p_average"] < data["cs_average"]
+        assert data["cs_storage_cost_per_day"] < 0.01 * 24 * data["cs_average"]
+
+    def test_fig11_quality_satisfactory_at_every_ratio(self, fig11_runs):
+        data = fig11_quality_by_peer_bandwidth(fig11_runs)
+        ratios = sorted(fig11_runs)
+        avgs = [float(data[r]["average"]) for r in ratios]
+        costs = [fig11_runs[r].mean_vm_cost_per_hour for r in ratios]
+        assert all(a >= 0.9 for a in avgs)
+        assert avgs[-1] >= avgs[0] - 0.02
+        assert costs[-1] <= costs[0] + 1e-6
+
+    def test_claims_ledger_measures_registry_cells(self, paper_loop, fig11_runs):
+        """Every ledger row measures a finite value from the same cells
+        ``repro claims`` runs, here at the registry's small scale."""
+        runs = {}
+        for key, (scenario, params) in claims.cells().items():
+            if scenario == "fig11":
+                runs[key] = fig11_runs[params["upload_ratio"]]
+            else:
+                runs[key] = paper_loop[params["mode"]]
+        measured = claims.measure(runs)
+        assert set(measured) == {c.id for c in claims.CLAIMS}
+        assert all(np.isfinite(v) for v in measured.values())

@@ -22,19 +22,19 @@ FAST = {"mode": "p2p", "horizon_hours": 1.0}
 
 class TestCellHash:
     def test_stable_across_param_order(self):
-        a = cell_hash("fig05", {"mode": "p2p", "horizon_hours": 1.0}, 1)
-        b = cell_hash("fig05", {"horizon_hours": 1.0, "mode": "p2p"}, 1)
+        a = cell_hash("paper-closed-loop", {"mode": "p2p", "horizon_hours": 1.0}, 1)
+        b = cell_hash("paper-closed-loop", {"horizon_hours": 1.0, "mode": "p2p"}, 1)
         assert a == b
 
     def test_sensitive_to_every_component(self):
-        base = cell_hash("fig05", FAST, 1)
-        assert cell_hash("fig04", FAST, 1) != base
-        assert cell_hash("fig05", FAST, 2) != base
-        assert cell_hash("fig05", {**FAST, "mode": "client-server"}, 1) != base
+        base = cell_hash("paper-closed-loop", FAST, 1)
+        assert cell_hash("fig11", FAST, 1) != base
+        assert cell_hash("paper-closed-loop", FAST, 2) != base
+        assert cell_hash("paper-closed-loop", {**FAST, "mode": "client-server"}, 1) != base
 
     def test_rejects_unserializable_params(self):
         with pytest.raises(TypeError, match="JSON-serializable"):
-            cell_hash("fig05", {"mode": object()}, 1)
+            cell_hash("paper-closed-loop", {"mode": object()}, 1)
 
     def test_numpy_scalars_hash_like_python(self):
         """Grids built with np.arange/np.linspace leak numpy scalars;
@@ -48,22 +48,22 @@ class TestCellHash:
             "ratio": np.float32(1.5),
             "flag": np.bool_(True),
         }
-        assert cell_hash("fig05", numpy_grid, 1) == \
-            cell_hash("fig05", python_grid, 1)
+        assert cell_hash("paper-closed-loop", numpy_grid, 1) == \
+            cell_hash("paper-closed-loop", python_grid, 1)
         # np.float64 subclasses float and always worked; pin that too.
-        assert cell_hash("fig05", {"ratio": np.float64(1.5)}, 1) == \
-            cell_hash("fig05", {"ratio": 1.5}, 1)
+        assert cell_hash("paper-closed-loop", {"ratio": np.float64(1.5)}, 1) == \
+            cell_hash("paper-closed-loop", {"ratio": 1.5}, 1)
         # And numpy seeds via a full round-trip through SweepCell.
         cell = SweepCell.make(
-            "fig05", {"population": np.int64(240)}, np.int64(7)
+            "paper-closed-loop", {"population": np.int64(240)}, np.int64(7)
         )
         assert cell.params == (("population", 240),)
-        assert cell.hash == cell_hash("fig05", {"population": 240}, 7)
+        assert cell.hash == cell_hash("paper-closed-loop", {"population": 240}, 7)
 
     def test_cell_make_canonicalizes(self):
-        cell = SweepCell.make("fig05", {"b": 2, "a": 1}, 3)
+        cell = SweepCell.make("paper-closed-loop", {"b": 2, "a": 1}, 3)
         assert cell.params == (("a", 1), ("b", 2))
-        assert cell.hash == cell_hash("fig05", {"a": 1, "b": 2}, 3)
+        assert cell.hash == cell_hash("paper-closed-loop", {"a": 1, "b": 2}, 3)
 
 
 class TestExpansion:
@@ -74,7 +74,7 @@ class TestExpansion:
             seed_list(0)
 
     def test_expand_cells_grid_times_seeds(self):
-        cells = expand_cells("fig05", seeds=[1, 2])
+        cells = expand_cells("paper-closed-loop", seeds=[1, 2])
         assert len(cells) == 4  # two modes x two seeds
         assert len({c.hash for c in cells}) == 4
 
@@ -86,7 +86,7 @@ class TestExpansion:
 class TestArtifactStore:
     def test_save_then_load_roundtrip(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        cell = SweepCell.make("fig05", FAST, 1)
+        cell = SweepCell.make("paper-closed-loop", FAST, 1)
         path = store.save(cell, {"average_quality": 0.5}, 1.25)
         assert path == store.path(cell)
         payload = store.load(cell)
@@ -99,7 +99,7 @@ class TestArtifactStore:
 
     def test_identity_mismatch_is_cache_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        cell = SweepCell.make("fig05", FAST, 1)
+        cell = SweepCell.make("paper-closed-loop", FAST, 1)
         path = store.save(cell, {"x": 1.0}, 0.0)
         payload = json.loads(path.read_text())
         payload["seed"] = 99  # tampered / colliding artifact
@@ -108,7 +108,7 @@ class TestArtifactStore:
 
     def test_corrupt_artifact_is_cache_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        cell = SweepCell.make("fig05", FAST, 1)
+        cell = SweepCell.make("paper-closed-loop", FAST, 1)
         path = store.path(cell)
         path.parent.mkdir(parents=True)
         path.write_text("{not json")
@@ -116,25 +116,25 @@ class TestArtifactStore:
 
     def test_missing_artifact_is_cache_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        assert store.load(SweepCell.make("fig05", FAST, 1)) is None
+        assert store.load(SweepCell.make("paper-closed-loop", FAST, 1)) is None
 
 
 class TestRunSweep:
     def test_serial_sweep_writes_artifacts(self, tmp_path):
-        report = run_sweep("fig05", jobs=1, seeds=[2011],
+        report = run_sweep("paper-closed-loop", jobs=1, seeds=[2011],
                            out_dir=tmp_path, overrides=FAST)
         assert report.total == 1 and report.ran == 1 and report.cached == 0
         [outcome] = report.outcomes
         assert outcome.path.is_file()
         payload = json.loads(outcome.path.read_text())
-        assert payload["scenario"] == "fig05"
+        assert payload["scenario"] == "paper-closed-loop"
         assert payload["params"]["mode"] == "p2p"
         assert payload["metrics"] == outcome.metrics
 
     def test_second_run_hits_cache(self, tmp_path):
-        first = run_sweep("fig05", jobs=1, seeds=[2011, 2012],
+        first = run_sweep("paper-closed-loop", jobs=1, seeds=[2011, 2012],
                           out_dir=tmp_path, overrides=FAST)
-        second = run_sweep("fig05", jobs=1, seeds=[2011, 2012],
+        second = run_sweep("paper-closed-loop", jobs=1, seeds=[2011, 2012],
                            out_dir=tmp_path, overrides=FAST)
         assert first.ran == 2
         assert second.cached == 2 and second.ran == 0
@@ -143,9 +143,9 @@ class TestRunSweep:
             assert outcome.metrics == by_hash[outcome.cell.hash]
 
     def test_adding_seeds_is_incremental(self, tmp_path):
-        run_sweep("fig05", jobs=1, seeds=[2011], out_dir=tmp_path,
+        run_sweep("paper-closed-loop", jobs=1, seeds=[2011], out_dir=tmp_path,
                   overrides=FAST)
-        extended = run_sweep("fig05", jobs=1, seeds=[2011, 2012, 2013],
+        extended = run_sweep("paper-closed-loop", jobs=1, seeds=[2011, 2012, 2013],
                              out_dir=tmp_path, overrides=FAST)
         assert extended.cached == 1
         assert extended.ran == 2
@@ -169,9 +169,9 @@ class TestRunSweep:
 
         Since artifact schema 3 this holds at the byte level: the files
         themselves must be identical, not just the parsed metrics."""
-        parallel = run_sweep("fig05", jobs=2, seeds=[2011, 2012],
+        parallel = run_sweep("paper-closed-loop", jobs=2, seeds=[2011, 2012],
                              out_dir=tmp_path / "par", overrides=FAST)
-        serial = run_sweep("fig05", jobs=1, seeds=[2011, 2012],
+        serial = run_sweep("paper-closed-loop", jobs=1, seeds=[2011, 2012],
                            out_dir=tmp_path / "ser", overrides=FAST)
         assert parallel.ran == 2 and serial.ran == 2
         par = {o.cell.hash: o.path.read_bytes() for o in parallel.outcomes}
@@ -181,17 +181,17 @@ class TestRunSweep:
     def test_failing_cell_saves_completed_cells(self, tmp_path):
         """A bad cell raises SweepError *after* good cells are saved."""
         with pytest.raises(SweepError, match="1 sweep cell"):
-            run_sweep("fig05", jobs=1, seeds=[2011], out_dir=tmp_path,
+            run_sweep("paper-closed-loop", jobs=1, seeds=[2011], out_dir=tmp_path,
                       overrides={**FAST, "mode": ["p2p", "bogus"]})
-        rerun = run_sweep("fig05", jobs=1, seeds=[2011], out_dir=tmp_path,
+        rerun = run_sweep("paper-closed-loop", jobs=1, seeds=[2011], out_dir=tmp_path,
                           overrides=FAST)
         assert rerun.cached == 1 and rerun.ran == 0
 
     def test_failing_cell_parallel_saves_completed_cells(self, tmp_path):
         with pytest.raises(SweepError):
-            run_sweep("fig05", jobs=2, seeds=[2011], out_dir=tmp_path,
+            run_sweep("paper-closed-loop", jobs=2, seeds=[2011], out_dir=tmp_path,
                       overrides={**FAST, "mode": ["p2p", "bogus"]})
-        rerun = run_sweep("fig05", jobs=1, seeds=[2011], out_dir=tmp_path,
+        rerun = run_sweep("paper-closed-loop", jobs=1, seeds=[2011], out_dir=tmp_path,
                           overrides=FAST)
         assert rerun.cached == 1 and rerun.ran == 0
 
