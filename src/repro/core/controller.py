@@ -58,7 +58,7 @@ consult the controller's arrival-rate predictor
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -276,23 +276,35 @@ class ProvisioningControllerBase:
     def _channel_capacities(
         self,
         demands: Sequence[ChannelDemand],
-        grants: Mapping[ChunkKey, float],
+        cells: Iterable[Tuple[ChunkKey, float]],
     ) -> Dict[int, np.ndarray]:
         """Granted bytes/s per channel chunk, plus the populated-chunk
-        floor."""
-        arrays: Dict[int, np.ndarray] = {}
+        floor.
+
+        ``cells`` yields ``((channel, chunk), vms)`` per allocation cell;
+        a chunk's grant is R times its cells' VMs, summed in cell order.
+        The grants land in one flat array laid out like ``demands``, and
+        each channel's array is its slice.
+        """
+        offsets: Dict[int, int] = {}
+        size = 0
         for demand in demands:
-            j = demand.cloud_demand.size
-            arr = np.zeros(j, dtype=float)
-            for i in range(j):
-                arr[i] = grants.get((demand.channel_id, i), 0.0)
-            if self.min_capacity_per_chunk > 0:
-                populated = demand.expected_in_system > 0
-                arr[populated] = np.maximum(
-                    arr[populated], self.min_capacity_per_chunk
-                )
-            arrays[demand.channel_id] = arr
-        return arrays
+            offsets[demand.channel_id] = size
+            size += demand.cloud_demand.size
+        grants = [0.0] * size
+        vm_bandwidth = self.vm_bandwidth
+        for (channel, chunk), vms in cells:
+            k = offsets[channel] + chunk
+            grants[k] = grants[k] + vms * vm_bandwidth
+        flat = np.array(grants, dtype=float)
+        if self.min_capacity_per_chunk > 0 and demands:
+            populated = np.concatenate(
+                [demand.expected_in_system for demand in demands]
+            ) > 0
+            flat[populated] = np.maximum(
+                flat[populated], self.min_capacity_per_chunk
+            )
+        return dict(zip(offsets, np.split(flat, list(offsets.values())[1:])))
 
     # ------------------------------------------------------------------
     # The subclass-provided optimization pipeline

@@ -13,10 +13,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.p2p.contribution import cloud_supplement, solve_p2p_channel_capacity
+from repro.p2p.contribution import cloud_supplement, peer_contribution
 from repro.p2p.coownership import CoOwnershipModel
-from repro.queueing.capacity import CapacityModel, solve_channel_capacity
-from repro.queueing.transitions import empirical_transition_matrix
+from repro.p2p.ownership import ownership_from_valid
+from repro.queueing.capacity import CapacityModel, ChannelCapacityResult, capacity_from_valid
+from repro.queueing.jackson import external_arrival_vector
+from repro.queueing.transitions import empirical_transition_matrix, sequential_matrix
 from repro.vod.tracker import IntervalStats
 
 __all__ = ["ChannelDemand", "DemandEstimator", "aggregate_demand"]
@@ -49,8 +51,9 @@ class ChannelDemand:
 
     def chunk_demands(self) -> Dict[ChunkKey, float]:
         """``{(channel, chunk): Delta}`` mapping for the optimizers."""
+        channel = self.channel_id
         return {
-            (self.channel_id, i): float(d) for i, d in enumerate(self.cloud_demand)
+            (channel, i): delta for i, delta in enumerate(self.cloud_demand.tolist())
         }
 
 
@@ -113,79 +116,6 @@ class DemandEstimator:
         self.peer_discount = peer_discount
 
     # ------------------------------------------------------------------
-    def estimate_channel(
-        self,
-        stats: IntervalStats,
-        *,
-        arrival_rate: Optional[float] = None,
-        peer_upload: Optional[float] = None,
-    ) -> ChannelDemand:
-        """Estimate one channel's demand from its interval statistics.
-
-        ``arrival_rate`` overrides the measured rate (e.g. a predictor's
-        output); ``peer_upload`` overrides the measured mean peer upload
-        capacity in P2P mode.
-        """
-        rate = stats.arrival_rate if arrival_rate is None else arrival_rate
-        rate = max(rate, self.min_arrival_rate)
-        matrix = empirical_transition_matrix(
-            stats.transition_counts,
-            stats.departure_counts,
-            prior=self.prior_matrices.get(stats.channel_id, self.default_prior),
-        )
-        alpha = stats.observed_alpha
-
-        if rate <= 0:
-            j = matrix.shape[0]
-            zeros = np.zeros(j)
-            return ChannelDemand(
-                channel_id=stats.channel_id,
-                arrival_rate=0.0,
-                servers=np.zeros(j, dtype=int),
-                cloud_demand=zeros,
-                peer_bandwidth=zeros.copy(),
-                expected_in_system=zeros.copy(),
-            )
-
-        if self.mode == "client-server":
-            result = solve_channel_capacity(self.model, matrix, rate, alpha=alpha)
-            return ChannelDemand(
-                channel_id=stats.channel_id,
-                arrival_rate=rate,
-                servers=result.servers,
-                cloud_demand=result.cloud_demand,
-                peer_bandwidth=np.zeros_like(result.cloud_demand),
-                expected_in_system=result.expected_in_system,
-            )
-
-        upload = (
-            peer_upload if peer_upload is not None else stats.mean_upload_capacity
-        )
-        p2p = solve_p2p_channel_capacity(
-            self.model,
-            matrix,
-            rate,
-            peer_upload=max(0.0, upload),
-            alpha=alpha,
-            coownership=self.coownership,
-        )
-        gamma = self.peer_discount * p2p.peer_bandwidth
-        delta = cloud_supplement(
-            p2p.servers,
-            gamma,
-            self.model.vm_bandwidth,
-            self.model.streaming_rate,
-            in_system=p2p.capacity.little_target,
-        )
-        return ChannelDemand(
-            channel_id=stats.channel_id,
-            arrival_rate=rate,
-            servers=p2p.servers,
-            cloud_demand=delta,
-            peer_bandwidth=gamma,
-            expected_in_system=p2p.capacity.little_target,
-        )
-
     def estimate_all(
         self,
         interval_stats: Sequence[IntervalStats],
@@ -193,20 +123,152 @@ class DemandEstimator:
         arrival_rates: Optional[Mapping[int, float]] = None,
         peer_upload: Optional[float] = None,
     ) -> List[ChannelDemand]:
-        """Estimate every channel; ``arrival_rates`` maps channel -> rate."""
-        demands = []
-        for stats in interval_stats:
+        """Estimate every channel's demand from its interval statistics.
+
+        ``arrival_rates`` maps channel -> a rate overriding the measured
+        one (e.g. a predictor's output); ``peer_upload`` overrides the
+        measured mean peer upload capacity in P2P mode.  Demands come
+        back in the order of ``interval_stats``.
+
+        The channels are analyzed together, one stack per chunk count J:
+        their empirical matrices are built and validated as one
+        ``(C, J, J)`` array, the traffic equations are one stacked solve
+        and every chunk queue is sized by one lock-step server search
+        (:func:`~repro.queueing.capacity.capacity_from_valid`).  Only the
+        P2P ownership and rarest-first contribution, sequential by
+        nature, run per channel.
+        """
+        stats = list(interval_stats)
+        by_chunks: Dict[int, List[int]] = {}
+        for index, channel in enumerate(stats):
+            by_chunks.setdefault(channel.transition_counts.shape[0], []).append(index)
+        demands: List[Optional[ChannelDemand]] = [None] * len(stats)
+        for indices in by_chunks.values():
+            estimated = self._estimate_stack(
+                [stats[i] for i in indices], arrival_rates, peer_upload
+            )
+            for index, demand in zip(indices, estimated):
+                demands[index] = demand
+        return demands
+
+    def _estimate_stack(
+        self,
+        stats: List[IntervalStats],
+        arrival_rates: Optional[Mapping[int, float]],
+        peer_upload: Optional[float],
+    ) -> List[ChannelDemand]:
+        """:meth:`estimate_all` over channels that share one chunk count."""
+        j = stats[0].transition_counts.shape[0]
+        rates = []
+        for channel in stats:
             override = (
-                arrival_rates.get(stats.channel_id)
+                arrival_rates.get(channel.channel_id)
                 if arrival_rates is not None
                 else None
             )
-            demands.append(
-                self.estimate_channel(
-                    stats, arrival_rate=override, peer_upload=peer_upload
-                )
+            rate = channel.arrival_rate if override is None else override
+            rates.append(max(rate, self.min_arrival_rate))
+        fallback = sequential_matrix(j, continue_prob=0.9)
+        priors = [
+            self.prior_matrices.get(channel.channel_id, self.default_prior)
+            for channel in stats
+        ]
+        matrices = empirical_transition_matrix(
+            np.stack([channel.transition_counts for channel in stats]),
+            np.stack([channel.departure_counts for channel in stats]),
+            prior=np.stack([fallback if p is None else p for p in priors]),
+        )
+
+        # A NaN rate counts as busy, so the analysis rejects it.
+        busy = [i for i, rate in enumerate(rates) if not rate <= 0]
+        if busy:
+            capacity = capacity_from_valid(
+                self.model,
+                matrices[busy],
+                external_arrival_vector(
+                    j,
+                    [rates[i] for i in busy],
+                    [stats[i].observed_alpha for i in busy],
+                ),
             )
+            servers = capacity.servers
+            if self.mode == "client-server":
+                cloud = capacity.cloud_demand
+                peers = np.zeros_like(cloud)
+                in_system = capacity.expected_in_system
+            else:
+                cloud, peers, in_system = self._p2p_split(
+                    [stats[i] for i in busy], capacity, peer_upload
+                )
+
+        rows = dict(zip(busy, range(len(busy))))
+        demands = []
+        for i, channel in enumerate(stats):
+            row = rows.get(i)
+            if row is None:
+                demands.append(ChannelDemand(
+                    channel_id=channel.channel_id,
+                    arrival_rate=0.0,
+                    servers=np.zeros(j, dtype=int),
+                    cloud_demand=np.zeros(j),
+                    peer_bandwidth=np.zeros(j),
+                    expected_in_system=np.zeros(j),
+                ))
+            else:
+                demands.append(ChannelDemand(
+                    channel_id=channel.channel_id,
+                    arrival_rate=rates[i],
+                    servers=servers[row],
+                    cloud_demand=cloud[row],
+                    peer_bandwidth=peers[row],
+                    expected_in_system=in_system[row],
+                ))
         return demands
+
+    def _p2p_split(
+        self,
+        stats: List[IntervalStats],
+        capacity: ChannelCapacityResult,
+        peer_upload: Optional[float],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cloud demand Delta, peer bandwidth Gamma and populations for
+        busy P2P channels, from their stacked client-server capacity.
+
+        Ownership and contribution rest on the Little target
+        lambda_i * T0 (see
+        :func:`~repro.p2p.contribution.solve_p2p_channel_capacity`) and
+        run per channel; the cloud supplement is element-wise, so it runs
+        once over the stack.
+        """
+        populations = capacity.little_target
+        gamma = np.zeros_like(populations)
+        for row, channel in enumerate(stats):
+            upload = (
+                peer_upload
+                if peer_upload is not None
+                else channel.mean_upload_capacity
+            )
+            ownership = ownership_from_valid(
+                capacity.traffic.transition_matrix[row], populations[row]
+            )
+            gamma[row] = peer_contribution(
+                capacity.servers[row],
+                ownership.owners,
+                ownership.population,
+                max(0.0, upload),
+                self.model.streaming_rate,
+                in_system=populations[row],
+                coownership=self.coownership,
+            )
+        gamma = self.peer_discount * gamma
+        delta = cloud_supplement(
+            capacity.servers,
+            gamma,
+            self.model.vm_bandwidth,
+            self.model.streaming_rate,
+            in_system=populations,
+        )
+        return delta, gamma, populations
 
 
 def aggregate_demand(demands: Sequence[ChannelDemand]) -> Dict[ChunkKey, float]:

@@ -180,7 +180,8 @@ class ProvisioningController(ProvisioningControllerBase):
             packing=packing,
             agreement=agreement,
             per_channel_capacity=self._channel_capacities(
-                demands, vm_plan.chunk_bandwidth(self.vm_bandwidth)
+                demands,
+                ((chunk, z) for (chunk, _), z in vm_plan.allocations.items()),
             ),
             rejected=rejected,
             cluster_utilities={spec.name: spec.utility for spec in vm_specs},

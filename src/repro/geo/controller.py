@@ -179,19 +179,10 @@ class GeoProvisioningController(ProvisioningControllerBase):
             name: {} for name in self.topology.region_names()
         }
         for demand in demands:
-            region = regional[self.slot_region(demand.channel_id)]
-            for chunk_key, delta in demand.chunk_demands().items():
-                region[chunk_key] = delta
+            regional[self.slot_region(demand.channel_id)].update(
+                demand.chunk_demands()
+            )
         return regional
-
-    def _slot_grants(
-        self, plan: GeoAllocationPlan
-    ) -> Dict[object, float]:
-        """Granted bytes/s per ``(slot, chunk)``: R × Σ serving cells."""
-        grants: Dict[object, float] = {}
-        for (_viewer, key, _s, _cl), z in plan.allocations.items():
-            grants[key] = grants.get(key, 0.0) + z * self.vm_bandwidth
-        return grants
 
     def _channel_chunk_demand(
         self, demands: Sequence[ChannelDemand]
@@ -200,15 +191,18 @@ class GeoProvisioningController(ProvisioningControllerBase):
 
         One stored copy serves every region, so the storage optimizer
         sees the catalog's channel-chunk space, not the slot space.
-        Accumulation follows slot order (fixed) for determinism.
+        Each channel's slot arrays are summed in slot order (fixed), for
+        determinism.
         """
-        pooled: Dict[object, float] = {}
+        pooled: Dict[int, np.ndarray] = {}
         for demand in demands:
             channel = self.slot_channel(demand.channel_id)
-            for i, delta in enumerate(demand.cloud_demand):
-                key = (channel, i)
-                pooled[key] = pooled.get(key, 0.0) + float(delta)
-        return pooled
+            pooled[channel] = pooled.get(channel, 0.0) + demand.cloud_demand
+        return {
+            (channel, i): delta
+            for channel, deltas in pooled.items()
+            for i, delta in enumerate(deltas.tolist())
+        }
 
     def _egress_rate(self, plan: GeoAllocationPlan) -> float:
         """$/hour of cross-region transfer the plan implies."""
@@ -292,7 +286,8 @@ class GeoProvisioningController(ProvisioningControllerBase):
             plan=plan,
             agreement=agreement,
             per_channel_capacity=self._channel_capacities(
-                demands, self._slot_grants(plan)
+                demands,
+                ((key, z) for (_viewer, key, _s, _cl), z in plan.allocations.items()),
             ),
             storage_plan=storage_plan,
             rejected=rejected,

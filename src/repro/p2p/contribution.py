@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from repro.p2p.coownership import CoOwnershipModel, independent_coownership
-from repro.p2p.ownership import OwnershipResult, solve_ownership
+from repro.p2p.ownership import OwnershipResult, ownership_from_valid
 from repro.queueing.capacity import CapacityModel, ChannelCapacityResult, solve_channel_capacity
 
 __all__ = [
@@ -262,7 +262,7 @@ def solve_p2p_channel_capacity(
     # and the per-chunk streaming demand scale with lambda_i * T0, not with
     # the (possibly much smaller) downloading population E[n_i].
     populations = capacity.little_target
-    ownership = solve_ownership(transition_matrix, populations)
+    ownership = ownership_from_valid(capacity.traffic.transition_matrix, populations)
     gamma = peer_contribution(
         capacity.servers,
         ownership.owners,

@@ -76,7 +76,18 @@ def solve_ownership(
         E[n_i] per chunk queue from the capacity analysis
         (:func:`repro.queueing.capacity.solve_channel_capacity`).
     """
-    p = validate_transition_matrix(transition_matrix)
+    return ownership_from_valid(
+        validate_transition_matrix(transition_matrix), expected_in_system
+    )
+
+
+def ownership_from_valid(
+    p: np.ndarray, expected_in_system: np.ndarray
+) -> OwnershipResult:
+    """:func:`solve_ownership` for a P that
+    :func:`~repro.queueing.transitions.validate_transition_matrix` has
+    already returned (the batched demand path validates each stack once).
+    """
     n = np.asarray(expected_in_system, dtype=float)
     if n.shape != (p.shape[0],):
         raise ValueError(

@@ -17,21 +17,21 @@ the client-server mode is exactly the cloud capacity Delta_i to provision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from repro.queueing.erlang import mmm_expected_number_in_system
 from repro.queueing.jackson import (
     TrafficSolution,
     external_arrival_vector,
-    solve_traffic_equations,
+    solve_validated,
 )
+from repro.queueing.transitions import validate_transition_matrix
 
 __all__ = ["CapacityModel", "ChannelCapacityResult", "required_servers",
-           "solve_channel_capacity"]
+           "size_queues", "solve_channel_capacity"]
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,91 @@ class CapacityModel:
         return 1.0 / self.service_rate
 
 
+def size_queues(
+    arrival_rates: ArrayLike,
+    service_rate: float,
+    target_sojourn: float,
+    *,
+    max_servers: int = 10_000_000,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Minimal stable M/M/m server counts for an array of queues.
+
+    For every arrival rate lambda_i, finds the least m_i with a stable
+    M/M/m queue whose mean sojourn is at most ``target_sojourn``, and
+    returns ``(servers, expected_in_system)``: m_i and E[n_i] at that
+    m_i, arrays of the rates' shape.  An idle queue (lambda_i = 0) needs
+    0 servers and holds E[n] = 0.
+
+    Every queue advances in lock step: step k extends each one's Erlang-B
+    recursion B(k, a) from B(k-1, a), and a queue whose k has reached its
+    smallest stable count and whose E[n] meets Little's target stops
+    there and leaves the active set, so the whole search costs the sum
+    of the m_i, not (queues x max m_i).  The element-wise arithmetic is
+    the scalar recursion's, in its order, so each m_i and E[n_i] is
+    bitwise what a one-queue search (or a fresh
+    :func:`~repro.queueing.erlang.mmm_expected_number_in_system` at m_i)
+    gives.
+
+    Raises ``ValueError`` on a negative or non-finite rate, a
+    non-positive service rate or target, a target below the bare service
+    time 1/mu (no server count achieves it) while some queue is busy, or
+    when a search exceeds ``max_servers``.
+    """
+    lam = np.asarray(arrival_rates, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(
+            f"arrival rate must be finite, got {lam[~np.isfinite(lam)].flat[0]}"
+        )
+    if np.any(lam < 0):
+        raise ValueError(f"arrival rate must be >= 0, got {lam.min()}")
+    if service_rate <= 0:
+        raise ValueError(f"service rate must be > 0, got {service_rate}")
+    if target_sojourn <= 0:
+        raise ValueError(f"target sojourn must be > 0, got {target_sojourn}")
+    servers = np.zeros(lam.shape, dtype=int)
+    in_system = np.zeros(lam.shape, dtype=float)
+    busy = np.flatnonzero(lam > 0)
+    if busy.size == 0:
+        return servers, in_system
+    if target_sojourn < 1.0 / service_rate:
+        raise ValueError(
+            f"target sojourn {target_sojourn} < service time {1.0 / service_rate}; "
+            "no server count can achieve it"
+        )
+
+    rates = lam.reshape(-1)[busy]
+    a = rates / service_rate  # offered load
+    # Little's law target, with the search's acceptance slack folded in.
+    target = rates * target_sojourn + 1e-12
+    stable = np.maximum(np.floor(a) + 1.0, 1.0)  # smallest stable m
+    # With infinitely many servers E[n] -> a <= target, so every queue
+    # stops.  Below its stable count a queue only carries the recursion;
+    # the E[n] lanes computed there are masked out (their m - a <= 0).
+    b = np.ones_like(a)
+    flat_servers = servers.reshape(-1)
+    flat_in_system = in_system.reshape(-1)
+    m = 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while busy.size:
+            if m > max_servers:
+                raise ValueError(
+                    f"exceeded max_servers={max_servers} searching for capacity"
+                )
+            b = a * b / (m + a * b)  # Erlang-B step: B(m, a) from B(m-1, a)
+            c = m * b / (m - a * (1.0 - b))  # Erlang-C conversion
+            n = a + c * a / (m - a)  # E[n] = a + Lq
+            done = (stable <= m) & (n <= target)
+            if done.any():
+                flat_servers[busy[done]] = m
+                flat_in_system[busy[done]] = n[done]
+                keep = ~done
+                busy, a, b, target, stable = (
+                    busy[keep], a[keep], b[keep], target[keep], stable[keep]
+                )
+            m += 1
+    return servers, in_system
+
+
 def required_servers(
     arrival_rate: float,
     service_rate: float,
@@ -89,46 +174,16 @@ def required_servers(
 ) -> int:
     """Minimal m with a stable M/M/m queue whose mean sojourn <= target.
 
-    Returns 0 when ``arrival_rate`` is 0 (an idle queue needs no capacity).
-    Raises ``ValueError`` when the target is infeasible, i.e. smaller than
-    the bare service time 1/mu (no number of servers can beat that), or if
+    The one-queue call of :func:`size_queues`: returns 0 when
+    ``arrival_rate`` is 0 (an idle queue needs no capacity) and raises
+    ``ValueError`` when the target is infeasible, i.e. smaller than the
+    bare service time 1/mu (no number of servers can beat that), or if
     the search exceeds ``max_servers``.
     """
-    if arrival_rate < 0:
-        raise ValueError(f"arrival rate must be >= 0, got {arrival_rate}")
-    if service_rate <= 0:
-        raise ValueError(f"service rate must be > 0, got {service_rate}")
-    if target_sojourn <= 0:
-        raise ValueError(f"target sojourn must be > 0, got {target_sojourn}")
-    if arrival_rate == 0.0:
-        return 0
-    if target_sojourn < 1.0 / service_rate:
-        raise ValueError(
-            f"target sojourn {target_sojourn} < service time {1.0 / service_rate}; "
-            "no server count can achieve it"
-        )
-
-    offered = arrival_rate / service_rate
-    target_in_system = arrival_rate * target_sojourn  # Little's law
-    m = max(1, math.floor(offered) + 1)  # smallest stable server count
-    # With infinitely many servers E[n] -> offered <= target_in_system,
-    # so the search below terminates.  The Erlang-B recursion is carried
-    # across candidates: B(m, a) extends B(m-1, a) by one step, so the
-    # linear search costs O(m) total instead of O(m^2) while producing
-    # exactly the floats ``mmm_expected_number_in_system(m, offered)``
-    # would (same recursion, same order).
-    a = offered
-    b = 1.0
-    for k in range(1, m):
-        b = a * b / (k + a * b)
-    while m <= max_servers:
-        b = a * b / (m + a * b)  # Erlang-B step: B(m, a) from B(m-1, a)
-        c = m * b / (m - a * (1.0 - b))  # Erlang-C conversion
-        in_system = a + c * a / (m - a)  # E[n] = a + Lq
-        if in_system <= target_in_system + 1e-12:
-            return m
-        m += 1
-    raise ValueError(f"exceeded max_servers={max_servers} searching for capacity")
+    servers, _ = size_queues(
+        arrival_rate, service_rate, target_sojourn, max_servers=max_servers
+    )
+    return int(servers)
 
 
 @dataclass(frozen=True)
@@ -205,22 +260,30 @@ def solve_channel_capacity(
         Optional explicit per-chunk external arrival vector; overrides the
         (``external_rate``, ``alpha``) split.
     """
-    p = np.asarray(transition_matrix, dtype=float)
+    p = validate_transition_matrix(transition_matrix)
     if external_rates is None:
-        ext = external_arrival_vector(p.shape[0], external_rate, alpha)
+        ext = external_arrival_vector(p.shape[-1], external_rate, alpha)
     else:
         ext = np.asarray(external_rates, dtype=float)
-    traffic = solve_traffic_equations(p, ext)
+    return capacity_from_valid(model, p, ext)
 
-    mu = model.service_rate
-    t0 = model.chunk_duration
-    servers = np.zeros(p.shape[0], dtype=int)
-    in_system = np.zeros(p.shape[0], dtype=float)
-    for i, lam in enumerate(traffic.arrival_rates):
-        m = required_servers(float(lam), mu, t0)
-        servers[i] = m
-        if m > 0 and lam > 0:
-            in_system[i] = mmm_expected_number_in_system(m, lam / mu)
+
+def capacity_from_valid(
+    model: CapacityModel, p: np.ndarray, external_rates: np.ndarray
+) -> ChannelCapacityResult:
+    """The Section IV-B pipeline over a validated stack of channels.
+
+    ``p`` is ``(..., J, J)`` as returned by
+    :func:`~repro.queueing.transitions.validate_transition_matrix` and
+    ``external_rates`` is ``(..., J)``: one stacked traffic solve, then
+    one lock-step :func:`size_queues` over every chunk queue.  The
+    result's arrays carry the same leading axes.
+    :func:`solve_channel_capacity` is its one-channel call.
+    """
+    traffic = solve_validated(p, external_rates)
+    servers, in_system = size_queues(
+        traffic.arrival_rates, model.service_rate, model.chunk_duration
+    )
     return ChannelCapacityResult(
         model=model, traffic=traffic, servers=servers, expected_in_system=in_system
     )

@@ -37,32 +37,37 @@ _TOL = 1e-9
 def validate_transition_matrix(matrix: np.ndarray, *, tol: float = _TOL) -> np.ndarray:
     """Validate and return P as a float ndarray.
 
-    Checks: square, entries in [0, 1], rows substochastic, and spectral
-    radius < 1 (every viewer eventually departs).
+    Checks: square, entries finite and in [0, 1], rows substochastic, and
+    spectral radius < 1 (every viewer eventually departs).  A stack of
+    matrices ``(..., J, J)`` is validated in one pass.
     """
     p = np.asarray(matrix, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+    if p.ndim < 2 or p.shape[-2] != p.shape[-1]:
         raise ValueError(f"transition matrix must be square, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("transition matrix has a non-finite entry")
     if np.any(p < -tol) or np.any(p > 1 + tol):
         raise ValueError("transition probabilities must lie in [0, 1]")
-    row_sums = p.sum(axis=1)
-    if np.any(row_sums > 1 + tol):
-        bad = int(np.argmax(row_sums))
+    row_sums = p.sum(axis=-1)
+    over = row_sums > 1 + tol
+    if np.any(over):
+        bad = np.unravel_index(int(np.argmax(over)), over.shape)
         raise ValueError(
-            f"row {bad} sums to {row_sums[bad]:.6f} > 1; rows must be substochastic"
+            f"row {bad[-1]} sums to {row_sums[bad]:.6f} > 1; rows must be "
+            "substochastic"
         )
     if p.size:
         # The spectral radius is bounded by the inf-norm; when every
         # absolute row sum is safely below 1 the eigenvalue solve is
         # conclusive without being computed (the common case: empirical
         # matrices always carry departure mass).
-        bound = float(np.max(np.abs(p).sum(axis=1)))
-        if bound >= 1 - 1e-12:
-            radius = float(np.max(np.abs(np.linalg.eigvals(p))))
-            if radius >= 1 - 1e-12:
+        suspect = np.abs(p).sum(axis=-1).max(axis=-1) >= 1 - 1e-12
+        if np.any(suspect):
+            radius = np.abs(np.linalg.eigvals(p[suspect])).max(axis=-1)
+            if np.any(radius >= 1 - 1e-12):
                 raise ValueError(
-                    f"spectral radius {radius:.6f} >= 1: users would "
-                    "never depart"
+                    f"spectral radius {float(radius.max()):.6f} >= 1: users "
+                    "would never depart"
                 )
     return np.clip(p, 0.0, 1.0)
 
@@ -183,32 +188,36 @@ def empirical_transition_matrix(
     the ``prior`` matrix (smoothed by ``prior_strength`` pseudo-counts when
     observations exist), so a freshly deployed channel still has a usable
     viewing model.
+
+    Stacks work too: counts ``(..., J, J)`` with departures ``(..., J)``
+    and a prior of either shape ``(J, J)`` or the counts' shape estimate
+    every matrix at once, element for element as one at a time.
     """
     counts = np.asarray(transition_counts, dtype=float)
     departures = np.asarray(departure_counts, dtype=float)
-    if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
+    if counts.ndim < 2 or counts.shape[-2] != counts.shape[-1]:
         raise ValueError("transition_counts must be square")
-    if departures.shape != (counts.shape[0],):
+    if departures.shape != counts.shape[:-1]:
         raise ValueError("departure_counts must have one entry per chunk")
     if np.any(counts < 0) or np.any(departures < 0):
         raise ValueError("counts must be nonnegative")
 
-    n = counts.shape[0]
+    n = counts.shape[-1]
     if prior is None:
         prior = sequential_matrix(n, continue_prob=0.9)
     prior = np.asarray(prior, dtype=float)
-    if prior.shape != counts.shape:
+    if prior.shape not in (counts.shape, counts.shape[-2:]):
         raise ValueError("prior must match transition_counts shape")
 
     # Blend observed frequencies with the prior row (including its
     # departure mass, which appears as a row deficit); rows with no
     # observations fall back to the prior verbatim.  Vectorized over
     # rows — elementwise-identical to the per-row formula.
-    row_totals = counts.sum(axis=1) + departures
+    row_totals = counts.sum(axis=-1) + departures
     denom = row_totals + prior_strength
     with np.errstate(divide="ignore", invalid="ignore"):
-        blended = (counts + prior_strength * prior) / denom[:, None]
-    p = np.where((row_totals > 0)[:, None], blended, prior)
+        blended = (counts + prior_strength * prior) / denom[..., None]
+    p = np.where((row_totals > 0)[..., None], blended, prior)
     return validate_transition_matrix(p)
 
 

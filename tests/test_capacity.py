@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.queueing.capacity import (
     CapacityModel,
     required_servers,
+    size_queues,
     solve_channel_capacity,
 )
 from repro.queueing.erlang import (
@@ -73,6 +74,14 @@ class TestRequiredServers:
         # Target below the bare service time is impossible.
         with pytest.raises(ValueError, match="no server count"):
             required_servers(1.0, 0.1, 5.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rate_rejected(self, bad):
+        # NaN used to die in math.floor; a lock-step search would spin on it.
+        with pytest.raises(ValueError, match="arrival rate must be finite"):
+            required_servers(bad, 1.0 / 12.0, 300.0)
+        with pytest.raises(ValueError, match="arrival rate must be finite"):
+            size_queues(np.array([0.5, bad]), 1.0 / 12.0, 300.0)
 
     def test_tight_target_needs_more_servers(self):
         lam, mu = 3.0, 0.2

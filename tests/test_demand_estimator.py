@@ -42,7 +42,7 @@ class TestClientServer:
         populate(tracker)
         stats = tracker.close_interval()
         estimator = DemandEstimator(model, "client-server")
-        demand = estimator.estimate_channel(stats[0])
+        demand = estimator.estimate_all([stats[0]])[0]
         assert demand.arrival_rate == pytest.approx(0.1)
         assert demand.total_cloud_demand > 0
         assert demand.cloud_demand.shape == (4,)
@@ -53,14 +53,14 @@ class TestClientServer:
     def test_idle_channel_zero_demand(self, model, tracker):
         stats = tracker.close_interval()
         estimator = DemandEstimator(model, "client-server")
-        demand = estimator.estimate_channel(stats[1])
+        demand = estimator.estimate_all([stats[1]])[0]
         assert demand.total_cloud_demand == 0.0
         assert demand.total_servers == 0
 
     def test_rate_override(self, model, tracker):
         stats = tracker.close_interval()
         estimator = DemandEstimator(model, "client-server")
-        demand = estimator.estimate_channel(stats[0], arrival_rate=0.5)
+        demand = estimator.estimate_all([stats[0]], arrival_rates={0: 0.5})[0]
         assert demand.arrival_rate == 0.5
         assert demand.total_cloud_demand > 0
 
@@ -69,7 +69,7 @@ class TestClientServer:
         estimator = DemandEstimator(
             model, "client-server", min_arrival_rate=0.01
         )
-        demand = estimator.estimate_channel(stats[0])
+        demand = estimator.estimate_all([stats[0]])[0]
         assert demand.arrival_rate == 0.01
         assert demand.total_servers > 0
 
@@ -79,7 +79,7 @@ class TestClientServer:
             model, "client-server", prior_matrices={0: prior}
         )
         stats = tracker.close_interval()
-        demand = estimator.estimate_channel(stats[0], arrival_rate=0.2)
+        demand = estimator.estimate_all([stats[0]], arrival_rates={0: 0.2})[0]
         # With a sequential prior and alpha=1 (no observed starts), the
         # demand decays along the chain.
         assert demand.servers[0] >= demand.servers[-1]
@@ -89,8 +89,8 @@ class TestP2P:
     def test_peer_bandwidth_reduces_cloud(self, model, tracker):
         populate(tracker, upload=2 * r)
         stats = tracker.close_interval()
-        cs = DemandEstimator(model, "client-server").estimate_channel(stats[0])
-        p2p = DemandEstimator(model, "p2p").estimate_channel(stats[0])
+        cs = DemandEstimator(model, "client-server").estimate_all([stats[0]])[0]
+        p2p = DemandEstimator(model, "p2p").estimate_all([stats[0]])[0]
         assert p2p.total_cloud_demand < cs.total_cloud_demand
         assert p2p.peer_bandwidth.sum() > 0
 
@@ -98,8 +98,8 @@ class TestP2P:
         populate(tracker, upload=0.0)
         stats = tracker.close_interval()
         estimator = DemandEstimator(model, "p2p")
-        none = estimator.estimate_channel(stats[0])
-        lots = estimator.estimate_channel(stats[0], peer_upload=5 * r)
+        none = estimator.estimate_all([stats[0]])[0]
+        lots = estimator.estimate_all([stats[0]], peer_upload=5 * r)[0]
         assert lots.total_cloud_demand <= none.total_cloud_demand
 
     def test_invalid_mode_rejected(self, model):
@@ -130,6 +130,6 @@ class TestAggregate:
     def test_chunk_demands_keys(self, model, tracker):
         populate(tracker)
         stats = tracker.close_interval()
-        demand = DemandEstimator(model, "client-server").estimate_channel(stats[0])
+        demand = DemandEstimator(model, "client-server").estimate_all([stats[0]])[0]
         keys = list(demand.chunk_demands())
         assert keys == [(0, 0), (0, 1), (0, 2), (0, 3)]

@@ -36,6 +36,13 @@ class TestExternalArrivals:
         with pytest.raises(ValueError):
             external_arrival_vector(3, -1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rate(self, bad):
+        with pytest.raises(ValueError, match="arrival rate must be finite"):
+            external_arrival_vector(3, bad)
+        with pytest.raises(ValueError, match="arrival rate must be finite"):
+            external_arrival_vector(3, [1.0, bad], [0.8, 0.8])
+
 
 class TestTrafficEquations:
     def test_sequential_chain_decays_geometrically(self):
@@ -94,6 +101,29 @@ class TestTrafficEquations:
             solve_traffic_equations(
                 sequential_matrix(3, 0.5), np.array([1.0, -0.5, 0.0])
             )
+
+    def test_nan_matrix_rejected_not_solved(self):
+        # A NaN entry used to pass validation and yield all-NaN rates.
+        p = sequential_matrix(3, 0.5)
+        p[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_traffic_equations(p, np.ones(3))
+
+    def test_non_finite_external_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            solve_traffic_equations(
+                sequential_matrix(3, 0.5), np.array([1.0, np.nan, 0.0])
+            )
+
+    def test_stacked_solve_is_bitwise_per_matrix(self):
+        mats = [uniform_jump_matrix(6, 0.6, 0.2), sequential_matrix(6, 0.8),
+                uniform_jump_matrix(6, 0.3, 0.5)]
+        exts = [external_arrival_vector(6, rate, 0.7) for rate in (0.4, 2.0, 9.5)]
+        stacked = solve_traffic_equations(np.stack(mats), np.stack(exts))
+        assert stacked.arrival_rates.shape == (3, 6)
+        for row, p, ext in zip(stacked.arrival_rates, mats, exts):
+            single = solve_traffic_equations(p, ext).arrival_rates
+            assert row.tobytes() == single.tobytes()
 
     @given(
         n=st.integers(min_value=2, max_value=10),

@@ -41,6 +41,24 @@ class TestValidate:
         with pytest.raises(ValueError, match="depart"):
             validate_transition_matrix(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        p = np.array([[0.0, 0.5], [bad, 0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_transition_matrix(p)
+
+    def test_stack_rejects_any_bad_matrix(self):
+        good = sequential_matrix(2, continue_prob=0.9)
+        bad = np.array([[0.7, 0.5], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="row 0 .*substochastic"):
+            validate_transition_matrix(np.stack([good, bad]))
+        cycle = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="depart"):
+            validate_transition_matrix(np.stack([good, cycle]))
+        nan = np.array([[0.0, np.nan], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_transition_matrix(np.stack([good, nan]))
+
     def test_leave_probabilities(self):
         p = np.array([[0.0, 0.6], [0.3, 0.0]])
         leave = leave_probabilities(p)
