@@ -40,7 +40,7 @@ from repro.experiments import registry
 from repro.experiments.config import small_scenario
 from repro.vod.simulator import VoDSimulator, VoDSystemConfig
 from repro.workload.catalog import CATALOG_VARIANTS, catalog_config
-from repro.workload.trace import ShardTraceArrays, generate_trace
+from repro.workload.trace import generate_trace
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
@@ -61,7 +61,6 @@ def kernel_trajectory(mode: str, *, steps: int = 360,
         horizon_hours=4.0,
         seed=2011,
     )
-    trace = generate_trace(scenario.trace_config())
     config = VoDSystemConfig(
         mode=mode,
         dt=10.0,
@@ -70,7 +69,7 @@ def kernel_trajectory(mode: str, *, steps: int = 360,
         seed=scenario.seed,
     )
     sim = VoDSimulator(
-        scenario.channels(), ShardTraceArrays.from_trace(trace), config
+        scenario.channels(), generate_trace(scenario.trace_config()), config
     )
     for spec in sim.channels:
         sim.set_cloud_capacity(

@@ -64,7 +64,9 @@ catalog knob (unknown keys fail fast, listing the valid ones).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
@@ -343,8 +345,28 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     trace = generate_trace(config)
-    trace.to_json(args.output)
-    print(f"wrote {len(trace)} sessions over {args.hours:.0f} h "
+    summary = {
+        "num_channels": config.num_channels,
+        "chunks_per_channel": config.chunks_per_channel,
+        "horizon_seconds": config.horizon_seconds,
+        "mean_total_arrival_rate": config.mean_total_arrival_rate,
+        "zipf_exponent": config.zipf_exponent,
+        "alpha": config.alpha,
+        "seed": config.seed,
+        "num_sessions": trace.num_sessions,
+    }
+    rows = [
+        {"arrival_time": t, "channel": c, "start_chunk": s,
+         "upload_capacity": u}
+        for t, c, s, u in zip(
+            trace.times.tolist(), trace.channels.tolist(),
+            trace.start_chunks.tolist(), trace.upload_capacities.tolist(),
+        )
+    ]
+    Path(args.output).write_text(
+        json.dumps({"config": summary, "sessions": rows})
+    )
+    print(f"wrote {trace.num_sessions} sessions over {args.hours:.0f} h "
           f"({args.channels} channels) to {args.output}")
     return 0
 

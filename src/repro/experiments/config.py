@@ -27,7 +27,7 @@ from repro.queueing.capacity import CapacityModel
 from repro.queueing.jackson import external_arrival_vector, solve_traffic_equations
 from repro.vod.channel import ChannelSpec, default_behaviour_matrix, make_uniform_channels
 from repro.workload.pareto import BoundedPareto
-from repro.workload.trace import TraceConfig
+from repro.workload.trace import TraceConfig, reject_non_finite
 
 __all__ = [
     "PaperConstants",
@@ -56,6 +56,9 @@ class PaperConstants:
     vm_budget_per_hour: float = 100.0
     storage_budget_per_hour: float = 1.0
     interval_seconds: float = 3600.0
+
+    def __post_init__(self) -> None:
+        reject_non_finite(self)
 
     @property
     def chunks_per_channel(self) -> int:
@@ -178,6 +181,7 @@ class ScenarioConfig:
     bootstrap_rate_factor: float = 1.0
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.mode not in ("client-server", "p2p"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.num_channels <= 0 or self.chunks_per_channel <= 0:

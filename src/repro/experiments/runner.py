@@ -31,7 +31,7 @@ from repro.vod.multi import (
     VoDSystemConfig,
 )
 from repro.vod.tracker import TrackingServer
-from repro.workload.trace import ShardTraceArrays, generate_trace
+from repro.workload.trace import generate_trace
 
 __all__ = ["ClosedLoopResult", "ClosedLoopEngine"]
 
@@ -128,10 +128,9 @@ class ClosedLoopEngine(EpochLoop):
     def _bootstrap(self) -> ProvisioningDecision:
         """Build the trace and simulator, then the initial deployment."""
         scenario = self.scenario
-        trace = generate_trace(scenario.trace_config())
         self.simulator = MultiChannelSimulator(
             scenario.channels(),
-            ShardTraceArrays.from_trace(trace),
+            generate_trace(scenario.trace_config()),
             VoDSystemConfig(
                 mode=scenario.mode,
                 dt=scenario.dt,

@@ -64,13 +64,14 @@ from repro.vod.tracker import IntervalStats, TrackingServer
 from repro.workload.catalog import (
     CatalogConfig,
     GeoCatalogConfig,
-    # No shard builds a session-list trace any more; perfbench's layer
-    # wiring still wraps the name here, so it stays importable.
-    build_shard_trace,  # noqa: F401 (perfbench)
     build_shard_trace_arrays,
     channel_shapes,
     shard_channel_ids,
 )
+
+# perfbench's layer wiring wraps this name; a benchmark change drops the
+# alias together with that wrap.
+build_shard_trace = build_shard_trace_arrays
 
 __all__ = [
     "ChannelShard",

@@ -10,8 +10,9 @@ PPLive-VoD characteristics; this package regenerates an equivalent trace:
   ([180 kbps, 10 Mbps], shape k = 3).
 * :mod:`repro.workload.arrivals` — (non-)homogeneous Poisson arrival
   sampling.
-* :mod:`repro.workload.trace` — assembled traces (sessions with channel,
-  arrival time, start position, upload capacity) plus JSON serialization.
+* :mod:`repro.workload.trace` — assembled traces: arrival-sorted
+  parallel arrays of arrival time, channel, start chunk and upload
+  capacity.
 """
 
 from repro.workload.arrivals import (
@@ -21,7 +22,7 @@ from repro.workload.arrivals import (
 )
 from repro.workload.diurnal import DiurnalPattern
 from repro.workload.pareto import BoundedPareto
-from repro.workload.trace import Session, Trace, TraceConfig, generate_trace
+from repro.workload.trace import ShardTraceArrays, TraceConfig, generate_trace
 from repro.workload.zipf import assign_channel_rates, zipf_weights
 
 #: Lazily re-exported from :mod:`repro.workload.catalog`, which reuses
@@ -31,7 +32,7 @@ from repro.workload.zipf import assign_channel_rates, zipf_weights
 _CATALOG_EXPORTS = (
     "CatalogConfig",
     "ChannelShape",
-    "build_shard_trace",
+    "build_shard_trace_arrays",
     "catalog_config",
     "channel_sessions",
     "channel_shapes",
@@ -53,8 +54,7 @@ __all__ = [
     "interval_rates",
     "DiurnalPattern",
     "BoundedPareto",
-    "Session",
-    "Trace",
+    "ShardTraceArrays",
     "TraceConfig",
     "generate_trace",
     "zipf_weights",

@@ -2,11 +2,13 @@
 
 The channel arrival process is Poisson with a time-varying rate
 Lambda^(c)(t) = mean rate x diurnal factor. Non-homogeneous sampling uses
-Lewis-Shedler thinning against a supplied rate function.
+Lewis-Shedler thinning against a supplied vectorized rate function; it is
+the one thinning sampler behind both the closed-loop and catalog traces.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +27,9 @@ def poisson_arrival_times(
 
     Returns a sorted array; empty when ``rate`` is 0.
     """
+    for name, value in (("rate", rate), ("horizon", horizon)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if rate < 0:
         raise ValueError(f"rate must be >= 0, got {rate}")
     if horizon < 0:
@@ -37,7 +42,7 @@ def poisson_arrival_times(
 
 def nonhomogeneous_poisson_times(
     rng: np.random.Generator,
-    rate_fn: Callable[[float], float],
+    rate_fn: Callable[[np.ndarray], np.ndarray],
     horizon: float,
     rate_ceiling: float,
 ) -> np.ndarray:
@@ -46,7 +51,8 @@ def nonhomogeneous_poisson_times(
     Parameters
     ----------
     rate_fn:
-        Instantaneous rate lambda(t) (events/second), must satisfy
+        Instantaneous rate lambda(t) (events/second), evaluated on the
+        whole array of candidate times at once; must satisfy
         ``0 <= rate_fn(t) <= rate_ceiling`` on [0, horizon).
     rate_ceiling:
         A (tight-ish) upper bound on the rate; candidates are generated at
@@ -62,7 +68,7 @@ def nonhomogeneous_poisson_times(
     candidates = poisson_arrival_times(rng, rate_ceiling, horizon)
     if candidates.size == 0:
         return candidates
-    accept_probs = np.array([rate_fn(t) for t in candidates]) / rate_ceiling
+    accept_probs = rate_fn(candidates) / rate_ceiling
     if np.any(accept_probs > 1 + 1e-9):
         raise ValueError("rate_fn exceeded rate_ceiling; thinning is invalid")
     keep = rng.random(candidates.size) < accept_probs

@@ -16,11 +16,9 @@ no matter how the catalog is partitioned into shards or how many worker
 processes execute it (the determinism contract of
 :mod:`repro.sim.shard`).
 
-The arrival sampler here is a vectorized Lewis–Shedler thinning (one
-batched candidate draw + one batched accept draw per channel) rather
-than the per-candidate callback in :mod:`repro.workload.arrivals`: at
-catalog scale a single run admits 10^5–10^6 sessions and the scalar
-``rate_fn`` evaluation dominates trace generation.
+Arrivals are sampled by the one Lewis–Shedler thinning sampler,
+:func:`repro.workload.arrivals.nonhomogeneous_poisson_times` (one
+batched candidate draw + one batched accept draw per channel).
 """
 
 from __future__ import annotations
@@ -109,10 +107,10 @@ from repro.queueing.capacity import CapacityModel
 from repro.queueing.jackson import external_arrival_vector, solve_traffic_equations
 from repro.sim.rng import make_rng
 from repro.vod.channel import ChannelSpec, default_behaviour_matrix, make_uniform_channels
-from repro.workload.arrivals import poisson_arrival_times
+from repro.workload.arrivals import nonhomogeneous_poisson_times
 from repro.workload.diurnal import DiurnalPattern
 from repro.workload.pareto import BoundedPareto
-from repro.workload.trace import Session, ShardTraceArrays, Trace
+from repro.workload.trace import ShardTraceArrays, reject_non_finite
 from repro.workload.zipf import assign_channel_rates
 
 __all__ = [
@@ -126,7 +124,6 @@ __all__ = [
     "channel_shapes",
     "channel_sessions",
     "shard_channel_ids",
-    "build_shard_trace",
     "ShardTraceArrays",
     "build_shard_trace_arrays",
 ]
@@ -209,6 +206,7 @@ class CatalogConfig:
     constants: PaperConstants = PAPER
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.mode not in ("client-server", "p2p"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.num_channels <= 0 or self.chunks_per_channel <= 0:
@@ -661,9 +659,9 @@ def channel_sessions(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One channel's arrivals: (times, start_chunks, upload_capacities).
 
-    Vectorized thinning against the channel's rate ceiling, then the
-    alpha-split start chunks and Pareto uploads, all from the channel's
-    own trace stream (key: seed + "catalog/trace/channel-<c>").
+    Thinning against the channel's rate ceiling, then the alpha-split
+    start chunks and Pareto uploads, all from the channel's own trace
+    stream (key: seed + "catalog/trace/channel-<c>").
     """
     diurnal = diurnal or DiurnalPattern()
     rng = make_rng(config.seed, "catalog", "trace",
@@ -677,17 +675,16 @@ def channel_sessions(
         * (1.0 + shape.flash_amplitude)
         * 1.001
     )
-    candidates = poisson_arrival_times(rng, ceiling, config.horizon_seconds)
-    if candidates.size:
-        rate = (
+    times = nonhomogeneous_poisson_times(
+        rng,
+        lambda t: (
             shape.mean_rate
-            * diurnal.factors(candidates + shape.phase_seconds)
-            * _flash_factor(config, shape, candidates)
-        )
-        keep = rng.random(candidates.size) < rate / ceiling
-        times = candidates[keep]
-    else:
-        times = candidates
+            * diurnal.factors(t + shape.phase_seconds)
+            * _flash_factor(config, shape, t)
+        ),
+        config.horizon_seconds,
+        rate_ceiling=ceiling,
+    )
     n = times.size
     j = config.chunks_per_channel
     from_start = rng.random(n) < config.alpha
@@ -720,95 +717,20 @@ def shard_channel_ids(config: CatalogConfig, shard_index: int) -> List[int]:
     ]
 
 
-def build_shard_trace(
-    config: CatalogConfig, channel_ids: Sequence[int],
-    shapes: Optional[Sequence[ChannelShape]] = None,
-) -> Trace:
-    """Assemble the trace covering one shard's channels.
-
-    Channel streams are sampled independently (stable keys), then the
-    shard's sessions are merged into one arrival-sorted list with a
-    stable tiebreak on channel id, exactly like
-    :func:`repro.workload.trace.generate_trace` sorts the full system.
-    """
-    diurnal = DiurnalPattern()
-    if shapes is None:
-        all_shapes = channel_shapes(config)
-        shapes = [all_shapes[c] for c in channel_ids]
-    else:
-        shapes = list(shapes)
-    sessions: List[Session] = []
-    total = 0
-    for shape in shapes:
-        times, starts, uploads = channel_sessions(config, shape, diurnal)
-        total += times.size
-        sessions.extend(
-            Session(
-                arrival_time=float(t),
-                channel=shape.channel_id,
-                start_chunk=int(s),
-                upload_capacity=float(u),
-            )
-            for t, s, u in zip(times, starts, uploads)
-        )
-    sessions.sort(key=lambda s: (s.arrival_time, s.channel))
-    summary = {
-        "num_channels": len(channel_ids),
-        "chunks_per_channel": config.chunks_per_channel,
-        "horizon_seconds": config.horizon_seconds,
-        "mean_total_arrival_rate": float(
-            sum(shape.mean_rate for shape in shapes)
-        ),
-        "zipf_exponent": config.zipf_exponent,
-        "alpha": config.alpha,
-        "seed": config.seed,
-        "num_sessions": len(sessions),
-    }
-    return Trace(config_summary=summary, sessions=sessions)
-
-
 def build_shard_trace_arrays(
     config: CatalogConfig, channel_ids: Sequence[int],
     shapes: Optional[Sequence[ChannelShape]] = None,
 ) -> ShardTraceArrays:
-    """Assemble one shard's trace directly as sorted parallel arrays.
+    """Assemble one shard's trace as sorted parallel arrays.
 
-    Samples exactly the same per-channel streams as
-    :func:`build_shard_trace` (stable keys, identical draw order) and
-    merges them with the same (arrival_time, channel) ordering.
+    Channel streams are sampled independently (stable keys), then merged
+    into one trace sorted by (arrival time, channel id).
     """
     diurnal = DiurnalPattern()
     if shapes is None:
         all_shapes = channel_shapes(config)
         shapes = [all_shapes[c] for c in channel_ids]
-    else:
-        shapes = list(shapes)
-    times_parts: List[np.ndarray] = []
-    channel_parts: List[np.ndarray] = []
-    start_parts: List[np.ndarray] = []
-    upload_parts: List[np.ndarray] = []
-    for shape in shapes:
-        times, starts, uploads = channel_sessions(config, shape, diurnal)
-        times_parts.append(np.asarray(times, dtype=float))
-        channel_parts.append(
-            np.full(times.size, shape.channel_id, dtype=np.int64)
-        )
-        start_parts.append(np.asarray(starts, dtype=np.int64))
-        upload_parts.append(np.asarray(uploads, dtype=float))
-    if times_parts:
-        times = np.concatenate(times_parts)
-        channels = np.concatenate(channel_parts)
-        starts = np.concatenate(start_parts)
-        uploads = np.concatenate(upload_parts)
-    else:
-        times = np.empty(0)
-        channels = np.empty(0, dtype=np.int64)
-        starts = np.empty(0, dtype=np.int64)
-        uploads = np.empty(0)
-    order = np.lexsort((channels, times))
-    return ShardTraceArrays(
-        times=times[order],
-        channels=channels[order],
-        start_chunks=starts[order],
-        upload_capacities=uploads[order],
-    )
+    return ShardTraceArrays.merge([
+        (shape.channel_id, *channel_sessions(config, shape, diurnal))
+        for shape in shapes
+    ])

@@ -1,20 +1,18 @@
 """Assembled synthetic traces (paper Section VI-A).
 
-A trace is a list of user sessions: (arrival time, channel, start chunk,
-upload capacity). Viewing behaviour *within* a session (chunk-to-chunk
-movement, seeks with 15-minute mean intervals, departure) is governed by
-the channel's transition matrix at simulation time, so the trace stays
-decoupled from the behaviour model.
-
-Traces serialize to JSON for reuse across experiments.
+A trace is the arrival-sorted set of user sessions as parallel arrays:
+arrival time, channel, start chunk and upload capacity. Viewing
+behaviour *within* a session (chunk-to-chunk movement, seeks with
+15-minute mean intervals, departure) is governed by the channel's
+transition matrix at simulation time, so the trace stays decoupled from
+the behaviour model.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+import math
+from dataclasses import dataclass, field, fields
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,8 +23,17 @@ from repro.workload.pareto import BoundedPareto
 from repro.workload.zipf import assign_channel_rates
 
 __all__ = [
-    "TraceConfig", "Session", "Trace", "ShardTraceArrays", "generate_trace",
+    "TraceConfig", "ShardTraceArrays", "generate_trace", "reject_non_finite",
 ]
+
+
+def reject_non_finite(instance) -> None:
+    """Raise ``ValueError`` naming the first non-finite float field of a
+    dataclass instance (JSON's ``NaN``/``Infinity`` parse as floats)."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,7 @@ class TraceConfig:
     upload_distribution: BoundedPareto = field(default_factory=BoundedPareto)
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.num_channels <= 0:
             raise ValueError("need at least one channel")
         if self.chunks_per_channel <= 0:
@@ -69,60 +77,13 @@ class TraceConfig:
 
 
 @dataclass(frozen=True)
-class Session:
-    """One user session entering the system."""
-
-    arrival_time: float
-    channel: int
-    start_chunk: int
-    upload_capacity: float  # bytes/second
-
-
-@dataclass
-class Trace:
-    """A generated workload: sessions sorted by arrival time."""
-
-    config_summary: Dict[str, float]
-    sessions: List[Session]
-
-    def __len__(self) -> int:
-        return len(self.sessions)
-
-    def sessions_for_channel(self, channel: int) -> List[Session]:
-        return [s for s in self.sessions if s.channel == channel]
-
-    def arrival_times(self) -> np.ndarray:
-        return np.asarray([s.arrival_time for s in self.sessions])
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_json(self, path: Union[str, Path]) -> None:
-        """Write the trace as JSON (config summary + session rows)."""
-        payload = {
-            "config": self.config_summary,
-            "sessions": [asdict(s) for s in self.sessions],
-        }
-        Path(path).write_text(json.dumps(payload))
-
-    @classmethod
-    def from_json(cls, path: Union[str, Path]) -> "Trace":
-        payload = json.loads(Path(path).read_text())
-        sessions = [Session(**row) for row in payload["sessions"]]
-        return cls(config_summary=payload["config"], sessions=sessions)
-
-
-@dataclass(frozen=True)
 class ShardTraceArrays:
     """A trace as parallel arrays, sorted by arrival time.
 
-    The structure-of-arrays form the simulation kernel admits from,
-    without one :class:`Session` object per arrival.  A catalog shard's
-    arrays (:func:`repro.workload.catalog.build_shard_trace_arrays`)
-    break time ties by channel id, ``np.lexsort((channels, times))``;
-    :meth:`from_trace` keeps the trace's own order on ties.  Either way
-    each channel's sessions appear in their arrival order, which is the
-    only order the kernel observes.
+    The structure-of-arrays form every engine's simulation kernel admits
+    from.  Time ties break by channel id (``np.lexsort((channels,
+    times))``, see :meth:`merge`), and each channel's sessions appear in
+    their arrival order, which is the only order the kernel observes.
     """
 
     times: np.ndarray  # float64, sorted
@@ -135,22 +96,36 @@ class ShardTraceArrays:
         return int(self.times.size)
 
     @classmethod
-    def from_trace(cls, trace: Trace) -> "ShardTraceArrays":
-        """The sessions of ``trace``, stably sorted by arrival time."""
-        sessions = trace.sessions
-        times = np.asarray([s.arrival_time for s in sessions], dtype=float)
-        order = np.argsort(times, kind="stable")
+    def merge(
+        cls,
+        parts: Sequence[Tuple[int, np.ndarray, np.ndarray, np.ndarray]],
+    ) -> "ShardTraceArrays":
+        """Merge per-channel ``(channel, times, starts, uploads)`` parts,
+        each arrival-sorted, into one trace sorted by (time, channel)."""
+        if parts:
+            times = np.concatenate(
+                [np.asarray(t, dtype=float) for _, t, _, _ in parts]
+            )
+            channels = np.concatenate([
+                np.full(len(t), c, dtype=np.int64) for c, t, _, _ in parts
+            ])
+            starts = np.concatenate(
+                [np.asarray(s, dtype=np.int64) for _, _, s, _ in parts]
+            )
+            uploads = np.concatenate(
+                [np.asarray(u, dtype=float) for _, _, _, u in parts]
+            )
+        else:
+            times = np.empty(0)
+            channels = np.empty(0, dtype=np.int64)
+            starts = np.empty(0, dtype=np.int64)
+            uploads = np.empty(0)
+        order = np.lexsort((channels, times))
         return cls(
             times=times[order],
-            channels=np.asarray(
-                [s.channel for s in sessions], dtype=np.int64
-            )[order],
-            start_chunks=np.asarray(
-                [s.start_chunk for s in sessions], dtype=np.int64
-            )[order],
-            upload_capacities=np.asarray(
-                [s.upload_capacity for s in sessions], dtype=float
-            )[order],
+            channels=channels[order],
+            start_chunks=starts[order],
+            upload_capacities=uploads[order],
         )
 
 
@@ -167,13 +142,17 @@ def generate_trace(
     config: TraceConfig,
     *,
     channel_rates: Optional[Sequence[float]] = None,
-) -> Trace:
+) -> ShardTraceArrays:
     """Generate a synthetic trace from a :class:`TraceConfig`.
 
     Per channel, arrivals follow a non-homogeneous Poisson process whose
     rate is the channel's Zipf share modulated by the diurnal pattern; each
     arrival receives a start chunk (alpha-split) and a Pareto upload
     capacity. Deterministic given ``config.seed``.
+
+    The start chunks are drawn one session at a time: the alpha draw and
+    the conditional uniform draw interleave on the channel's stream, so
+    batching them would change every later draw.
     """
     rates = (
         np.asarray(channel_rates, dtype=float)
@@ -186,41 +165,21 @@ def generate_trace(
         raise ValueError("channel rates must be nonnegative")
 
     peak = config.diurnal.peak_factor()
-    sessions: List[Session] = []
+    parts = []
     for channel, mean_rate in enumerate(rates):
         if mean_rate == 0:
             continue
         rng = make_rng(config.seed, "trace", f"channel-{channel}")
         times = nonhomogeneous_poisson_times(
             rng,
-            lambda t, _r=float(mean_rate): _r * config.diurnal.factor(t),
+            lambda t, _r=float(mean_rate): _r * config.diurnal.factors(t),
             config.horizon_seconds,
             rate_ceiling=float(mean_rate) * peak * 1.001,
         )
         starts = [
             _sample_start_chunk(rng, config.chunks_per_channel, config.alpha)
-            for _ in times
+            for _ in range(times.size)
         ]
         uploads = config.upload_distribution.sample(rng, times.size)
-        sessions.extend(
-            Session(
-                arrival_time=float(t),
-                channel=channel,
-                start_chunk=start,
-                upload_capacity=float(up),
-            )
-            for t, start, up in zip(times, starts, uploads)
-        )
-
-    sessions.sort(key=lambda s: s.arrival_time)
-    summary = {
-        "num_channels": config.num_channels,
-        "chunks_per_channel": config.chunks_per_channel,
-        "horizon_seconds": config.horizon_seconds,
-        "mean_total_arrival_rate": config.mean_total_arrival_rate,
-        "zipf_exponent": config.zipf_exponent,
-        "alpha": config.alpha,
-        "seed": config.seed,
-        "num_sessions": len(sessions),
-    }
-    return Trace(config_summary=summary, sessions=sessions)
+        parts.append((channel, times, starts, uploads))
+    return ShardTraceArrays.merge(parts)

@@ -24,7 +24,7 @@ from repro.sim.shard import (
 )
 from repro.workload.catalog import (
     CatalogConfig,
-    build_shard_trace,
+    build_shard_trace_arrays,
     catalog_config,
     channel_sessions,
     channel_shapes,
@@ -96,10 +96,10 @@ class TestCatalogWorkload:
 
     def test_shard_trace_interleaves_channels_sorted(self):
         config = small_config()
-        trace = build_shard_trace(config, shard_channel_ids(config, 0))
-        times = [s.arrival_time for s in trace.sessions]
+        trace = build_shard_trace_arrays(config, shard_channel_ids(config, 0))
+        times = trace.times.tolist()
         assert times == sorted(times)
-        assert {s.channel for s in trace.sessions} <= set(
+        assert set(trace.channels.tolist()) <= set(
             shard_channel_ids(config, 0)
         )
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.workload.trace import TraceConfig, generate_trace
 
 
 class TestParser:
@@ -76,6 +77,37 @@ class TestTrace:
         assert payload["config"]["seed"] == 5
         assert len(payload["sessions"]) > 0
         assert "wrote" in capsys.readouterr().out
+
+    def test_rows_match_generate_trace(self, tmp_path, capsys):
+        out_path = tmp_path / "trace.json"
+        assert main(
+            [
+                "trace", str(out_path),
+                "--channels", "3", "--chunks", "4",
+                "--hours", "2", "--rate", "0.5", "--seed", "5",
+            ]
+        ) == 0
+        capsys.readouterr()
+        trace = generate_trace(TraceConfig(
+            num_channels=3, chunks_per_channel=4, horizon_seconds=7200.0,
+            mean_total_arrival_rate=0.5, seed=5,
+        ))
+        payload = json.loads(out_path.read_text())
+        assert payload["config"]["num_sessions"] == trace.num_sessions
+        assert payload["sessions"] == [
+            {
+                "arrival_time": t, "channel": c,
+                "start_chunk": s, "upload_capacity": u,
+            }
+            for t, c, s, u in zip(
+                trace.times.tolist(), trace.channels.tolist(),
+                trace.start_chunks.tolist(),
+                trace.upload_capacities.tolist(),
+            )
+        ]
+        assert [list(row) for row in payload["sessions"]] == [
+            ["arrival_time", "channel", "start_chunk", "upload_capacity"]
+        ] * trace.num_sessions
 
 
 class TestRun:

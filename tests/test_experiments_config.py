@@ -1,9 +1,12 @@
 """Tests for repro.experiments.config and reporting."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.config import (
     PAPER,
+    PaperConstants,
     arrival_rate_for_population,
     paper_capacity_model,
     paper_nfs_clusters,
@@ -14,6 +17,42 @@ from repro.experiments.config import (
 )
 from repro.experiments.reporting import downsample, format_table, mbps, series_summary
 from repro.queueing.jackson import external_arrival_vector, solve_traffic_equations
+from repro.sim.rng import make_rng
+from repro.workload.arrivals import poisson_arrival_times
+from repro.workload.catalog import CatalogConfig, GeoCatalogConfig
+from repro.workload.trace import TraceConfig
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteValues:
+    """JSON's NaN/Infinity parse as floats; every config rejects them by
+    field name instead of failing (or silently running) downstream."""
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: PaperConstants(streaming_rate=NAN), "streaming_rate"),
+        (lambda: PaperConstants(interval_seconds=INF), "interval_seconds"),
+        (lambda: replace(small_scenario("p2p"), dt=NAN), "dt"),
+        (lambda: replace(small_scenario("p2p"), horizon_seconds=INF),
+         "horizon_seconds"),
+        (lambda: TraceConfig(horizon_seconds=NAN), "horizon_seconds"),
+        (lambda: TraceConfig(zipf_exponent=-INF), "zipf_exponent"),
+        (lambda: CatalogConfig(dt=NAN), "dt"),
+        (lambda: CatalogConfig(horizon_seconds=INF), "horizon_seconds"),
+        (lambda: CatalogConfig(cluster_scale=NAN), "cluster_scale"),
+        (lambda: GeoCatalogConfig(flash_hour=NAN), "flash_hour"),
+    ])
+    def test_configs_name_the_field(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            build()
+
+    @pytest.mark.parametrize("rate, horizon, field", [
+        (NAN, 10.0, "rate"), (INF, 10.0, "rate"), (1.0, INF, "horizon"),
+    ])
+    def test_poisson_arrival_times(self, rate, horizon, field):
+        rng = make_rng(0, "finite")
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            poisson_arrival_times(rng, rate, horizon)
 
 
 class TestPaperConstants:

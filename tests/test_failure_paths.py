@@ -9,6 +9,7 @@ storage, and empty systems.
 import numpy as np
 import pytest
 
+from helpers import trace_arrays
 from repro.cloud.broker import Broker, NegotiationError, ResourceRequest
 from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
 from repro.cloud.scheduler import CloudFacility
@@ -19,7 +20,6 @@ from repro.queueing.capacity import CapacityModel
 from repro.vod.channel import make_uniform_channels
 from repro.vod.simulator import VoDSimulator, VoDSystemConfig
 from repro.vod.tracker import TrackingServer
-from repro.workload.trace import Session, ShardTraceArrays, Trace
 
 R = 10e6 / 8.0
 r = 50_000.0
@@ -56,12 +56,6 @@ def flood(tracker, arrivals):
     stats.upload_capacity_sum = arrivals * r
     stats.upload_capacity_samples = arrivals
     tracker.absorb(stats)
-
-
-def arrays(sessions):
-    return ShardTraceArrays.from_trace(
-        Trace(config_summary={}, sessions=sessions)
-    )
 
 
 class TestInfeasibleVMBudget:
@@ -131,7 +125,7 @@ class TestSLARejection:
 class TestStarvedSimulator:
     def test_zero_capacity_channel_degrades_not_crashes(self):
         channels = make_uniform_channels(1, 4, r, T0)
-        trace = arrays([Session(float(i), 0, 0, 0.0) for i in range(10)])
+        trace = trace_arrays([(float(i), 0, 0, 0.0) for i in range(10)])
         sim = VoDSimulator(
             channels, trace,
             VoDSystemConfig(mode="client-server", dt=10.0, user_rate_cap=R),
@@ -144,7 +138,7 @@ class TestStarvedSimulator:
 
     def test_recovery_after_capacity_restored(self):
         channels = make_uniform_channels(1, 4, r, T0)
-        trace = arrays([Session(0.0, 0, 0, 0.0)])
+        trace = trace_arrays([(0.0, 0, 0, 0.0)])
         sim = VoDSimulator(
             channels, trace,
             VoDSystemConfig(mode="client-server", dt=10.0, user_rate_cap=R),
@@ -170,7 +164,7 @@ class TestEmptySystem:
     def test_simulator_with_no_sessions(self):
         channels = make_uniform_channels(2, 3, r, T0)
         sim = VoDSimulator(
-            channels, arrays([]),
+            channels, trace_arrays([]),
             VoDSystemConfig(mode="p2p", dt=30.0, user_rate_cap=R),
         )
         sim.advance_to(3600.0)

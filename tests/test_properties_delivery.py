@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import trace_arrays
 from repro.vod.channel import make_uniform_channels
 from repro.vod.delivery import P2PDelivery
 from repro.vod.multi import MultiChannelSimulator, VoDSystemConfig
-from repro.workload.trace import Session, ShardTraceArrays, Trace
 
 R = 10e6 / 8.0
 NUM_CHUNKS = 5
@@ -70,10 +70,7 @@ class TestClientServerConservation:
         """One 1 s step of the kernel's client-server solve."""
         sim = MultiChannelSimulator(
             make_uniform_channels(1, NUM_CHUNKS, 50_000.0, 300.0),
-            ShardTraceArrays.from_trace(Trace(
-                config_summary={},
-                sessions=[Session(0.0, 0, c, 0.0) for c in chunks],
-            )),
+            trace_arrays([(0.0, 0, c, 0.0) for c in chunks]),
             VoDSystemConfig(dt=1.0, user_rate_cap=R),
         )
         sim.set_cloud_capacity(0, capacity)

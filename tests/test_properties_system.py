@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import trace_arrays
 from repro.cloud.billing import BillingMeter
 from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
 from repro.core.packing import pack_allocations
 from repro.vod.channel import make_uniform_channels
 from repro.vod.simulator import VoDSimulator, VoDSystemConfig
-from repro.workload.trace import Session, ShardTraceArrays, Trace
 
 R = 10e6 / 8.0
 r = 50_000.0
@@ -22,19 +22,15 @@ T0 = 300.0
 def random_trace(draw):
     n = draw(st.integers(min_value=0, max_value=40))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    sessions = sorted(
+    return trace_arrays(
         (
-            Session(
-                arrival_time=float(rng.uniform(0, 1800)),
-                channel=int(rng.integers(0, 2)),
-                start_chunk=int(rng.integers(0, 4)),
-                upload_capacity=float(rng.uniform(0, 2 * r)),
-            )
-            for _ in range(n)
-        ),
-        key=lambda s: s.arrival_time,
+            float(rng.uniform(0, 1800)),
+            int(rng.integers(0, 2)),
+            int(rng.integers(0, 4)),
+            float(rng.uniform(0, 2 * r)),
+        )
+        for _ in range(n)
     )
-    return Trace(config_summary={}, sessions=sessions)
 
 
 class TestSimulatorInvariants:
@@ -48,7 +44,7 @@ class TestSimulatorInvariants:
         channels = make_uniform_channels(2, 4, r, T0)
         sim = VoDSimulator(
             channels,
-            ShardTraceArrays.from_trace(trace),
+            trace,
             VoDSystemConfig(mode=mode, dt=30.0, user_rate_cap=R, seed=5),
         )
         for ch in channels:
@@ -58,7 +54,7 @@ class TestSimulatorInvariants:
         sim.advance_to(3600.0)
         # User conservation.
         assert sim.population() == sim.arrivals - sim.departures
-        assert sim.arrivals == len(trace)
+        assert sim.arrivals == trace.num_sessions
         # Quality in [0, 1] at every sample.
         for sample in sim.quality.samples:
             assert 0.0 <= sample.quality <= 1.0

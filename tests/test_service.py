@@ -186,6 +186,13 @@ def test_error_statuses():
         assert excinfo.value.status == 400
         assert "bogus_knob" in excinfo.value.message
 
+        document = small_config().to_dict()
+        document["spec"]["dt"] = float("nan")  # sent as a bare NaN token
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(document)
+        assert excinfo.value.status == 400
+        assert "dt must be finite" in excinfo.value.message
+
         run_id = client.submit(small_config(seed=1))
         with pytest.raises(ServiceError) as excinfo:
             client.submit(small_config(seed=2))  # pool + queue both full

@@ -4,10 +4,10 @@ array-based P2P rarest-first solve (repro.vod.delivery)."""
 import numpy as np
 import pytest
 
+from helpers import trace_arrays
 from repro.vod.channel import make_uniform_channels
 from repro.vod.delivery import P2PDelivery
 from repro.vod.multi import MultiChannelSimulator, VoDSystemConfig
-from repro.workload.trace import Session, ShardTraceArrays, Trace
 
 R = 10e6 / 8.0
 r = 50_000.0
@@ -18,10 +18,10 @@ def client_server_step(downloads, capacity, num_chunks=4):
     """One 1 s kernel step with one user per entry of ``downloads``
     (the chunk it downloads); returns the step's bandwidth sample and
     each user's download rate."""
-    sessions = [Session(0.0, 0, chunk, 0.0) for chunk in downloads]
+    sessions = [(0.0, 0, chunk, 0.0) for chunk in downloads]
     sim = MultiChannelSimulator(
         make_uniform_channels(1, num_chunks, r, T0),
-        ShardTraceArrays.from_trace(Trace(config_summary={}, sessions=sessions)),
+        trace_arrays(sessions),
         VoDSystemConfig(dt=1.0, user_rate_cap=R),
     )
     sim.set_cloud_capacity(0, np.asarray(capacity, dtype=float))

@@ -4,20 +4,14 @@ the simulation kernel's historical name)."""
 import numpy as np
 import pytest
 
+from helpers import trace_arrays
 from repro.vod.channel import ChannelSpec, make_uniform_channels
 from repro.vod.multi import HOLDING
 from repro.vod.simulator import VoDSimulator, VoDSystemConfig
-from repro.workload.trace import Session, ShardTraceArrays, Trace
 
 R = 10e6 / 8.0
 r = 50_000.0
 T0 = 300.0
-
-
-def make_trace(sessions):
-    return ShardTraceArrays.from_trace(
-        Trace(config_summary={}, sessions=sessions)
-    )
 
 
 def live_chunks(sim):
@@ -38,10 +32,10 @@ def config(**kw):
 
 class TestArrivalsAndDepartures:
     def test_sessions_admitted_at_arrival_time(self):
-        trace = make_trace(
+        trace = trace_arrays(
             [
-                Session(5.0, 0, 0, 100.0),
-                Session(25.0, 0, 1, 100.0),
+                (5.0, 0, 0, 100.0),
+                (25.0, 0, 1, 100.0),
             ]
         )
         sim = VoDSimulator(channels(), trace, config())
@@ -52,7 +46,7 @@ class TestArrivalsAndDepartures:
         assert sim.arrivals == 2
 
     def test_tracker_sees_arrivals(self):
-        trace = make_trace([Session(1.0, 0, 2, 123.0)])
+        trace = trace_arrays([(1.0, 0, 2, 123.0)])
         sim = VoDSimulator(channels(), trace, config())
         sim.advance_to(20.0)
         stats = sim.close_interval()[0]
@@ -61,7 +55,7 @@ class TestArrivalsAndDepartures:
         assert stats.mean_upload_capacity == pytest.approx(123.0)
 
     def test_sessions_for_unknown_channels_skipped(self):
-        trace = make_trace([Session(1.0, 99, 0, 1.0)])
+        trace = trace_arrays([(1.0, 99, 0, 1.0)])
         sim = VoDSimulator(channels(), trace, config())
         sim.advance_to(10.0)
         assert sim.population() == 0
@@ -69,7 +63,7 @@ class TestArrivalsAndDepartures:
 
 class TestDownloadDynamics:
     def test_download_completes_with_capacity(self):
-        trace = make_trace([Session(0.0, 0, 0, 0.0)])
+        trace = trace_arrays([(0.0, 0, 0, 0.0)])
         sim = VoDSimulator(channels(), trace, config())
         # Full VM bandwidth for chunk 0: 15 MB at 1.25 MB/s = 12 s.
         sim.set_cloud_capacity(0, np.array([R, 0, 0, 0]))
@@ -80,7 +74,7 @@ class TestDownloadDynamics:
         assert sim.quality.smooth_retrieval_fraction == 1.0
 
     def test_no_capacity_means_no_progress(self):
-        trace = make_trace([Session(0.0, 0, 0, 0.0)])
+        trace = trace_arrays([(0.0, 0, 0, 0.0)])
         sim = VoDSimulator(channels(), trace, config())
         sim.advance_to(400.0)
         assert sim.quality.total_retrievals == 0
@@ -90,7 +84,7 @@ class TestDownloadDynamics:
         assert sim.population() == 1
 
     def test_slow_download_marked_unsmooth(self):
-        trace = make_trace([Session(0.0, 0, 0, 0.0)])
+        trace = trace_arrays([(0.0, 0, 0, 0.0)])
         sim = VoDSimulator(channels(), trace, config())
         # Capacity so low the chunk takes ~600 s > T0.
         sim.set_cloud_capacity(0, np.array([25_000.0, 0, 0, 0]))
@@ -100,7 +94,7 @@ class TestDownloadDynamics:
 
     def test_playback_pacing_holds_fast_downloads(self):
         """A user must not move to chunk 2 before chunk 1's playback ends."""
-        trace = make_trace([Session(0.0, 0, 0, 0.0)])
+        trace = trace_arrays([(0.0, 0, 0, 0.0)])
         sim = VoDSimulator(channels(), trace, config(seed=3))
         sim.set_cloud_capacity(0, np.full(4, R))
         sim.advance_to(100.0)  # download done at ~12 s, playback runs to 300
@@ -117,7 +111,7 @@ class TestDownloadDynamics:
 
     def test_session_duration_tied_to_playback_not_bandwidth(self):
         """With abundant bandwidth a 4-chunk video still takes ~4*T0."""
-        trace = make_trace([Session(0.0, 0, 0, 0.0)])
+        trace = trace_arrays([(0.0, 0, 0, 0.0)])
         # Strictly sequential behaviour with high continue probability.
         from repro.queueing.transitions import sequential_matrix
 
@@ -132,7 +126,7 @@ class TestDownloadDynamics:
 
 class TestQualityMetric:
     def test_quality_sampled_every_window(self):
-        trace = make_trace([Session(0.0, 0, 0, 0.0)])
+        trace = trace_arrays([(0.0, 0, 0, 0.0)])
         sim = VoDSimulator(channels(), trace, config())
         sim.set_cloud_capacity(0, np.full(4, R))
         sim.advance_to(1000.0)
@@ -140,8 +134,8 @@ class TestQualityMetric:
         assert times == pytest.approx([300.0, 600.0, 900.0])
 
     def test_quality_perfect_with_ample_capacity(self):
-        trace = make_trace(
-            [Session(float(i), 0, 0, 0.0) for i in range(10)]
+        trace = trace_arrays(
+            [(float(i), 0, 0, 0.0) for i in range(10)]
         )
         sim = VoDSimulator(channels(), trace, config())
         sim.set_cloud_capacity(0, np.full(4, 20 * R))
@@ -149,8 +143,8 @@ class TestQualityMetric:
         assert sim.quality.average_quality == 1.0
 
     def test_quality_degrades_with_starved_capacity(self):
-        trace = make_trace(
-            [Session(float(i), 0, 0, 0.0) for i in range(20)]
+        trace = trace_arrays(
+            [(float(i), 0, 0, 0.0) for i in range(20)]
         )
         sim = VoDSimulator(channels(), trace, config())
         sim.set_cloud_capacity(0, np.full(4, 20_000.0))  # well below demand
@@ -160,12 +154,12 @@ class TestQualityMetric:
 
 class TestP2PMode:
     def test_peers_reduce_cloud_usage(self):
-        sessions = [Session(float(i) * 5.0, 0, 0, 2 * r) for i in range(12)]
+        sessions = [(float(i) * 5.0, 0, 0, 2 * r) for i in range(12)]
         cloud_only = VoDSimulator(
-            channels(), make_trace(sessions), config(mode="client-server")
+            channels(), trace_arrays(sessions), config(mode="client-server")
         )
         p2p = VoDSimulator(
-            channels(), make_trace(sessions), config(mode="p2p")
+            channels(), trace_arrays(sessions), config(mode="p2p")
         )
         for sim in (cloud_only, p2p):
             sim.set_cloud_capacity(0, np.full(4, 5 * R))
@@ -177,15 +171,15 @@ class TestP2PMode:
         assert p2p_cloud < cs_cloud
 
     def test_mean_peer_upload(self):
-        sessions = [Session(0.0, 0, 0, 100.0), Session(0.0, 0, 1, 300.0)]
-        sim = VoDSimulator(channels(), make_trace(sessions), config(mode="p2p"))
+        sessions = [(0.0, 0, 0, 100.0), (0.0, 0, 1, 300.0)]
+        sim = VoDSimulator(channels(), trace_arrays(sessions), config(mode="p2p"))
         sim.advance_to(10.0)
         assert sim.mean_peer_upload() == pytest.approx(200.0)
 
 
 class TestInterface:
     def test_capacity_validation(self):
-        sim = VoDSimulator(channels(), make_trace([]), config())
+        sim = VoDSimulator(channels(), trace_arrays([]), config())
         with pytest.raises(ValueError):
             sim.set_cloud_capacity(0, np.zeros(3))
         with pytest.raises(ValueError):
@@ -194,13 +188,13 @@ class TestInterface:
             sim.set_cloud_capacity(5, np.zeros(4))
 
     def test_cannot_advance_backwards(self):
-        sim = VoDSimulator(channels(), make_trace([]), config())
+        sim = VoDSimulator(channels(), trace_arrays([]), config())
         sim.advance_to(100.0)
         with pytest.raises(ValueError):
             sim.advance_to(50.0)
 
     def test_result_snapshot(self):
-        trace = make_trace([Session(0.0, 0, 0, 0.0)])
+        trace = trace_arrays([(0.0, 0, 0, 0.0)])
         sim = VoDSimulator(channels(), trace, config())
         sim.set_cloud_capacity(0, np.full(4, R))
         sim.advance_to(600.0)
@@ -211,10 +205,10 @@ class TestInterface:
         assert t.shape == cloud.shape == peer.shape
 
     def test_determinism(self):
-        sessions = [Session(float(i), 0, 0, 50_000.0) for i in range(20)]
+        sessions = [(float(i), 0, 0, 50_000.0) for i in range(20)]
         outcomes = []
         for _ in range(2):
-            sim = VoDSimulator(channels(), make_trace(list(sessions)), config(seed=9))
+            sim = VoDSimulator(channels(), trace_arrays(list(sessions)), config(seed=9))
             sim.set_cloud_capacity(0, np.full(4, 2 * R))
             sim.advance_to(900.0)
             outcomes.append(

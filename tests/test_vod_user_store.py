@@ -12,9 +12,9 @@ departs), so every trajectory is deterministic.
 import numpy as np
 import pytest
 
+from helpers import trace_arrays
 from repro.vod.channel import ChannelSpec, make_uniform_channels
 from repro.vod.multi import HOLDING, MultiChannelSimulator, VoDSystemConfig
-from repro.workload.trace import Session, ShardTraceArrays, Trace
 
 R = 10e6 / 8.0
 r = 50_000.0
@@ -27,7 +27,7 @@ def kernel(sessions, *, mode="p2p", capacity=R, dt=10.0):
     R a download takes 12 s, i.e. two 10 s steps)."""
     sim = MultiChannelSimulator(
         make_uniform_channels(1, 4, r, T0, behaviour=SEQUENTIAL),
-        ShardTraceArrays.from_trace(Trace(config_summary={}, sessions=sessions)),
+        trace_arrays(sessions),
         VoDSystemConfig(mode=mode, dt=dt, user_rate_cap=R, seed=1),
     )
     sim.set_cloud_capacity(0, np.broadcast_to(np.asarray(capacity, float), 4))
@@ -42,7 +42,7 @@ def live(sim, column):
 
 class TestLifecycle:
     def test_add_user(self):
-        sim = kernel([Session(5.0, 0, 1, 100.0)], capacity=0.0)
+        sim = kernel([(5.0, 0, 1, 100.0)], capacity=0.0)
         sim.step()  # now = 10: admitted at the step boundary
         assert live(sim, "_row_chunk").tolist() == [1]
         assert live(sim, "_row_enter").tolist() == [10.0]
@@ -51,7 +51,7 @@ class TestLifecycle:
         assert sim.channel_populations() == {0: 1}
 
     def test_growth_preserves_state(self):
-        sessions = [Session(float(i), 0, 0, float(i)) for i in range(300)]
+        sessions = [(float(i), 0, 0, float(i)) for i in range(300)]
         sim = kernel(sessions, capacity=0.0)
         sim.advance_to(300.0)
         assert sim._row_chan.size >= 300  # grew past the initial capacity
@@ -59,7 +59,7 @@ class TestLifecycle:
         assert live(sim, "_row_upload").tolist() == [float(i) for i in range(300)]
 
     def test_depart(self):
-        sim = kernel([Session(0.0, 0, 3, 10.0)])
+        sim = kernel([(0.0, 0, 3, 10.0)])
         sim.advance_to(320.0)  # last chunk done at 20, watched until 310
         assert sim.population() == 0
         assert sim.departures == 1
@@ -67,7 +67,7 @@ class TestLifecycle:
         assert sim._owners.sum() == 0  # a departed owner owns nothing
 
     def test_complete_chunk_records_ownership(self):
-        sim = kernel([Session(0.0, 0, 2, 10.0)])
+        sim = kernel([(0.0, 0, 2, 10.0)])
         sim.advance_to(20.0)
         assert sim._row_owned[2, 0]
         assert sim._owners[0].tolist() == [0, 0, 1, 0]
@@ -75,7 +75,7 @@ class TestLifecycle:
         assert sim.quality.unsmooth_retrievals == 0
 
     def test_unsmooth_retrieval_tracked(self):
-        sim = kernel([Session(0.0, 0, 0, 10.0)], capacity=25_000.0)
+        sim = kernel([(0.0, 0, 0, 10.0)], capacity=25_000.0)
         # 15 MB at 250 kB per step from the admission step at 10: done
         # at 600, a sojourn of 590 s > T0.
         sim.advance_to(620.0)
@@ -84,7 +84,7 @@ class TestLifecycle:
 
     def test_invalid_inputs(self):
         config = VoDSystemConfig(mode="p2p")
-        empty = ShardTraceArrays.from_trace(Trace(config_summary={}, sessions=[]))
+        empty = trace_arrays([])
         with pytest.raises(ValueError):
             MultiChannelSimulator([], empty, config)
         channels = make_uniform_channels(2, 4, r, T0)
@@ -100,7 +100,7 @@ class TestLifecycle:
 
 class TestHolding:
     def test_begin_and_release_hold(self):
-        sim = kernel([Session(0.0, 0, 0, 10.0)])
+        sim = kernel([(0.0, 0, 0, 10.0)])
         sim.advance_to(20.0)  # downloaded in 12 s, admitted at 10
         assert sim._row_chunk[0] == HOLDING
         assert sim._row_hold_until[0] == 310.0  # enter + T0
@@ -114,7 +114,7 @@ class TestHolding:
 
     def test_holding_users_not_downloaders(self):
         sim = kernel(
-            [Session(0.0, 0, 0, 10.0), Session(15.0, 0, 0, 10.0)],
+            [(0.0, 0, 0, 10.0), (15.0, 0, 0, 10.0)],
             mode="client-server", capacity=[2 * R, 0.0, 0.0, 0.0],
         )
         sim.advance_to(20.0)
@@ -126,7 +126,7 @@ class TestHolding:
 
     def test_holding_users_keep_ownership_visible(self):
         sim = kernel(
-            [Session(0.0, 0, 0, 10_000.0), Session(15.0, 0, 0, 0.0)],
+            [(0.0, 0, 0, 10_000.0), (15.0, 0, 0, 0.0)],
             capacity=[R, 0.0, 0.0, 0.0],
         )
         sim.advance_to(20.0)
@@ -138,7 +138,7 @@ class TestHolding:
 
 class TestVectorizedQueries:
     def test_downloaders_per_chunk(self):
-        sessions = [Session(0.0, 0, c, 1.0) for c in (0, 0, 3)]
+        sessions = [(0.0, 0, c, 1.0) for c in (0, 0, 3)]
         sim = kernel(sessions, mode="client-server", capacity=[R, 0, 0, R])
         sim.step()
         # Chunk 0's two downloaders share it; chunk 3's one gets the cap.
@@ -147,7 +147,7 @@ class TestVectorizedQueries:
         )
 
     def test_advance_and_complete(self):
-        sessions = [Session(0.0, 0, 0, 1.0), Session(0.0, 0, 1, 1.0)]
+        sessions = [(0.0, 0, 0, 1.0), (0.0, 0, 1, 1.0)]
         sim = kernel(sessions, mode="client-server",
                      capacity=[R, R / 10, 0.0, 0.0])
         sim.step()
@@ -159,7 +159,7 @@ class TestVectorizedQueries:
         assert live(sim, "_row_chunk").tolist() == [HOLDING, 1]
 
     def test_ownership_matrix_active_only(self):
-        sessions = [Session(0.0, 0, 0, 1.0), Session(0.0, 0, 3, 1.0)]
+        sessions = [(0.0, 0, 0, 1.0), (0.0, 0, 3, 1.0)]
         sim = kernel(sessions)
         sim.advance_to(20.0)
         assert sim._owners[0].tolist() == [1, 0, 0, 1]
@@ -168,7 +168,7 @@ class TestVectorizedQueries:
         assert sim._owners[0].tolist() == [1, 0, 0, 0]
 
     def test_smooth_users_window(self):
-        sessions = [Session(0.0, 0, 0, 1.0), Session(0.0, 0, 1, 1.0)]
+        sessions = [(0.0, 0, 0, 1.0), (0.0, 0, 1, 1.0)]
         sim = kernel(sessions, capacity=0.0)
         sim.step()
         sim._row_unsmooth[0] = 100.0  # an unsmooth retrieval at t=100
@@ -185,7 +185,7 @@ class TestVectorizedQueries:
         assert (sample.total_smooth, sample.total_users) == (2, 2)
 
     def test_total_upload_capacity(self):
-        sessions = [Session(0.0, 0, 0, 10.0), Session(0.0, 0, 3, 30.0)]
+        sessions = [(0.0, 0, 0, 10.0), (0.0, 0, 3, 30.0)]
         sim = kernel(sessions)
         sim.step()
         assert sim.peer_upload_totals() == (40.0, 2)
