@@ -16,8 +16,8 @@ Packages
     Demand estimation, storage/VM rental optimizers, and the dynamic
     provisioning controller (Section V).
 ``repro.cloud``
-    The IaaS cloud substrate: clusters, VM lifecycle, schedulers, broker,
-    SLA negotiation, billing (Section III-A).
+    The consumer's side of the IaaS cloud: clusters, the broker that
+    negotiates and applies VM/NFS rentals, billing (Section III-A).
 ``repro.vod``
     The multi-channel VoD substrate: users, tracker, delivery models,
     fluid and event-driven simulators (Sections III-B, VI).
@@ -25,8 +25,10 @@ Packages
     Synthetic workload generation matching the paper's trace (Section
     VI-A).
 ``repro.sim``
-    The deterministic event-driven simulation kernel (clock, event queue,
-    seeded RNG streams) under the VoD and cloud substrates.
+    Seeded RNG streams, the one epoch driver every engine runs on, the
+    sharded catalog data planes and their shared-memory epoch plane, plus
+    the small discrete-event engine under the Section IV validation
+    simulator.
 ``repro.geo``
     Geo-distributed extension: regions, latency/egress-priced topology and
     the multi-region allocation optimizers (Section VII future work).

@@ -72,8 +72,10 @@ __all__ = [
 #: clock); schema 4 pickles every engine's data plane as the one
 #: simulation kernel, :class:`repro.vod.multi.MultiChannelSimulator`;
 #: schema 5 pickles one controller class per region shape, holding its
-#: provisioning policy as an object (``repro.core.controller``).
-CHECKPOINT_SCHEMA = 5
+#: provisioning policy as an object (``repro.core.controller``); schema 6
+#: pickles the cloud facility as per-cluster counts
+#: (``repro.cloud.broker.CloudFacility``), with no per-VM objects.
+CHECKPOINT_SCHEMA = 6
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -621,7 +623,15 @@ def resume(
     files you (or something you trust) wrote.
     """
     with open(path, "rb") as handle:
-        payload = pickle.load(handle)
+        try:
+            payload = pickle.load(handle)
+        except (ImportError, AttributeError, pickle.UnpicklingError,
+                EOFError) as exc:
+            # A checkpoint from another version can name classes that no
+            # longer exist; that is an unknown schema, not a crash.
+            raise ValueError(
+                f"{path} is not a checkpoint this version can read: {exc}"
+            ) from exc
     if not isinstance(payload, dict) or \
             payload.get("format") != "repro-checkpoint":
         raise ValueError(f"{path} is not a repro checkpoint")

@@ -103,11 +103,7 @@ class BillingMeter:
         self._last_time = now
 
     def record_vm_usage(self, now: float, active_vms: Mapping[str, int]) -> None:
-        """Set the number of billable VMs per cluster, effective at ``now``.
-
-        Booting VMs bill like running ones (the instance is reserved), which
-        mirrors commercial per-usage-time charging.
-        """
+        """Set the number of billable VMs per cluster, effective at ``now``."""
         self._accrue(now)
         for name, count in active_vms.items():
             if name not in self._vm_levels:

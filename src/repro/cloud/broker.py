@@ -1,34 +1,87 @@
-"""Broker, request monitor and SLA negotiator (paper Section III-A, Fig. 1).
+"""The cloud facility and its broker (paper Section III-A, Fig. 1).
 
 The consumer (the VoD provider's controller) talks to the cloud only through
-the broker:
-
-1. the broker forwards a :class:`ResourceRequest` to the request monitor;
-2. the request monitor hands it to the SLA negotiator;
-3. the negotiator checks prices/availability against the provider's policy
-   and either returns an :class:`SLAAgreement` or rejects the request;
-4. accepted agreements are applied through the facility's schedulers.
+the broker.  :meth:`Broker.request` negotiates a :class:`ResourceRequest`
+against the provider's prices and availability — each VM target clamped to
+its cluster's size, each NFS cluster's placement checked against its
+capacity, the quoted rate against the consumer's budget — and then either
+raises :class:`NegotiationError`, changing nothing, or applies the grant to
+the :class:`CloudFacility` and returns an :class:`SLAAgreement`.
 
 This mirrors the paper's separation between *deciding* an allocation (done
-by the consumer, Section V) and *applying* it (done by the provider).
+by the consumer, Section V) and *applying* it (done by the provider).  The
+facility holds only what the engines read: the active VMs per virtual
+cluster, the stored bytes per NFS cluster, and the billing meter that
+integrates both over the engine's clock.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cloud.scheduler import CloudFacility
+from repro.cloud.billing import BillingMeter
+from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
 
-__all__ = ["ResourceRequest", "SLAAgreement", "SLANegotiator", "RequestMonitor",
-           "Broker", "NegotiationError"]
+__all__ = ["CloudFacility", "ResourceRequest", "SLAAgreement", "Broker",
+           "NegotiationError"]
 
-ChunkKey = Hashable
+ChunkKey = Hashable  # typically a (channel_id, chunk_index) tuple
 
 
 class NegotiationError(RuntimeError):
-    """Raised when the SLA negotiator rejects a request."""
+    """Raised when the broker rejects a request."""
+
+
+class CloudFacility:
+    """The cloud provider's state: per-cluster levels and their meter.
+
+    Parameters
+    ----------
+    vm_clusters / nfs_clusters:
+        Cluster descriptions in declaration order (order matters only for
+        deterministic reporting).
+    clock:
+        Returns the current simulated time (the engines pass their
+        :class:`~repro.sim.loop.EpochClock`); every applied grant is
+        billed from that instant on.
+    """
+
+    def __init__(
+        self,
+        vm_clusters: Sequence[VirtualClusterSpec],
+        nfs_clusters: Sequence[NFSClusterSpec],
+        clock: Callable[[], float],
+    ) -> None:
+        names = [spec.name for spec in vm_clusters]
+        if len(set(names)) != len(names):
+            raise ValueError("virtual cluster names must be unique")
+        nfs_names = [spec.name for spec in nfs_clusters]
+        if len(set(nfs_names)) != len(nfs_names):
+            raise ValueError("NFS cluster names must be unique")
+
+        self.clock = clock
+        self.vm_specs: Dict[str, VirtualClusterSpec] = {
+            spec.name: spec for spec in vm_clusters
+        }
+        self.nfs_specs: Dict[str, NFSClusterSpec] = {
+            spec.name: spec for spec in nfs_clusters
+        }
+        #: Active (billed) VMs per virtual cluster.
+        self.active_vms: Dict[str, int] = {name: 0 for name in self.vm_specs}
+        #: Stored bytes per NFS cluster under the current placement.
+        self.stored_bytes: Dict[str, float] = {
+            name: 0.0 for name in self.nfs_specs
+        }
+        self.billing = BillingMeter(
+            self.vm_specs, self.nfs_specs, start_time=self.now()
+        )
+
+    def now(self) -> float:
+        return float(self.clock())
+
+    def total_active_vms(self) -> int:
+        return sum(self.active_vms.values())
 
 
 @dataclass(frozen=True)
@@ -38,13 +91,14 @@ class ResourceRequest:
     Attributes
     ----------
     vm_targets:
-        Desired number of active VMs per virtual cluster.
+        Desired number of active VMs per virtual cluster; clusters left
+        out keep their current count.
     storage_placement:
-        Desired chunk placement ``{chunk: (nfs_cluster, size_bytes)}``;
-        ``None`` keeps the current placement.
+        Desired chunk placement ``{chunk: (nfs_cluster, size_bytes)}``,
+        replacing the whole current placement; ``None`` keeps it.
     max_hourly_budget:
-        Optional consumer-side cap; the negotiator rejects agreements whose
-        quoted VM price rate exceeds it.
+        Optional consumer-side cap; the broker rejects agreements whose
+        quoted price rate exceeds it.
     """
 
     vm_targets: Mapping[str, int]
@@ -67,22 +121,28 @@ class SLAAgreement:
         return self.hourly_vm_cost + self.hourly_storage_cost
 
 
-class SLANegotiator:
-    """Validates requests against prices and availability."""
+class Broker:
+    """The consumer-facing interface: submit a request, get it applied."""
 
     def __init__(self, facility: CloudFacility) -> None:
         self.facility = facility
+        self.agreements: List[SLAAgreement] = []
+        self._submitted = 0  # request ids count rejected requests too
 
-    def quote(self, request: ResourceRequest) -> Tuple[Dict[str, int], float, float]:
-        """Clamp the request to availability and price it.
+    def request(self, request: ResourceRequest) -> SLAAgreement:
+        """Negotiate ``request`` and apply the grant.
 
-        Returns (granted VM counts, hourly VM cost, hourly storage cost).
-        Unknown clusters raise ``NegotiationError``.
+        Raises :class:`NegotiationError`, leaving the facility and its
+        billing untouched, for an unknown cluster, a negative VM target or
+        chunk size, a placement over an NFS cluster's capacity, or a
+        quoted rate over ``max_hourly_budget``.
         """
+        self._submitted += 1
+        facility = self.facility
         grants: Dict[str, int] = {}
         vm_cost = 0.0
         for name, target in request.vm_targets.items():
-            spec = self.facility.vm_specs.get(name)
+            spec = facility.vm_specs.get(name)
             if spec is None:
                 raise NegotiationError(f"no such virtual cluster: {name!r}")
             if target < 0:
@@ -92,27 +152,25 @@ class SLANegotiator:
             vm_cost += granted * spec.price_per_hour
 
         storage_cost = 0.0
+        stored: Optional[Dict[str, float]] = None
         if request.storage_placement is not None:
-            usage: Dict[str, float] = {}
+            sizes: Dict[str, List[float]] = {}
             for chunk, (cluster, size) in request.storage_placement.items():
-                spec = self.facility.nfs_specs.get(cluster)
-                if spec is None:
+                if cluster not in facility.nfs_specs:
                     raise NegotiationError(f"no such NFS cluster: {cluster!r}")
                 if size < 0:
                     raise NegotiationError(f"negative size for chunk {chunk!r}")
-                usage[cluster] = usage.get(cluster, 0.0) + size
-            for cluster, total in usage.items():
-                spec = self.facility.nfs_specs[cluster]
+                sizes.setdefault(cluster, []).append(float(size))
+            stored = dict.fromkeys(facility.nfs_specs, 0.0)
+            for cluster, placed in sizes.items():
+                spec = facility.nfs_specs[cluster]
+                total = stored[cluster] = float(sum(placed))
                 if total > spec.capacity_bytes + 1e-6:
                     raise NegotiationError(
                         f"placement exceeds capacity of {cluster!r}"
                     )
                 storage_cost += total * spec.price_per_byte_hour
-        return grants, vm_cost, storage_cost
 
-    def negotiate(self, request_id: int, request: ResourceRequest) -> SLAAgreement:
-        """Produce an agreement or raise :class:`NegotiationError`."""
-        grants, vm_cost, storage_cost = self.quote(request)
         if (
             request.max_hourly_budget is not None
             and vm_cost + storage_cost > request.max_hourly_budget + 1e-9
@@ -121,56 +179,20 @@ class SLANegotiator:
                 f"quoted rate ${vm_cost + storage_cost:.2f}/h exceeds consumer "
                 f"budget ${request.max_hourly_budget:.2f}/h"
             )
-        return SLAAgreement(
-            request_id=request_id,
+
+        now = facility.now()
+        facility.active_vms.update(grants)
+        facility.billing.record_vm_usage(now, facility.active_vms)
+        if stored is not None:
+            facility.stored_bytes = stored
+            facility.billing.record_storage_usage(now, stored)
+        agreement = SLAAgreement(
+            request_id=self._submitted,
             vm_grants=grants,
             hourly_vm_cost=vm_cost,
             hourly_storage_cost=storage_cost,
-            storage_accepted=request.storage_placement is not None,
+            storage_accepted=stored is not None,
         )
-
-
-class RequestMonitor:
-    """Listens for consumer requests and forwards them to the negotiator."""
-
-    def __init__(self, negotiator: SLANegotiator) -> None:
-        self.negotiator = negotiator
-        self._ids = itertools.count(1)
-        self.log: List[Tuple[int, bool, str]] = []  # (id, accepted, detail)
-
-    def submit(self, request: ResourceRequest) -> SLAAgreement:
-        request_id = next(self._ids)
-        try:
-            agreement = self.negotiator.negotiate(request_id, request)
-        except NegotiationError as exc:
-            self.log.append((request_id, False, str(exc)))
-            raise
-        self.log.append((request_id, True, f"${agreement.hourly_cost:.4f}/h"))
-        return agreement
-
-
-@dataclass
-class Broker:
-    """The consumer-facing interface: submit a request, get it applied.
-
-    On acceptance the broker immediately applies the granted allocation via
-    the facility's schedulers (VM targets and, when present, the storage
-    placement), and returns the agreement.
-    """
-
-    facility: CloudFacility
-    monitor: RequestMonitor = field(init=False)
-    agreements: List[SLAAgreement] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.monitor = RequestMonitor(SLANegotiator(self.facility))
-
-    def request(self, request: ResourceRequest) -> SLAAgreement:
-        """Submit, negotiate and apply a resource request."""
-        agreement = self.monitor.submit(request)
-        self.facility.apply_vm_targets(agreement.vm_grants)
-        if request.storage_placement is not None:
-            self.facility.apply_storage_placement(dict(request.storage_placement))
         self.agreements.append(agreement)
         return agreement
 

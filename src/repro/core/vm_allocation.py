@@ -96,13 +96,6 @@ class VMAllocationPlan:
             for cluster, total in self.cluster_totals().items()
         }
 
-    def chunk_bandwidth(self, vm_bandwidth: float) -> Dict[ChunkKey, float]:
-        """Granted upload bandwidth per chunk: R * sum_v z_iv, bytes/s."""
-        grants: Dict[ChunkKey, float] = {}
-        for (chunk, _), z in self.allocations.items():
-            grants[chunk] = grants.get(chunk, 0.0) + z * vm_bandwidth
-        return grants
-
 
 def greedy_vm_allocation(problem: VMProblem) -> VMAllocationPlan:
     """The paper's VM configuration heuristic (Section V-A2).

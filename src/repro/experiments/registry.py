@@ -498,42 +498,6 @@ def _run_micro_startup(
     }
 
 
-def _run_micro_vm_lifecycle(
-    *, seed: int, fleet: int = 75,
-) -> Dict[str, float]:
-    """VM boot/shutdown latency and a scale-to cycle (Section VI-C text)."""
-    del seed  # the substrate's timings are deterministic
-    from repro.cloud.vm import VMPool
-    from repro.sim.engine import Simulator
-
-    def cluster(max_vms: int) -> VirtualClusterSpec:
-        return VirtualClusterSpec(
-            "standard", 0.6, 0.45, int(max_vms), PAPER.vm_bandwidth
-        )
-
-    sim = Simulator()
-    pool = VMPool(cluster(fleet), sim)
-    pool.launch(int(fleet))
-    sim.run()  # drain boot completions (parallel launches share the 25 s)
-    boot_seconds = float(sim.now)
-    fleet_running = int(pool.running)
-    pool.shutdown(int(fleet))
-    sim.run()
-    shutdown_seconds = float(sim.now) - boot_seconds
-
-    instant = VMPool(cluster(fleet))  # no engine: instant scale-to mode
-    instant.scale_to(int(fleet))
-    instant.scale_to(max(1, int(fleet) // 7))
-    return {
-        "fleet": int(fleet),
-        "boot_seconds": boot_seconds,
-        "fleet_running_after_boot": fleet_running,
-        "shutdown_seconds": shutdown_seconds,
-        "scale_cycle_active": int(instant.active),
-        "events_processed": int(sim.events_processed),
-    }
-
-
 # ----------------------------------------------------------------------
 # Catalog scenarios: hundreds of channels through the sharded engine
 # (repro.sim.shard) under one provisioning loop.
@@ -837,17 +801,6 @@ register(ScenarioSpec(
     run=_run_micro_startup,
     expected_seconds=0.5,
     tags=("micro", "analytic"),
-))
-
-register(ScenarioSpec(
-    name="micro-vm-lifecycle",
-    title="VM boot/shutdown latency and parallel launches",
-    paper_ref="Section VI-C text (~25 s boot, faster shutdown)",
-    defaults={"fleet": 75},
-    build=None,
-    run=_run_micro_vm_lifecycle,
-    expected_seconds=0.5,
-    tags=("micro",),
 ))
 
 register(ScenarioSpec(

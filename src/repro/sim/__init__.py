@@ -1,12 +1,9 @@
-"""Discrete-event simulation substrate.
-
-This package provides the minimal, dependency-free event-driven machinery
-used by the stochastic validation simulators (:mod:`repro.vod.queue_sim`)
-and by the cloud substrate for timed VM lifecycle transitions:
+"""Simulation substrate: random streams, the epoch driver and its shards.
 
 * :mod:`repro.sim.rng` — deterministic, per-component random streams.
-* :mod:`repro.sim.events` — event records and the event priority queue.
-* :mod:`repro.sim.engine` — the simulation clock and run loop.
+* :mod:`repro.sim.events` / :mod:`repro.sim.engine` — a minimal
+  discrete-event engine (event queue, clock, run loop); only the Section
+  IV validation simulator (:mod:`repro.vod.queue_sim`) runs on it.
 * :mod:`repro.sim.loop` — :class:`EpochLoop`, the one epoch driver
   every engine subclasses, and :class:`EpochClock`, its billing clock.
 * :mod:`repro.sim.shard` — sharded multi-channel catalog execution:
@@ -14,15 +11,13 @@ and by the cloud substrate for timed VM lifecycle transitions:
   under one provisioning loop, byte-deterministic for any worker count.
 """
 
-from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RandomStreams, make_rng
 
 #: Lazily re-exported from :mod:`repro.sim.loop` and
-#: :mod:`repro.sim.shard`. Both depend on the cloud/core layers, which
-#: themselves import :mod:`repro.sim.engine` — importing them eagerly
-#: here would close an import cycle, so resolution is deferred to first
-#: attribute access.
+#: :mod:`repro.sim.shard`. Both depend on :mod:`repro.core`, which
+#: imports :mod:`repro.vod`, whose kernel imports :mod:`repro.sim.rng` —
+#: importing them eagerly here would close an import cycle, so resolution
+#: is deferred to first attribute access.
 _LOOP_EXPORTS = ("EpochClock", "EpochLoop")
 _SHARD_EXPORTS = (
     "CatalogResult",
@@ -52,9 +47,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "Simulator",
-    "Event",
-    "EventQueue",
     "RandomStreams",
     "make_rng",
     "CatalogResult",

@@ -34,8 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cloud.broker import Broker
-from repro.cloud.scheduler import CloudFacility
+from repro.cloud.broker import Broker, CloudFacility
 from repro.core.controller import CONTROLLERS
 from repro.core.provisioner import ProvisioningController
 from repro.vod.tracker import IntervalStats
@@ -215,7 +214,7 @@ class EpochLoop:
         self._run: Optional[EpochRun] = None
         self.tracker = tracker
         self.facility = CloudFacility(
-            spec.vm_clusters(), spec.nfs_clusters(), clock=self._clock
+            spec.vm_clusters(), spec.nfs_clusters(), self._clock
         )
         self.broker = Broker(self.facility)
         self._estimator = estimator

@@ -396,18 +396,20 @@ class MultiChannelSimulator:
         # squeezes the dead rows out of every column in one ordered
         # gather.  Keeping the live population contiguous turns the
         # delivery path's random slot gathers into sequential passes.
+        # Columns are zero-filled, not ``np.empty``, so the unused tail a
+        # checkpoint pickles is the same bytes in every run.
         cap = _GROW
         self._n = 0  # rows in use, including dead ones awaiting compaction
-        self._row_chan = np.empty(cap, dtype=np.int64)
-        self._row_chunk = np.empty(cap, dtype=np.int64)
-        self._row_received = np.empty(cap)
-        self._row_enter = np.empty(cap)
-        self._row_upload = np.empty(cap)
-        self._row_unsmooth = np.empty(cap)
-        self._row_hold_until = np.empty(cap)
-        self._row_hold_next = np.empty(cap, dtype=np.int64)
-        self._row_hold_from = np.empty(cap, dtype=np.int64)
-        self._row_alive = np.empty(cap, dtype=bool)
+        self._row_chan = np.zeros(cap, dtype=np.int64)
+        self._row_chunk = np.zeros(cap, dtype=np.int64)
+        self._row_received = np.zeros(cap)
+        self._row_enter = np.zeros(cap)
+        self._row_upload = np.zeros(cap)
+        self._row_unsmooth = np.zeros(cap)
+        self._row_hold_until = np.zeros(cap)
+        self._row_hold_next = np.zeros(cap, dtype=np.int64)
+        self._row_hold_from = np.zeros(cap, dtype=np.int64)
+        self._row_alive = np.zeros(cap, dtype=bool)
         self._stale = False
         # Number of rows in the between-chunks hold state; the delivery
         # solve skips its hold masking entirely when zero.
@@ -420,7 +422,7 @@ class MultiChannelSimulator:
         # client-server hot path never touches them.
         if config.mode == "p2p":
             self._delivery = P2PDelivery(config.user_rate_cap)
-            self._row_owned = np.empty((J, cap), dtype=bool)
+            self._row_owned = np.zeros((J, cap), dtype=bool)
             self._owners = np.zeros((C, J), dtype=np.int64)
         else:
             self._delivery = None
@@ -544,11 +546,11 @@ class MultiChannelSimulator:
         n = self._n
         for name in self._ROW_ARRAYS:
             arr = getattr(self, name)
-            fresh = np.empty(cap, dtype=arr.dtype)
+            fresh = np.zeros(cap, dtype=arr.dtype)
             fresh[:n] = arr[:n]
             setattr(self, name, fresh)
         if self._row_owned is not None:
-            fresh = np.empty((self.num_chunks, cap), dtype=bool)
+            fresh = np.zeros((self.num_chunks, cap), dtype=bool)
             fresh[:, :n] = self._row_owned[:, :n]
             self._row_owned = fresh
 

@@ -1,15 +1,15 @@
-"""Tests for repro.cloud.cluster and repro.cloud.vm."""
+"""Tests for repro.cloud.cluster and the facility's per-cluster VM counts."""
 
 import pytest
 
-from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
-from repro.cloud.vm import (
-    DEFAULT_BOOT_SECONDS,
-    VM,
-    VMPool,
-    VMState,
+from repro.cloud.broker import (
+    Broker,
+    CloudFacility,
+    NegotiationError,
+    ResourceRequest,
 )
-from repro.sim.engine import Simulator
+from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
+from repro.sim.loop import EpochClock
 
 
 def make_vm_spec(name="standard", max_vms=5, price=0.45, utility=0.6):
@@ -67,120 +67,43 @@ class TestSpecs:
 
 
 class TestInstantPool:
+    """A granted VM target is the cluster's active count at once."""
+
+    def make(self, max_vms):
+        facility = CloudFacility(
+            [make_vm_spec(max_vms=max_vms)], [make_nfs_spec()], EpochClock()
+        )
+        broker = Broker(facility)
+
+        def scale_to(target):
+            broker.request(ResourceRequest(vm_targets={"standard": target}))
+            return facility.active_vms["standard"]
+
+        return scale_to
+
     def test_launch_instant(self):
-        pool = VMPool(make_vm_spec(max_vms=3))
-        assert pool.launch(2) == 2
-        assert pool.running == 2
-        assert pool.available_to_launch == 1
+        assert self.make(max_vms=3)(2) == 2
 
     def test_launch_capped_by_capacity(self):
-        pool = VMPool(make_vm_spec(max_vms=3))
-        assert pool.launch(10) == 3
-        assert pool.running == 3
+        assert self.make(max_vms=3)(10) == 3
 
     def test_shutdown(self):
-        pool = VMPool(make_vm_spec(max_vms=3))
-        pool.launch(3)
-        assert pool.shutdown(2) == 2
-        assert pool.running == 1
-        assert pool.available_to_launch == 2
+        scale_to = self.make(max_vms=3)
+        scale_to(3)
+        assert scale_to(1) == 1
 
     def test_scale_to(self):
-        pool = VMPool(make_vm_spec(max_vms=10))
-        assert pool.scale_to(4) == 4
-        assert pool.scale_to(4) == 0
-        assert pool.scale_to(1) == -3
-        assert pool.active == 1
+        scale_to = self.make(max_vms=10)
+        assert scale_to(4) == 4
+        assert scale_to(4) == 4
+        assert scale_to(1) == 1
 
     def test_scale_to_clamps_to_capacity(self):
-        pool = VMPool(make_vm_spec(max_vms=3))
-        pool.scale_to(100)
-        assert pool.active == 3
-
-    def test_running_bandwidth(self):
-        spec = make_vm_spec(max_vms=4)
-        pool = VMPool(spec)
-        pool.launch(3)
-        assert pool.running_bandwidth() == pytest.approx(3 * spec.vm_bandwidth)
+        scale_to = self.make(max_vms=3)
+        scale_to(2)
+        assert scale_to(100) == 3
 
     def test_negative_counts_rejected(self):
-        pool = VMPool(make_vm_spec())
-        with pytest.raises(ValueError):
-            pool.launch(-1)
-        with pytest.raises(ValueError):
-            pool.shutdown(-1)
-        with pytest.raises(ValueError):
-            pool.scale_to(-1)
-
-    def test_launch_shutdown_counters(self):
-        pool = VMPool(make_vm_spec(max_vms=5))
-        pool.launch(3)
-        pool.shutdown(1)
-        assert pool.launches == 3
-        assert pool.shutdowns == 1
-
-
-class TestTimedPool:
-    def test_boot_takes_25_seconds(self):
-        """Paper Section VI-C: 'around 25 seconds to turn on a VM'."""
-        sim = Simulator()
-        pool = VMPool(make_vm_spec(max_vms=2), sim)
-        pool.launch(1)
-        assert pool.booting == 1
-        assert pool.running == 0
-        sim.run(until=DEFAULT_BOOT_SECONDS - 1)
-        assert pool.running == 0
-        sim.run(until=DEFAULT_BOOT_SECONDS + 1)
-        assert pool.running == 1
-        assert pool.booting == 0
-
-    def test_parallel_boots(self):
-        """VMs launch in parallel, so N boots still take ~25 s total."""
-        sim = Simulator()
-        pool = VMPool(make_vm_spec(max_vms=50), sim)
-        pool.launch(50)
-        sim.run(until=26.0)
-        assert pool.running == 50
-
-    def test_shutdown_faster_than_boot(self):
-        sim = Simulator()
-        pool = VMPool(make_vm_spec(max_vms=1), sim, boot_seconds=25, shutdown_seconds=10)
-        pool.launch(1)
-        sim.run(until=30.0)
-        pool.shutdown(1)
-        sim.run(until=35.0)  # before the 10 s shutdown (30 + 10)
-        assert pool.count(VMState.SHUTTING_DOWN) == 1
-        sim.run(until=41.0)
-        assert pool.available_to_launch == 1
-
-    def test_shutdown_prefers_booting_vms(self):
-        sim = Simulator()
-        pool = VMPool(make_vm_spec(max_vms=3), sim)
-        pool.launch(2)
-        sim.run(until=30.0)  # both running
-        pool.launch(1)  # one booting
-        pool.shutdown(1)
-        # The booting VM should have been reclaimed, not a running one.
-        assert pool.running == 2
-
-    def test_assignment_cleared_on_shutdown(self):
-        pool = VMPool(make_vm_spec(max_vms=1))
-        pool.launch(1)
-        vm = pool.running_vms()[0]
-        vm.assignment[("ch", 0)] = 0.5
-        pool.shutdown(1)
-        assert vm.assignment == {}
-
-
-class TestVM:
-    def test_assigned_fraction(self):
-        vm = VM(vm_id=1, cluster="standard")
-        vm.assignment[("a", 1)] = 0.25
-        vm.assignment[("a", 2)] = 0.5
-        assert vm.assigned_fraction() == pytest.approx(0.75)
-
-    def test_usable_only_when_running(self):
-        vm = VM(vm_id=1, cluster="standard")
-        assert not vm.is_usable
-        vm.state = VMState.RUNNING
-        assert vm.is_usable
+        scale_to = self.make(max_vms=5)
+        with pytest.raises(NegotiationError, match="negative"):
+            scale_to(-1)

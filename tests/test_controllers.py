@@ -19,9 +19,8 @@ import types
 import numpy as np
 import pytest
 
-from repro.cloud.broker import Broker
+from repro.cloud.broker import Broker, CloudFacility
 from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
-from repro.cloud.scheduler import CloudFacility
 from repro.core.controller import (
     CONTROLLERS,
     AdaptEstimator,
@@ -35,6 +34,7 @@ from repro.core.demand import DemandEstimator
 from repro.core.provisioner import ProvisioningController
 from repro.core.sla import SLATerms
 from repro.queueing.capacity import CapacityModel
+from repro.sim.loop import EpochClock
 from repro.vod.tracker import TrackingServer
 
 R = 10e6 / 8.0
@@ -50,7 +50,7 @@ def make_facility():
         NFSClusterSpec("standard", 0.8, 1.11e-4, 5 * 1024**3),
         NFSClusterSpec("high", 1.0, 2.08e-4, 5 * 1024**3),
     ]
-    return CloudFacility(vm, nfs)
+    return CloudFacility(vm, nfs, EpochClock())
 
 
 def make_controller(policy=None, budget=40.0):

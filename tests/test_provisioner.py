@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.cloud.broker import Broker
+from repro.cloud.broker import Broker, CloudFacility
 from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
-from repro.cloud.scheduler import CloudFacility
 from repro.core.demand import DemandEstimator
 from repro.core.predictor import EWMAPredictor
 from repro.core.provisioner import ProvisioningController
 from repro.core.sla import SLATerms
 from repro.queueing.capacity import CapacityModel
+from repro.sim.loop import EpochClock
 from repro.vod.tracker import TrackingServer
 
 R = 10e6 / 8.0
@@ -28,7 +28,7 @@ def make_facility():
         NFSClusterSpec("standard", 0.8, 1.11e-4, 5 * 1024**3),
         NFSClusterSpec("high", 1.0, 2.08e-4, 5 * 1024**3),
     ]
-    return CloudFacility(vm, nfs)
+    return CloudFacility(vm, nfs, EpochClock())
 
 
 def make_controller(mode="client-server", **kwargs):
@@ -71,7 +71,7 @@ class TestBootstrap:
     def test_bootstrap_places_all_chunks(self):
         controller, _, facility = make_controller()
         controller.bootstrap(0.0, {0: 0.1, 1: 0.05})
-        stored = facility.nfs_scheduler.stored_bytes()
+        stored = facility.stored_bytes
         assert sum(stored.values()) == pytest.approx(8 * CHUNK)
 
 

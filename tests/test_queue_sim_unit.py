@@ -1,16 +1,13 @@
-"""Unit tests for the event-driven Jackson simulator and the VM monitor.
+"""Unit tests for the event-driven Jackson simulator.
 
 (The statistical validation against the closed forms lives in
 ``test_queue_sim_validation.py``; these tests pin mechanical behaviour:
-determinism, warmup accounting, replay semantics, monitor series.)
+determinism, warmup accounting, replay semantics.)
 """
 
 import numpy as np
 import pytest
 
-from repro.cloud.cluster import VirtualClusterSpec
-from repro.cloud.monitor import VMMonitor
-from repro.cloud.vm import VMPool
 from repro.queueing.transitions import sequential_matrix, uniform_jump_matrix
 from repro.vod.queue_sim import JacksonChannelSimulator
 
@@ -96,36 +93,3 @@ class TestQueueSimMechanics:
         ).run(horizon=100_000.0)
         visits = result.completed_visits
         assert visits[0] > visits[1] > visits[2] > visits[3]
-
-
-class TestVMMonitor:
-    def make_pool(self):
-        spec = VirtualClusterSpec("standard", 0.6, 0.45, 10, 1.25e6)
-        return VMPool(spec)
-
-    def test_sample_series(self):
-        pool = self.make_pool()
-        monitor = VMMonitor({"standard": pool})
-        pool.launch(4)
-        monitor.sample(0.0, used_bandwidth=2e6)
-        pool.shutdown(2)
-        monitor.sample(3600.0, used_bandwidth=1e6)
-        assert monitor.provisioned_series() == [4 * 1.25e6, 2 * 1.25e6]
-        assert monitor.used_series() == [2e6, 1e6]
-
-    def test_utilization_bounds(self):
-        pool = self.make_pool()
-        monitor = VMMonitor({"standard": pool})
-        snap = monitor.sample(0.0, used_bandwidth=5e6)
-        assert snap.utilization == 0.0  # nothing running
-        pool.launch(1)
-        snap = monitor.sample(1.0, used_bandwidth=5e6)
-        assert snap.utilization == 1.0  # clamped
-
-    def test_launch_shutdown_counters_exposed(self):
-        pool = self.make_pool()
-        monitor = VMMonitor({"standard": pool})
-        pool.launch(3)
-        pool.shutdown(1)
-        assert monitor.launch_counts() == {"standard": 3}
-        assert monitor.shutdown_counts() == {"standard": 1}

@@ -90,12 +90,6 @@ class TestGreedy:
         counts = plan.integer_vm_counts()
         assert counts["standard"] == 3  # ceil(2.8)
 
-    def test_chunk_bandwidth_grants(self):
-        demands = {("c", 0): 2.5 * R}
-        plan = greedy_vm_allocation(problem(demands))
-        grants = plan.chunk_bandwidth(R)
-        assert grants[("c", 0)] == pytest.approx(2.5 * R)
-
     def test_paper_budget_supports_paper_scale(self):
         """BM=$100/h must cover the Table II fleet used at once."""
         # All 150 VMs: 75*0.45 + 30*0.70 + 45*0.80 = 90.75 <= 100.
