@@ -6,12 +6,12 @@ an unlucky kernel OOM-killer) would:
 1. start a service subprocess with a state dir and per-epoch
    auto-checkpointing;
 2. ``repro submit`` equivalent over the client: POST a sharded catalog
-   run (worker processes + a ``/dev/shm`` epoch plane in play);
+   run (shard worker processes in play);
 3. follow the SSE epoch stream and request an explicit checkpoint;
-4. SIGKILL the server mid-run — no teardown code gets to execute;
-5. start a fresh server on the same state dir: it must reclaim the
-   dead server's shared-memory segments, re-adopt the run from its
-   checkpoint and finish it;
+4. SIGKILL the server mid-run — no teardown code gets to execute — and
+   check that its orphaned shard workers exit on their own;
+5. start a fresh server on the same state dir: it must re-adopt the
+   run from its checkpoint and finish it;
 6. compare the served artifact's sha256 against running the identical
    :class:`repro.api.EngineConfig` through ``open_run`` in this
    process — the bytes must match exactly;
@@ -84,7 +84,30 @@ def spawn_serve(state_dir: Path) -> "tuple[subprocess.Popen, str]":
     return process, url
 
 
-def shm_segments() -> "list[str]":
+def child_pids(pid: int) -> "set[int]":
+    """Child processes of ``pid``, over all of its threads (the host
+    forks shard workers from the thread that advances the run)."""
+    pids = set()
+    for task in os.listdir(f"/proc/{pid}/task"):
+        try:
+            with open(f"/proc/{pid}/task/{task}/children") as handle:
+                pids.update(int(child) for child in handle.read().split())
+        except FileNotFoundError:  # the thread exited meanwhile
+            continue
+    return pids
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` still runs (an unreaped zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def dev_shm_entries() -> "list[str]":
     try:
         return sorted(
             name for name in os.listdir("/dev/shm") if name.startswith("psm_")
@@ -102,7 +125,7 @@ def main() -> int:
         )
     print(f"reference sha256 {expected}")
 
-    pre_existing = shm_segments()
+    pre_existing = dev_shm_entries()
 
     with tempfile.TemporaryDirectory(prefix="repro-service-smoke-") as td:
         state_dir = Path(td)
@@ -124,6 +147,9 @@ def main() -> int:
                     print(f"  explicit checkpoint -> {path}")
                 if index >= 3:
                     break
+            workers = child_pids(process.pid)
+            if not workers:
+                raise SystemExit("the run's shard workers should be alive")
             process.send_signal(signal.SIGKILL)
             process.wait(timeout=60)
             print("  server SIGKILLed mid-run")
@@ -131,6 +157,16 @@ def main() -> int:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=60)
+
+        deadline = time.monotonic() + 10.0
+        while any(map(alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        survivors = sorted(pid for pid in workers if alive(pid))
+        if survivors:
+            raise SystemExit(
+                f"shard workers outlived the killed server: {survivors}"
+            )
+        print(f"  its {len(workers)} shard workers exited")
 
         meta_path = state_dir / "runs" / run_id / "meta.json"
         meta = json.loads(meta_path.read_text())
@@ -170,12 +206,12 @@ def main() -> int:
                 process.wait(timeout=60)
 
     time.sleep(0.5)  # give the kernel a beat after process exit
-    leaked = sorted(set(shm_segments()) - set(pre_existing))
+    leaked = sorted(set(dev_shm_entries()) - set(pre_existing))
     if leaked:
         raise SystemExit(f"leaked /dev/shm segments: {leaked}")
 
     print("service smoke OK: SIGKILL + restart resumed to byte-identical "
-          "artifact, no shm leaks")
+          "artifact, no orphaned workers, no shm leaks")
     return 0
 
 

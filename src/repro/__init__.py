@@ -26,7 +26,7 @@ Packages
     VI-A).
 ``repro.sim``
     Seeded RNG streams, the one epoch driver every engine runs on, the
-    sharded catalog data planes and their shared-memory epoch plane, plus
+    sharded catalog data planes and their fixed-layout epoch blocks, plus
     the small discrete-event engine under the Section IV validation
     simulator.
 ``repro.geo``

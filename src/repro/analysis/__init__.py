@@ -21,8 +21,8 @@ The rule pack (each rule has an ID, docs, fixture tests and a fix hint):
 * :data:`~repro.analysis.rules.DET004` — environment reads anywhere in
   the package (configuration flows through explicit config objects).
 * :data:`~repro.analysis.rules.RES001` — ``SharedMemory`` lifecycle:
-  creates paired with unlinks, workers never unlink (the ``sim/shm.py``
-  contract).
+  no create outside the owner path (the package has none), creates
+  paired with unlinks, workers never unlink.
 * :data:`~repro.analysis.rules.CKP001` — unpicklable attributes
   (lambdas, local closures) assigned on checkpoint-state classes.
 

@@ -28,7 +28,8 @@ class LintConfig:
 
     #: The one module allowed to construct raw numpy / stdlib RNGs.
     rng_modules: Tuple[str, ...] = ("sim/rng.py",)
-    #: The module owning the SharedMemory create/unlink lifecycle.
+    #: The only module path allowed to create a SharedMemory segment
+    #: (none in the package: epoch reports travel over worker pipes).
     shm_modules: Tuple[str, ...] = ("sim/shm.py",)
     #: Artifact-producing entry points for the reachability rules.
     entry_points: Tuple[str, ...] = ("advance_epoch", "result", "run_cell")
@@ -195,9 +196,8 @@ def _check_res001(project: Project, config: LintConfig) -> Iterator[Finding]:
                         "SharedMemory segment created outside the owner "
                         "module",
                         hint=(
-                            "allocate epoch segments through "
-                            "repro.sim.shm.ParentSegment (parent-owned "
-                            "create/unlink lifecycle)"
+                            "send epoch data over the worker pipes; a "
+                            "segment outlives a killed process"
                         ),
                     )
                     continue
@@ -211,8 +211,7 @@ def _check_res001(project: Project, config: LintConfig) -> Iterator[Finding]:
                         "the owning scope",
                         hint=(
                             "every create=True needs an unlink on all "
-                            "paths (idempotent close(); see "
-                            "ParentSegment.close)"
+                            "paths (an idempotent close())"
                         ),
                     )
             else:
@@ -225,8 +224,7 @@ def _check_res001(project: Project, config: LintConfig) -> Iterator[Finding]:
                         "unlink()",
                         hint=(
                             "workers only close() their mapping; the "
-                            "parent is the sole unlinker (sim/shm.py "
-                            "contract)"
+                            "creating process is the sole unlinker"
                         ),
                     )
 
@@ -235,13 +233,13 @@ RES001 = Rule(
     rule_id="RES001",
     title="SharedMemory lifecycle",
     doc=(
-        "The engine's epoch plane is one parent-owned shared segment: "
-        "the parent creates and unconditionally unlinks it; workers "
-        "attach and only ever close their mapping. A create without a "
-        "paired unlink leaks /dev/shm across crashed runs; a worker "
-        "that unlinks races the parent's crash-safety net."
+        "The engine sends its epoch data over worker pipes and owns no "
+        "shared segment. A segment outlives a killed process, so a "
+        "create outside the owner path, a create without a paired "
+        "unlink (it leaks /dev/shm across crashed runs) and a worker "
+        "that unlinks (it races the creator's teardown) are findings."
     ),
-    hint="follow the sim/shm.py contract (ParentSegment / attach_segment)",
+    hint="send epoch data over the worker pipes instead of a segment",
 )
 
 

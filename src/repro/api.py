@@ -47,7 +47,7 @@ import os
 import pickle
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
 import numpy as np
 
@@ -446,7 +446,6 @@ class Run:
       object graph for checkpoint/resume.
     * ``close()`` / ``suspend()`` — release worker processes
       (idempotent; no-ops for the closed loop).
-    * ``shm_segment_name`` — the live ``/dev/shm`` epoch segment, if any.
     """
 
     def __init__(self, engine, config: EngineConfig) -> None:
@@ -542,25 +541,13 @@ class Run:
         """Park the run between epochs, releasing worker processes.
 
         The sharded engines gather their live shard state into the
-        parent and tear down workers plus the shared-memory epoch
-        plane; the next :meth:`advance` transparently respawns them and
-        results stay byte-identical.  Engines without worker processes
-        (the closed loop) treat this as a no-op.  A host pausing a run
-        indefinitely calls this so paused runs hold no processes or
-        ``/dev/shm`` blocks.
+        parent and tear down their workers; the next :meth:`advance`
+        transparently respawns them and results stay byte-identical.
+        Engines without worker processes (the closed loop) treat this
+        as a no-op.  A host pausing a run indefinitely calls this so
+        paused runs hold no processes.
         """
         self._engine.suspend()
-
-    def shm_segments(self) -> List[str]:
-        """Names of live ``/dev/shm`` segments owned by this run.
-
-        Empty for serial, suspended, unstarted or closed engines.  A
-        supervising host records these so the segments of a SIGKILLed
-        process can be reclaimed on restart
-        (:func:`repro.sim.shm.unlink_stale_segment`).
-        """
-        name = self._engine.shm_segment_name
-        return [name] if name else []
 
     def close(self) -> None:
         self._engine.close()

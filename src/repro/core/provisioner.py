@@ -74,9 +74,6 @@ class ProvisioningDecision:
     def hourly_vm_cost(self) -> float:
         return self.agreement.hourly_vm_cost if self.agreement else 0.0
 
-    def channel_capacity(self, channel_id: int) -> np.ndarray:
-        return self.per_channel_capacity[channel_id]
-
     def aggregate_vm_utility(self, channel_id: Optional[int] = None) -> float:
         """sum u~_v z_iv, optionally restricted to one channel (Fig 9)."""
         total = 0.0

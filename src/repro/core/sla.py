@@ -99,10 +99,6 @@ class BudgetLedger:
         limit = self.terms.vm_budget_per_hour + 1e-9
         return sum(1 for e in self.entries if e[1] > limit)
 
-    def storage_budget_violations(self) -> int:
-        limit = self.terms.storage_budget_per_hour + 1e-9
-        return sum(1 for e in self.entries if e[2] > limit)
-
     def series(self) -> List[Tuple[float, float]]:
         """(time, vm $/hour) points — the Fig 10 series."""
         return [(t, vm) for t, vm, _ in self.entries]

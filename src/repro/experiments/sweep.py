@@ -278,12 +278,6 @@ class ArtifactStore:
         }, indent=2, sort_keys=True) + "\n")
         return path
 
-    def scenario_artifacts(self, scenario: str) -> List[Path]:
-        directory = self.root / scenario
-        if not directory.is_dir():
-            return []
-        return sorted(directory.glob("*.json"))
-
 
 def seed_list(count: int, base: int = 2011) -> List[int]:
     """The deterministic seed ladder used by ``repro sweep --seeds K``."""

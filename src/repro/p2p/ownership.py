@@ -47,13 +47,6 @@ class OwnershipResult:
     owners: np.ndarray = field(repr=False)
     population: float
 
-    @property
-    def ownership_fraction(self) -> np.ndarray:
-        """owners_i / population, the per-chunk replication level in [0, ...)."""
-        if self.population <= 0:
-            return np.zeros_like(self.owners)
-        return self.owners / self.population
-
     def rarest_order(self) -> np.ndarray:
         """Chunk indices sorted by increasing owner count (rarest first).
 

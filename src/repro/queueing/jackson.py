@@ -81,11 +81,6 @@ class TrafficSolution:
             return np.zeros_like(self.arrival_rates)
         return self.arrival_rates / total
 
-    @property
-    def throughput(self) -> float:
-        """Departure rate from the channel; equals external rate at equilibrium."""
-        return self.total_external_rate
-
 
 def solve_traffic_equations(
     transition_matrix: np.ndarray,

@@ -22,14 +22,14 @@ Pause, cancel and checkpoint are *epoch-boundary* operations — the
 driver honors them between epochs, which is exactly where the engines
 guarantee a clean (checkpointable, byte-identical) cut.  A paused run
 is parked via :meth:`repro.api.Run.suspend`, so it holds no worker
-processes or ``/dev/shm`` blocks while it waits.
+processes while it waits.
 
 State directory (crash recovery)
 --------------------------------
 With a ``state_dir``, every run persists under ``runs/<id>/``:
 
 * ``meta.json`` — id, state, config (``EngineConfig.to_dict()``),
-  progress, any live shm segment names, the artifact sha256;
+  progress, the artifact sha256;
 * ``run.ckpt`` — the latest :meth:`repro.api.Run.checkpoint` (written
   on pause, on explicit request, and every ``checkpoint_every`` epochs);
 * ``artifact.json`` — the canonical result document, once DONE;
@@ -41,9 +41,8 @@ runs come back as records (results still served), interrupted runs
 re-enter the admission queue — from their checkpoint when one exists,
 from scratch otherwise (byte-identical either way, by the engine
 determinism contract) — and PAUSED runs come back PAUSED, waiting for
-an explicit resume.  Any shm segment names recorded by a SIGKILLed
-predecessor are reclaimed via
-:func:`repro.sim.shm.unlink_stale_segment` before anything runs.
+an explicit resume.  A SIGKILLed predecessor leaves nothing else to
+reclaim: its shard workers exit on their own once their parent dies.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from typing import Any, Dict, List, Optional, Union
 from repro import atomic_write
 from repro.api import EngineConfig, Run, open_run, resume
 from repro.service.artifact import artifact_bytes, result_payload, sha256_hex
-from repro.sim.shm import unlink_stale_segment
 
 __all__ = [
     "RunHost",
@@ -112,7 +110,6 @@ class HostedRun:
         self.epochs_total: Optional[int] = None
         self.artifact_sha256: Optional[str] = None
         self.artifact_data: Optional[bytes] = None  # memory-only hosts
-        self.shm_segments: List[str] = []
         self.resume_from: Optional[Path] = None
         #: Replay ring: the most recent epoch events, for SSE consumers
         #: joining mid-run.
@@ -474,7 +471,6 @@ class RunHost:
                         return
                     self._set_state(hosted, RUNNING)
                 snapshot = await self._call(run.advance)
-                self._note_segments(hosted, run)
                 if snapshot is None:
                     break
                 hosted.epoch = snapshot.index
@@ -509,7 +505,6 @@ class RunHost:
                     await self._call(run.close)
                 except Exception:  # pragma: no cover - teardown backstop
                     pass
-            hosted.shm_segments = []
             self._persist_meta(hosted)
             self._fail_checkpoint_waiters(hosted)
             hosted.task = None
@@ -525,7 +520,6 @@ class RunHost:
         if self.state_dir is not None:
             await self._checkpoint(hosted, run)
         await self._call(run.suspend)
-        self._note_segments(hosted, run)
         self._set_state(hosted, PAUSED)
         while True:
             if (
@@ -565,7 +559,6 @@ class RunHost:
                     waiter.set_exception(exc)
             raise
         hosted.resume_from = path
-        self._note_segments(hosted, run)
         self._persist_meta(hosted)
         for waiter in waiters:
             if not waiter.done():
@@ -579,17 +572,6 @@ class RunHost:
                 waiter.set_exception(
                     RuntimeError(f"run {hosted.id} ended before checkpoint")
                 )
-
-    def _note_segments(self, hosted: HostedRun, run: Run) -> None:
-        """Track the run's live shm segments in the persisted metadata.
-
-        Recorded at epoch boundaries: a successor host unlinks whatever
-        names a SIGKILLed predecessor left behind here.
-        """
-        segments = run.shm_segments()
-        if segments != hosted.shm_segments:
-            hosted.shm_segments = segments
-            self._persist_meta(hosted)
 
     def _finish(self, hosted: HostedRun, run: Run) -> None:
         """Blocking tail: drain, encode, hash, persist (pool thread)."""
@@ -622,7 +604,6 @@ class RunHost:
             "config": hosted.config.to_dict(),
             "error": hosted.error,
             "artifact_sha256": hosted.artifact_sha256,
-            "shm_segments": list(hosted.shm_segments),
         }
         atomic_write(
             run_dir / "meta.json",
@@ -642,9 +623,6 @@ class RunHost:
                 config = EngineConfig.from_dict(meta["config"])
             except (ValueError, KeyError, TypeError):  # pragma: no cover
                 continue  # unreadable record; leave the files for forensics
-            # Reclaim whatever the predecessor could not unlink itself.
-            for name in meta.get("shm_segments", ()):
-                unlink_stale_segment(name)
             hosted = HostedRun(meta["id"], config, self.ring_size)
             hosted.epoch = int(meta.get("epoch") or 0)
             hosted.epochs_total = meta.get("epochs_total")

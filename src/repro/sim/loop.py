@@ -194,10 +194,6 @@ class EpochLoop:
     without paying for it.
     """
 
-    #: Name of a live ``/dev/shm`` epoch segment; only the sharded
-    #: engines with worker processes ever have one.
-    shm_segment_name: Optional[str] = None
-
     def __init__(
         self,
         spec,

@@ -33,21 +33,24 @@ byte-identity test and a merge-permutation property test.
 The epoch loop, its streaming payload and the control-plane half of a
 checkpoint are :class:`repro.sim.loop.EpochLoop`'s; this module supplies
 the sharded data plane (worker shard state is gathered/reinjected over
-the process boundary for a checkpoint) and the single- and multi-region
-control planes.
+the process boundary for a checkpoint; each epoch's reports come back
+as fixed-layout :class:`EpochBlockLayout` blocks over the worker pipes)
+and the single- and multi-region control planes.
 ``tests/test_api.py`` pins the streamed-vs-monolithic and
 checkpoint/resume byte-parity.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import signal
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +60,6 @@ from repro.core.predictor import ArrivalRatePredictor
 from repro.core.provisioner import ProvisioningDecision
 from repro.geo.controller import GeoProvisioningController
 from repro.sim.loop import EpochLoop, KernelCursor, _EpochData
-from repro.sim.shm import EpochShmLayout, ParentSegment, attach_segment
 from repro.vod.metrics import latency_adjusted_quality
 from repro.vod.multi import MultiChannelSimulator, VoDSystemConfig
 from repro.vod.tracker import IntervalStats, TrackingServer
@@ -83,6 +85,7 @@ __all__ = [
     "GeoShardedSimulator",
     "ShardEngineError",
     "merge_epoch_reports",
+    "EpochBlockLayout",
     "report_to_views",
     "report_from_views",
     "make_engine",
@@ -262,8 +265,128 @@ def merge_epoch_reports(reports: Sequence[EpochReport]) -> MergedEpoch:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory epoch blocks (see repro.sim.shm for the layout)
+# The epoch wire format: one fixed-layout block per shard
 # ----------------------------------------------------------------------
+#
+# A block is a flat sequence of 8-byte-aligned int64/float64 scalars and
+# arrays: the scalar counters (``kernel_seconds`` is the worker's CPU
+# seconds inside the shard kernel, read only by perfbench's per-layer
+# breakdown), the step series and quality samples sized for the
+# worst-case epoch (valid prefixes ``n_steps`` / ``n_quality``), and the
+# owned channels' interval statistics in ascending channel-id order.
+# Channel ids are never shipped: both sides derive each shard's owned-id
+# list from the CatalogConfig, so a block is pure numbers and every
+# value round-trips bit-exactly (the engine's byte-determinism does not
+# depend on the transport).
+
+_I64 = np.dtype(np.int64)
+_F64 = np.dtype(np.float64)
+
+
+@dataclass(frozen=True)
+class _Field:
+    """One named array at a fixed offset within a shard block."""
+
+    name: str
+    offset: int  # bytes from the start of the block
+    shape: Tuple[int, ...]
+    dtype: np.dtype
+
+
+def _block_fields(
+    n_owned: int, chunks: int, max_steps: int, max_quality: int
+) -> Tuple[List[_Field], int]:
+    fields: List[_Field] = []
+    offset = 0
+
+    def add(name: str, shape: Tuple[int, ...], dtype: np.dtype) -> None:
+        nonlocal offset
+        fields.append(_Field(name, offset, shape, dtype))
+        offset += int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+
+    for name in ("n_steps", "n_quality", "arrivals", "departures",
+                 "retrievals", "unsmooth", "upload_count",
+                 "peak_step_events"):
+        add(name, (1,), _I64)
+    for name in ("t_end", "sojourn_sum", "upload_sum", "kernel_seconds"):
+        add(name, (1,), _F64)
+    for name in ("step_times", "cloud_used", "peer_used", "provisioned",
+                 "shortfall"):
+        add(name, (max_steps,), _F64)
+    add("populations", (max_steps,), _I64)
+    add("quality_times", (max_quality,), _F64)
+    add("quality_smooth", (max_quality,), _I64)
+    add("quality_users", (max_quality,), _I64)
+    add("stat_arrivals", (n_owned,), _I64)
+    add("stat_upload_sum", (n_owned,), _F64)
+    add("stat_upload_samples", (n_owned,), _I64)
+    add("stat_transitions", (n_owned, chunks, chunks), _F64)
+    add("stat_departures", (n_owned, chunks), _F64)
+    add("stat_starts", (n_owned, chunks), _F64)
+    add("channel_populations", (n_owned,), _I64)
+    return fields, offset
+
+
+class EpochBlockLayout:
+    """Every shard's block at a fixed offset in one buffer, derived
+    deterministically from the config.
+
+    Parent and workers construct this independently from the same
+    :class:`CatalogConfig` and land on identical offsets — nothing about
+    the layout crosses the process boundary.
+    """
+
+    def __init__(self, config: CatalogConfig) -> None:
+        interval = float(config.interval_seconds)
+        dt = float(config.dt)
+        # The shard kernels sample quality on the VoDSystemConfig grid;
+        # build it exactly like ChannelShard does to read the interval.
+        sim_config = VoDSystemConfig(
+            mode=config.mode,
+            dt=config.dt,
+            user_rate_cap=config.constants.vm_bandwidth,
+            seed=config.seed,
+        )
+        # +2: one for a possible boundary step, one for safety against
+        # the epsilon comparisons at epoch edges.
+        self.max_steps = int(math.ceil(interval / dt)) + 2
+        self.max_quality = (
+            int(math.ceil(interval / float(sim_config.quality_sample_interval)))
+            + 2
+        )
+        self.chunks = int(config.chunks_per_channel)
+        self.interval_seconds = interval
+        self.num_shards = int(config.effective_shards)
+        self.owned_ids: List[List[int]] = [
+            list(shard_channel_ids(config, i)) for i in range(self.num_shards)
+        ]
+        self._fields: List[List[_Field]] = []
+        self.block_offsets: List[int] = []
+        self.block_sizes: List[int] = []
+        total = 0
+        for owned in self.owned_ids:
+            fields, size = _block_fields(
+                len(owned), self.chunks, self.max_steps, self.max_quality
+            )
+            self._fields.append(fields)
+            self.block_offsets.append(total)
+            self.block_sizes.append(size)
+            total += size
+        self.total_size = total
+
+    def views(self, buf, shard_index: int) -> Dict[str, np.ndarray]:
+        """Numpy views of one shard's block inside ``buf`` (zero-copy)."""
+        base = self.block_offsets[shard_index]
+        return {
+            spec.name: np.ndarray(
+                spec.shape,
+                dtype=spec.dtype,
+                buffer=buf,
+                offset=base + spec.offset,
+            )
+            for spec in self._fields[shard_index]
+        }
+
 
 def report_to_views(
     views: Dict[str, np.ndarray],
@@ -271,7 +394,7 @@ def report_to_views(
     owned_ids: Sequence[int],
     kernel_seconds: float,
 ) -> None:
-    """Serialize one shard's epoch report into its shm block (in place).
+    """Serialize one shard's epoch report into its block (in place).
 
     Every value is a plain int64/float64 store, so the block round-trips
     bit-exactly — the transport sits outside the determinism contract.
@@ -319,7 +442,7 @@ def report_from_views(
     owned_ids: Sequence[int],
     interval_seconds: float,
 ) -> EpochReport:
-    """Rebuild a shard's :class:`EpochReport` from its shm block.
+    """Rebuild a shard's :class:`EpochReport` from its block.
 
     The step series are zero-copy numpy views — valid until the next
     epoch overwrites the block, which is fine because
@@ -379,12 +502,26 @@ def report_from_views(
 # Worker processes
 # ----------------------------------------------------------------------
 
-#: How often an idle shard worker checks that its parent is alive.
+#: How often a shard worker's watchdog checks that its parent is alive.
 _PARENT_POLL_SECONDS = 1.0
 
 
+def _exit_when_orphaned(parent: int) -> None:
+    """Watchdog thread: end the worker process once its parent pid
+    changes.
+
+    A dead parent never shows up on the pipe, because forked workers
+    hold copies of the parent's pipe ends: ``recv`` never sees EOF, and
+    a ``send_bytes`` into a full socket buffer blocks for good.  Only a
+    thread beside the blocked one can end the process.
+    """
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
+
+
 def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
-                 shards: List[ChannelShard], shm_name: str) -> None:
+                 shards: List[ChannelShard]) -> None:
     """Long-lived worker: adopt the owned shards, serve epochs.
 
     ``shards`` are the parent-built (or checkpoint-restored)
@@ -393,30 +530,26 @@ def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
     ``("snapshot",)`` with its current shards — the parent-side
     checkpoint gathers them without interrupting the run.
 
-    Each epoch's reports go into the shards' blocks of the shared-memory
-    segment ``shm_name``, then the worker acks ``("ok", None)``.  The
-    attachment is closed in ``finally`` — the parent owns the segment's
-    unlink, so no worker exit path can leak ``/dev/shm`` blocks or trip
-    the resource tracker.
+    Each epoch the worker encodes its shards' reports into their blocks
+    of one reusable buffer, acks ``("ok", None)`` and then sends one raw
+    block per owned shard, in ``shard_indices`` order.
 
     The worker restores the default SIGINT/SIGTERM actions (a fork
-    inherits an asyncio host's handlers, which ignore SIGTERM) and exits
-    once its parent pid changes: a dead parent never shows up as EOF,
-    because forked workers hold copies of the parent's pipe ends.
+    inherits an asyncio host's handlers, which ignore SIGTERM) and a
+    daemon watchdog thread exits it once its parent dies
+    (:func:`_exit_when_orphaned`).
     """
     signal.signal(signal.SIGINT, signal.SIG_DFL)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    parent = os.getppid()
-    segment = None
+    threading.Thread(
+        target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
+    ).start()
     try:
-        layout = EpochShmLayout(config)
-        segment = attach_segment(shm_name)
+        layout = EpochBlockLayout(config)
+        buf = bytearray(layout.total_size)
+        views = {index: layout.views(buf, index) for index in shard_indices}
         conn.send(("ready", shard_indices))
         while True:
-            if not conn.poll(_PARENT_POLL_SECONDS):
-                if os.getppid() != parent:
-                    break
-                continue
             message = conn.recv()
             if message[0] == "stop":
                 break
@@ -433,12 +566,16 @@ def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
                 report = shard.advance_epoch(t_end)
                 kernel_seconds = time.process_time() - started
                 report_to_views(
-                    layout.views(segment.buf, shard.shard_index),
+                    views[shard.shard_index],
                     report,
                     layout.owned_ids[shard.shard_index],
                     kernel_seconds,
                 )
             conn.send(("ok", None))
+            for index in shard_indices:
+                conn.send_bytes(
+                    buf, layout.block_offsets[index], layout.block_sizes[index]
+                )
     except EOFError:
         pass
     except BaseException:
@@ -447,11 +584,6 @@ def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
         except (OSError, EOFError, BrokenPipeError):
             pass
     finally:
-        if segment is not None:
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - defensive
-                pass
         conn.close()
 
 
@@ -615,8 +747,8 @@ class ShardedSimulator(EpochLoop):
 
     The epoch loop itself is :class:`~repro.sim.loop.EpochLoop`'s; this
     engine supplies the sharded data plane (in-process shards, or worker
-    processes reporting through the shared-memory epoch plane) and the
-    single-region control plane.
+    processes sending fixed-layout epoch blocks over their pipes) and
+    the single-region control plane.
 
     Parameters
     ----------
@@ -668,21 +800,23 @@ class ShardedSimulator(EpochLoop):
         self._shards: Optional[List[ChannelShard]] = None  # jobs == 1
         self._workers: List[mp.Process] = []
         self._conns: List = []
+        self._assignments: List[List[int]] = []
         self._started = False
         self._closed = False
-        self._layout: Optional[EpochShmLayout] = None
-        self._segment: Optional[ParentSegment] = None
+        self._layout: Optional[EpochBlockLayout] = None
+        #: The parent's copy of every shard's epoch block (jobs > 1).
+        self._blocks: Optional[bytearray] = None
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Tear down worker processes and the shm segment (idempotent)."""
+        """Tear down worker processes (idempotent)."""
         if self._closed:
             return
         self._closed = True
         self._stop_workers()
 
     def _stop_workers(self) -> None:
-        """Stop workers, close pipes and unlink the shm segment."""
+        """Stop workers and close their pipes."""
         for conn in self._conns:
             try:
                 conn.send(("stop",))
@@ -697,42 +831,26 @@ class ShardedSimulator(EpochLoop):
             conn.close()
         self._conns = []
         self._workers = []
-        if self._segment is not None:
-            self._segment.close()
-            self._segment = None
 
     def suspend(self) -> None:
         """Park the run between epochs (idempotent; no-op when closed
         or not yet started).
 
         Gathers the live shard simulators into the parent and releases
-        the worker processes and the shared-memory epoch plane — a
-        paused run then holds no OS resources beyond its own heap.  The
-        next :meth:`advance_epoch` (or :meth:`snapshot_state`)
-        transparently respawns workers from the parked shards; results
-        are byte-identical either way, exactly like a checkpoint/resume
-        round-trip through :mod:`repro.api`.
+        the worker processes — a paused run then holds no OS resources
+        beyond its own heap.  The next :meth:`advance_epoch` (or
+        :meth:`snapshot_state`) transparently respawns workers from the
+        parked shards; results are byte-identical either way, exactly
+        like a checkpoint/resume round-trip through :mod:`repro.api`.
         """
         if self._closed or not self._started:
             return
         shards = self._gather_shards()
         self._stop_workers()
         self._shards = None
-        self._layout = None
+        self._layout = self._blocks = None
         self._restored_shards = shards
         self._started = False
-
-    @property
-    def shm_segment_name(self) -> Optional[str]:
-        """Name of the live ``/dev/shm`` epoch segment (``None`` when
-        serial, suspended, unstarted or closed).
-
-        A supervising host records this so the segment of a SIGKILLed
-        parent — the one teardown ``close()`` cannot cover — can be
-        reclaimed on restart via
-        :func:`repro.sim.shm.unlink_stale_segment`.
-        """
-        return self._segment.name if self._segment is not None else None
 
     # ------------------------------------------------------------------
     # The data plane: shards, in process or in worker processes
@@ -764,21 +882,18 @@ class ShardedSimulator(EpochLoop):
         if self.jobs <= 1:
             self._shards = built
             return
-        self._layout = EpochShmLayout(self.config)
-        self._segment = ParentSegment(self._layout)
-        assignments = [
+        self._layout = EpochBlockLayout(self.config)
+        self._blocks = bytearray(self._layout.total_size)
+        self._assignments = [
             [i for i in range(shards) if i % self.jobs == w]
             for w in range(self.jobs)
         ]
-        for owned in assignments:
+        for owned in self._assignments:
             parent_conn, child_conn = mp.Pipe()
             owned_states = [built[i] for i in owned]
             worker = mp.Process(
                 target=_worker_main,
-                args=(
-                    child_conn, self.config, owned, owned_states,
-                    self._segment.name,
-                ),
+                args=(child_conn, self.config, owned, owned_states),
                 daemon=False,
             )
             worker.start()
@@ -818,22 +933,30 @@ class ShardedSimulator(EpochLoop):
                 shard.set_capacities(capacities)
                 reports.append(shard.advance_epoch(t_end))
         else:
+            layout, blocks = self._layout, self._blocks
             for conn in self._conns:
                 self._send(conn, ("epoch", t_end, capacities))
-            for conn in self._conns:
+            for conn, owned in zip(self._conns, self._assignments):
                 self._expect(conn, "ok")
-            # Every worker has acked; map the blocks back in fixed shard
-            # order (the merge's reduction-order contract).
-            reports = []
-            buf = self._segment.buf
+                for index in owned:
+                    try:
+                        conn.recv_bytes_into(
+                            blocks, layout.block_offsets[index]
+                        )
+                    except EOFError:
+                        raise ShardEngineError(
+                            "shard worker died unexpectedly"
+                        ) from None
+            # Decode in fixed shard order (the merge's reduction-order
+            # contract), whatever order the workers finished in.
             interval = self.config.interval_seconds
-            for index in range(self.config.effective_shards):
-                reports.append(
-                    report_from_views(
-                        self._layout.views(buf, index), index,
-                        self._layout.owned_ids[index], interval,
-                    )
+            reports = [
+                report_from_views(
+                    layout.views(blocks, index), index,
+                    layout.owned_ids[index], interval,
                 )
+                for index in range(layout.num_shards)
+            ]
         return reports
 
     def _advance_data(

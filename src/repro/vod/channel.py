@@ -88,15 +88,6 @@ class ChannelSpec:
         """r * T0 bytes per chunk."""
         return self.streaming_rate * self.chunk_duration
 
-    @property
-    def video_duration(self) -> float:
-        """Total playback time, seconds."""
-        return self.num_chunks * self.chunk_duration
-
-    @property
-    def video_size_bytes(self) -> float:
-        return self.num_chunks * self.chunk_size_bytes
-
 
 def make_uniform_channels(
     num_channels: int,

@@ -276,11 +276,6 @@ class SimulationResult:
             self.bandwidth.peer_used.copy(),
         )
 
-    def mean_cloud_bandwidth(self) -> float:
-        if not len(self.bandwidth):
-            return 0.0
-        return float(np.mean(self.bandwidth.cloud_used))
-
 
 def channels_are_uniform(channels) -> bool:
     """True iff every channel shares chunk count, rate, duration and

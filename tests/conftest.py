@@ -1,16 +1,17 @@
 """Suite-wide fixtures.
 
-The sharded engine's data path allocates ``multiprocessing.
-shared_memory`` segments (``/dev/shm/psm_*``); the parent engine is the
-single owner and must unlink them on every exit path.  The guards below
-fail the suite if any test — including crashed-worker scenarios —
-leaves a segment behind, or leaves a child process of the test run
-alive (a shard worker, a served subprocess), so a lifecycle regression
-cannot hide behind passing functional tests.
+The guards below fail the suite if any test — including crashed-worker
+scenarios — leaves a child process of the test run alive (a shard
+worker, a served subprocess, a multiprocessing helper), a pipe or
+socket open, a thread running, or a ``multiprocessing.shared_memory``
+segment (``/dev/shm/psm_*``; nothing in ``src/`` creates one)
+behind, so a lifecycle regression cannot hide behind passing
+functional tests.
 """
 
 import glob
 import os
+import threading
 
 import pytest
 
@@ -25,9 +26,6 @@ def _shm_segments():
         return set()
 
 
-_RESOURCE_TRACKER = "from multiprocessing.resource_tracker import main"
-
-
 def _cmdline(pid):
     try:
         with open(f"/proc/{pid}/cmdline", "rb") as handle:
@@ -38,8 +36,7 @@ def _cmdline(pid):
 
 def _live_children():
     """PIDs of this process's children that have not exited (empty
-    where there is no ``/proc``), except multiprocessing's resource
-    tracker: one per process, it lives until the test run itself exits."""
+    where there is no ``/proc``)."""
     pids = set()
     for path in glob.glob("/proc/self/task/*/children"):
         try:
@@ -55,7 +52,7 @@ def _live_children():
                 state = handle.read().rpartition(")")[2].split()[0]
         except OSError:  # reaped meanwhile
             continue
-        if state != "Z" and _RESOURCE_TRACKER not in _cmdline(pid):
+        if state != "Z":
             live.add(pid)
     return live
 
@@ -66,8 +63,7 @@ def no_leaked_shm_segments():
     yield
     leaked = _shm_segments() - before
     assert not leaked, (
-        f"test run leaked shared-memory segments: {sorted(leaked)} "
-        "(the parent engine owns unlink — see repro/sim/shm.py)"
+        f"test run leaked shared-memory segments: {sorted(leaked)}"
     )
 
 
@@ -78,4 +74,37 @@ def no_leaked_child_processes():
     assert not leaked, (
         "test run left child processes alive: "
         + "; ".join(f"{pid}: {_cmdline(pid)}" for pid in sorted(leaked))
+    )
+
+
+def _pipes_and_sockets():
+    """This process's open pipe and socket fds, as ``fd -> target``
+    (empty where there is no ``/proc``)."""
+    open_fds = {}
+    for fd in glob.glob("/proc/self/fd/*"):
+        try:
+            target = os.readlink(fd)
+        except OSError:  # the listing's own fd, closed meanwhile
+            continue
+        if target.startswith(("pipe:", "socket:")):
+            open_fds[int(os.path.basename(fd))] = target
+    return open_fds
+
+
+@pytest.fixture(autouse=True, scope="session")
+def no_leaked_fds_or_threads():
+    fds_before = _pipes_and_sockets()
+    threads_before = set(threading.enumerate())
+    yield
+    leaked_fds = sorted(
+        f"{fd}: {target}" for fd, target in _pipes_and_sockets().items()
+        if fds_before.get(fd) != target
+    )
+    assert not leaked_fds, f"test run left pipes or sockets open: {leaked_fds}"
+    leaked_threads = [
+        thread.name for thread in threading.enumerate()
+        if thread not in threads_before
+    ]
+    assert not leaked_threads, (
+        f"test run left threads running: {leaked_threads}"
     )

@@ -45,7 +45,7 @@ def test_every_engine_runs_on_the_one_epoch_loop(engine):
 
 
 def test_closed_loop_keeps_the_lifecycle_defaults():
-    for name in ("close", "suspend", "shm_segment_name"):
+    for name in ("close", "suspend"):
         assert name not in vars(ClosedLoopEngine)
 
 

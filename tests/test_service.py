@@ -377,8 +377,8 @@ def test_sigkill_restart_resume_byte_identical(tmp_path):
             process.wait(timeout=30)
         process.stdout.close()
 
-    # The orphaned shard workers (and the shm resource tracker they kept
-    # open) notice the dead parent and exit on their own.
+    # The orphaned shard workers notice the dead parent and exit on
+    # their own.
     deadline = time.monotonic() + 10.0
     while any(map(_alive, children)) and time.monotonic() < deadline:
         time.sleep(0.1)
@@ -406,8 +406,8 @@ def test_sigkill_restart_resume_byte_identical(tmp_path):
             process.wait(timeout=30)
         process.stdout.close()
 
-    # The janitor + graceful close left nothing in /dev/shm (give the
-    # kernel a beat; the session-level conftest guard re-checks too).
+    # Nothing in /dev/shm either (give the kernel a beat; the
+    # session-level conftest guard re-checks too).
     time.sleep(0.2)
     leaked = [name for name in os.listdir("/dev/shm") if name.startswith("psm_")]
     assert not leaked, f"leaked shared-memory segments: {leaked}"

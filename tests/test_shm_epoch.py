@@ -1,21 +1,24 @@
-"""The shared-memory epoch transport (repro.sim.shm).
+"""The epoch block transport (repro.sim.shard.EpochBlockLayout).
 
-The sharded engine's data path ships every epoch's per-shard report
-through one parent-owned shared-memory segment instead of pickling it
-over the pipe.  The transport sits *outside* the determinism contract —
-every value must round-trip bit-exactly — and its lifecycle must be
-crash-proof: the parent is the only unlinker, so no worker exit path
-(clean, exception, or SIGKILL mid-epoch) may leak a ``/dev/shm`` block.
+The sharded engine's data path ships every epoch's per-shard report as
+one fixed-layout block of raw numbers over the worker's pipe instead of
+pickling it.  The transport sits *outside* the determinism contract —
+every value must round-trip bit-exactly — and it must be crash-proof:
+no worker may outlive its parent, even one blocked mid-send.
 
 These tests pin the round-trip down property-style over the block
-layout, check that the merge over shm-backed reports is independent of
-the order workers wrote their blocks, and kill a live worker mid-run to
-assert the engine raises :class:`ShardEngineError` and still tears the
-segment down.
+layout, check that the merge over block-backed reports is independent
+of the order workers wrote their blocks, kill a live worker mid-run to
+assert the engine raises :class:`ShardEngineError`, and kill the parent
+while its workers are blocked sending to assert they still exit.
 """
 
 import os
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.sim.shard import (
     ChannelShard,
+    EpochBlockLayout,
     EpochReport,
     ShardedSimulator,
     ShardEngineError,
@@ -31,7 +35,6 @@ from repro.sim.shard import (
     report_from_views,
     report_to_views,
 )
-from repro.sim.shm import EpochShmLayout, ParentSegment
 from repro.vod.tracker import IntervalStats
 from repro.workload.catalog import catalog_config
 
@@ -147,25 +150,27 @@ class TestBlockRoundTrip:
     def test_round_trip_is_bit_exact(self, data):
         """Arbitrary finite payloads survive the block unchanged."""
         config = small_config()
-        layout = EpochShmLayout(config)
-        segment = ParentSegment(layout)
-        try:
-            shard_index = data.draw(
-                st.integers(0, layout.num_shards - 1), label="shard"
-            )
-            report = _synthetic_report(data, layout, shard_index)
-            views = layout.views(segment.buf, shard_index)
-            report_to_views(
-                views, report, layout.owned_ids[shard_index], 0.0
-            )
-            back = report_from_views(
-                views, shard_index, layout.owned_ids[shard_index],
-                layout.interval_seconds,
-            )
-            assert_reports_identical(report, back)
-            del views, back  # release buffer views before unlink
-        finally:
-            segment.close()
+        layout = EpochBlockLayout(config)
+        shard_index = data.draw(
+            st.integers(0, layout.num_shards - 1), label="shard"
+        )
+        report = _synthetic_report(data, layout, shard_index)
+        # Encode on the sending side, ship the raw block bytes, decode
+        # from the receiving side's own buffer.
+        sent = bytearray(layout.total_size)
+        report_to_views(
+            layout.views(sent, shard_index), report,
+            layout.owned_ids[shard_index], 0.0,
+        )
+        received = bytearray(layout.total_size)
+        offset = layout.block_offsets[shard_index]
+        end = offset + layout.block_sizes[shard_index]
+        received[offset:end] = sent[offset:end]
+        back = report_from_views(
+            layout.views(received, shard_index), shard_index,
+            layout.owned_ids[shard_index], layout.interval_seconds,
+        )
+        assert_reports_identical(report, back)
 
     @settings(deadline=None, max_examples=10)
     @given(data=st.data())
@@ -173,7 +178,7 @@ class TestBlockRoundTrip:
         """Writing shard blocks in any order, the shard-index read-back
         merge reduces in the same fixed order — byte-identical floats."""
         config = small_config()
-        layout = EpochShmLayout(config)
+        layout = EpochBlockLayout(config)
         steps = data.draw(st.integers(1, layout.max_steps))
         step_times = np.arange(1, steps + 1) * float(config.dt)
 
@@ -191,25 +196,21 @@ class TestBlockRoundTrip:
         order = data.draw(st.permutations(list(range(layout.num_shards))))
         merged = []
         for _ in range(2):
-            segment = ParentSegment(layout)
-            try:
-                for i in order:
-                    report_to_views(
-                        layout.views(segment.buf, i), reports[i],
-                        layout.owned_ids[i], 0.0,
-                    )
-                back = [
-                    report_from_views(
-                        layout.views(segment.buf, i), i,
-                        layout.owned_ids[i], layout.interval_seconds,
-                    )
-                    for i in range(layout.num_shards)
-                ]
-                merged.append(merge_epoch_reports(back))
-                order = sorted(order)  # second pass: canonical write order
-                del back
-            finally:
-                segment.close()
+            blocks = bytearray(layout.total_size)
+            for i in order:
+                report_to_views(
+                    layout.views(blocks, i), reports[i],
+                    layout.owned_ids[i], 0.0,
+                )
+            back = [
+                report_from_views(
+                    layout.views(blocks, i), i,
+                    layout.owned_ids[i], layout.interval_seconds,
+                )
+                for i in range(layout.num_shards)
+            ]
+            merged.append(merge_epoch_reports(back))
+            order = sorted(order)  # second pass: canonical write order
         a, b = merged
         for name in ("cloud_used", "peer_used", "provisioned", "shortfall",
                      "populations"):
@@ -224,14 +225,14 @@ class TestLayout:
     def test_layout_is_deterministic(self):
         """Parent and worker derive identical offsets from the config."""
         config = small_config()
-        a, b = EpochShmLayout(config), EpochShmLayout(config)
+        a, b = EpochBlockLayout(config), EpochBlockLayout(config)
         assert a.block_offsets == b.block_offsets
         assert a.block_sizes == b.block_sizes
         assert a.total_size == b.total_size
         assert a.owned_ids == b.owned_ids
 
     def test_blocks_do_not_overlap(self):
-        layout = EpochShmLayout(small_config())
+        layout = EpochBlockLayout(small_config())
         end = 0
         for offset, size in zip(layout.block_offsets, layout.block_sizes):
             assert offset == end
@@ -241,7 +242,7 @@ class TestLayout:
     def test_real_epoch_fits_the_block(self):
         """A real shard's epoch never exceeds the sized prefixes."""
         config = small_config()
-        layout = EpochShmLayout(config)
+        layout = EpochBlockLayout(config)
         shard = ChannelShard(config, 0)
         report = shard.advance_epoch(config.interval_seconds)
         assert report.step_times.size <= layout.max_steps
@@ -249,28 +250,43 @@ class TestLayout:
 
 
 # ----------------------------------------------------------------------
-# Lifecycle: idempotent teardown, no leaks on worker death
+# Lifecycle: idempotent teardown, no orphans on worker or parent death
 # ----------------------------------------------------------------------
 
-def _shm_entries():
+def _alive(pid):
+    """Whether ``pid`` still runs (an unreaped zombie has exited)."""
     try:
-        return {
-            name for name in os.listdir("/dev/shm")
-            if name.startswith("psm_")
-        }
-    except FileNotFoundError:  # pragma: no cover - non-tmpfs platforms
-        return set()
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+# Builds a 2-worker engine whose blocks (~356 KB per shard) exceed the
+# socket buffer, sends one epoch without reading the replies, prints
+# the worker pids and SIGKILLs itself: both workers are then blocked
+# in a send to a parent that no longer exists.
+_DIE_MID_SEND = """
+import os, signal
+from repro.sim.shard import EpochBlockLayout, ShardedSimulator
+from repro.workload.catalog import catalog_config
+
+config = catalog_config(
+    num_channels=200, chunks_per_channel=20, horizon_hours=0.5,
+    arrival_rate=0.05, num_shards=2, dt=60.0, interval_minutes=10.0,
+)
+assert min(EpochBlockLayout(config).block_sizes) > 300_000
+engine = ShardedSimulator(config, jobs=2)
+engine._start()
+for conn in engine._conns:
+    conn.send(("epoch", config.interval_seconds, {}))
+print(" ".join(str(worker.pid) for worker in engine._workers), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
 
 
 class TestLifecycle:
-    def test_parent_segment_close_is_idempotent(self):
-        before = _shm_entries()
-        segment = ParentSegment(EpochShmLayout(small_config()))
-        assert _shm_entries() - before
-        segment.close()
-        segment.close()
-        assert _shm_entries() == before
-
     def test_engine_close_is_idempotent(self):
         engine = ShardedSimulator(small_config(), jobs=2)
         engine.start()
@@ -280,23 +296,48 @@ class TestLifecycle:
 
     def test_killed_worker_raises_and_leaks_nothing(self):
         """SIGKILL a worker mid-run: the next epoch must surface a
-        ShardEngineError and close() must still unlink the segment."""
-        before = _shm_entries()
+        ShardEngineError and close() must still tear the rest down."""
         engine = ShardedSimulator(small_config(), jobs=2)
         try:
             assert engine.advance_epoch() is not None
-            assert engine._workers and engine._segment is not None
-            os.kill(engine._workers[0].pid, signal.SIGKILL)
-            engine._workers[0].join(timeout=10.0)
+            workers = list(engine._workers)
+            assert len(workers) == 2
+            os.kill(workers[0].pid, signal.SIGKILL)
+            workers[0].join(timeout=10.0)
             with pytest.raises(ShardEngineError):
                 while engine.advance_epoch() is not None:
                     pass
         finally:
             engine.close()
-        assert _shm_entries() == before
+        assert not any(worker.is_alive() for worker in workers)
 
     def test_clean_run_leaks_nothing(self):
-        before = _shm_entries()
         with ShardedSimulator(small_config(), jobs=2) as engine:
             engine.run()
-        assert _shm_entries() == before
+            workers = list(engine._workers)
+        assert len(workers) == 2
+        assert not any(worker.is_alive() for worker in workers)
+
+    def test_workers_exit_when_parent_dies_mid_send(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        # The workers inherit the stdout pipe, so read the one line
+        # rather than wait for EOF.
+        process = subprocess.Popen(
+            [sys.executable, "-c", _DIE_MID_SEND],
+            stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        try:
+            workers = [int(pid) for pid in process.stdout.readline().split()]
+            assert process.wait(timeout=60) == -signal.SIGKILL
+        finally:
+            if process.poll() is None:  # pragma: no cover - cleanup backstop
+                process.kill()
+                process.wait(timeout=30)
+            process.stdout.close()
+        assert len(workers) == 2
+        deadline = time.monotonic() + 10.0
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        survivors = [pid for pid in workers if _alive(pid)]
+        assert not survivors, f"workers outlived their parent: {survivors}"
