@@ -101,7 +101,7 @@ def main() -> None:
         "  note: with Table III prices the 'standard' cluster dominates on "
         "utility-per-dollar,\n  so the paper's u/p-sorted heuristic fills it "
         "first even though the budget is slack —\n  the LP bound shows the "
-        "~20% utility left on the table (see the ablation bench).\n"
+        "~20% utility left on the table (see `repro sweep micro-heuristics`).\n"
     )
 
     # ------------------------------------------------------------------

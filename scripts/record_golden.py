@@ -65,7 +65,6 @@ def kernel_trajectory(mode: str, *, steps: int = 360,
         mode=mode,
         dt=10.0,
         user_rate_cap=scenario.constants.vm_bandwidth,
-        sojourn_slack=1.0,
         seed=scenario.seed,
     )
     sim = VoDSimulator(
@@ -78,7 +77,7 @@ def kernel_trajectory(mode: str, *, steps: int = 360,
     for _ in range(steps):
         sim.step()
     result = sim.result()
-    t, cloud, peer = result.bandwidth_series()
+    log = result.bandwidth
     qt, qv = result.quality.quality_series()
     return {
         "scenario": {"mode": mode, "steps": steps,
@@ -89,10 +88,10 @@ def kernel_trajectory(mode: str, *, steps: int = 360,
         "total_retrievals": int(result.quality.total_retrievals),
         "unsmooth_retrievals": int(result.quality.unsmooth_retrievals),
         "mean_sojourn": float(result.quality.mean_sojourn),
-        "bandwidth_times": [float(x) for x in t],
-        "cloud_used": [float(x) for x in cloud],
-        "peer_used": [float(x) for x in peer],
-        "shortfall": [float(s.shortfall) for s in result.bandwidth],
+        "bandwidth_times": log.time.tolist(),
+        "cloud_used": log.cloud_used.tolist(),
+        "peer_used": log.peer_used.tolist(),
+        "shortfall": log.shortfall.tolist(),
         "quality_times": [float(x) for x in qt],
         "quality": [float(x) for x in qv],
     }

@@ -20,15 +20,15 @@ Packages
     negotiates and applies VM/NFS rentals, billing (Section III-A).
 ``repro.vod``
     The multi-channel VoD substrate: users, tracker, delivery models,
-    fluid and event-driven simulators (Sections III-B, VI).
+    the fluid simulation kernel, and the event-driven Section IV
+    validator on its own private event heap (Sections III-B, IV, VI).
 ``repro.workload``
     Synthetic workload generation matching the paper's trace (Section
     VI-A).
 ``repro.sim``
-    Seeded RNG streams, the one epoch driver every engine runs on, the
-    sharded catalog data planes and their fixed-layout epoch blocks, plus
-    the small discrete-event engine under the Section IV validation
-    simulator.
+    Seeded RNG streams, the one epoch driver every engine runs on, and
+    the sharded catalog data planes with their fixed-layout epoch blocks.
+    There is no discrete-event engine.
 ``repro.geo``
     Geo-distributed extension: regions, latency/egress-priced topology and
     the multi-region allocation optimizers (Section VII future work).

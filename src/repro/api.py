@@ -74,8 +74,10 @@ __all__ = [
 #: schema 5 pickles one controller class per region shape, holding its
 #: provisioning policy as an object (``repro.core.controller``); schema 6
 #: pickles the cloud facility as per-cluster counts
-#: (``repro.cloud.broker.CloudFacility``), with no per-VM objects.
-CHECKPOINT_SCHEMA = 6
+#: (``repro.cloud.broker.CloudFacility``), with no per-VM objects;
+#: schema 7 pickles the kernel config without its quality-window and
+#: sojourn-slack fields, and a controller without a budget ledger.
+CHECKPOINT_SCHEMA = 7
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

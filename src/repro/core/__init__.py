@@ -19,8 +19,8 @@ This package implements the paper's primary contribution (Section V):
   and the policy registry.
 * :mod:`repro.core.provisioner` — the dynamic cloud provisioning controller
   that closes the loop every interval T.
-* :mod:`repro.core.sla` — consumer-side SLA terms, budget accounting and
-  the SLA penalty model scored by the controller ablation.
+* :mod:`repro.core.sla` — consumer-side SLA terms and the SLA penalty
+  model scored by the controller ablation.
 """
 
 from repro.core.controller import (
@@ -40,7 +40,7 @@ from repro.core.predictor import (
     MovingAveragePredictor,
 )
 from repro.core.provisioner import ProvisioningController, ProvisioningDecision
-from repro.core.sla import BudgetLedger, SLAPenaltyModel, SLATerms
+from repro.core.sla import SLAPenaltyModel, SLATerms
 from repro.core.storage_rental import (
     StoragePlan,
     StorageProblem,
@@ -74,7 +74,6 @@ __all__ = [
     "MovingAveragePredictor",
     "ProvisioningController",
     "ProvisioningDecision",
-    "BudgetLedger",
     "SLAPenaltyModel",
     "SLATerms",
     "StoragePlan",

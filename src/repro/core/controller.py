@@ -13,9 +13,9 @@ controller is handed, not a class it inherits:
   (single region) and
   :class:`~repro.geo.controller.GeoProvisioningController` (multi
   region).  It also owns the tail of every decision: the broker request,
-  the rejection catch, the storage bookkeeping, the budget ledger and
-  the per-chunk capacity floor.  A flavour's ``provision`` keeps only
-  its solver calls and its decision type.
+  the rejection catch, the storage bookkeeping and the per-chunk
+  capacity floor.  A flavour's ``provision`` keeps only its solver
+  calls and its decision type.
 * Policies — :class:`PaperPolicy` and its rivals :class:`ReactivePolicy`,
   :class:`AdaptPolicy`, :class:`PIDPolicy`, :class:`MPCPolicy`.  The
   controller calls two hooks on its policy, handing itself over:
@@ -65,7 +65,6 @@ import numpy as np
 from repro.cloud.broker import NegotiationError, ResourceRequest
 from repro.core.demand import ChannelDemand, ChunkKey
 from repro.core.predictor import LastIntervalPredictor
-from repro.core.sla import BudgetLedger
 from repro.vod.tracker import IntervalStats
 
 __all__ = [
@@ -198,7 +197,6 @@ class ProvisioningControllerBase:
         self.predictor = predictor or LastIntervalPredictor()
         self.policy = policy if policy is not None else PaperPolicy()
         self.min_capacity_per_chunk = min_capacity_per_chunk
-        self.ledger = BudgetLedger(terms)
         self.decisions: List[Any] = []
         self._last_chunk_demand: Optional[Dict[Any, float]] = None
         self._storage_planned = False
@@ -228,19 +226,15 @@ class ProvisioningControllerBase:
     # ------------------------------------------------------------------
     def _rent(
         self,
-        now: float,
         vm_targets: Mapping[str, int],
         storage_plan,
         chunk_demand: Mapping[Any, float],
-        *,
-        feasible: bool,
     ):
-        """Request the planned VMs and storage from the broker.
+        """Request the planned VMs and storage from the broker, then keep
+        the storage bookkeeping.
 
-        Then keep the storage bookkeeping and record the interval in the
-        budget ledger.  ``feasible`` says whether the VM plan met its
-        demand.  Returns ``(agreement, rejected)``: the broker's
-        agreement, or the reason it refused the request.
+        Returns ``(agreement, rejected)``: the broker's agreement, or the
+        reason it refused the request.
         """
         placement = (
             storage_plan.to_facility_placement(self.chunk_size_bytes)
@@ -262,15 +256,6 @@ class ProvisioningControllerBase:
         if storage_plan is not None and storage_plan.feasible and agreement:
             self._storage_planned = True
         self._last_chunk_demand = dict(chunk_demand)
-
-        self.ledger.record(
-            now,
-            agreement.hourly_vm_cost if agreement else 0.0,
-            self.broker.facility.billing.current_storage_cost_rate(),
-            feasible=feasible
-            and (storage_plan is None or storage_plan.feasible)
-            and rejected is None,
-        )
         return agreement, rejected
 
     def _channel_capacities(

@@ -10,8 +10,7 @@ Every interval T the controller:
 3. solves the VM configuration problem (Eqn (7) heuristic) and, when the
    demand profile shifted enough (or videos were added), the storage
    rental problem (Eqn (6) heuristic);
-4. submits the change request to the cloud broker under its SLA terms and
-   budget ledger;
+4. submits the change request to the cloud broker under its SLA terms;
 5. publishes the granted per-chunk capacities for the VoD system to use
    in the next interval.
 
@@ -165,10 +164,7 @@ class ProvisioningController(ProvisioningControllerBase):
         # --- Request to the cloud -----------------------------------------
         vm_targets = {spec.name: 0 for spec in vm_specs}
         vm_targets.update(vm_plan.integer_vm_counts())
-        agreement, rejected = self._rent(
-            now, vm_targets, storage_plan, chunk_demand,
-            feasible=vm_plan.feasible,
-        )
+        agreement, rejected = self._rent(vm_targets, storage_plan, chunk_demand)
         decision = ProvisioningDecision(
             time=now,
             demands=demands,

@@ -1,11 +1,9 @@
-"""Consumer-side SLA terms and budget accounting (paper Sections III, V).
+"""Consumer-side SLA terms and the SLA penalty model (paper Sections III, V).
 
 The VoD provider negotiates with the cloud under two per-unit-time budgets
 (B_M for VMs, B_S for storage). :class:`SLATerms` carries those terms plus
-the provisioning interval; :class:`BudgetLedger` tracks realized spending
-against them so experiments can report budget adherence and the controller
-can detect sustained infeasibility (the paper's "budget... should be
-increased" signal).
+the provisioning interval; what each interval actually spent, and whether
+its plan was feasible, is on the controller's decisions.
 
 :class:`SLAPenaltyModel` turns a run's per-epoch quality and VM-cost
 series into violation counts and a dollar penalty — the common yardstick
@@ -18,9 +16,9 @@ buys quality by blowing through B_M).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
-__all__ = ["SLATerms", "BudgetLedger", "SLAPenaltyModel"]
+__all__ = ["SLATerms", "SLAPenaltyModel"]
 
 
 @dataclass(frozen=True)
@@ -52,56 +50,6 @@ class SLATerms:
     @property
     def total_budget_per_hour(self) -> float:
         return self.vm_budget_per_hour + self.storage_budget_per_hour
-
-
-class BudgetLedger:
-    """Per-interval spending record against the SLA budgets."""
-
-    def __init__(self, terms: SLATerms) -> None:
-        self.terms = terms
-        self.entries: List[Tuple[float, float, float]] = []  # (t, vm$, storage$)
-        self.infeasible_intervals = 0
-
-    def record(
-        self,
-        time: float,
-        vm_rate: float,
-        storage_rate: float,
-        *,
-        feasible: bool = True,
-    ) -> None:
-        """Record one interval's hourly spend rates (dollars/hour)."""
-        if vm_rate < 0 or storage_rate < 0:
-            raise ValueError("spend rates must be >= 0")
-        self.entries.append((time, vm_rate, storage_rate))
-        if not feasible:
-            self.infeasible_intervals += 1
-
-    @property
-    def intervals(self) -> int:
-        return len(self.entries)
-
-    def mean_vm_rate(self) -> float:
-        if not self.entries:
-            return 0.0
-        return sum(e[1] for e in self.entries) / len(self.entries)
-
-    def mean_storage_rate(self) -> float:
-        if not self.entries:
-            return 0.0
-        return sum(e[2] for e in self.entries) / len(self.entries)
-
-    def peak_vm_rate(self) -> float:
-        return max((e[1] for e in self.entries), default=0.0)
-
-    def vm_budget_violations(self) -> int:
-        """Intervals whose VM spend rate exceeded B_M (should be zero)."""
-        limit = self.terms.vm_budget_per_hour + 1e-9
-        return sum(1 for e in self.entries if e[1] > limit)
-
-    def series(self) -> List[Tuple[float, float]]:
-        """(time, vm $/hour) points — the Fig 10 series."""
-        return [(t, vm) for t, vm, _ in self.entries]
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,6 @@ class ScenarioConfig:
     cluster_scale: float = 1.0
     peer_upload_mean: Optional[float] = None  # None keeps the paper Pareto
     behaviour: Optional[np.ndarray] = None
-    bootstrap_rate_factor: float = 1.0
 
     def __post_init__(self) -> None:
         reject_non_finite(self)

@@ -404,9 +404,8 @@ def _run_chunk_size(*, seed: int, t0_minutes: float = 5.0,
 
 # ----------------------------------------------------------------------
 # Micro-benchmark scenarios: the optimizer, queueing and cloud-substrate
-# kernels that used to live only in benchmarks/ scripts.  Registering
-# them makes `repro sweep micro-*` the canonical execution path; the
-# bench scripts build their tables through these cells.
+# kernels.  Registering them makes `repro sweep micro-*` the canonical
+# execution path; the tier-1 tests check them through these cells.
 # ----------------------------------------------------------------------
 
 

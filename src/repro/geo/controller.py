@@ -22,8 +22,8 @@ Each decision yields
   the engine folds into the quality metrics
   (:func:`repro.vod.metrics.latency_adjusted_quality`).
 
-The observe/predict/analyze loop, the broker request, the budget
-ledger and the capacity floor are
+The observe/predict/analyze loop, the broker request and the capacity
+floor are
 :class:`repro.core.controller.ProvisioningControllerBase` — shared with
 the single-region controller, so the geo loop is the same loop over a
 different solver, not a fork — and it holds any provisioning policy the
@@ -264,10 +264,7 @@ class GeoProvisioningController(ProvisioningControllerBase):
         for (region, cluster), total in sorted(plan.cluster_totals().items()):
             vm_targets[f"{region}:{cluster}"] = int(np.ceil(total - 1e-9))
 
-        agreement, rejected = self._rent(
-            now, vm_targets, storage_plan, chunk_demand,
-            feasible=plan.feasible,
-        )
+        agreement, rejected = self._rent(vm_targets, storage_plan, chunk_demand)
 
         # On rejection the facility keeps its previous VM allocation, so
         # the previous egress level keeps accruing too — metering the

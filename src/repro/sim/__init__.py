@@ -1,9 +1,9 @@
 """Simulation substrate: random streams, the epoch driver and its shards.
 
+There is no discrete-event engine: the Section IV validator
+(:mod:`repro.vod.queue_sim`) keeps its own private event heap.
+
 * :mod:`repro.sim.rng` — deterministic, per-component random streams.
-* :mod:`repro.sim.events` / :mod:`repro.sim.engine` — a minimal
-  discrete-event engine (event queue, clock, run loop); only the Section
-  IV validation simulator (:mod:`repro.vod.queue_sim`) runs on it.
 * :mod:`repro.sim.loop` — :class:`EpochLoop`, the one epoch driver
   every engine subclasses, and :class:`EpochClock`, its billing clock.
 * :mod:`repro.sim.shard` — sharded multi-channel catalog execution:

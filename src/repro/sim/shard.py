@@ -60,7 +60,7 @@ from repro.core.predictor import ArrivalRatePredictor
 from repro.core.provisioner import ProvisioningDecision
 from repro.geo.controller import GeoProvisioningController
 from repro.sim.loop import EpochLoop, KernelCursor, _EpochData
-from repro.vod.metrics import latency_adjusted_quality
+from repro.vod.metrics import QUALITY_WINDOW_SECONDS, latency_adjusted_quality
 from repro.vod.multi import MultiChannelSimulator, VoDSystemConfig
 from repro.vod.tracker import IntervalStats, TrackingServer
 from repro.workload.catalog import (
@@ -339,21 +339,10 @@ class EpochBlockLayout:
     def __init__(self, config: CatalogConfig) -> None:
         interval = float(config.interval_seconds)
         dt = float(config.dt)
-        # The shard kernels sample quality on the VoDSystemConfig grid;
-        # build it exactly like ChannelShard does to read the interval.
-        sim_config = VoDSystemConfig(
-            mode=config.mode,
-            dt=config.dt,
-            user_rate_cap=config.constants.vm_bandwidth,
-            seed=config.seed,
-        )
         # +2: one for a possible boundary step, one for safety against
         # the epsilon comparisons at epoch edges.
         self.max_steps = int(math.ceil(interval / dt)) + 2
-        self.max_quality = (
-            int(math.ceil(interval / float(sim_config.quality_sample_interval)))
-            + 2
-        )
+        self.max_quality = int(math.ceil(interval / QUALITY_WINDOW_SECONDS)) + 2
         self.chunks = int(config.chunks_per_channel)
         self.interval_seconds = interval
         self.num_shards = int(config.effective_shards)

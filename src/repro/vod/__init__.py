@@ -14,7 +14,8 @@ this package is the simulated equivalent:
 * :mod:`repro.vod.metrics` — the smooth-playback streaming-quality
   metric.
 * :mod:`repro.vod.queue_sim` — an event-driven Jackson-network simulator
-  used to validate the Section IV analysis against stochastic sample paths.
+  (on a private event heap) used to validate the Section IV analysis
+  against stochastic sample paths.
 """
 
 from repro.vod.channel import ChannelSpec, make_uniform_channels

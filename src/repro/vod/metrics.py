@@ -15,12 +15,15 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 __all__ = [
+    "QUALITY_WINDOW_SECONDS",
     "QualitySample",
     "QualityTracker",
     "latency_adjusted_quality",
 ]
 
-DEFAULT_WINDOW_SECONDS = 300.0  # "the past 5 minutes"
+#: The paper's "past 5 minutes": the smoothness window, and also the
+#: period at which the kernel samples quality.
+QUALITY_WINDOW_SECONDS = 300.0
 
 
 @dataclass(frozen=True)
@@ -50,10 +53,7 @@ class QualityTracker:
     resulting samples and totals for reporting.
     """
 
-    def __init__(self, window_seconds: float = DEFAULT_WINDOW_SECONDS) -> None:
-        if window_seconds <= 0:
-            raise ValueError("window must be > 0")
-        self.window_seconds = window_seconds
+    def __init__(self) -> None:
         self.samples: List[QualitySample] = []
         self.total_retrievals = 0
         self.unsmooth_retrievals = 0

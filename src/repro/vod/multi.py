@@ -4,9 +4,9 @@
 advances in fixed steps of ``dt`` simulated seconds, admitting sessions
 from the workload trace, delivering chunk bandwidth (client-server, or
 P2P rarest-first with cloud top-up), completing retrievals — smooth iff
-the sojourn was at most ``sojourn_slack * T0`` — and moving each user to
-the next chunk sampled from the channel's behaviour matrix, or out.
-Cloud capacity per chunk is an input, set by the provisioning controller
+the sojourn was at most T0 — and moving each user to the next chunk
+sampled from the channel's behaviour matrix, or out.  Cloud capacity
+per chunk is an input, set by the provisioning controller
 between intervals.  Every engine runs it: the closed loop over the whole
 scenario, the catalog engines once per shard.
 
@@ -88,14 +88,14 @@ duration and behaviour matrix), which every channel family in the repo
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
 from repro.sim.rng import RandomStreams
 from repro.vod.channel import ChannelSpec
 from repro.vod.delivery import P2PDelivery
-from repro.vod.metrics import QualityTracker
+from repro.vod.metrics import QUALITY_WINDOW_SECONDS, QualityTracker
 from repro.vod.tracker import IntervalStats
 
 if TYPE_CHECKING:
@@ -104,7 +104,6 @@ if TYPE_CHECKING:
 __all__ = [
     "HOLDING",
     "VoDSystemConfig",
-    "BandwidthSample",
     "BandwidthLog",
     "SimulationResult",
     "MultiChannelSimulator",
@@ -127,14 +126,10 @@ class VoDSystemConfig:
         ``"client-server"`` or ``"p2p"``.
     dt:
         Step length in simulated seconds. Must divide the quality sample
-        interval reasonably; 5-30 s is a good range.
+        period (:data:`~repro.vod.metrics.QUALITY_WINDOW_SECONDS`)
+        reasonably; 5-30 s is a good range.
     user_rate_cap:
         Per-user download cap, normally the VM bandwidth R.
-    quality_window / quality_sample_interval:
-        The "smooth in the past 5 minutes" metric parameters.
-    sojourn_slack:
-        A retrieval is smooth iff sojourn <= slack * T0. The paper's
-        criterion is slack = 1.
     seed:
         Master seed for behaviour sampling.
     """
@@ -142,9 +137,6 @@ class VoDSystemConfig:
     mode: str = "client-server"
     dt: float = 10.0
     user_rate_cap: float = 10e6 / 8.0
-    quality_window: float = 300.0
-    quality_sample_interval: float = 300.0
-    sojourn_slack: float = 1.0
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -154,32 +146,14 @@ class VoDSystemConfig:
             raise ValueError("dt must be > 0")
         if self.user_rate_cap <= 0:
             raise ValueError("user_rate_cap must be > 0")
-        if self.quality_window <= 0 or self.quality_sample_interval <= 0:
-            raise ValueError("quality parameters must be > 0")
-        if self.sojourn_slack <= 0:
-            raise ValueError("sojourn_slack must be > 0")
-
-
-@dataclass(frozen=True)
-class BandwidthSample:
-    """Aggregate bandwidth usage over one step."""
-
-    time: float
-    cloud_used: float  # bytes/second
-    peer_used: float  # bytes/second
-    provisioned: float  # bytes/second (sum of per-chunk capacities)
-    shortfall: float
 
 
 class BandwidthLog:
     """Preallocated array-backed log of per-step bandwidth usage.
 
-    Replaces the historical ``List[BandwidthSample]``: appending a step
-    is one row write into a doubling array, and the per-field series the
-    experiment layer aggregates over are zero-copy views. Iteration and
-    indexing still yield :class:`BandwidthSample` objects, so existing
-    consumers (``for s in result.bandwidth``, ``len``, ``[i]``) are
-    unaffected.
+    Appending a step is one row write into a doubling array; the
+    per-field series (bytes/second, ``provisioned`` the sum of per-chunk
+    capacities) are zero-copy views over the filled prefix.
     """
 
     _FIELDS = ("time", "cloud_used", "peer_used", "provisioned", "shortfall")
@@ -208,23 +182,6 @@ class BandwidthLog:
 
     def __len__(self) -> int:
         return self._len
-
-    def _sample(self, i: int) -> BandwidthSample:
-        return BandwidthSample(*self._data[i])
-
-    def __getitem__(
-        self, index: Union[int, slice]
-    ) -> Union[BandwidthSample, List[BandwidthSample]]:
-        if isinstance(index, slice):
-            return [self._sample(i) for i in range(*index.indices(self._len))]
-        i = index if index >= 0 else self._len + index
-        if not 0 <= i < self._len:
-            raise IndexError(index)
-        return self._sample(i)
-
-    def __iter__(self) -> Iterator[BandwidthSample]:
-        for i in range(self._len):
-            yield self._sample(i)
 
     # Per-field series (zero-copy views over the filled prefix).
     @property
@@ -267,14 +224,6 @@ class SimulationResult:
     final_population: int
     steps: int = 0
     peak_step_events: int = 0
-
-    def bandwidth_series(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(times, cloud_used, peer_used) arrays, bytes/second."""
-        return (
-            self.bandwidth.time.copy(),
-            self.bandwidth.cloud_used.copy(),
-            self.bandwidth.peer_used.copy(),
-        )
 
 
 def channels_are_uniform(channels) -> bool:
@@ -333,8 +282,8 @@ class MultiChannelSimulator:
         self.chunk_size = first.chunk_size_bytes
         self.t0 = first.chunk_duration
         # Precomputed scalar thresholds (the smoothness and stall rules).
-        self._smooth_after = config.sojourn_slack * self.t0 + 1e-9
-        self._overdue_after = config.sojourn_slack * self.t0
+        self._smooth_after = self.t0 + 1e-9
+        self._overdue_after = self.t0
         self.channel_ids = np.asarray(ids, dtype=np.int64)
         self._ids = ids
         self._local_of: Dict[int, int] = {cid: i for i, cid in enumerate(ids)}
@@ -353,9 +302,9 @@ class MultiChannelSimulator:
         self.departures = 0
         self.steps = 0
         self.peak_step_events = 0
-        self.quality = QualityTracker(config.quality_window)
+        self.quality = QualityTracker()
         self.bandwidth = BandwidthLog()
-        self._next_quality_sample = config.quality_sample_interval
+        self._next_quality_sample = QUALITY_WINDOW_SECONDS
 
         # Trace (already arrival-sorted); unknown channels are skipped.
         known = np.isin(trace.channels, self.channel_ids)
@@ -923,8 +872,7 @@ class MultiChannelSimulator:
         n = self._n
         users = self._chan_count
         if self._total_active:
-            window = self.config.quality_window
-            ok = self._row_unsmooth[:n] <= self.now - window
+            ok = self._row_unsmooth[:n] <= self.now - QUALITY_WINDOW_SECONDS
             overdue = (self._row_chunk[:n] >= 0) & (
                 self.now - self._row_enter[:n] > self._overdue_after
             )
@@ -944,8 +892,8 @@ class MultiChannelSimulator:
     # ------------------------------------------------------------------
     # Core loop
     # ------------------------------------------------------------------
-    def step(self) -> BandwidthSample:
-        """Advance one ``dt`` step; returns the step's bandwidth sample."""
+    def step(self) -> None:
+        """Advance one ``dt`` step, logging its bandwidth in ``bandwidth``."""
         if self._n > self._total_active + (self._total_active >> 1) + _GROW:
             # Dead rows are masked out of every per-step pass, so
             # compaction is pure housekeeping — amortize it: only squeeze
@@ -958,9 +906,8 @@ class MultiChannelSimulator:
             self._deliver_and_complete()
         )
         events += completions
-        provisioned = self.total_provisioned()
         self.bandwidth.append(
-            self.now, cloud_used, peer_used, provisioned, shortfall
+            self.now, cloud_used, peer_used, self.total_provisioned(), shortfall
         )
         self.steps += 1
         if events > self.peak_step_events:
@@ -968,14 +915,7 @@ class MultiChannelSimulator:
 
         if self.now + 1e-9 >= self._next_quality_sample:
             self._sample_quality()
-            self._next_quality_sample += self.config.quality_sample_interval
-        return BandwidthSample(
-            time=self.now,
-            cloud_used=cloud_used,
-            peer_used=peer_used,
-            provisioned=provisioned,
-            shortfall=shortfall,
-        )
+            self._next_quality_sample += QUALITY_WINDOW_SECONDS
 
     def advance_to(self, until: float) -> None:
         """Run steps until the clock reaches (or passes) ``until``."""

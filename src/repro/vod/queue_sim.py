@@ -14,15 +14,17 @@ the production experiments use the faster fluid simulator.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Set
+from typing import Callable, Deque, Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.queueing.jackson import external_arrival_vector
 from repro.queueing.transitions import validate_transition_matrix
-from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 
 __all__ = ["JacksonChannelSimulator", "QueueSimResult"]
@@ -61,23 +63,18 @@ class JacksonChannelSimulator:
         *,
         alpha: float = 0.8,
         seed: int = 0,
-        replay_buffered: bool = False,
     ) -> None:
         """Create the simulator.
 
-        ``replay_buffered=False`` (default) gives pure Jackson semantics:
-        every queue visit takes a full service, even when the job already
-        buffered the chunk — this is the Section IV model, and what the
-        validation tests compare against. ``replay_buffered=True`` gives
-        the more realistic VoD behaviour where a buffered chunk replays
-        instantly without consuming a server.
+        Every queue visit takes a full service, even when the job already
+        owns the chunk: pure Jackson semantics, as Section IV models it.
         """
         self.p = validate_transition_matrix(transition_matrix)
         self.num_queues = self.p.shape[0]
         if external_rate < 0:
             raise ValueError("external rate must be >= 0")
-        if service_rate <= 0:
-            raise ValueError("service rate must be > 0")
+        if not (math.isfinite(service_rate) and service_rate > 0):
+            raise ValueError("service rate must be finite and > 0")
         self.servers = np.asarray(servers, dtype=int)
         if self.servers.shape != (self.num_queues,):
             raise ValueError("need one server count per queue")
@@ -86,10 +83,13 @@ class JacksonChannelSimulator:
         self.external_rate = float(external_rate)
         self.service_rate = float(service_rate)
         self.alpha = alpha
-        self.replay_buffered = replay_buffered
         self.ext = external_arrival_vector(self.num_queues, external_rate, alpha)
         self.rng = make_rng(seed, "queue-sim")
-        self.sim = Simulator()
+        # The event heap: (time, seq, action); seq breaks time ties in
+        # scheduling order, so the run is deterministic.
+        self.now = 0.0
+        self._events: List[Tuple[float, int, Callable[[], None]]] = []
+        self._seq = itertools.count()
         self._cumulative = np.cumsum(self.p, axis=1)
 
         self._job_counter = 0
@@ -110,8 +110,11 @@ class JacksonChannelSimulator:
         self._warmup_end = 0.0
 
     # ------------------------------------------------------------------
+    def _schedule(self, delay: float, action: Callable[[], None]) -> None:
+        heapq.heappush(self._events, (self.now + delay, next(self._seq), action))
+
     def _accrue(self) -> None:
-        now = self.sim.now
+        now = self.now
         dt = now - self._last_stat_time
         if dt > 0 and now > self._warmup_end:
             effective = min(dt, now - max(self._last_stat_time, self._warmup_end))
@@ -125,28 +128,25 @@ class JacksonChannelSimulator:
             ) * effective
         self._last_stat_time = now
 
-    def _queue_population(self, q: int) -> int:
-        return len(self.waiting[q]) + len(self.in_service[q])
-
     # ------------------------------------------------------------------
     def _schedule_external_arrival(self, queue: int) -> None:
         rate = self.ext[queue]
         if rate <= 0:
             return
         delay = self.rng.exponential(1.0 / rate)
-        self.sim.schedule_in(delay, lambda q=queue: self._external_arrival(q))
+        self._schedule(delay, lambda q=queue: self._external_arrival(q))
 
     def _external_arrival(self, queue: int) -> None:
         self._accrue()
         self.arrivals += 1
         self._job_counter += 1
-        job = _Job(self._job_counter, queue, self.sim.now)
+        job = _Job(self._job_counter, queue, self.now)
         self._enqueue(job, queue)
         self._schedule_external_arrival(queue)
 
     def _enqueue(self, job: _Job, queue: int) -> None:
         job.queue = queue
-        job.enqueued_at = self.sim.now
+        job.enqueued_at = self.now
         if queue in job.owned:  # re-download: an owner temporarily in-queue
             self._inqueue_owners[queue] += 1
         if len(self.in_service[queue]) < self.servers[queue]:
@@ -157,14 +157,12 @@ class JacksonChannelSimulator:
     def _start_service(self, job: _Job, queue: int) -> None:
         self.in_service[queue][job.job_id] = job
         delay = self.rng.exponential(1.0 / self.service_rate)
-        self.sim.schedule_in(
-            delay, lambda j=job, q=queue: self._complete_service(j, q)
-        )
+        self._schedule(delay, lambda j=job, q=queue: self._complete_service(j, q))
 
     def _complete_service(self, job: _Job, queue: int) -> None:
         self._accrue()
         del self.in_service[queue][job.job_id]
-        self._sojourn_sum[queue] += self.sim.now - job.enqueued_at
+        self._sojourn_sum[queue] += self.now - job.enqueued_at
         self._visits[queue] += 1
         # The job now owns the chunk it just downloaded.
         if queue not in job.owned:
@@ -181,28 +179,7 @@ class JacksonChannelSimulator:
         if u >= cum[-1]:
             self._depart(job)
         else:
-            nxt = int(np.searchsorted(cum, u, side="right"))
-            if self.replay_buffered and nxt in job.owned:
-                # Already buffered: instant replay, route again from nxt.
-                self._route_through(job, nxt)
-            else:
-                self._enqueue(job, nxt)
-
-    def _route_through(self, job: _Job, queue: int, depth: int = 0) -> None:
-        """A job revisiting a buffered chunk replays it without downloading."""
-        if depth > 64:  # safety against pathological matrices
-            self._depart(job)
-            return
-        cum = self._cumulative[queue]
-        u = self.rng.random()
-        if u >= cum[-1]:
-            self._depart(job)
-            return
-        nxt = int(np.searchsorted(cum, u, side="right"))
-        if nxt in job.owned:
-            self._route_through(job, nxt, depth + 1)
-        else:
-            self._enqueue(job, nxt)
+            self._enqueue(job, int(np.searchsorted(cum, u, side="right")))
 
     def _depart(self, job: _Job) -> None:
         self.departures += 1
@@ -217,7 +194,11 @@ class JacksonChannelSimulator:
         self._warmup_end = warmup
         for q in range(self.num_queues):
             self._schedule_external_arrival(q)
-        self.sim.run(until=horizon)
+        events = self._events
+        while events and events[0][0] <= horizon:
+            self.now, _, action = heapq.heappop(events)
+            action()
+        self.now = horizon
         self._accrue()
         measured = horizon - warmup
         mean_sojourn = np.divide(

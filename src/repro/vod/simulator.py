@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.vod.multi import (
     BandwidthLog,
-    BandwidthSample,
     MultiChannelSimulator,
     SimulationResult,
     VoDSystemConfig,
@@ -21,7 +20,6 @@ __all__ = [
     "VoDSystemConfig",
     "VoDSimulator",
     "SimulationResult",
-    "BandwidthSample",
     "BandwidthLog",
 ]
 

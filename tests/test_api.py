@@ -389,9 +389,21 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="schema"):
             resume(path)
 
+    def test_resume_rejects_schema_6(self, tmp_path):
+        """Schema 6 pickled the kernel's quality-window/sojourn-slack
+        settings and the controller's budget ledger; it is not read."""
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pickle.dumps({
+            "format": "repro-checkpoint",
+            "schema": 6,
+        }))
+        with pytest.raises(ValueError, match="schema 6"):
+            resume(path)
+
     @pytest.mark.parametrize("module,name", [
         ("repro.vod.user", "UserStore"),      # a deleted module
         ("repro.cloud.broker", "VMPool"),     # a deleted class
+        ("repro.sim.engine", "Simulator"),    # a deleted module
     ])
     def test_resume_rejects_stale_classes(self, tmp_path, module, name):
         """A checkpoint naming a class this version no longer has is an

@@ -120,6 +120,15 @@ def test_unknown_spec_key_rejected():
         EngineConfig.from_dict(document)
 
 
+def test_stale_scenario_key_rejected():
+    """``bootstrap_rate_factor`` was a ScenarioConfig field nothing read;
+    a closed-loop spec that still carries it fails fast."""
+    document = CONFIGS["closed-loop"]().to_dict()
+    document["spec"]["bootstrap_rate_factor"] = 1.0
+    with pytest.raises(ValueError, match="bootstrap_rate_factor"):
+        EngineConfig.from_dict(document)
+
+
 def test_unknown_constants_key_rejected():
     document = CONFIGS["catalog"]().to_dict()
     document["spec"]["constants"]["vm_bandwith"] = 1.0

@@ -8,8 +8,8 @@ Four concerns:
   (controller=None vs controller="paper", all three engines);
 * the policy state machines match hand-computed traces (reactive
   hysteresis, Adapt level+trend damping, PID anti-windup and bounded
-  actuation, MPC greedy fallback) and both region shapes record their
-  budget ledger;
+  actuation, MPC greedy fallback) and both region shapes record one
+  in-budget decision per interval;
 * the ``ablation-controllers`` summary artifact has the promised schema.
 """
 
@@ -325,12 +325,12 @@ class TestPoliciesInTheLoop:
         assert np.all(mpc_demand >= paper_demand - 1e-9)
 
 
-class TestBudgetLedger:
-    """Every decision, bootstrap included, is one ledger interval, in
-    both region shapes."""
+class TestDecisionRecord:
+    """Every interval, bootstrap included, is one decision within the VM
+    budget, in both region shapes."""
 
     @pytest.mark.parametrize("geo", [False, True], ids=["single", "geo"])
-    def test_one_ledger_interval_per_decision(self, geo):
+    def test_one_decision_per_interval(self, geo):
         from repro.sim.shard import make_engine
         from repro.workload.catalog import catalog_config, geo_catalog_config
 
@@ -345,7 +345,10 @@ class TestBudgetLedger:
             engine.run()
         controller = engine.controller
         assert len(controller.decisions) == 3
-        assert controller.ledger.intervals == len(controller.decisions)
+        limit = controller.terms.vm_budget_per_hour + 1e-9
+        for decision in controller.decisions:
+            assert decision.rejected is None
+            assert decision.agreement.hourly_vm_cost <= limit
 
 
 # ----------------------------------------------------------------------

@@ -65,7 +65,7 @@ def flood(tracker, arrivals):
 
 
 class TestInfeasibleVMBudget:
-    def test_partial_plan_and_ledger_flag(self):
+    def test_partial_plan_flagged_on_decision(self):
         facility = tiny_facility(vms=50)
         controller, tracker = make_controller(facility, vm_budget=2.0)
         flood(tracker, 7200)
@@ -74,7 +74,7 @@ class TestInfeasibleVMBudget:
         assert decision.vm_plan.unserved_vms > 0
         # Whatever was affordable got provisioned.
         assert decision.hourly_vm_cost <= 2.0 + 1e-9
-        assert controller.ledger.infeasible_intervals == 1
+        assert controller.decisions == [decision]
 
     def test_capacity_infeasibility(self):
         facility = tiny_facility(vms=1)
@@ -96,7 +96,7 @@ class TestInfeasibleStorage:
         assert len(decision.storage_plan.unplaced) == 2
         # Infeasible placements are not pushed to the cloud.
         assert sum(facility.stored_bytes.values()) == 0.0
-        assert controller.ledger.infeasible_intervals == 1
+        assert controller.decisions == [decision]
 
 
 class TestSLARejection:
@@ -123,8 +123,8 @@ class TestSLARejection:
         flood(tracker, 3600)
         decision = controller.run_interval(3600.0)
         # Either accepted within the tighter budget or rejected-but-alive.
-        assert decision in controller.decisions
-        assert controller.ledger.intervals == 1
+        assert controller.decisions == [decision]
+        assert (decision.agreement is None) == (decision.rejected is not None)
 
 
 class TestStarvedSimulator:

@@ -8,7 +8,7 @@ from repro.core.predictor import (
     LastIntervalPredictor,
     MovingAveragePredictor,
 )
-from repro.core.sla import BudgetLedger, SLATerms
+from repro.core.sla import SLATerms
 
 
 class TestPacking:
@@ -157,37 +157,8 @@ class TestSLA:
         assert terms.interval_seconds == 3600.0
         assert terms.total_budget_per_hour == 101.0
 
-    def test_ledger_means(self):
-        ledger = BudgetLedger(SLATerms())
-        ledger.record(0.0, 40.0, 0.1)
-        ledger.record(3600.0, 60.0, 0.1)
-        assert ledger.mean_vm_rate() == pytest.approx(50.0)
-        assert ledger.mean_storage_rate() == pytest.approx(0.1)
-        assert ledger.peak_vm_rate() == 60.0
-        assert ledger.intervals == 2
-
-    def test_violations_counted(self):
-        ledger = BudgetLedger(SLATerms(vm_budget_per_hour=50.0))
-        ledger.record(0.0, 49.0, 0.0)
-        ledger.record(3600.0, 51.0, 0.0)
-        assert ledger.vm_budget_violations() == 1
-
-    def test_infeasible_intervals(self):
-        ledger = BudgetLedger(SLATerms())
-        ledger.record(0.0, 10.0, 0.0, feasible=False)
-        ledger.record(3600.0, 10.0, 0.0)
-        assert ledger.infeasible_intervals == 1
-
-    def test_series(self):
-        ledger = BudgetLedger(SLATerms())
-        ledger.record(0.0, 1.0, 0.5)
-        assert ledger.series() == [(0.0, 1.0)]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SLATerms(vm_budget_per_hour=-1.0)
         with pytest.raises(ValueError):
             SLATerms(interval_seconds=0.0)
-        ledger = BudgetLedger(SLATerms())
-        with pytest.raises(ValueError):
-            ledger.record(0.0, -1.0, 0.0)

@@ -74,21 +74,22 @@ class TestClientServerConservation:
             VoDSystemConfig(dt=1.0, user_rate_cap=R),
         )
         sim.set_cloud_capacity(0, capacity)
-        sample = sim.step()
+        sim.step()
+        cloud_used = sim.bandwidth.cloud_used[-1]
         rates = sim._row_received[: sim._n]
         downloaders = float(len(chunks))
         # Cloud usage bounded by capacity and by demand.
-        assert sample.cloud_used <= capacity.sum() + 1e-6
-        assert sample.cloud_used <= downloaders * R + 1e-6
+        assert cloud_used <= capacity.sum() + 1e-6
+        assert cloud_used <= downloaders * R + 1e-6
         # No peer magic in client-server mode.
-        assert sample.peer_used == 0.0
+        assert sim.bandwidth.peer_used[-1] == 0.0
         # Per-user rates respect the cap.
         assert np.all(rates <= R + 1e-9)
         # Delivered == cloud used (single source).
         delivered = float(rates.sum())
-        assert delivered == pytest.approx(sample.cloud_used, rel=1e-9, abs=1e-6)
+        assert delivered == pytest.approx(cloud_used, rel=1e-9, abs=1e-6)
         # Shortfall accounting closes the balance.
-        assert sample.shortfall == pytest.approx(
+        assert sim.bandwidth.shortfall[-1] == pytest.approx(
             downloaders * R - delivered, rel=1e-9, abs=1e-6
         )
 

@@ -58,11 +58,13 @@ class TestSimulatorInvariants:
         # Quality in [0, 1] at every sample.
         for sample in sim.quality.samples:
             assert 0.0 <= sample.quality <= 1.0
-        # Bandwidth samples nonnegative and cloud bounded by provisioned.
-        for s in sim.bandwidth:
-            assert s.cloud_used >= 0.0
-            assert s.peer_used >= 0.0
-            assert s.cloud_used <= s.provisioned + 1e-6
+        # One bandwidth row per step, every row nonnegative and cloud
+        # bounded by provisioned.
+        log = sim.bandwidth
+        assert len(log) == sim.steps
+        assert np.all(log.cloud_used >= 0.0)
+        assert np.all(log.peer_used >= 0.0)
+        assert np.all(log.cloud_used <= log.provisioned + 1e-6)
         # Retrieval accounting: every retrieval belongs to a known channel.
         assert sim.quality.total_retrievals >= sim.quality.unsmooth_retrievals
 

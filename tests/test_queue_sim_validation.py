@@ -10,10 +10,13 @@ Tolerances are loose-ish because the horizons are kept CI-friendly.
 import numpy as np
 import pytest
 
+from repro.experiments.config import paper_capacity_model
+from repro.experiments.registry import get as registry_scenario
 from repro.p2p.ownership import solve_ownership
 from repro.queueing.capacity import CapacityModel, solve_channel_capacity
 from repro.queueing.erlang import mmm_expected_number_in_system
 from repro.queueing.jackson import external_arrival_vector, solve_traffic_equations
+from repro.queueing.startup import channel_startup_delay
 from repro.queueing.transitions import sequential_matrix, uniform_jump_matrix
 from repro.vod.queue_sim import JacksonChannelSimulator
 
@@ -111,6 +114,33 @@ class TestCapacitySolverDeliversSmoothPlayback:
         )
         result = sim.run(horizon=200_000.0, warmup=20_000.0)
         assert result.mean_sojourn[0] > 300.0
+
+
+class TestStartupDelayAgainstSimulator:
+    def test_startup_delay_within_t0_and_matches_simulator(self):
+        """The start-up delay is the first chunk's sojourn.  Under the
+        solved plan its mean never exceeds T0 at any load of the
+        ``micro-startup-delay`` grid, and the closed form matches the
+        simulated first-queue sojourn."""
+        model = paper_capacity_model()
+        spec = registry_scenario("micro-startup-delay")
+        means = [
+            spec.run_cell({"arrival_rate": rate})["mean_startup_seconds"]
+            for rate in spec.grid["arrival_rate"]
+        ]
+        assert all(m <= model.chunk_duration + 1e-9 for m in means)
+
+        behaviour = uniform_jump_matrix(10, 0.6, 0.2)
+        capacity = solve_channel_capacity(model, behaviour, 0.5, alpha=0.8)
+        sim = JacksonChannelSimulator(
+            behaviour, 0.5, model.service_rate, capacity.servers,
+            alpha=0.8, seed=31,
+        )
+        result = sim.run(horizon=150_000.0, warmup=15_000.0)
+        np.testing.assert_allclose(
+            result.mean_sojourn[0], channel_startup_delay(capacity).mean,
+            rtol=0.15,
+        )
 
 
 class TestOwnershipAgainstProposition1:

@@ -36,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import EngineConfig, open_run
+from repro.experiments.config import small_scenario
 from repro.service import RunHost, ServiceClient, ServiceError, ServiceServer
 from repro.service.server import _HttpError
 from repro.service.artifact import artifact_bytes, result_payload, sha256_hex
@@ -206,6 +207,20 @@ def test_error_statuses():
             client.checkpoint(run_id)  # host has no state dir
         assert excinfo.value.status == 409
         client.wait(run_id)
+
+
+def test_stale_scenario_field_is_400():
+    """A closed-loop spec carrying the removed ``bootstrap_rate_factor``
+    is refused, not run with the field silently ignored."""
+    document = EngineConfig(spec=small_scenario("p2p", horizon_hours=0.5)).to_dict()
+    document["spec"]["bootstrap_rate_factor"] = 1.0
+    with running_service(max_concurrent=1) as url:
+        client = ServiceClient(url)
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(document)
+        assert excinfo.value.status == 400
+        assert "bootstrap_rate_factor" in excinfo.value.message
+        assert client.runs() == []
 
 
 def _raw_exchange(url: str, request: bytes) -> bytes:

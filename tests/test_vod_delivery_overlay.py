@@ -16,8 +16,8 @@ T0 = 300.0
 
 def client_server_step(downloads, capacity, num_chunks=4):
     """One 1 s kernel step with one user per entry of ``downloads``
-    (the chunk it downloads); returns the step's bandwidth sample and
-    each user's download rate."""
+    (the chunk it downloads); returns the kernel's bandwidth log (one
+    row) and each user's download rate."""
     sessions = [(0.0, 0, chunk, 0.0) for chunk in downloads]
     sim = MultiChannelSimulator(
         make_uniform_channels(1, num_chunks, r, T0),
@@ -25,8 +25,8 @@ def client_server_step(downloads, capacity, num_chunks=4):
         VoDSystemConfig(dt=1.0, user_rate_cap=R),
     )
     sim.set_cloud_capacity(0, np.asarray(capacity, dtype=float))
-    sample = sim.step()
-    return sample, sim._row_received[: sim._n].copy()
+    sim.step()
+    return sim.bandwidth, sim._row_received[: sim._n].copy()
 
 
 def channel_state(downloads, owners=(), uploads=100_000.0, num_chunks=4):
@@ -54,23 +54,23 @@ def allocate(state, capacity):
 
 class TestClientServer:
     def test_equal_share(self):
-        sample, rates = client_server_step([0, 0], [1.0e6, 0.0, 0.0, 0.0])
+        log, rates = client_server_step([0, 0], [1.0e6, 0.0, 0.0, 0.0])
         assert rates.tolist() == pytest.approx([0.5e6, 0.5e6])
-        assert sample.cloud_used == pytest.approx(1.0e6)
-        assert sample.peer_used == 0.0
+        assert log.cloud_used[-1] == pytest.approx(1.0e6)
+        assert log.peer_used[-1] == 0.0
 
     def test_user_cap_binds(self):
-        sample, rates = client_server_step([0], [10 * R, 0, 0, 0])
+        log, rates = client_server_step([0], [10 * R, 0, 0, 0])
         assert rates[0] == pytest.approx(R)
-        assert sample.cloud_used == pytest.approx(R)
+        assert log.cloud_used[-1] == pytest.approx(R)
 
     def test_shortfall_measured(self):
-        sample, _ = client_server_step([0, 0], [R, 0, 0, 0])
-        assert sample.shortfall == pytest.approx(R)
+        log, _ = client_server_step([0, 0], [R, 0, 0, 0])
+        assert log.shortfall[-1] == pytest.approx(R)
 
     def test_idle_chunks_unused(self):
-        sample, _ = client_server_step([1], [R, R, R, R])
-        assert sample.cloud_used == pytest.approx(R)
+        log, _ = client_server_step([1], [R, R, R, R])
+        assert log.cloud_used[-1] == pytest.approx(R)
 
     def test_capacity_shape_checked(self):
         with pytest.raises(ValueError):

@@ -164,9 +164,9 @@ class TestP2PMode:
         for sim in (cloud_only, p2p):
             sim.set_cloud_capacity(0, np.full(4, 5 * R))
             sim.advance_to(1800.0)
-        cs_cloud = sum(s.cloud_used for s in cloud_only.bandwidth)
-        p2p_cloud = sum(s.cloud_used for s in p2p.bandwidth)
-        p2p_peer = sum(s.peer_used for s in p2p.bandwidth)
+        cs_cloud = cloud_only.bandwidth.cloud_used.sum()
+        p2p_cloud = p2p.bandwidth.cloud_used.sum()
+        p2p_peer = p2p.bandwidth.peer_used.sum()
         assert p2p_peer > 0.0
         assert p2p_cloud < cs_cloud
 
@@ -200,9 +200,12 @@ class TestInterface:
         sim.advance_to(600.0)
         result = sim.result()
         assert result.arrivals == 1
+        log = result.bandwidth
+        assert len(log) == 60
+        assert log.time.shape == log.cloud_used.shape == log.peer_used.shape
+        # The snapshot is independent of the still-running kernel.
+        sim.advance_to(700.0)
         assert len(result.bandwidth) == 60
-        t, cloud, peer = result.bandwidth_series()
-        assert t.shape == cloud.shape == peer.shape
 
     def test_determinism(self):
         sessions = [(float(i), 0, 0, 50_000.0) for i in range(20)]
@@ -213,6 +216,6 @@ class TestInterface:
             sim.advance_to(900.0)
             outcomes.append(
                 (sim.departures, sim.quality.total_retrievals,
-                 tuple(s.cloud_used for s in sim.bandwidth))
+                 tuple(sim.bandwidth.cloud_used.tolist()))
             )
         assert outcomes[0] == outcomes[1]

@@ -127,7 +127,3 @@ class TestQualityTracker:
         assert q.average_quality == 1.0
         assert q.smooth_retrieval_fraction == 1.0
         assert q.mean_sojourn == 0.0
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            QualityTracker(window_seconds=0.0)

@@ -120,7 +120,8 @@ class TestHolding:
         sim.advance_to(20.0)
         assert live(sim, "_row_chunk").tolist() == [HOLDING, 0]
         # Only the downloader draws from chunk 0's capacity.
-        assert sim.step().cloud_used == pytest.approx(R)
+        sim.step()
+        assert sim.bandwidth.cloud_used[-1] == pytest.approx(R)
         # Holding users still count as active.
         assert sim.population() == 2
 
@@ -133,7 +134,8 @@ class TestHolding:
         assert sim._row_chunk[0] == HOLDING
         assert sim._owners[0, 0] == 1
         # The holding owner uploads chunk 0 to the newcomer.
-        assert sim.step().peer_used == pytest.approx(10_000.0)
+        sim.step()
+        assert sim.bandwidth.peer_used[-1] == pytest.approx(10_000.0)
 
 
 class TestVectorizedQueries:
