@@ -146,13 +146,6 @@ class BillingMeter:
             for name, level in self._vm_levels.items()
         )
 
-    def current_storage_cost_rate(self) -> float:
-        """Instantaneous storage spend in dollars/hour at current levels."""
-        return sum(
-            level * self.nfs_clusters[name].price_per_byte_hour
-            for name, level in self._storage_levels.items()
-        )
-
     def current_egress_cost_rate(self) -> float:
         """Instantaneous cross-region egress spend, dollars/hour."""
         return self._egress_rate

@@ -19,8 +19,10 @@ includes the shard count), results are **byte-identical regardless of
 the worker count**:
 
 * every channel's trace and behaviour stream is keyed by its global
-  channel id (stable spawn keys), so a channel simulates identically in
-  whichever process its shard lands;
+  channel id (stable spawn keys), so a channel is built and simulated
+  identically in whichever process its shard lands — with worker
+  processes, each worker builds the shards it owns and the parent
+  builds none;
 * channels only interact through the controller, which runs in the
   parent on merged statistics;
 * reports are merged in **shard-index order** no matter the order in
@@ -159,6 +161,19 @@ class ChannelShard:
             channel_populations=dict(sim.channel_populations()),
             **deltas,
         )
+
+
+def _build_shards(
+    config: CatalogConfig, shard_indices: Sequence[int]
+) -> List[ChannelShard]:
+    """Build the shards ``shard_indices`` of ``config``, sharing one
+    computation of the catalog-wide shape and channel lists."""
+    shapes = channel_shapes(config)
+    all_channels = config.channels()
+    return [
+        ChannelShard(config, i, shapes=shapes, all_channels=all_channels)
+        for i in shard_indices
+    ]
 
 
 @dataclass
@@ -510,12 +525,16 @@ def _exit_when_orphaned(parent: int) -> None:
 
 
 def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
-                 shards: List[ChannelShard]) -> None:
-    """Long-lived worker: adopt the owned shards, serve epochs.
+                 shards: Optional[List[ChannelShard]] = None) -> None:
+    """Long-lived worker: build (or adopt) the owned shards, serve epochs.
 
-    ``shards`` are the parent-built (or checkpoint-restored)
+    On a fresh start ``shards`` is ``None`` and the worker builds the
+    shards in ``shard_indices`` itself, before it reports ``("ready",
+    …)`` — so the parent's start-up still covers the build.  Shards
+    parked by ``suspend()`` or restored from a checkpoint arrive as
     :class:`ChannelShard` objects, inherited through the fork or pickled
-    through a spawn.  Besides epochs, the worker answers
+    through a spawn.  Any build failure goes back as ``("error",
+    traceback)``.  Besides epochs, the worker answers
     ``("snapshot",)`` with its current shards — the parent-side
     checkpoint gathers them without interrupting the run.
 
@@ -534,6 +553,8 @@ def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
         target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
     ).start()
     try:
+        if shards is None:
+            shards = _build_shards(config, shard_indices)
         layout = EpochBlockLayout(config)
         buf = bytearray(layout.total_size)
         views = {index: layout.views(buf, index) for index in shard_indices}
@@ -845,32 +866,38 @@ class ShardedSimulator(EpochLoop):
     # The data plane: shards, in process or in worker processes
     # ------------------------------------------------------------------
     def _start(self) -> None:
+        """Bring up the data plane; the engine counts as started only
+        once every shard is built and every worker is ready, so a failed
+        start raises again on the next call instead of leaving a
+        half-built engine behind."""
         if self._started:
             return
-        self._started = True
         shards = self.config.effective_shards
         restored = self._restored_shards
-        self._restored_shards = None
-        # Build every shard in the parent, once: the catalog-wide
-        # shape/spec lists are shared across all of them, and worker
-        # processes inherit their shards through the fork (or adopt the
-        # pickled copies under a spawn start method) instead of each
-        # rebuilding the full channel list.
-        if restored is not None:
-            built = restored
-        else:
-            shapes = channel_shapes(self.config)
-            all_channels = self.config.channels()
-            built = [
-                ChannelShard(
-                    self.config, i,
-                    shapes=shapes, all_channels=all_channels,
-                )
-                for i in range(shards)
-            ]
         if self.jobs <= 1:
-            self._shards = built
-            return
+            self._shards = (
+                restored if restored is not None
+                else _build_shards(self.config, range(shards))
+            )
+        else:
+            try:
+                self._spawn_workers(shards, restored)
+            except BaseException:
+                self._stop_workers()
+                self._layout = self._blocks = None
+                raise
+        self._restored_shards = None
+        self._started = True
+
+    def _spawn_workers(
+        self, shards: int, restored: Optional[List[ChannelShard]]
+    ) -> None:
+        """Start the workers and wait until each reports ready.
+
+        On a fresh start each worker builds the shards it owns, in
+        parallel with the others, so the parent never holds a trace;
+        parked or checkpoint-restored shards travel to their workers.
+        """
         self._layout = EpochBlockLayout(self.config)
         self._blocks = bytearray(self._layout.total_size)
         self._assignments = [
@@ -879,7 +906,9 @@ class ShardedSimulator(EpochLoop):
         ]
         for owned in self._assignments:
             parent_conn, child_conn = mp.Pipe()
-            owned_states = [built[i] for i in owned]
+            owned_states = (
+                None if restored is None else [restored[i] for i in owned]
+            )
             worker = mp.Process(
                 target=_worker_main,
                 args=(child_conn, self.config, owned, owned_states),

@@ -8,6 +8,10 @@ plus the catalog workload's partition/trace stability and the registry
 surface.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import EngineConfig, open_run
+from repro.service.artifact import artifact_bytes, result_payload, sha256_hex
 from repro.sim.shard import (
     ChannelShard,
     EpochReport,
@@ -37,23 +42,24 @@ RESULT_ARRAYS = (
 )
 
 
+SMALL_KNOBS = dict(
+    num_channels=8,
+    chunks_per_channel=4,
+    horizon_hours=0.5,
+    arrival_rate=0.5,
+    num_shards=4,
+    dt=60.0,
+    interval_minutes=10.0,
+    phase_jitter_hours=6.0,
+    flash_fraction=0.5,
+    flash_hour=0.25,
+    flash_width_hours=0.25,
+    flash_amplitude=4.0,
+)
+
+
 def small_config(**overrides):
-    params = dict(
-        num_channels=8,
-        chunks_per_channel=4,
-        horizon_hours=0.5,
-        arrival_rate=0.5,
-        num_shards=4,
-        dt=60.0,
-        interval_minutes=10.0,
-        phase_jitter_hours=6.0,
-        flash_fraction=0.5,
-        flash_hour=0.25,
-        flash_width_hours=0.25,
-        flash_amplitude=4.0,
-    )
-    params.update(overrides)
-    return catalog_config(**params)
+    return catalog_config(**{**SMALL_KNOBS, **overrides})
 
 
 def run_via_api(config, workers=None):
@@ -61,6 +67,14 @@ def run_via_api(config, workers=None):
     (``workers=None`` means serial)."""
     with open_run(EngineConfig(spec=config, workers=workers)) as run:
         return run.result()
+
+
+def artifact_sha(config, workers):
+    """sha256 of the run's service artifact."""
+    with open_run(EngineConfig(spec=config, workers=workers)) as run:
+        return sha256_hex(
+            artifact_bytes(result_payload(run.kind, run.result()))
+        )
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +178,59 @@ class TestShardedDeterminism:
         report = shard.advance_epoch(config.interval_seconds)
         assert [s.channel_id for s in report.stats] == shard.channel_ids
         assert set(report.channel_populations) == set(shard.channel_ids)
+
+
+_SPAWN_RUN = """
+import multiprocessing
+import repro.sim.shard
+from repro.api import EngineConfig, open_run
+from repro.service.artifact import artifact_bytes, result_payload, sha256_hex
+from repro.workload.catalog import catalog_config
+
+repro.sim.shard.mp = multiprocessing.get_context("spawn")
+config = EngineConfig(spec=catalog_config(**{knobs!r}), workers=2)
+with open_run(config) as run:
+    print(sha256_hex(artifact_bytes(result_payload(run.kind, run.result()))))
+"""
+
+
+class TestWorkerSideBuild:
+    def test_parent_builds_no_shard(self, monkeypatch, tmp_path):
+        """With worker processes every shard is built by the worker that
+        runs it, and the artifact still matches the in-process run."""
+        config = small_config(horizon_hours=0.25)
+        expected = artifact_sha(config, 1)
+        record = tmp_path / "builders"
+        init = ChannelShard.__init__
+
+        def recording_init(self, config, shard_index, **kwargs):
+            with open(record, "a") as handle:
+                handle.write(f"{os.getpid()} {shard_index}\n")
+            init(self, config, shard_index, **kwargs)
+
+        monkeypatch.setattr(ChannelShard, "__init__", recording_init)
+        assert artifact_sha(config, 2) == expected
+        builds = [line.split() for line in record.read_text().splitlines()]
+        pids = {pid for pid, _ in builds}
+        assert sorted(int(index) for _, index in builds) == list(range(4))
+        assert len(pids) == 2
+        assert str(os.getpid()) not in pids
+
+    def test_spawn_start_method_matches_in_process(self):
+        """Workers started with ``spawn`` (nothing inherited) produce the
+        in-process artifact.  Run in a subprocess: spawn starts a
+        resource tracker, which the suite's child-process guard flags."""
+        knobs = dict(SMALL_KNOBS, horizon_hours=0.25)
+        src = Path(__file__).resolve().parent.parent / "src"
+        process = subprocess.run(
+            [sys.executable, "-c", _SPAWN_RUN.format(knobs=knobs)],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert process.returncode == 0, process.stderr
+        assert process.stdout.strip() == artifact_sha(
+            catalog_config(**knobs), 1
+        )
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,17 @@
 Covers the paper's explicit failure signal ("the optimization problem is
 not feasible, and the VoD provider should increase the budget") and the
 surrounding machinery: SLA rejections, starved channels, infeasible
-storage, and empty systems.
+storage, empty systems, and a sharded engine whose shards cannot be
+built.
 """
+
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from helpers import trace_arrays
+from repro.api import EngineConfig, open_run
 from repro.cloud.broker import (
     Broker,
     CloudFacility,
@@ -22,9 +26,11 @@ from repro.core.provisioner import ProvisioningController
 from repro.core.sla import SLATerms
 from repro.queueing.capacity import CapacityModel
 from repro.sim.loop import EpochClock
+from repro.sim.shard import ChannelShard, ShardEngineError
 from repro.vod.channel import make_uniform_channels
 from repro.vod.simulator import VoDSimulator, VoDSystemConfig
 from repro.vod.tracker import TrackingServer
+from repro.workload.catalog import catalog_config
 
 R = 10e6 / 8.0
 r = 50_000.0
@@ -175,3 +181,36 @@ class TestEmptySystem:
         sim.advance_to(3600.0)
         assert sim.population() == 0
         assert sim.quality.average_quality == 1.0
+
+
+class TestFailedShardBuild:
+    @pytest.mark.parametrize(
+        "workers, error", [(1, RuntimeError), (2, ShardEngineError)]
+    )
+    def test_every_advance_raises_the_build_error(
+        self, monkeypatch, workers, error
+    ):
+        """A shard that cannot be built fails every start the same way
+        (in-process: the build error; workers: a ShardEngineError with
+        the worker's traceback), and leaves no worker behind."""
+        init = ChannelShard.__init__
+
+        def failing_init(self, config, shard_index, **kwargs):
+            if shard_index == 3:
+                raise RuntimeError("shard 3 cannot be built")
+            init(self, config, shard_index, **kwargs)
+
+        monkeypatch.setattr(ChannelShard, "__init__", failing_init)
+        spec = catalog_config(
+            num_channels=8, chunks_per_channel=4, horizon_hours=0.5,
+            arrival_rate=0.5, num_shards=4, dt=60.0, interval_minutes=10.0,
+        )
+        with open_run(EngineConfig(spec=spec, workers=workers)) as run:
+            for _ in range(2):
+                with pytest.raises(
+                    error, match="shard 3 cannot be built"
+                ) as raised:
+                    run.advance()
+                assert type(raised.value) is error
+                assert not multiprocessing.active_children()
+        assert run.epoch == 0
