@@ -64,7 +64,19 @@ def regional_demand(hour_utc: float, tz_offset: float, base_rate: float, model, 
     local = DiurnalPattern()
     factor = local.factor(((hour_utc + tz_offset) % 24) * 3600.0)
     result = solve_channel_capacity(model, behaviour, base_rate * factor, alpha=0.8)
-    return {i: float(d) for i, d in enumerate(result.cloud_demand)}
+    return result.cloud_demand
+
+
+def geo_problem(topo, demands) -> GeoVMProblem:
+    """The allocation problem over per-region demand arrays (chunk i of
+    each region keyed ``i``)."""
+    return GeoVMProblem(
+        topology=topo,
+        chunks={region: range(d.size) for region, d in demands.items()},
+        demands=demands,
+        vm_bandwidth=R,
+        budget_per_hour=150.0,
+    )
 
 
 def main() -> None:
@@ -81,15 +93,12 @@ def main() -> None:
             region: regional_demand(hour, off, base_rate, model, behaviour)
             for region, off in offsets.items()
         }
-        problem = GeoVMProblem(
-            topology=topo, demands=demands, vm_bandwidth=R, budget_per_hour=150.0
-        )
-        plan = greedy_geo_allocation(problem)
+        plan = greedy_geo_allocation(geo_problem(topo, demands))
         remote_fractions.append(plan.remote_fraction())
         rows.append(
             [
                 hour,
-                f"{sum(sum(d.values()) for d in demands.values()) * 8 / 1e6 / 10:.0f}",
+                f"{sum(sum(d.tolist()) for d in demands.values()) * 8 / 1e6 / 10:.0f}",
                 f"{plan.cost_per_hour:.1f}",
                 f"{100 * plan.remote_fraction():.0f}%",
                 "yes" if plan.feasible else "NO",
@@ -106,9 +115,7 @@ def main() -> None:
         region: regional_demand(20, off, base_rate, model, behaviour)
         for region, off in offsets.items()
     }
-    problem = GeoVMProblem(
-        topology=topo, demands=demands, vm_bandwidth=R, budget_per_hour=150.0
-    )
+    problem = geo_problem(topo, demands)
     greedy = greedy_geo_allocation(problem)
     lp = lp_geo_allocation(problem)
     print("\nPeak hour, greedy vs LP optimum:")

@@ -76,8 +76,11 @@ __all__ = [
 #: pickles the cloud facility as per-cluster counts
 #: (``repro.cloud.broker.CloudFacility``), with no per-VM objects;
 #: schema 7 pickles the kernel config without its quality-window and
-#: sojourn-slack fields, and a controller without a budget ledger.
-CHECKPOINT_SCHEMA = 7
+#: sojourn-slack fields, and a controller without a budget ledger;
+#: schema 8 pickles geo decisions holding columnar allocation plans
+#: (``repro.geo.allocation.GeoAllocationPlan``) and their region
+#: service matrix.
+CHECKPOINT_SCHEMA = 8
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

@@ -58,7 +58,7 @@ consult the controller's arrival-rate predictor
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -81,6 +81,7 @@ __all__ = [
     "CONTROLLERS",
     "controller_names",
     "storage_demand_shifted",
+    "chunk_offsets",
     "STORAGE_REPLAN_THRESHOLD",
 ]
 
@@ -95,6 +96,17 @@ PID_SETPOINT = 1.0
 #: The MPC policy's horizon (intervals) and per-interval growth clamp.
 MPC_HORIZON = 3
 MPC_MAX_GROWTH = 3.0
+
+
+def chunk_offsets(demands: Sequence[ChannelDemand]) -> Dict[int, int]:
+    """Each channel's first position in the flat layout of ``demands``
+    (every channel's chunks in turn), the layout the grants land in."""
+    offsets: Dict[int, int] = {}
+    size = 0
+    for demand in demands:
+        offsets[demand.channel_id] = size
+        size += demand.cloud_demand.size
+    return offsets
 
 
 def storage_demand_shifted(
@@ -157,9 +169,9 @@ class ProvisioningControllerBase:
 
     Subclasses provide :meth:`provision` (the single-region Eqn (6)/(7)
     pipeline or the geo allocator), ``topology`` (the region graph the
-    MPC policy solves over) and ``_regional_demands`` (demands grouped
-    by viewer region); they finish each decision with :meth:`_rent` and
-    :meth:`_channel_capacities`.
+    MPC policy solves over) and ``_viewer_region`` (a channel's viewer
+    region, for :meth:`_vm_problem`); they finish each decision with
+    :meth:`_rent` and :meth:`_channel_capacities`.
 
     ``bootstrap`` never consults the policy: the initial deployment has
     no history for any policy to act on, so it is policy-invariant by
@@ -200,6 +212,7 @@ class ProvisioningControllerBase:
         self.decisions: List[Any] = []
         self._last_chunk_demand: Optional[Dict[Any, float]] = None
         self._storage_planned = False
+        self._problem_layout: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     @property
@@ -258,30 +271,74 @@ class ProvisioningControllerBase:
         self._last_chunk_demand = dict(chunk_demand)
         return agreement, rejected
 
+    def _vm_problem(self, demands: Sequence[ChannelDemand]):
+        """The multi-region VM problem over ``demands``, and where each of
+        its cells sits in the flat layout of ``demands`` (the grants').
+
+        Viewer regions come in topology order; each region's demand is
+        its channels' ``cloud_demand`` arrays concatenated in ``demands``
+        order, keyed ``(channel, chunk)``.  The grouping, the keys and
+        the positions depend only on the channels and their chunk
+        counts, so they are rebuilt only when those change.
+        """
+        # Lazy import: the geo package imports the core one at init.
+        from repro.geo.allocation import GeoVMProblem
+
+        shape = [(d.channel_id, d.cloud_demand.size) for d in demands]
+        if self._problem_layout is None or self._problem_layout[0] != shape:
+            members: Dict[str, List[int]] = {
+                name: [] for name in self.topology.region_names()
+            }
+            for index, (channel, _) in enumerate(shape):
+                members[self._viewer_region(channel)].append(index)
+            starts = np.concatenate(([0], np.cumsum([n for _, n in shape])))
+            chunks = {
+                name: tuple(
+                    (shape[i][0], k) for i in idx for k in range(shape[i][1])
+                )
+                for name, idx in members.items()
+            }
+            positions = np.concatenate([
+                np.arange(starts[i], starts[i + 1])
+                for idx in members.values() for i in idx
+            ] or [np.empty(0, dtype=np.intp)])
+            self._problem_layout = (shape, members, chunks, positions)
+        _, members, chunks, positions = self._problem_layout
+        problem = GeoVMProblem(
+            topology=self.topology,
+            chunks=chunks,
+            demands={
+                name: np.concatenate(
+                    [demands[i].cloud_demand for i in idx] or [np.empty(0)]
+                )
+                for name, idx in members.items()
+            },
+            vm_bandwidth=self.vm_bandwidth,
+            budget_per_hour=self.terms.vm_budget_per_hour,
+        )
+        return problem, positions
+
     def _channel_capacities(
         self,
         demands: Sequence[ChannelDemand],
-        cells: Iterable[Tuple[ChunkKey, float]],
+        positions: np.ndarray,
+        vms: np.ndarray,
     ) -> Dict[int, np.ndarray]:
         """Granted bytes/s per channel chunk, plus the populated-chunk
         floor.
 
-        ``cells`` yields ``((channel, chunk), vms)`` per allocation cell;
-        a chunk's grant is R times its cells' VMs, summed in cell order.
-        The grants land in one flat array laid out like ``demands``, and
-        each channel's array is its slice.
+        Allocation row ``a`` grants ``vms[a]`` VMs to the chunk at flat
+        position ``positions[a]`` of the layout of ``demands`` (each
+        channel's chunks in turn); a chunk's grant is R times its rows'
+        VMs, summed in row order (``np.bincount`` adds sequentially from
+        0.0).  Each channel's array is its slice of the flat grants.
         """
-        offsets: Dict[int, int] = {}
-        size = 0
-        for demand in demands:
-            offsets[demand.channel_id] = size
-            size += demand.cloud_demand.size
-        grants = [0.0] * size
-        vm_bandwidth = self.vm_bandwidth
-        for (channel, chunk), vms in cells:
-            k = offsets[channel] + chunk
-            grants[k] = grants[k] + vms * vm_bandwidth
-        flat = np.array(grants, dtype=float)
+        offsets = chunk_offsets(demands)
+        flat = np.bincount(
+            np.asarray(positions, dtype=np.intp),
+            weights=np.asarray(vms, dtype=float) * self.vm_bandwidth,
+            minlength=sum(d.cloud_demand.size for d in demands),
+        )
         if self.min_capacity_per_chunk > 0 and demands:
             populated = np.concatenate(
                 [demand.expected_in_system for demand in demands]
@@ -606,25 +663,19 @@ class MPCPolicy(PaperPolicy):
         self._rate_history: List[float] = []
 
     def _solve(self, controller, demands: Sequence[ChannelDemand]):
-        """Exact LP over the shaped demand; greedy when infeasible."""
-        # Lazy import: the geo package imports the core one at init.
-        from repro.geo.allocation import (
-            GeoVMProblem,
-            greedy_geo_allocation,
-            lp_geo_allocation,
-        )
+        """Exact LP over the shaped demand; greedy when infeasible.
 
-        problem = GeoVMProblem(
-            topology=controller.topology,
-            demands=controller._regional_demands(demands),
-            vm_bandwidth=controller.vm_bandwidth,
-            budget_per_hour=controller.terms.vm_budget_per_hour,
-        )
+        Returns the plan and its cells' positions in the flat layout of
+        ``demands``."""
+        # Lazy import: the geo package imports the core one at init.
+        from repro.geo.allocation import greedy_geo_allocation, lp_geo_allocation
+
+        problem, positions = controller._vm_problem(demands)
         plan = lp_geo_allocation(problem)
         if not plan.feasible:
             self.lp_fallbacks += 1
             plan = greedy_geo_allocation(problem)
-        return plan
+        return plan, positions
 
     def shape_demands(self, controller, demands):
         total = float(sum(d.total_cloud_demand for d in demands))
@@ -642,21 +693,21 @@ class MPCPolicy(PaperPolicy):
             if factor <= 1.0 + 1e-12
             else [_scaled_demand(d, factor) for d in demands]
         )
-        plan = self._solve(controller, shaped)
-        served: Dict[Any, float] = {}
-        for (_viewer, chunk, _serving, _cluster), z in \
-                plan.allocations.items():
-            served[chunk] = served.get(chunk, 0.0) + \
-                z * controller.vm_bandwidth
+        plan, positions = self._solve(controller, shaped)
+        served = np.bincount(
+            positions[plan.chunk],
+            weights=plan.z * controller.vm_bandwidth,
+            minlength=positions.size,
+        )
         clipped: List[ChannelDemand] = []
+        offset = 0
         for base, grown in zip(demands, shaped):
-            arr = np.asarray(grown.cloud_demand, dtype=float).copy()
-            for i in range(arr.size):
-                cap = served.get((grown.channel_id, i), 0.0)
-                arr[i] = max(
-                    float(base.cloud_demand[i]), min(float(arr[i]), cap)
-                )
-            clipped.append(replace(grown, cloud_demand=arr))
+            size = grown.cloud_demand.size
+            cap = served[offset:offset + size]
+            offset += size
+            clipped.append(replace(grown, cloud_demand=np.maximum(
+                base.cloud_demand, np.minimum(grown.cloud_demand, cap)
+            )))
         return clipped
 
 

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.cloud.broker import SLAAgreement
-from repro.core.controller import ProvisioningControllerBase
+from repro.core.controller import ProvisioningControllerBase, chunk_offsets
 from repro.core.demand import ChannelDemand, aggregate_demand
 from repro.core.packing import PackingResult, pack_allocations
 from repro.core.storage_rental import StoragePlan, StorageProblem, greedy_storage_rental
@@ -124,8 +124,8 @@ class ProvisioningController(ProvisioningControllerBase):
             {},
         )
 
-    def _regional_demands(self, demands):
-        return {"local": aggregate_demand(demands)}
+    def _viewer_region(self, channel_id: int) -> str:
+        return "local"
 
     # ------------------------------------------------------------------
     # Decision pipeline (shared by bootstrap and periodic runs)
@@ -165,6 +165,8 @@ class ProvisioningController(ProvisioningControllerBase):
         vm_targets = {spec.name: 0 for spec in vm_specs}
         vm_targets.update(vm_plan.integer_vm_counts())
         agreement, rejected = self._rent(vm_targets, storage_plan, chunk_demand)
+        offsets = chunk_offsets(demands)
+        cells = list(vm_plan.allocations.items())
         decision = ProvisioningDecision(
             time=now,
             demands=demands,
@@ -174,7 +176,10 @@ class ProvisioningController(ProvisioningControllerBase):
             agreement=agreement,
             per_channel_capacity=self._channel_capacities(
                 demands,
-                ((chunk, z) for (chunk, _), z in vm_plan.allocations.items()),
+                np.array(
+                    [offsets[c] + i for ((c, i), _), _ in cells], dtype=np.intp
+                ),
+                np.array([z for _, z in cells]),
             ),
             rejected=rejected,
             cluster_utilities={spec.name: spec.utility for spec in vm_specs},

@@ -15,6 +15,7 @@ or capacity exhausted before all demand is served) is reported on the plan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
@@ -51,17 +52,17 @@ class VMProblem:
     budget_per_hour: float
 
     def __post_init__(self) -> None:
-        if self.vm_bandwidth <= 0:
-            raise ValueError("VM bandwidth must be > 0")
-        if self.budget_per_hour < 0:
-            raise ValueError("budget must be >= 0")
+        if not math.isfinite(self.vm_bandwidth) or self.vm_bandwidth <= 0:
+            raise ValueError("VM bandwidth must be finite and > 0")
+        if not math.isfinite(self.budget_per_hour) or self.budget_per_hour < 0:
+            raise ValueError("budget must be finite and >= 0")
         if not self.clusters:
             raise ValueError("need at least one virtual cluster")
         names = [c.name for c in self.clusters]
         if len(set(names)) != len(names):
             raise ValueError("cluster names must be unique")
-        if any(d < 0 for d in self.demands.values()):
-            raise ValueError("demands must be nonnegative")
+        if not all(0.0 <= d < math.inf for d in self.demands.values()):
+            raise ValueError("demands must be finite and nonnegative")
 
     def vm_need(self, chunk: ChunkKey) -> float:
         """Delta_i / R: (fractional) VMs needed to serve the chunk."""

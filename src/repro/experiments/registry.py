@@ -611,18 +611,16 @@ def geo_demand_at(
     model: CapacityModel,
     behaviour: np.ndarray,
     base_rate: float = 0.18,
-) -> Dict[str, Dict[int, float]]:
-    """Per-region cloud demand at one UTC hour (time-zone-shifted crowds)."""
+) -> Dict[str, np.ndarray]:
+    """Per-region cloud demand per chunk at one UTC hour
+    (time-zone-shifted crowds)."""
     pattern = DiurnalPattern()
-    demands: Dict[str, Dict[int, float]] = {}
+    demands: Dict[str, np.ndarray] = {}
     for region, offset in GEO_REGION_OFFSETS.items():
         factor = pattern.factor(((hour_utc + offset) % 24) * 3600.0)
-        result = solve_channel_capacity(
+        demands[region] = solve_channel_capacity(
             model, behaviour, base_rate * factor, alpha=0.8
-        )
-        demands[region] = {
-            i: float(d) for i, d in enumerate(result.cloud_demand)
-        }
+        ).cloud_demand
     return demands
 
 
@@ -638,6 +636,7 @@ def _run_geo(*, seed: int, hour_utc: float = 18.0, vms_per_cluster: int = 10,
                             base_rate=float(base_rate))
     problem = GeoVMProblem(
         topology=topology,
+        chunks={region: range(d.size) for region, d in demands.items()},
         demands=demands,
         vm_bandwidth=PAPER.vm_bandwidth,
         budget_per_hour=float(budget_per_hour),
@@ -645,7 +644,7 @@ def _run_geo(*, seed: int, hour_utc: float = 18.0, vms_per_cluster: int = 10,
     greedy = greedy_geo_allocation(problem)
     lp = lp_geo_allocation(problem)
     gap = 1.0 - greedy.objective / lp.objective if lp.objective else 0.0
-    total_demand = sum(sum(d.values()) for d in demands.values())
+    total_demand = sum(sum(d.tolist()) for d in demands.values())
     return {
         "objective": float(greedy.objective),
         "lp_objective": float(lp.objective),

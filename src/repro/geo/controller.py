@@ -33,7 +33,7 @@ same way (``repro.core.controller`` documents the policies).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from repro.core.sla import SLATerms
 from repro.core.storage_rental import StoragePlan, StorageProblem, greedy_storage_rental
 from repro.geo.allocation import (
     GeoAllocationPlan,
-    GeoVMProblem,
     greedy_geo_allocation,
     lp_geo_allocation,
 )
@@ -80,6 +79,8 @@ class GeoProvisioningDecision:
     region_discounts: Dict[str, float] = field(default_factory=dict)
     #: Fraction of allocated VM-hours served across regions.
     remote_fraction: float = 0.0
+    #: The plan's ``{(viewer_region, serving_region): fractional VMs}``.
+    region_service: Dict[Tuple[str, str], float] = field(default_factory=dict)
 
     @property
     def hourly_vm_cost(self) -> float:
@@ -91,7 +92,7 @@ class GeoProvisioningDecision:
 
     def mean_discount(self) -> float:
         """Capacity-weighted discount across all viewer regions."""
-        weights = self.plan.region_service_matrix()
+        weights = self.region_service
         total = sum(weights.values())
         if total <= 0:
             return 1.0
@@ -166,23 +167,8 @@ class GeoProvisioningController(ProvisioningControllerBase):
         self.exact = bool(exact)
 
     # ------------------------------------------------------------------
-    def _regional_demands(
-        self, demands: Sequence[ChannelDemand]
-    ) -> Dict[str, Dict[object, float]]:
-        """Group per-slot chunk demands by viewer region, fixed order.
-
-        Regions appear in topology declaration order, and within a
-        region the chunk keys follow slot-id order, so the solvers see a
-        deterministic problem no matter how the reports arrived.
-        """
-        regional: Dict[str, Dict[object, float]] = {
-            name: {} for name in self.topology.region_names()
-        }
-        for demand in demands:
-            regional[self.slot_region(demand.channel_id)].update(
-                demand.chunk_demands()
-            )
-        return regional
+    def _viewer_region(self, channel_id: int) -> str:
+        return self.slot_region(channel_id)
 
     def _channel_chunk_demand(
         self, demands: Sequence[ChannelDemand]
@@ -205,20 +191,29 @@ class GeoProvisioningController(ProvisioningControllerBase):
         }
 
     def _egress_rate(self, plan: GeoAllocationPlan) -> float:
-        """$/hour of cross-region transfer the plan implies."""
-        rate = 0.0
-        for (viewer, _chunk, serving, _cluster), z in plan.allocations.items():
-            if viewer != serving:
-                rate += z * self.topology.egress_cost_per_vm_hour(
-                    serving, viewer, self.vm_bandwidth
-                )
-        return rate
+        """$/hour of cross-region transfer the plan implies, summed in
+        plan row order (local rows add an exact 0.0)."""
+        names = plan.regions
+        per_vm = np.array([
+            [self.topology.egress_cost_per_vm_hour(
+                serving, viewer, self.vm_bandwidth)
+             for serving in names]
+            for viewer in names
+        ]).reshape(len(names), len(names))
+        return float(np.bincount(
+            np.zeros_like(plan.chunk),
+            weights=plan.z * per_vm[plan.viewer, plan.serving],
+            minlength=1,
+        )[0])
 
-    def _region_discounts(self, plan: GeoAllocationPlan) -> Dict[str, float]:
-        """Capacity-weighted latency discount per viewer region."""
+    def _region_discounts(
+        self, service: Dict[Tuple[str, str], float]
+    ) -> Dict[str, float]:
+        """Capacity-weighted latency discount per viewer region, from the
+        plan's region service matrix."""
         weighted: Dict[str, float] = {}
         totals: Dict[str, float] = {}
-        for (viewer, serving), z in plan.region_service_matrix().items():
+        for (viewer, serving), z in service.items():
             weighted[viewer] = weighted.get(viewer, 0.0) + z * \
                 self.topology.utility_discount(serving, viewer)
             totals[viewer] = totals.get(viewer, 0.0) + z
@@ -232,12 +227,7 @@ class GeoProvisioningController(ProvisioningControllerBase):
         self, now: float, demands: List[ChannelDemand]
     ) -> GeoProvisioningDecision:
         """Optimize, negotiate and apply one set of slot demands."""
-        problem = GeoVMProblem(
-            topology=self.topology,
-            demands=self._regional_demands(demands),
-            vm_bandwidth=self.vm_bandwidth,
-            budget_per_hour=self.terms.vm_budget_per_hour,
-        )
+        problem, positions = self._vm_problem(demands)
         solve = lp_geo_allocation if self.exact else greedy_geo_allocation
         plan = solve(problem)
 
@@ -255,14 +245,11 @@ class GeoProvisioningController(ProvisioningControllerBase):
             ))
 
         vm_targets = {
-            f"{region}:{cluster}": 0
-            for region in self.topology.region_names()
-            for cluster in (
-                c.name for c in self.topology.regions[region].clusters
+            f"{region}:{cluster}": int(np.ceil(total - 1e-9))
+            for (region, cluster), total in zip(
+                plan.clusters, plan.cluster_totals().tolist()
             )
         }
-        for (region, cluster), total in sorted(plan.cluster_totals().items()):
-            vm_targets[f"{region}:{cluster}"] = int(np.ceil(total - 1e-9))
 
         agreement, rejected = self._rent(vm_targets, storage_plan, chunk_demand)
 
@@ -277,20 +264,21 @@ class GeoProvisioningController(ProvisioningControllerBase):
                 now, egress_rate
             )
 
+        service = plan.region_service_matrix()
         decision = GeoProvisioningDecision(
             time=now,
             demands=demands,
             plan=plan,
             agreement=agreement,
             per_channel_capacity=self._channel_capacities(
-                demands,
-                ((key, z) for (_viewer, key, _s, _cl), z in plan.allocations.items()),
+                demands, positions[plan.chunk], plan.z
             ),
             storage_plan=storage_plan,
             rejected=rejected,
             egress_rate_per_hour=egress_rate,
-            region_discounts=self._region_discounts(plan),
+            region_discounts=self._region_discounts(service),
             remote_fraction=plan.remote_fraction(),
+            region_service=service,
         )
         self.decisions.append(decision)
         return decision

@@ -76,7 +76,8 @@ class _EpochData:
     boundary).  The closed loop absorbs its kernel's statistics into the
     controller's tracker straight away, so its epochs carry no
     ``stats``, and it reads the live peer upload at reprovision time
-    instead of ``upload_sum``/``upload_count``.
+    instead of ``upload_sum``/``upload_count``; client-server shards,
+    whose re-provisioning reads no peer upload, report ``(0.0, 0)``.
     """
 
     t_end: float

@@ -123,9 +123,11 @@ def test_geo_pooling_serves_remotely_and_lp_dominates_greedy():
     behaviour = default_behaviour_matrix(10)
 
     def problem(hour):
+        demands = geo_demand_at(hour, model, behaviour)
         return GeoVMProblem(
             topology=topology,
-            demands=geo_demand_at(hour, model, behaviour),
+            chunks={region: range(d.size) for region, d in demands.items()},
+            demands=demands,
             vm_bandwidth=PAPER.vm_bandwidth,
             budget_per_hour=200.0,
         )

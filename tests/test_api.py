@@ -400,6 +400,17 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="schema 6"):
             resume(path)
 
+    def test_resume_rejects_schema_7(self, tmp_path):
+        """Schema 7 pickled geo decisions holding dict allocation plans;
+        it is not read."""
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pickle.dumps({
+            "format": "repro-checkpoint",
+            "schema": 7,
+        }))
+        with pytest.raises(ValueError, match="schema 7"):
+            resume(path)
+
     @pytest.mark.parametrize("module,name", [
         ("repro.vod.user", "UserStore"),      # a deleted module
         ("repro.cloud.broker", "VMPool"),     # a deleted class

@@ -1,5 +1,7 @@
 """Tests for the geo-distributed extension (repro.geo)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,7 +137,8 @@ class TestGreedyGeo:
         topo = two_region_topology()
         problem = GeoVMProblem(
             topology=topo,
-            demands={"east": {("c", 0): 5 * R}, "west": {("c", 1): 5 * R}},
+            chunks={"east": [("c", 0)], "west": [("c", 1)]},
+            demands={"east": [5 * R], "west": [5 * R]},
             vm_bandwidth=R,
             budget_per_hour=100.0,
         )
@@ -148,7 +151,8 @@ class TestGreedyGeo:
         topo = two_region_topology(east_vms=3, west_vms=20)
         problem = GeoVMProblem(
             topology=topo,
-            demands={"east": {("c", 0): 8 * R}},
+            chunks={"east": [("c", 0)]},
+            demands={"east": [8 * R]},
             vm_bandwidth=R,
             budget_per_hour=100.0,
         )
@@ -163,7 +167,8 @@ class TestGreedyGeo:
         topo = two_region_topology(east_vms=0, west_vms=10, latency=150.0)
         problem = GeoVMProblem(
             topology=topo,
-            demands={"east": {("c", 0): 4 * R}},
+            chunks={"east": [("c", 0)]},
+            demands={"east": [4 * R]},
             vm_bandwidth=R,
             budget_per_hour=100.0,
         )
@@ -175,7 +180,8 @@ class TestGreedyGeo:
         topo = two_region_topology(east_vms=0, west_vms=10, egress=0.02)
         problem = GeoVMProblem(
             topology=topo,
-            demands={"east": {("c", 0): 2 * R}},
+            chunks={"east": [("c", 0)]},
+            demands={"east": [2 * R]},
             vm_bandwidth=R,
             budget_per_hour=100.0,
         )
@@ -187,7 +193,8 @@ class TestGreedyGeo:
         topo = two_region_topology()
         problem = GeoVMProblem(
             topology=topo,
-            demands={"east": {("c", 0): 10 * R}},
+            chunks={"east": [("c", 0)]},
+            demands={"east": [10 * R]},
             vm_bandwidth=R,
             budget_per_hour=1.0,
         )
@@ -200,7 +207,8 @@ class TestGreedyGeo:
         topo = two_region_topology(east_vms=2, west_vms=2)
         problem = GeoVMProblem(
             topology=topo,
-            demands={"east": {("c", 0): 10 * R}},
+            chunks={"east": [("c", 0)]},
+            demands={"east": [10 * R]},
             vm_bandwidth=R,
             budget_per_hour=100.0,
         )
@@ -219,12 +227,13 @@ class TestLPGeo:
                 latency=float(rng.uniform(20, 200)),
                 egress=float(rng.uniform(0.0, 0.05)),
             )
-            demands = {
-                "east": {("c", i): float(rng.uniform(0, 3)) * R for i in range(3)},
-                "west": {("d", i): float(rng.uniform(0, 3)) * R for i in range(3)},
-            }
             problem = GeoVMProblem(
-                topology=topo, demands=demands, vm_bandwidth=R,
+                topology=topo,
+                chunks={"east": [("c", i) for i in range(3)],
+                        "west": [("d", i) for i in range(3)]},
+                demands={"east": rng.uniform(0, 3, 3) * R,
+                         "west": rng.uniform(0, 3, 3) * R},
+                vm_bandwidth=R,
                 budget_per_hour=50.0,
             )
             greedy = greedy_geo_allocation(problem)
@@ -236,7 +245,8 @@ class TestLPGeo:
         topo = two_region_topology()
         problem = GeoVMProblem(
             topology=topo,
-            demands={"east": {("c", 0): 4 * R}},
+            chunks={"east": [("c", 0)]},
+            demands={"east": [4 * R]},
             vm_bandwidth=R,
             budget_per_hour=100.0,
         )
@@ -248,17 +258,42 @@ class TestLPGeo:
         topo = two_region_topology(east_vms=1, west_vms=1)
         problem = GeoVMProblem(
             topology=topo,
-            demands={"east": {("c", 0): 10 * R}},
+            chunks={"east": [("c", 0)]},
+            demands={"east": [10 * R]},
             vm_bandwidth=R,
             budget_per_hour=100.0,
         )
         lp = lp_geo_allocation(problem)
         assert not lp.feasible
 
+    def test_large_lp_builds_sparse_constraints(self):
+        """A 2,400-cell LP (4,800 variables): dense constraint matrices
+        would hold 2,400 x 4,800 doubles (92 MB) for the demand rows
+        alone; the sparse ones hold three entries per variable."""
+        n = 1200
+        problem = GeoVMProblem(
+            topology=two_region_topology(east_vms=2000, west_vms=2000),
+            chunks={"east": [("c", i) for i in range(n)],
+                    "west": [("d", i) for i in range(n)]},
+            demands={"east": np.full(n, 0.5 * R), "west": np.full(n, 0.75 * R)},
+            vm_bandwidth=R,
+            budget_per_hour=1e4,
+        )
+        tracemalloc.start()
+        try:
+            plan = lp_geo_allocation(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.feasible
+        assert plan.z.sum() == pytest.approx(n * 1.25)
+        assert peak < 16e6
+
     def test_empty_problem(self):
         topo = two_region_topology()
         problem = GeoVMProblem(
-            topology=topo, demands={}, vm_bandwidth=R, budget_per_hour=1.0
+            topology=topo, chunks={}, demands={}, vm_bandwidth=R,
+            budget_per_hour=1.0,
         )
         assert lp_geo_allocation(problem).feasible
         assert greedy_geo_allocation(problem).feasible
@@ -270,7 +305,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             GeoVMProblem(
                 topology=topo,
-                demands={"east": {("c", 0): -1.0}},
+                chunks={"east": [("c", 0)]},
+                demands={"east": [-1.0]},
                 vm_bandwidth=R,
                 budget_per_hour=1.0,
             )
@@ -280,7 +316,23 @@ class TestValidation:
         with pytest.raises(KeyError):
             GeoVMProblem(
                 topology=topo,
-                demands={"mars": {("c", 0): 1.0}},
+                chunks={"mars": [("c", 0)]},
+                demands={"mars": [1.0]},
                 vm_bandwidth=R,
                 budget_per_hour=1.0,
+            )
+
+    @pytest.mark.parametrize("field", ["demand", "vm_bandwidth", "budget"])
+    def test_nan_rejected(self, field):
+        """A NaN passes every ``< 0`` / ``<= 0`` check, and the greedy
+        would then emit NaN allocations; each field rejects it."""
+        args = {"demand": 1.0, "vm_bandwidth": R, "budget": 1.0}
+        args[field] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            GeoVMProblem(
+                topology=two_region_topology(),
+                chunks={"east": [("c", 0)]},
+                demands={"east": [args["demand"]]},
+                vm_bandwidth=args["vm_bandwidth"],
+                budget_per_hour=args["budget"],
             )

@@ -19,11 +19,7 @@ import pytest
 
 from repro.api import EngineConfig, open_run
 from repro.cloud.billing import BillingMeter
-from repro.geo.allocation import (
-    GeoVMProblem,
-    greedy_geo_allocation,
-    lp_geo_allocation,
-)
+from repro.geo.allocation import greedy_geo_allocation, lp_geo_allocation
 from repro.sim.shard import (
     GeoCatalogResult,
     GeoShardedSimulator,
@@ -205,17 +201,8 @@ class TestGeoControlPlane:
             topology = engine.controller.topology
             checked = 0
             for decision in engine.controller.decisions:
-                demands = engine.controller._regional_demands(
-                    decision.demands
-                )
-                problem = GeoVMProblem(
-                    topology=topology,
-                    demands=demands,
-                    vm_bandwidth=engine.controller.vm_bandwidth,
-                    budget_per_hour=(
-                        engine.controller.terms.vm_budget_per_hour
-                    ),
-                )
+                problem, _ = engine.controller._vm_problem(decision.demands)
+                assert problem.topology is topology
                 greedy = greedy_geo_allocation(problem)
                 lp = lp_geo_allocation(problem)
                 if greedy.feasible and lp.feasible:

@@ -173,3 +173,13 @@ class TestInvariants:
             VMProblem({("c", 0): -1.0}, R, paper_clusters(), 1.0)
         with pytest.raises(ValueError):
             VMProblem({}, R, [], 1.0)
+
+    @pytest.mark.parametrize("field", ["demand", "vm_bandwidth", "budget"])
+    def test_nan_rejected(self, field):
+        """A NaN passes every ``< 0`` / ``<= 0`` check, and the greedy
+        would then emit NaN allocations; each field rejects it."""
+        args = {"demand": 1.0, "vm_bandwidth": R, "budget": 1.0}
+        args[field] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            VMProblem({("c", 0): args["demand"]}, args["vm_bandwidth"],
+                      paper_clusters(), args["budget"])
