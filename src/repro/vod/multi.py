@@ -26,8 +26,8 @@ and each step runs:
 2. fused hold releases across every channel;
 3. the delivery solve: one ``(channels, chunks)`` client-server solve
    (bincount of downloaders, elementwise rate shares, row sums), or one
-   :meth:`~repro.vod.delivery.P2PDelivery.allocate` per channel with
-   downloaders, in ascending channel order;
+   :meth:`~repro.vod.delivery.P2PDelivery.allocate` call over every
+   channel's live rows, channel-major;
 4. fused download advance and completion detection;
 5. per-channel completion handling in ascending channel order (the only
    phase that must stay a loop: behaviour-stream draws and the sojourn
@@ -72,13 +72,16 @@ make this true:
   trailing ``0.0`` rate — an exact ``+ 0.0`` on their buffers, so
   deferring compaction never perturbs a float.
 
-P2P parity adds two: a channel's ``allocate`` sees exactly its live
-rows, in arrival order — the owners and upload pools the per-channel
-peer-supply mirror held — and the live-owner counts change only on a
-first completion of a chunk (+1) and on departure (minus the row's
-ownership), the per-channel store's rules.  Channels without
-downloaders skip the solve: it would add an exact ``0.0`` to each
-total.
+P2P parity adds two: each channel's column slice of the one
+``allocate`` call is exactly its live rows, in arrival order — the
+owners and upload pools the per-channel peer-supply mirror held — and
+the live-owner counts change only on a first completion of a chunk (+1)
+and on departure (minus the row's ownership), the per-channel store's
+rules.  Inside the call only the rarest-first draw-down loops, per
+channel; rarity order, cloud top-up and totals are ``(channels,
+chunks)`` array operations whose row sums and ascending-channel adds
+reproduce the per-channel solve bit for bit, and channels without
+downloaders add an exact ``0.0`` to each total.
 
 The kernel needs a uniform channel set (shared chunk count, rate,
 duration and behaviour matrix), which every channel family in the repo
@@ -97,6 +100,7 @@ from repro.vod.channel import ChannelSpec
 from repro.vod.delivery import P2PDelivery
 from repro.vod.metrics import QUALITY_WINDOW_SECONDS, QualityTracker
 from repro.vod.tracker import IntervalStats
+from repro.workload.trace import reject_non_finite
 
 if TYPE_CHECKING:
     from repro.workload.trace import ShardTraceArrays
@@ -140,6 +144,7 @@ class VoDSystemConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.mode not in ("client-server", "p2p"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.dt <= 0:
@@ -389,8 +394,13 @@ class MultiChannelSimulator:
             )
         if np.any(cap < 0):
             raise ValueError("capacities must be nonnegative")
+        # The sum is non-finite iff an entry is NaN or inf (or the
+        # entries overflow), so checking it costs no second pass.
+        total = cap.sum()
+        if not np.isfinite(total):
+            raise ValueError("capacities must be finite")
         self._capacity[local] = cap
-        self._capacity_sums[channel_id] = cap.sum()
+        self._capacity_sums[channel_id] = total
         self._capacity_dirty = True
 
     def total_provisioned(self) -> float:
@@ -770,12 +780,12 @@ class MultiChannelSimulator:
     def _solve_p2p(
         self, counts: np.ndarray, rates_cj: np.ndarray
     ) -> Tuple[float, float, float]:
-        """Rarest-first P2P delivery, channel by channel.
+        """Rarest-first P2P delivery for every channel in one call.
 
-        Every channel with downloaders hands
-        :meth:`~repro.vod.delivery.P2PDelivery.allocate` its live rows in
-        arrival order; the per-user rates land in ``rates_cj`` and the
-        step totals add up in ascending channel order.
+        :meth:`~repro.vod.delivery.P2PDelivery.allocate` gets every live
+        row channel-major, in arrival order within each channel; the
+        per-user rates land in ``rates_cj`` and the step totals add up
+        in ascending channel order.
         """
         n = self._n
         chan = self._row_chan[:n]
@@ -786,23 +796,18 @@ class MultiChannelSimulator:
             order = live[np.argsort(chan[live], kind="stable")]
         else:
             order = np.argsort(chan, kind="stable")
-        ends = np.cumsum(self._chan_count).tolist()
-        allocate = self._delivery.allocate
-        cloud_used = peer_used = shortfall = 0.0
-        for c in np.flatnonzero(counts.any(axis=1)).tolist():
-            rows = order[ends[c] - int(self._chan_count[c]) : ends[c]]
-            outcome = allocate(
-                counts[c],
-                self._owners[c],
-                self._row_owned[:, rows],
-                self._row_upload[rows],
-                self._capacity[c],
-            )
-            rates_cj[c] = outcome.per_user_rates
-            cloud_used += outcome.cloud_used
-            peer_used += outcome.peer_used
-            shortfall += outcome.cloud_shortfall
-        return cloud_used, peer_used, shortfall
+        bounds = np.zeros(self.num_channels + 1, dtype=np.int64)
+        np.cumsum(self._chan_count, out=bounds[1:])
+        outcome = self._delivery.allocate(
+            counts,
+            self._owners,
+            self._row_owned[:, order],
+            self._row_upload[order],
+            bounds,
+            self._capacity,
+        )
+        rates_cj[...] = outcome.per_user_rates
+        return outcome.cloud_used, outcome.peer_used, outcome.cloud_shortfall
 
     def _take_ownership(
         self, comp: np.ndarray, comp_local: np.ndarray, finished: np.ndarray

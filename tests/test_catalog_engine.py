@@ -151,10 +151,12 @@ class TestCatalogWorkload:
 # ----------------------------------------------------------------------
 
 class TestShardedDeterminism:
-    def test_jobs_do_not_change_results(self):
+    @pytest.mark.parametrize("mode", ["client-server", "p2p"])
+    def test_jobs_do_not_change_results(self, mode):
         """jobs=1 (in-process) and jobs=3 (uneven worker split) must be
-        byte-identical: same metrics, same per-step series."""
-        config = small_config()
+        byte-identical: same metrics, same per-step series — the P2P
+        rarest-first solve included."""
+        config = small_config(mode=mode)
         with ShardedSimulator(config, jobs=1) as engine:
             serial = engine.run()
         with ShardedSimulator(config, jobs=3) as engine:

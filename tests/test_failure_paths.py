@@ -28,6 +28,7 @@ from repro.queueing.capacity import CapacityModel
 from repro.sim.loop import EpochClock
 from repro.sim.shard import ChannelShard, ShardEngineError
 from repro.vod.channel import make_uniform_channels
+from repro.vod.delivery import P2PDelivery
 from repro.vod.simulator import VoDSimulator, VoDSystemConfig
 from repro.vod.tracker import TrackingServer
 from repro.workload.catalog import catalog_config
@@ -214,3 +215,32 @@ class TestFailedShardBuild:
                 assert type(raised.value) is error
                 assert not multiprocessing.active_children()
         assert run.epoch == 0
+
+
+class TestNonFiniteKernelInputs:
+    """NaN and inf kernel inputs are rejected where they enter, not
+    carried into the step's bandwidth totals."""
+
+    @pytest.mark.parametrize("field", ["dt", "user_rate_cap"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            VoDSystemConfig(mode="p2p", **{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_capacity_rejects(self, value):
+        sim = VoDSimulator(
+            make_uniform_channels(1, 4, r, T0), trace_arrays([]),
+            VoDSystemConfig(mode="p2p", dt=10.0, user_rate_cap=R),
+        )
+        sim.set_cloud_capacity(0, np.full(4, R))
+        with pytest.raises(ValueError, match="finite"):
+            sim.set_cloud_capacity(0, np.array([R, value, 0.0, 0.0]))
+        # The rejected capacity never reached the kernel.
+        assert sim.total_provisioned() == 4 * R
+        assert sim._capacity.tolist() == [[R] * 4]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_p2p_user_cap_rejects(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            P2PDelivery(value)

@@ -46,15 +46,38 @@ def channel_and_capacity(draw):
 
 
 def p2p(state, capacity):
-    return P2PDelivery(R).allocate(*state, capacity)
+    """A one-channel step: ``bounds`` is ``[0, users]``."""
+    downloaders, owners_count, owned, upload = state
+    return P2PDelivery(R).allocate(
+        downloaders[None, :], owners_count[None, :], owned, upload,
+        np.array([0, upload.size]), capacity[None, :],
+    )
 
 
 def without_peers(state, capacity):
     """The same demand with nobody owning anything: client-server."""
     downloaders, owners_count, owned, upload = state
-    return P2PDelivery(R).allocate(
-        downloaders, np.zeros_like(owners_count), np.zeros_like(owned),
-        upload, capacity,
+    return p2p(
+        (downloaders, np.zeros_like(owners_count), np.zeros_like(owned),
+         upload),
+        capacity,
+    )
+
+
+@st.composite
+def channels_and_capacities(draw):
+    """Several channels' live users, channel-major, as one step's
+    :meth:`P2PDelivery.allocate` reads them, with their capacities."""
+    parts = draw(st.lists(channel_and_capacity(), min_size=1, max_size=5))
+    states = [state for state, _ in parts]
+    sizes = [state[3].size for state in states]
+    return (
+        np.stack([state[0] for state in states]),
+        np.stack([state[1] for state in states]),
+        np.concatenate([state[2] for state in states], axis=1),
+        np.concatenate([state[3] for state in states]),
+        np.concatenate(([0], np.cumsum(sizes))),
+        np.stack([capacity for _, capacity in parts]),
     )
 
 
@@ -105,7 +128,7 @@ class TestP2PConservation:
         assert outcome.cloud_used <= capacity.sum() + 1e-6
         assert np.all(outcome.per_user_rates <= R + 1e-9)
         assert np.all(outcome.per_user_rates >= 0.0)
-        delivered = float((outcome.per_user_rates * downloaders).sum())
+        delivered = float((outcome.per_user_rates[0] * downloaders).sum())
         assert delivered == pytest.approx(
             outcome.cloud_used + outcome.peer_used, rel=1e-6, abs=1e-3
         )
@@ -132,3 +155,17 @@ class TestP2PConservation:
         p2p_delivered = float((with_peers.per_user_rates * downloaders).sum())
         cs_delivered = float((cs.per_user_rates * downloaders).sum())
         assert p2p_delivered >= cs_delivered - 1e-6
+
+    @given(state=channels_and_capacities())
+    @settings(max_examples=60, deadline=None)
+    def test_no_bandwidth_created_across_channels(self, state):
+        """One step over several channels: peers give at most their
+        total upload, the cloud at most its total capacity, and every
+        rate stays in [0, R]."""
+        downloaders, _, _, upload, _, capacity = state
+        outcome = P2PDelivery(R).allocate(*state)
+        assert outcome.per_user_rates.shape == downloaders.shape
+        assert outcome.peer_used <= upload.sum() + 1e-6
+        assert outcome.cloud_used <= capacity.sum() + 1e-6
+        assert np.all(outcome.per_user_rates >= 0.0)
+        assert np.all(outcome.per_user_rates <= R)

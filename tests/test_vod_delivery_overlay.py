@@ -31,9 +31,9 @@ def client_server_step(downloads, capacity, num_chunks=4):
 
 def channel_state(downloads, owners=(), uploads=100_000.0, num_chunks=4):
     """One channel's live users as :meth:`P2PDelivery.allocate` reads
-    them: ``downloads`` is the chunk each user downloads; ``owners`` is
-    a list of (user_index, owned_chunk) pairs; ``uploads`` one capacity
-    for everyone or one per user."""
+    them (a one-channel step): ``downloads`` is the chunk each user
+    downloads; ``owners`` is a list of (user_index, owned_chunk) pairs;
+    ``uploads`` one capacity for everyone or one per user."""
     n = len(downloads)
     owned = np.zeros((num_chunks, n), dtype=bool)
     for user, chunk in owners:
@@ -42,13 +42,14 @@ def channel_state(downloads, owners=(), uploads=100_000.0, num_chunks=4):
     downloaders = np.bincount(
         np.asarray(downloads, dtype=np.int64), minlength=num_chunks
     ).astype(float)
-    return downloaders, owned.sum(axis=1), owned, upload
+    return downloaders[None, :], owned.sum(axis=1)[None, :], owned, upload
 
 
 def allocate(state, capacity):
     downloaders, owners_count, owned, upload = state
     return P2PDelivery(user_cap=R).allocate(
-        downloaders, owners_count, owned, upload, np.asarray(capacity)
+        downloaders, owners_count, owned, upload,
+        np.array([0, upload.size]), np.asarray(capacity)[None, :],
     )
 
 
@@ -113,8 +114,8 @@ class TestP2P:
         )
         outcome = allocate(state, np.zeros(4))
         # All 50 KB/s go to chunk 0 (rarest: 1 owner vs 2).
-        assert outcome.per_user_rates[0] == pytest.approx(50_000.0)
-        assert outcome.per_user_rates[1] == pytest.approx(0.0)
+        assert outcome.per_user_rates[0, 0] == pytest.approx(50_000.0)
+        assert outcome.per_user_rates[0, 1] == pytest.approx(0.0)
 
     def test_cloud_tops_up_shortfall(self):
         # One owner with tiny upload serves the one downloader.
@@ -129,3 +130,60 @@ class TestP2P:
         outcome = allocate(channel_state([]), np.zeros(4))
         assert outcome.cloud_used == 0.0
         assert outcome.peer_used == 0.0
+
+    def test_rates_are_channels_by_chunks(self):
+        outcome = allocate(channel_state([0, 2]), [R, 0, 0, 0])
+        assert outcome.per_user_rates.shape == (1, 4)
+        assert outcome.per_user_rates.tolist() == [[R, 0.0, 0.0, 0.0]]
+
+
+class TestP2PInputs:
+    """``allocate`` checks every shape and the channel column bounds."""
+
+    def state(self, **override):
+        args = dict(
+            downloaders=np.ones((2, 3)),
+            owners_count=np.ones((2, 3), dtype=np.int64),
+            owned=np.ones((3, 4), dtype=bool),
+            upload=np.full(4, 1000.0),
+            bounds=np.array([0, 2, 4]),
+            cloud_capacity=np.zeros((2, 3)),
+        )
+        args.update(override)
+        return args
+
+    def test_valid_state_accepted(self):
+        outcome = P2PDelivery(R).allocate(**self.state())
+        assert outcome.per_user_rates.shape == (2, 3)
+        assert outcome.peer_used == pytest.approx(4000.0)
+
+    @pytest.mark.parametrize("override", [
+        dict(downloaders=np.ones(3)),
+        dict(owners_count=np.ones((2, 2), dtype=np.int64)),
+        dict(cloud_capacity=np.zeros((3, 2))),
+        dict(owned=np.ones((2, 4), dtype=bool)),
+        dict(owned=np.ones((3, 5), dtype=bool)),
+        dict(upload=np.ones((4, 1))),
+        dict(bounds=np.array([0, 4])),
+        dict(bounds=np.array([1, 2, 4])),
+        dict(bounds=np.array([0, 2, 3])),
+        dict(bounds=np.array([0, 3, 2, 4])),
+    ])
+    def test_bad_shapes_and_bounds_rejected(self, override):
+        with pytest.raises(ValueError):
+            P2PDelivery(R).allocate(**self.state(**override))
+
+    def test_decreasing_bounds_rejected(self):
+        state = self.state(
+            downloaders=np.ones((3, 3)),
+            owners_count=np.ones((3, 3), dtype=np.int64),
+            cloud_capacity=np.zeros((3, 3)),
+            bounds=np.array([0, 3, 1, 4]),
+        )
+        with pytest.raises(ValueError, match="bounds"):
+            P2PDelivery(R).allocate(**state)
+
+    @pytest.mark.parametrize("cap", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_user_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            P2PDelivery(cap)
