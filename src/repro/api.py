@@ -79,8 +79,10 @@ __all__ = [
 #: sojourn-slack fields, and a controller without a budget ledger;
 #: schema 8 pickles geo decisions holding columnar allocation plans
 #: (``repro.geo.allocation.GeoAllocationPlan``) and their region
-#: service matrix.
-CHECKPOINT_SCHEMA = 8
+#: service matrix; schema 9 pickles the kernel's row table with a cell
+#: column (spill cell and ``+inf`` hold sentinels) in place of the chunk
+#: column, and its running per-cell downloader counts.
+CHECKPOINT_SCHEMA = 9
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

@@ -21,10 +21,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-__all__ = ["DeliveryOutcome", "P2PDelivery"]
+__all__ = ["DeliveryOutcome", "P2PDelivery", "sequential_sum"]
+
+
+def sequential_sum(values: Iterable[float], start: float = 0.0) -> float:
+    """``start`` plus ``values``, added one at a time from the left.
+
+    The kernel's float totals and accumulators are defined as this plain
+    sequential add.  The builtin ``sum`` is not: from Python 3.12 on it
+    compensates float rounding, so ``sum([1e16, 1.0, -1e16])`` is
+    ``1.0`` there and ``0.0`` here."""
+    total = start
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -190,9 +204,5 @@ def _channel_total(per_chunk: np.ndarray) -> float:
     """Sum of a C-contiguous ``(channels, chunks)`` matrix in the
     kernel's reduction order: each row sum is bitwise that channel's 1-D
     ``.sum()``, and the rows add left to right from 0.0 in ascending
-    channel order.  The adds are explicit because the builtin ``sum``
-    compensates float rounding from Python 3.12 on."""
-    total = 0.0
-    for value in per_chunk.sum(axis=1).tolist():
-        total += value
-    return total
+    channel order (:func:`sequential_sum`)."""
+    return sequential_sum(per_chunk.sum(axis=1).tolist())

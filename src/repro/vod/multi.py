@@ -12,33 +12,38 @@ scenario, the catalog engines once per shard.
 
 All users of all channels live in one dense **row table** in admission
 order — a structure-of-arrays column per attribute (channel, current
-chunk, received bytes, enter time, upload capacity, hold state, alive
+cell, received bytes, enter time, upload capacity, hold state, alive
 flag, and in P2P mode the chunks owned) with a tail cursor for O(1)
-appends.  Departures only flip the alive flag (and drop the chunk to
-``-1`` so dead rows mask out of delivery); the table is re-packed by one
-stable ``flatnonzero`` gather, *lazily* — once per epoch at the report
-boundary, or mid-epoch only when dead rows exceed half the table.
-Per-channel state the delivery needs is a ``(channels, chunks)`` capacity
-matrix (plus, in P2P mode, a ``(channels, chunks)`` live-owner count),
-and each step runs:
+appends.  A downloading row's *cell* is ``channel * chunks + chunk``, its
+queue in the flattened ``(channels, chunks)`` tables; held and dead rows
+carry the spill cell ``channels * chunks``.  Departures only flip the
+alive flag; the table is re-packed by one stable ``flatnonzero`` gather,
+*lazily* — once per epoch at the report boundary, or mid-epoch only when
+dead rows exceed half the table.  Per-channel state the delivery needs
+is a ``(channels, chunks)`` capacity matrix, the downloader count of
+every cell (kept up to date by integer adds as rows enter and leave
+queues, never re-counted), and in P2P mode a ``(channels, chunks)``
+live-owner count.  Each step runs:
 
 1. fused admissions from the arrival-sorted trace arrays;
 2. fused hold releases across every channel;
 3. the delivery solve: one ``(channels, chunks)`` client-server solve
-   (bincount of downloaders, elementwise rate shares, row sums), or one
+   (elementwise rate shares of the downloader counts, row sums), or one
    :meth:`~repro.vod.delivery.P2PDelivery.allocate` call over every
    channel's live rows, channel-major;
-4. fused download advance and completion detection;
+4. fused download advance (one gather of each row's cell rate) and
+   completion detection;
 5. per-channel completion handling in ascending channel order (the only
    phase that must stay a loop: behaviour-stream draws and the sojourn
    accumulator are per-channel ordered state), then fused transition
    application;
 6. quality sampling on the 5-minute grid.
 
-A user is in exactly one of two phases: downloading a chunk (``chunk >=
-0``, a job in that chunk's queue), or ``HOLDING`` — the download
-finished before the chunk's playback slot ended, so the user watches
-until the slot ends, then moves on (or departs).  This playback pacing
+A user is in exactly one of two phases: downloading a chunk (a cell
+below the spill cell, a job in that chunk's queue), or holding — the
+download finished before the chunk's playback slot ended, so the user
+watches until the slot ends (a finite ``hold_until``; every other row
+carries ``+inf``), then moves on (or departs).  This playback pacing
 keeps session durations tied to the video length rather than to raw
 bandwidth, the regime in which the paper's "mean sojourn = T0"
 equilibrium is self-consistent.
@@ -52,13 +57,14 @@ make this true:
 
 * channels only interact within a step through integer counters and
   integer-valued ``bincount`` accumulations (exact in any grouping), so
-  phases can be fused across channels;
+  phases can be fused across channels — and the downloader counts can
+  be kept across steps by adds and subtracts instead of re-counted;
 * every float reduction either stays per-channel in arrival order (the
   upload-capacity and sojourn accumulators, element-by-element, and the
   P2P peer pools), or is a row-wise ``.sum(axis=1)`` over a
   C-contiguous matrix (bitwise equal to the per-channel 1-D ``.sum()``),
   or a sequential Python add over channels in ascending id order (the
-  step's bandwidth totals);
+  step's bandwidth totals, :func:`~repro.vod.delivery.sequential_sum`);
 * per-channel RNG streams are keyed by global channel id and consumed
   in the same order and batch sizes as the per-channel kernel,
   including its ``<= 4`` completions scalar path;
@@ -67,10 +73,10 @@ make this true:
   structurally: admissions append channel-sorted at the tail, and the
   compaction gather is an ascending index pick, so each channel's
   subsequence of the table is always its arrival order;
-* dead and held rows mask out of delivery through the same ``chunk >=
-  0`` test, spilling into a dropped overflow bin and gathering a
-  trailing ``0.0`` rate — an exact ``+ 0.0`` on their buffers, so
-  deferring compaction never perturbs a float.
+* dead and held rows sit in the spill cell with ``received = 0.0``: they
+  gather its trailing ``0.0`` rate, an exact ``+ 0.0`` that keeps them
+  below the chunk size, so one advance over the whole table never
+  completes them and deferring compaction never perturbs a float.
 
 P2P parity adds two: each channel's column slice of the one
 ``allocate`` call is exactly its live rows, in arrival order — the
@@ -97,7 +103,7 @@ import numpy as np
 
 from repro.sim.rng import RandomStreams
 from repro.vod.channel import ChannelSpec
-from repro.vod.delivery import P2PDelivery
+from repro.vod.delivery import P2PDelivery, sequential_sum
 from repro.vod.metrics import QUALITY_WINDOW_SECONDS, QualityTracker
 from repro.vod.tracker import IntervalStats
 from repro.workload.trace import reject_non_finite
@@ -106,7 +112,6 @@ if TYPE_CHECKING:
     from repro.workload.trace import ShardTraceArrays
 
 __all__ = [
-    "HOLDING",
     "VoDSystemConfig",
     "BandwidthLog",
     "SimulationResult",
@@ -115,9 +120,6 @@ __all__ = [
 ]
 
 _GROW = 256
-
-
-HOLDING = -2  # chunk sentinel: the user is watching, not downloading
 
 
 @dataclass(frozen=True)
@@ -231,6 +233,27 @@ class SimulationResult:
     peak_step_events: int = 0
 
 
+def _next_chunks(
+    cumulative_t: np.ndarray, finished: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Each completion's next chunk, or ``-1`` to depart.
+
+    ``cumulative_t[k, j]`` is the cumulative behaviour row of chunk j at
+    column k.  A user who finished chunk ``finished[i]`` with uniform
+    draw ``u[i]`` moves to the number of cumulative values ``<= u[i]``
+    (``searchsorted(cum, u, side="right")``), or departs if ``u[i]`` is
+    at or above the row's total.  One pass per column counts the same
+    comparisons as a ``(completions, chunks)`` matrix would, without
+    building it.
+    """
+    nxt = np.zeros(finished.size, dtype=np.int64)
+    for column in cumulative_t:
+        bound = column[finished]
+        nxt += bound <= u
+    nxt[u >= bound] = -1
+    return nxt
+
+
 def channels_are_uniform(channels) -> bool:
     """True iff every channel shares chunk count, rate, duration and
     behaviour matrix (the precondition for the fused kernel)."""
@@ -292,9 +315,15 @@ class MultiChannelSimulator:
         self.channel_ids = np.asarray(ids, dtype=np.int64)
         self._ids = ids
         self._local_of: Dict[int, int] = {cid: i for i, cid in enumerate(ids)}
-        self._cumulative = np.cumsum(
-            np.asarray(first.behaviour, dtype=float), axis=1
+        # Transposed cumulative behaviour rows: ``_cumulative_t[k, j]`` is
+        # the probability of moving from chunk j to a chunk <= k.
+        self._cumulative_t = np.ascontiguousarray(
+            np.cumsum(np.asarray(first.behaviour, dtype=float), axis=1).T
         )
+        # Stable argsorts by local channel run on a copy in the smallest
+        # unsigned dtype that holds every id: numpy radix-sorts 8- and
+        # 16-bit keys, in the same stable order.
+        self._sort_dtype = np.min_scalar_type(len(ids) - 1)
         self._streams = RandomStreams(config.seed)
         # One persistent generator per channel (RandomStreams caches by
         # label, so these are the same objects scalar lookups would hit).
@@ -347,10 +376,15 @@ class MultiChannelSimulator:
         # delivery path's random slot gathers into sequential passes.
         # Columns are zero-filled, not ``np.empty``, so the unused tail a
         # checkpoint pickles is the same bytes in every run.
+        #
+        # ``_row_cell`` is ``local * J + chunk`` while a row downloads,
+        # and the spill cell ``C * J`` while it holds or once it is dead;
+        # those rows keep ``_row_received == 0.0``.  ``_row_hold_until``
+        # is finite exactly while a row holds, ``+inf`` otherwise.
         cap = _GROW
         self._n = 0  # rows in use, including dead ones awaiting compaction
         self._row_chan = np.zeros(cap, dtype=np.int64)
-        self._row_chunk = np.zeros(cap, dtype=np.int64)
+        self._row_cell = np.zeros(cap, dtype=np.int64)
         self._row_received = np.zeros(cap)
         self._row_enter = np.zeros(cap)
         self._row_upload = np.zeros(cap)
@@ -360,8 +394,13 @@ class MultiChannelSimulator:
         self._row_hold_from = np.zeros(cap, dtype=np.int64)
         self._row_alive = np.zeros(cap, dtype=bool)
         self._stale = False
-        # Number of rows in the between-chunks hold state; the delivery
-        # solve skips its hold masking entirely when zero.
+        self._spill = C * J
+        # Downloaders per cell, flattened ``(C, J)``: integer adds on
+        # admission and on every move into a queue, subtracts on
+        # completion — exact in any grouping, so never re-counted.
+        self._counts = np.zeros(C * J, dtype=np.int64)
+        # Number of rows in the between-chunks hold state; the release
+        # scan is skipped entirely when zero.
         self._hold_count = 0
         self._chan_count = np.zeros(C, dtype=np.int64)
         self._total_active = 0
@@ -407,7 +446,9 @@ class MultiChannelSimulator:
         if self._capacity_dirty:
             # Deferred: one ascending-channel reduction of the cached
             # per-channel sums (never a re-reduction of every array).
-            self._provisioned_total = float(sum(self._capacity_sums.values()))
+            self._provisioned_total = float(
+                sequential_sum(self._capacity_sums.values())
+            )
             self._capacity_dirty = False
         return self._provisioned_total
 
@@ -482,7 +523,7 @@ class MultiChannelSimulator:
     # ------------------------------------------------------------------
     _ROW_ARRAYS = (
         "_row_chan",
-        "_row_chunk",
+        "_row_cell",
         "_row_received",
         "_row_enter",
         "_row_upload",
@@ -541,16 +582,20 @@ class MultiChannelSimulator:
             return 0
         sl = slice(self._cursor, end)
         self._cursor = end
+        C, J = self.num_channels, self.num_chunks
         locals_ = self._trace_channel[sl]
         starts = self._trace_start[sl]
         uploads = self._trace_upload[sl]
         if count > 1:
             # Group per channel, keeping trace order within a channel —
             # the order the per-channel accumulators saw.
-            order = np.argsort(locals_, kind="stable")
+            order = np.argsort(
+                locals_.astype(self._sort_dtype), kind="stable"
+            )
             locals_ = locals_[order]
             starts = starts[order]
             uploads = uploads[order]
+        cells = locals_ * J + starts
         # Appending at the tail keeps admission order even while dead
         # rows await compaction (relative order of live rows is stable).
         n0 = self._n
@@ -558,35 +603,34 @@ class MultiChannelSimulator:
         if n1 > self._row_chan.size:
             self._grow(n1)
         self._row_chan[n0:n1] = locals_
-        self._row_chunk[n0:n1] = starts
+        self._row_cell[n0:n1] = cells
         self._row_received[n0:n1] = 0.0
         self._row_enter[n0:n1] = self.now
         self._row_upload[n0:n1] = uploads
         self._row_unsmooth[n0:n1] = -np.inf
+        self._row_hold_until[n0:n1] = np.inf
         self._row_alive[n0:n1] = True
         if self._row_owned is not None:
             self._row_owned[:, n0:n1] = False
         self._n = n1
-        uniq, first_idx, per_channel = np.unique(
-            locals_, return_index=True, return_counts=True
-        )
-        for c, i0, n in zip(
-            uniq.tolist(), first_idx.tolist(), per_channel.tolist()
-        ):
+        per_channel = np.bincount(locals_, minlength=C)
+        sizes = per_channel.tolist()
+        ends = np.cumsum(per_channel).tolist()
+        upload_list = uploads.tolist()
+        for c in np.flatnonzero(per_channel).tolist():
             # Element-by-element in arrival order: summation order is
             # part of the parity contract.
-            # ``sum(seq, start)`` adds left to right from ``start`` —
-            # the same float operations as an explicit loop.
-            self._iv_upload_sum[c] = sum(
-                uploads[i0 : i0 + n].tolist(), self._iv_upload_sum[c]
+            self._iv_upload_sum[c] = sequential_sum(
+                upload_list[ends[c] - sizes[c] : ends[c]],
+                self._iv_upload_sum[c],
             )
-        self._iv_arrivals[uniq] += per_channel
-        self._iv_upload_samples[uniq] += per_channel
+        self._iv_arrivals += per_channel
+        self._iv_upload_samples += per_channel
+        entered = np.bincount(cells, minlength=C * J)
+        self._counts += entered
         starts_flat = self._iv_starts.ravel()
-        starts_flat += np.bincount(
-            locals_ * self.num_chunks + starts, minlength=starts_flat.size
-        )
-        self._chan_count[uniq] += per_channel
+        starts_flat += entered
+        self._chan_count += per_channel
         self._total_active += count
         self.arrivals += count
         return count
@@ -599,21 +643,22 @@ class MultiChannelSimulator:
         nxt: np.ndarray,
     ) -> None:
         """Fused depart-or-move application (hold releases and immediate
-        completions) at the given row positions.  All effects are
-        order-free across channels: integer counters and integer-valued
-        counter adds (bincount adds touch untouched cells with +0,
-        bitwise neutral on nonnegative counts, and integer-valued float
-        sums are exact in any grouping)."""
+        completions) at the given row positions, all in the spill cell
+        with ``received == 0.0``.  All effects are order-free across
+        channels: integer counters and integer-valued counter adds
+        (bincount adds touch untouched cells with +0, bitwise neutral on
+        nonnegative counts, and integer-valued float sums are exact in
+        any grouping)."""
         J = self.num_chunks
         departing = nxt < 0
-        dep_count = int(departing.sum())
+        dep_count = int(np.count_nonzero(departing))
         if dep_count:
             d_rows = rows[departing]
             d_locals = locals_[departing]
+            # A dead row stays in the spill cell with ``hold_until ==
+            # +inf``, so neither the advance nor the release scan picks
+            # it up before the next compaction drops it.
             self._row_alive[d_rows] = False
-            # Dead rows must not look held: the release scan runs before
-            # the next compaction can drop them.
-            self._row_chunk[d_rows] = -1
             if self._owners is not None:
                 # A departing owner leaves every chunk it held.
                 chunks, cols = np.nonzero(self._row_owned[:, d_rows])
@@ -634,26 +679,27 @@ class MultiChannelSimulator:
         if dep_count < rows.size:
             moving = ~departing
             m_rows = rows[moving]
-            self._row_chunk[m_rows] = nxt[moving]
-            self._row_received[m_rows] = 0.0
+            m_locals = locals_[moving]
+            m_next = nxt[moving]
+            cells = m_locals * J + m_next
+            self._row_cell[m_rows] = cells
             self._row_enter[m_rows] = self.now
+            self._counts += np.bincount(cells, minlength=self._counts.size)
             tr_flat = self._iv_transitions.ravel()
             tr_flat += np.bincount(
-                (locals_[moving] * J + finished[moving]) * J + nxt[moving],
+                (m_locals * J + finished[moving]) * J + m_next,
                 minlength=tr_flat.size,
             )
 
     def _release_holds(self) -> int:
         if self._hold_count == 0:
             return 0
-        n = self._n
-        due = (self._row_chunk[:n] == HOLDING) & (
-            self._row_hold_until[:n] <= self.now + 1e-9
-        )
-        rows = np.flatnonzero(due)
+        hold_until = self._row_hold_until[: self._n]
+        rows = np.flatnonzero(hold_until <= self.now + 1e-9)
         if rows.size == 0:
             return 0
         self._hold_count -= int(rows.size)
+        hold_until[rows] = np.inf
         self._apply_transitions(
             rows,
             self._row_chan[rows],
@@ -669,35 +715,10 @@ class MultiChannelSimulator:
         the completion event count.
         """
         C, J = self.num_channels, self.num_chunks
-        dt = self.config.dt
         now = self.now
         user_cap = self.config.user_rate_cap
         n = self._n
-        chan = self._row_chan[:n]
-        chunk = self._row_chunk[:n]
-        holds = self._stale or self._hold_count > 0
-        if holds:
-            # Only held rows (chunk == HOLDING) and dead rows awaiting
-            # compaction (chunk == -1) fail the mask; every other live
-            # row is downloading.  Both spill into one extra bin that is
-            # dropped from the counts and gather the appended 0.0 rate
-            # below (an exact ``+ 0.0`` on their nonnegative buffers),
-            # so the whole table advances in sequential passes with no
-            # compression — and no per-step compaction.
-            dl_mask = chunk >= 0
-            flat = np.where(dl_mask, chan * J + chunk, C * J)
-            counts = (
-                np.bincount(flat, minlength=C * J + 1)[: C * J]
-                .reshape(C, J)
-                .astype(float)
-            )
-        else:
-            flat = chan * J + chunk
-            counts = (
-                np.bincount(flat, minlength=C * J)
-                .reshape(C, J)
-                .astype(float)
-            )
+        counts = self._counts.reshape(C, J).astype(float)
         rates = np.zeros(C * J + 1)
         rates_cj = rates[: C * J].reshape(C, J)
         if self._delivery is not None:
@@ -711,42 +732,49 @@ class MultiChannelSimulator:
             )
             # Row-wise sums over a C-contiguous matrix are bitwise equal
             # to each channel's own 1-D pairwise .sum(); the totals are
-            # sequential Python adds in ascending channel order
-            # (``sum(seq, 0.0)`` adds left to right from 0.0).
+            # sequential adds in ascending channel order.
             served = (rates_cj * counts).sum(axis=1)
             demand = counts.sum(axis=1) * user_cap
-            cloud_used = sum(served.tolist(), 0.0)
-            shortfall = sum(
-                np.maximum(0.0, demand - served).tolist(), 0.0
+            cloud_used = sequential_sum(served.tolist())
+            shortfall = sequential_sum(
+                np.maximum(0.0, demand - served).tolist()
             )
             peer_used = 0.0
 
         events = 0
         if n:
             # ``rates`` is the C-contiguous (C, J) table plus one
-            # trailing 0.0 for the spill bin, so the flat gather is the
-            # same elements as ``rates[local, chunk]`` for downloading
-            # rows and an exact 0.0 for masked ones; rows are unique,
-            # so the whole-column add matches per-row updates.
-            recv = self._row_received[:n] + rates[flat] * dt
-            if holds:
-                comp_mask = (recv >= self.chunk_size - 1e-9) & dl_mask
-            else:
-                comp_mask = recv >= self.chunk_size - 1e-9
-            self._row_received[:n] = recv
-            if comp_mask.any():
-                comp = np.flatnonzero(comp_mask)
-                comp_local = chan[comp]
-                finished = chunk[comp]
+            # trailing 0.0 for the spill cell, so ``(rates * dt)[cell]``
+            # is elementwise ``rates[local, chunk] * dt`` for downloading
+            # rows and an exact 0.0 for held and dead ones, whose
+            # ``received`` stays 0.0 and never completes.
+            cell = self._row_cell[:n]
+            received = self._row_received[:n]
+            rates *= self.config.dt
+            received += np.take(rates, cell)
+            comp = np.flatnonzero(received >= self.chunk_size - 1e-9)
+            if comp.size:
+                comp_local = self._row_chan[comp]
+                comp_cell = cell[comp]
                 if comp.size > 1:
                     # Channel-major, arrival order within each channel —
                     # the order the per-channel kernel consumes its
                     # behaviour stream and sojourn accumulator in.
-                    order = np.argsort(comp_local, kind="stable")
+                    order = np.argsort(
+                        comp_local.astype(self._sort_dtype), kind="stable"
+                    )
                     comp = comp[order]
                     comp_local = comp_local[order]
-                    finished = finished[order]
+                    comp_cell = comp_cell[order]
+                finished = comp_cell - comp_local * J
                 events = int(comp.size)
+                # Every completing row leaves its queue for the spill
+                # cell; the immediate movers re-enter one below.
+                self._counts -= np.bincount(
+                    comp_cell, minlength=self._counts.size
+                )
+                cell[comp] = self._spill
+                received[comp] = 0.0
                 if self._owners is not None:
                     self._take_ownership(comp, comp_local, finished)
                 enters = self._row_enter[comp]
@@ -763,7 +791,6 @@ class MultiChannelSimulator:
                 hold = ~immediate
                 if hold.any():
                     h_rows = comp[hold]
-                    self._row_chunk[h_rows] = HOLDING
                     self._row_hold_until[h_rows] = release[hold]
                     self._row_hold_next[h_rows] = nxt[hold]
                     self._row_hold_from[h_rows] = finished[hold]
@@ -791,11 +818,12 @@ class MultiChannelSimulator:
         chan = self._row_chan[:n]
         # Channel-major, arrival order within each channel; each
         # channel's segment is as long as its live population.
+        keys = chan.astype(self._sort_dtype)
         if self._stale:
             live = np.flatnonzero(self._row_alive[:n])
-            order = live[np.argsort(chan[live], kind="stable")]
+            order = live[np.argsort(keys[live], kind="stable")]
         else:
-            order = np.argsort(chan, kind="stable")
+            order = np.argsort(keys, kind="stable")
         bounds = np.zeros(self.num_channels + 1, dtype=np.int64)
         np.cumsum(self._chan_count, out=bounds[1:])
         outcome = self._delivery.allocate(
@@ -844,6 +872,7 @@ class MultiChannelSimulator:
         starts = [0, *bounds.tolist(), n]
         quality = self.quality
         gens = self._gens
+        channel_of = comp_local[starts[:-1]].tolist()
         u = np.empty(n)
         sojourn_acc = quality.sojourn_sum
         for k in range(len(starts) - 1):
@@ -854,31 +883,27 @@ class MultiChannelSimulator:
             # the stream identically for n scalar draws and one
             # ``random(n)`` (the RandomStreams.batch invariant), so this
             # also covers the per-channel kernel's <= 4 scalar path.
-            u[i0:i1] = gens[comp_local[i0]].random(seg)
+            u[i0:i1] = gens[channel_of[k]].random(seg)
             if seg <= 4:
                 # The scalar path accumulates sojourns one Python float
-                # at a time; the batch path adds one pairwise np.sum per
-                # segment.  Both orders are part of the parity contract
-                # (``sum(seq, start)`` adds left to right from start).
-                sojourn_acc = sum(sojourns[i0:i1].tolist(), sojourn_acc)
+                # at a time; the batch path adds one pairwise .sum() per
+                # segment.  Both orders are part of the parity contract.
+                sojourn_acc = sequential_sum(
+                    sojourns[i0:i1].tolist(), sojourn_acc
+                )
             else:
-                sojourn_acc += float(np.sum(sojourns[i0:i1]))
+                sojourn_acc += float(sojourns[i0:i1].sum())
         quality.sojourn_sum = sojourn_acc
         quality.total_retrievals += n
         quality.unsmooth_retrievals += n - int(np.count_nonzero(smooth))
-        # Fused next-chunk decision: elementwise-identical to the scalar
-        # ``-1 if u >= cum[-1] else (cum <= u).sum()`` rule.
-        rows = self._cumulative[finished]
-        nxt = (rows <= u[:, None]).sum(axis=1)
-        nxt[u >= rows[:, -1]] = -1
-        return nxt
+        return _next_chunks(self._cumulative_t, finished, u)
 
     def _sample_quality(self) -> None:
         n = self._n
         users = self._chan_count
         if self._total_active:
             ok = self._row_unsmooth[:n] <= self.now - QUALITY_WINDOW_SECONDS
-            overdue = (self._row_chunk[:n] >= 0) & (
+            overdue = (self._row_cell[:n] < self._spill) & (
                 self.now - self._row_enter[:n] > self._overdue_after
             )
             ok &= ~overdue

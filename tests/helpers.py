@@ -19,3 +19,25 @@ def trace_arrays(rows):
             [row[3] for row in rows], dtype=float
         )[order],
     )
+
+
+#: What :func:`row_chunks` reports for a row that is watching out its
+#: chunk's playback slot (holding) rather than downloading.
+HOLDING = -2
+
+
+def row_chunks(sim):
+    """Each table row's chunk, read back from the kernel's columns: the
+    chunk a downloading row is in (``cell - local * chunks``),
+    :data:`HOLDING` for a held row (finite ``hold_until``) and ``-1``
+    for a dead one."""
+    n = sim._n
+    chunks = sim._row_cell[:n] - sim._row_chan[:n] * sim.num_chunks
+    chunks[np.isfinite(sim._row_hold_until[:n])] = HOLDING
+    chunks[~sim._row_alive[:n]] = -1
+    return chunks
+
+
+def live_chunks(sim):
+    """:func:`row_chunks` of the live rows, in admission order."""
+    return row_chunks(sim)[sim._row_alive[: sim._n]]

@@ -411,6 +411,17 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="schema 7"):
             resume(path)
 
+    def test_resume_rejects_schema_8(self, tmp_path):
+        """Schema 8 pickled the kernel with a chunk column and per-step
+        downloader counts; it is not read."""
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pickle.dumps({
+            "format": "repro-checkpoint",
+            "schema": 8,
+        }))
+        with pytest.raises(ValueError, match="schema 8"):
+            resume(path)
+
     @pytest.mark.parametrize("module,name", [
         ("repro.vod.user", "UserStore"),      # a deleted module
         ("repro.cloud.broker", "VMPool"),     # a deleted class

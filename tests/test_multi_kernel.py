@@ -13,7 +13,7 @@ import pytest
 
 import repro.sim.shard as shard_mod
 from repro.sim.shard import make_engine
-from repro.vod.multi import HOLDING, MultiChannelSimulator
+from repro.vod.multi import MultiChannelSimulator
 from repro.workload.catalog import catalog_config, geo_catalog_config
 
 RESULT_ARRAYS = (
@@ -147,11 +147,14 @@ class TestRowTableInvariants:
         assert live_after == live_before  # stable gather, admission order
 
     def test_dead_rows_never_look_held(self):
-        """Departed rows must not re-enter the hold-release scan."""
+        """Departed rows must not re-enter the hold-release scan (a
+        finite ``hold_until``) or a download queue (a cell below the
+        spill cell)."""
         sim = self._stepped()
         n = sim._n
         dead = ~sim._row_alive[:n]
-        assert not np.any(sim._row_chunk[:n][dead] == HOLDING)
+        assert not np.any(np.isfinite(sim._row_hold_until[:n][dead]))
+        assert np.all(sim._row_cell[:n][dead] == sim._spill)
 
     def test_owner_counts_match_ownership_column(self):
         """P2P: each (channel, chunk) live-owner count is the ownership

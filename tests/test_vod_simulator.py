@@ -4,20 +4,13 @@ the simulation kernel's historical name)."""
 import numpy as np
 import pytest
 
-from helpers import trace_arrays
+from helpers import HOLDING, live_chunks, trace_arrays
 from repro.vod.channel import ChannelSpec, make_uniform_channels
-from repro.vod.multi import HOLDING
 from repro.vod.simulator import VoDSimulator, VoDSystemConfig
 
 R = 10e6 / 8.0
 r = 50_000.0
 T0 = 300.0
-
-
-def live_chunks(sim):
-    """Current chunk (or HOLDING) of every live user, in admission order."""
-    n = sim._n
-    return sim._row_chunk[:n][sim._row_alive[:n]]
 
 
 def channels(num=1, chunks=4):

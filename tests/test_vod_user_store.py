@@ -12,9 +12,9 @@ departs), so every trajectory is deterministic.
 import numpy as np
 import pytest
 
-from helpers import trace_arrays
+from helpers import HOLDING, live_chunks, row_chunks, trace_arrays
 from repro.vod.channel import ChannelSpec, make_uniform_channels
-from repro.vod.multi import HOLDING, MultiChannelSimulator, VoDSystemConfig
+from repro.vod.multi import MultiChannelSimulator, VoDSystemConfig
 
 R = 10e6 / 8.0
 r = 50_000.0
@@ -44,7 +44,7 @@ class TestLifecycle:
     def test_add_user(self):
         sim = kernel([(5.0, 0, 1, 100.0)], capacity=0.0)
         sim.step()  # now = 10: admitted at the step boundary
-        assert live(sim, "_row_chunk").tolist() == [1]
+        assert live_chunks(sim).tolist() == [1]
         assert live(sim, "_row_enter").tolist() == [10.0]
         assert live(sim, "_row_upload").tolist() == [100.0]
         assert sim.population() == 1
@@ -102,14 +102,14 @@ class TestHolding:
     def test_begin_and_release_hold(self):
         sim = kernel([(0.0, 0, 0, 10.0)])
         sim.advance_to(20.0)  # downloaded in 12 s, admitted at 10
-        assert sim._row_chunk[0] == HOLDING
+        assert row_chunks(sim)[0] == HOLDING
         assert sim._row_hold_until[0] == 310.0  # enter + T0
         assert sim._row_hold_next[0] == 1
         assert sim._row_hold_from[0] == 0
         sim.advance_to(300.0)
-        assert sim._row_chunk[0] == HOLDING
+        assert row_chunks(sim)[0] == HOLDING
         sim.advance_to(310.0)
-        assert sim._row_chunk[0] == 1
+        assert row_chunks(sim)[0] == 1
         assert sim._row_enter[0] == 310.0
 
     def test_holding_users_not_downloaders(self):
@@ -118,7 +118,7 @@ class TestHolding:
             mode="client-server", capacity=[2 * R, 0.0, 0.0, 0.0],
         )
         sim.advance_to(20.0)
-        assert live(sim, "_row_chunk").tolist() == [HOLDING, 0]
+        assert live_chunks(sim).tolist() == [HOLDING, 0]
         # Only the downloader draws from chunk 0's capacity.
         sim.step()
         assert sim.bandwidth.cloud_used[-1] == pytest.approx(R)
@@ -131,7 +131,7 @@ class TestHolding:
             capacity=[R, 0.0, 0.0, 0.0],
         )
         sim.advance_to(20.0)
-        assert sim._row_chunk[0] == HOLDING
+        assert row_chunks(sim)[0] == HOLDING
         assert sim._owners[0, 0] == 1
         # The holding owner uploads chunk 0 to the newcomer.
         sim.step()
@@ -158,7 +158,7 @@ class TestVectorizedQueries:
         )
         sim.step()  # the first user passes the 15 MB chunk size
         assert sim.quality.total_retrievals == 1
-        assert live(sim, "_row_chunk").tolist() == [HOLDING, 1]
+        assert live_chunks(sim).tolist() == [HOLDING, 1]
 
     def test_ownership_matrix_active_only(self):
         sessions = [(0.0, 0, 0, 1.0), (0.0, 0, 3, 1.0)]
