@@ -81,8 +81,10 @@ __all__ = [
 #: (``repro.geo.allocation.GeoAllocationPlan``) and their region
 #: service matrix; schema 9 pickles the kernel's row table with a cell
 #: column (spill cell and ``+inf`` hold sentinels) in place of the chunk
-#: column, and its running per-cell downloader counts.
-CHECKPOINT_SCHEMA = 9
+#: column, and its running per-cell downloader counts; schema 10 pickles
+#: single-region decisions without a packing field (the packing of
+#: ``repro.core.provisioner.ProvisioningDecision`` is computed on read).
+CHECKPOINT_SCHEMA = 10
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

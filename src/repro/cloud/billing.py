@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
 from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
+from repro.vod.delivery import sequential_sum
 
 __all__ = ["BillingMeter", "CostReport"]
 
@@ -141,7 +142,7 @@ class BillingMeter:
     # ------------------------------------------------------------------
     def current_vm_cost_rate(self) -> float:
         """Instantaneous VM spend in dollars/hour at current levels."""
-        return sum(
+        return sequential_sum(
             level * self.vm_clusters[name].price_per_hour
             for name, level in self._vm_levels.items()
         )
@@ -157,11 +158,11 @@ class BillingMeter:
     def report(self, now: float) -> CostReport:
         """Close the books through ``now`` and return aggregate charges."""
         self._accrue(now)
-        vm_cost = sum(
+        vm_cost = sequential_sum(
             hours * self.vm_clusters[name].price_per_hour
             for name, hours in self._vm_hours.items()
         )
-        storage_cost = sum(
+        storage_cost = sequential_sum(
             byte_hours * self.nfs_clusters[name].price_per_byte_hour
             for name, byte_hours in self._byte_hours.items()
         )

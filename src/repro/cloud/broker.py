@@ -22,6 +22,7 @@ from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, 
 
 from repro.cloud.billing import BillingMeter
 from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
+from repro.vod.delivery import sequential_sum
 
 __all__ = ["CloudFacility", "ResourceRequest", "SLAAgreement", "Broker",
            "NegotiationError"]
@@ -164,7 +165,7 @@ class Broker:
             stored = dict.fromkeys(facility.nfs_specs, 0.0)
             for cluster, placed in sizes.items():
                 spec = facility.nfs_specs[cluster]
-                total = stored[cluster] = float(sum(placed))
+                total = stored[cluster] = float(sequential_sum(placed))
                 if total > spec.capacity_bytes + 1e-6:
                     raise NegotiationError(
                         f"placement exceeds capacity of {cluster!r}"

@@ -65,6 +65,7 @@ import numpy as np
 from repro.cloud.broker import NegotiationError, ResourceRequest
 from repro.core.demand import ChannelDemand, ChunkKey
 from repro.core.predictor import LastIntervalPredictor
+from repro.vod.delivery import sequential_sum
 from repro.vod.tracker import IntervalStats
 
 __all__ = [
@@ -121,10 +122,10 @@ def storage_demand_shifted(
     """
     if set(current) != set(last):
         return True  # videos added or removed
-    baseline = sum(last.values())
+    baseline = sequential_sum(last.values())
     if baseline <= 0:
         return any(v > 0 for v in current.values())
-    shift = sum(abs(current[k] - last.get(k, 0.0)) for k in current)
+    shift = sequential_sum(abs(current[k] - last.get(k, 0.0)) for k in current)
     return shift / baseline > threshold
 
 
@@ -625,12 +626,12 @@ class PIDPolicy(PaperPolicy):
         self.loop = PIDLoop()
 
     def shape_demands(self, controller, demands):
-        total = float(sum(d.total_cloud_demand for d in demands))
+        total = float(sequential_sum(d.total_cloud_demand for d in demands))
         granted = 0.0
         if controller.decisions:
             last = controller.decisions[-1]
             granted = float(
-                sum(arr.sum() for arr in last.per_channel_capacity.values())
+                sequential_sum(arr.sum() for arr in last.per_channel_capacity.values())
             )
         if granted <= 0.0 or total <= 0.0:
             return demands  # no utilization signal yet
@@ -678,7 +679,7 @@ class MPCPolicy(PaperPolicy):
         return plan, positions
 
     def shape_demands(self, controller, demands):
-        total = float(sum(d.total_cloud_demand for d in demands))
+        total = float(sequential_sum(d.total_cloud_demand for d in demands))
         history = self._rate_history
         prev = history[-1] if history else None
         history.append(total)

@@ -47,19 +47,6 @@ class PackedVM:
                 seen.append(channel)
         return seen
 
-    def serves_consecutive_run(self) -> bool:
-        """True iff this VM's chunks form one consecutive run of one channel."""
-        keys = list(self.shares.keys())
-        if len(keys) <= 1:
-            return True
-        if not all(isinstance(k, tuple) and len(k) == 2 for k in keys):
-            return False
-        channels = {k[0] for k in keys}
-        if len(channels) != 1:
-            return False
-        indices = sorted(k[1] for k in keys)
-        return indices == list(range(indices[0], indices[0] + len(indices)))
-
 
 @dataclass(frozen=True)
 class PackingResult:

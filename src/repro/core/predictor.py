@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Optional, Protocol
 
+from repro.vod.delivery import sequential_sum
+
 __all__ = [
     "ArrivalRatePredictor",
     "LastIntervalPredictor",
@@ -76,7 +78,7 @@ class MovingAveragePredictor:
         history = self._history.get(channel_id)
         if not history:
             return self.initial_rate
-        return sum(history) / len(history)
+        return sequential_sum(history) / len(history)
 
 
 class SeasonalPredictor:

@@ -9,7 +9,10 @@ Every interval T the controller:
    cloud demands Delta_i^(c);
 3. solves the VM configuration problem (Eqn (7) heuristic) and, when the
    demand profile shifted enough (or videos were added), the storage
-   rental problem (Eqn (6) heuristic);
+   rental problem (Eqn (6) heuristic).  The packing of the fractional VM
+   shares onto concrete VMs (Section V-A2) is not part of the replan:
+   nothing the controller rents depends on it, so a decision packs on
+   the first read of :attr:`ProvisioningDecision.packing`;
 4. submits the change request to the cloud broker under its SLA terms;
 5. publishes the granted per-chunk capacities for the VoD system to use
    in the next interval.
@@ -29,6 +32,7 @@ single-region optimization pipeline (step 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -39,6 +43,7 @@ from repro.core.demand import ChannelDemand, aggregate_demand
 from repro.core.packing import PackingResult, pack_allocations
 from repro.core.storage_rental import StoragePlan, StorageProblem, greedy_storage_rental
 from repro.core.vm_allocation import VMAllocationPlan, VMProblem, greedy_vm_allocation
+from repro.vod.delivery import sequential_sum
 
 __all__ = [
     "ProvisioningDecision",
@@ -48,22 +53,37 @@ __all__ = [
 
 @dataclass
 class ProvisioningDecision:
-    """Everything the controller decided for one interval."""
+    """Everything the controller decided for one interval.
+
+    :attr:`packing` is computed on its first read and cached on the
+    decision; a replan does not pack.
+    """
 
     time: float
     demands: List[ChannelDemand]
     vm_plan: VMAllocationPlan
     storage_plan: Optional[StoragePlan]
-    packing: PackingResult
     agreement: Optional[SLAAgreement]
     per_channel_capacity: Dict[int, np.ndarray] = field(default_factory=dict)
     rejected: Optional[str] = None
     cluster_utilities: Dict[str, float] = field(default_factory=dict)
     nfs_utilities: Dict[str, float] = field(default_factory=dict)
 
+    @cached_property
+    def packing(self) -> PackingResult:
+        """The VM plan's shares packed onto concrete VMs (Section V-A2)."""
+        return pack_allocations(self.vm_plan.allocations)
+
+    def __getstate__(self):
+        # The cached packing is derived: a pickle (a checkpoint) must not
+        # depend on whether anything read it.
+        state = dict(self.__dict__)
+        state.pop("packing", None)
+        return state
+
     @property
     def total_cloud_demand(self) -> float:
-        return float(sum(d.total_cloud_demand for d in self.demands))
+        return float(sequential_sum(d.total_cloud_demand for d in self.demands))
 
     @property
     def vm_counts(self) -> Dict[str, int]:
@@ -80,24 +100,6 @@ class ProvisioningDecision:
             if channel_id is not None and chunk[0] != channel_id:
                 continue
             total += self.cluster_utilities[cluster] * z
-        return total
-
-    def aggregate_storage_utility(
-        self, channel_id: Optional[int] = None
-    ) -> float:
-        """sum u_f Delta_i x_if over the storage placement (Fig 8).
-
-        Uses this decision's demand vector and its storage plan (or 0.0
-        when storage was not replanned this interval).
-        """
-        if self.storage_plan is None:
-            return 0.0
-        demand_by_chunk = aggregate_demand(self.demands)
-        total = 0.0
-        for chunk, cluster in self.storage_plan.placement.items():
-            if channel_id is not None and chunk[0] != channel_id:
-                continue
-            total += self.nfs_utilities[cluster] * demand_by_chunk.get(chunk, 0.0)
         return total
 
 
@@ -147,7 +149,6 @@ class ProvisioningController(ProvisioningControllerBase):
             budget_per_hour=self.terms.vm_budget_per_hour,
         )
         vm_plan = greedy_vm_allocation(vm_problem)
-        packing = pack_allocations(vm_plan.allocations)
 
         # --- Storage rental (on significant change) ----------------------
         storage_plan: Optional[StoragePlan] = None
@@ -172,7 +173,6 @@ class ProvisioningController(ProvisioningControllerBase):
             demands=demands,
             vm_plan=vm_plan,
             storage_plan=storage_plan,
-            packing=packing,
             agreement=agreement,
             per_channel_capacity=self._channel_capacities(
                 demands,

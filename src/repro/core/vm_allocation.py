@@ -23,6 +23,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from repro.cloud.cluster import VirtualClusterSpec
+from repro.vod.delivery import sequential_sum
 
 __all__ = ["VMProblem", "VMAllocationPlan", "greedy_vm_allocation",
            "lp_vm_allocation"]
@@ -70,7 +71,7 @@ class VMProblem:
 
     @property
     def total_vm_need(self) -> float:
-        return float(sum(self.demands.values())) / self.vm_bandwidth
+        return float(sequential_sum(self.demands.values())) / self.vm_bandwidth
 
 
 @dataclass(frozen=True)

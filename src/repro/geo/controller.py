@@ -49,6 +49,7 @@ from repro.geo.allocation import (
     lp_geo_allocation,
 )
 from repro.geo.region import GeoTopology
+from repro.vod.delivery import sequential_sum
 from repro.vod.tracker import TrackingServer
 
 __all__ = [
@@ -88,12 +89,12 @@ class GeoProvisioningDecision:
 
     @property
     def total_cloud_demand(self) -> float:
-        return float(sum(d.total_cloud_demand for d in self.demands))
+        return float(sequential_sum(d.total_cloud_demand for d in self.demands))
 
     def mean_discount(self) -> float:
         """Capacity-weighted discount across all viewer regions."""
         weights = self.region_service
-        total = sum(weights.values())
+        total = sequential_sum(weights.values())
         if total <= 0:
             return 1.0
         acc = 0.0

@@ -41,3 +41,16 @@ def row_chunks(sim):
 def live_chunks(sim):
     """:func:`row_chunks` of the live rows, in admission order."""
     return row_chunks(sim)[sim._row_alive[: sim._n]]
+
+
+def serves_consecutive_run(vm):
+    """Do a packed VM's chunks form one consecutive run of one channel
+    (paper footnote 3)?  Read from ``vm.shares``, whose keys are
+    ``(channel, chunk)`` pairs."""
+    keys = list(vm.shares)
+    if len(keys) <= 1:
+        return True
+    if len({channel for channel, _ in keys}) != 1:
+        return False
+    indices = sorted(chunk for _, chunk in keys)
+    return indices == list(range(indices[0], indices[0] + len(indices)))

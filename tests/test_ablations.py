@@ -14,6 +14,7 @@ The start-up delay extension is checked with the Section IV validator
 import numpy as np
 import pytest
 
+from helpers import serves_consecutive_run
 from repro.cloud.cluster import NFSClusterSpec
 from repro.core.packing import pack_allocations
 from repro.core.storage_rental import (
@@ -66,7 +67,7 @@ def test_chunk_size_tradeoff():
         shared_pairs = sum(
             len(vm.shares) - 1
             for vm in pack_allocations(plan.allocations).vms
-            if vm.serves_consecutive_run() and len(vm.shares) > 1
+            if serves_consecutive_run(vm) and len(vm.shares) > 1
         )
         total_pairs = max(1, num_chunks - 1)
         reserved.append(mbps(capacity.total_bandwidth))

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.api import CHECKPOINT_SCHEMA, EngineConfig, Run, open_run, resolve_workers, resume
+from repro.core.packing import pack_allocations
 from repro.experiments.config import small_scenario
 from repro.experiments.runner import ClosedLoopEngine
 from repro.sim.shard import summarize_catalog
@@ -422,6 +423,17 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="schema 8"):
             resume(path)
 
+    def test_resume_rejects_schema_9(self, tmp_path):
+        """Schema 9 pickled single-region decisions with their packing
+        as a field; it is not read."""
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pickle.dumps({
+            "format": "repro-checkpoint",
+            "schema": 9,
+        }))
+        with pytest.raises(ValueError, match="schema 9"):
+            resume(path)
+
     @pytest.mark.parametrize("module,name", [
         ("repro.vod.user", "UserStore"),      # a deleted module
         ("repro.cloud.broker", "VMPool"),     # a deleted class
@@ -468,6 +480,28 @@ class TestCheckpointResume:
             for i in range(2)
         )
         assert first == second
+
+
+    def test_resumed_decisions_pack_on_demand(self, tmp_path):
+        """A packing read before the checkpoint is not pickled (the bytes
+        match an unread run), and resumed decisions still pack on read."""
+        scenario = small_scenario("p2p", horizon_hours=3.0)
+        unread = checkpoint_at(EngineConfig(spec=scenario), 1,
+                               tmp_path / "unread.ckpt")
+        path = tmp_path / "read.ckpt"
+        with open_run(scenario) as run:
+            for snap in run.epochs():
+                assert snap.decision.packing.total_vms > 0
+                if snap.index == 1:
+                    break
+            run.checkpoint(path)
+        assert path.read_bytes() == unread.read_bytes()
+        with resume(path) as tail:
+            decisions = tail.result().decisions
+        assert len(decisions) > 2
+        assert all("packing" not in vars(d) for d in decisions)
+        for d in decisions:
+            assert d.packing == pack_allocations(d.vm_plan.allocations)
 
 
 class _Stale:

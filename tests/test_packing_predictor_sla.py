@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import serves_consecutive_run
 from repro.core.packing import pack_allocations
 from repro.core.predictor import (
     EWMAPredictor,
@@ -25,7 +26,7 @@ class TestPacking:
         assert result.shared_vms == 1
         vm = result.vms[0]
         assert vm.load == pytest.approx(0.9)
-        assert vm.serves_consecutive_run()
+        assert serves_consecutive_run(vm)
 
     def test_consecutive_chunks_colocated(self):
         """Footnote 3: a shared VM should carry consecutive chunks of one
@@ -37,7 +38,7 @@ class TestPacking:
         }
         result = pack_allocations(allocations)
         assert result.total_vms == 1
-        assert result.vms[0].serves_consecutive_run()
+        assert serves_consecutive_run(result.vms[0])
 
     def test_overflow_opens_new_vm(self):
         allocations = {
