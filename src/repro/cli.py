@@ -300,17 +300,31 @@ def _parse_overrides(pairs: List[str]) -> dict:
     return overrides
 
 
+def _usage_error(exc: Exception) -> int:
+    """Report a value the analysis or a config dataclass rejected as the
+    usage error it is (message on stderr, exit 2), not a traceback."""
+    print(exc.args[0], file=sys.stderr)
+    return 2
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     model = paper_capacity_model()
-    behaviour = default_behaviour_matrix(args.chunks)
+    try:
+        behaviour = default_behaviour_matrix(args.chunks)
+        if args.mode == "p2p":
+            result = solve_p2p_channel_capacity(
+                model,
+                behaviour,
+                args.rate,
+                peer_upload=args.peer_upload_ratio * model.streaming_rate,
+                alpha=args.alpha,
+            )
+        else:
+            cs = solve_channel_capacity(model, behaviour, args.rate,
+                                        alpha=args.alpha)
+    except ValueError as exc:
+        return _usage_error(exc)
     if args.mode == "p2p":
-        result = solve_p2p_channel_capacity(
-            model,
-            behaviour,
-            args.rate,
-            peer_upload=args.peer_upload_ratio * model.streaming_rate,
-            alpha=args.alpha,
-        )
         servers = result.servers
         demand = result.cloud_demand
         extra = (
@@ -319,7 +333,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
         rates = result.capacity.traffic.arrival_rates
     else:
-        cs = solve_channel_capacity(model, behaviour, args.rate, alpha=args.alpha)
         servers, demand, rates = cs.servers, cs.cloud_demand, \
             cs.traffic.arrival_rates
         extra = f"expected population {cs.expected_population:.0f}"
@@ -337,13 +350,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    config = TraceConfig(
-        num_channels=args.channels,
-        chunks_per_channel=args.chunks,
-        horizon_seconds=args.hours * 3600.0,
-        mean_total_arrival_rate=args.rate,
-        seed=args.seed,
-    )
+    try:
+        config = TraceConfig(
+            num_channels=args.channels,
+            chunks_per_channel=args.chunks,
+            horizon_seconds=args.hours * 3600.0,
+            mean_total_arrival_rate=args.rate,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        return _usage_error(exc)
     trace = generate_trace(config)
     summary = {
         "num_channels": config.num_channels,
@@ -374,12 +390,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api import open_run  # heavy import
 
-    if args.scale == "paper":
-        scenario = paper_scenario(args.mode, horizon_hours=args.hours,
-                                  seed=args.seed)
-    else:
-        scenario = small_scenario(args.mode, horizon_hours=args.hours,
-                                  seed=args.seed)
+    factory = paper_scenario if args.scale == "paper" else small_scenario
+    try:
+        scenario = factory(args.mode, horizon_hours=args.hours, seed=args.seed)
+    except ValueError as exc:
+        return _usage_error(exc)
     with open_run(scenario, controller=args.controller) as run:
         result = run.result()
     print(format_table(

@@ -14,7 +14,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.p2p.contribution import cloud_supplement, peer_contribution
-from repro.p2p.coownership import CoOwnershipModel
 from repro.p2p.ownership import ownership_from_valid
 from repro.queueing.capacity import CapacityModel, ChannelCapacityResult, capacity_from_valid
 from repro.queueing.jackson import external_arrival_vector
@@ -71,10 +70,6 @@ class DemandEstimator:
         Optional per-channel prior transfer matrices used to smooth the
         empirical estimates (defaults to sequential viewing inside
         :func:`empirical_transition_matrix`).
-    min_arrival_rate:
-        Floor on the arrival rate fed to the analysis; keeps a tiny
-        baseline capacity on channels that were idle last interval so a
-        first request does not starve.
     """
 
     def __init__(
@@ -84,8 +79,6 @@ class DemandEstimator:
         *,
         prior_matrices: Optional[Mapping[int, np.ndarray]] = None,
         default_prior: Optional[np.ndarray] = None,
-        min_arrival_rate: float = 0.0,
-        coownership: Optional[CoOwnershipModel] = None,
         peer_discount: float = 0.6,
     ) -> None:
         """``peer_discount`` down-weights the equilibrium peer contribution
@@ -100,8 +93,6 @@ class DemandEstimator:
         analysis."""
         if mode not in ("client-server", "p2p"):
             raise ValueError(f"unknown mode {mode!r}")
-        if min_arrival_rate < 0:
-            raise ValueError("min arrival rate must be >= 0")
         if not 0.0 <= peer_discount <= 1.0:
             raise ValueError("peer_discount must be in [0, 1]")
         self.model = model
@@ -111,8 +102,6 @@ class DemandEstimator:
         #: catalog of hundreds of identical-behaviour channels shares one
         #: matrix instead of one dict entry per channel.
         self.default_prior = default_prior
-        self.min_arrival_rate = min_arrival_rate
-        self.coownership = coownership
         self.peer_discount = peer_discount
 
     # ------------------------------------------------------------------
@@ -134,9 +123,9 @@ class DemandEstimator:
         their empirical matrices are built and validated as one
         ``(C, J, J)`` array, the traffic equations are one stacked solve
         and every chunk queue is sized by one lock-step server search
-        (:func:`~repro.queueing.capacity.capacity_from_valid`).  Only the
-        P2P ownership and rarest-first contribution, sequential by
-        nature, run per channel.
+        (:func:`~repro.queueing.capacity.capacity_from_valid`).  In P2P
+        mode the ownership solve and the rarest-first pass run over the
+        same stack (:meth:`_p2p_split`).
         """
         stats = list(interval_stats)
         by_chunks: Dict[int, List[int]] = {}
@@ -166,8 +155,7 @@ class DemandEstimator:
                 if arrival_rates is not None
                 else None
             )
-            rate = channel.arrival_rate if override is None else override
-            rates.append(max(rate, self.min_arrival_rate))
+            rates.append(channel.arrival_rate if override is None else override)
         fallback = sequential_matrix(j, continue_prob=0.9)
         priors = [
             self.prior_matrices.get(channel.channel_id, self.default_prior)
@@ -197,9 +185,12 @@ class DemandEstimator:
                 peers = np.zeros_like(cloud)
                 in_system = capacity.expected_in_system
             else:
-                cloud, peers, in_system = self._p2p_split(
-                    [stats[i] for i in busy], capacity, peer_upload
-                )
+                uploads = np.array([
+                    stats[i].mean_upload_capacity if peer_upload is None
+                    else peer_upload
+                    for i in busy
+                ], dtype=float)
+                cloud, peers, in_system = self._p2p_split(capacity, uploads)
 
         rows = dict(zip(busy, range(len(busy))))
         demands = []
@@ -227,39 +218,29 @@ class DemandEstimator:
 
     def _p2p_split(
         self,
-        stats: List[IntervalStats],
         capacity: ChannelCapacityResult,
-        peer_upload: Optional[float],
+        uploads: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cloud demand Delta, peer bandwidth Gamma and populations for
-        busy P2P channels, from their stacked client-server capacity.
+        busy P2P channels, from their stacked client-server capacity and
+        one mean peer upload per channel.
 
         Ownership and contribution rest on the Little target
         lambda_i * T0 (see
-        :func:`~repro.p2p.contribution.solve_p2p_channel_capacity`) and
-        run per channel; the cloud supplement is element-wise, so it runs
-        once over the stack.
+        :func:`~repro.p2p.contribution.solve_p2p_channel_capacity`); each
+        is one call over the stack.
         """
         populations = capacity.little_target
-        gamma = np.zeros_like(populations)
-        for row, channel in enumerate(stats):
-            upload = (
-                peer_upload
-                if peer_upload is not None
-                else channel.mean_upload_capacity
-            )
-            ownership = ownership_from_valid(
-                capacity.traffic.transition_matrix[row], populations[row]
-            )
-            gamma[row] = peer_contribution(
-                capacity.servers[row],
-                ownership.owners,
-                ownership.population,
-                max(0.0, upload),
-                self.model.streaming_rate,
-                in_system=populations[row],
-                coownership=self.coownership,
-            )
+        ownership = ownership_from_valid(
+            capacity.traffic.transition_matrix, populations
+        )
+        gamma = peer_contribution(
+            ownership.owners,
+            ownership.population,
+            np.where(uploads > 0.0, uploads, 0.0),  # max(0.0, u): NaN -> 0.0
+            self.model.streaming_rate,
+            in_system=populations,
+        )
         gamma = self.peer_discount * gamma
         delta = cloud_supplement(
             capacity.servers,

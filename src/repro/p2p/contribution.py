@@ -7,7 +7,12 @@ nu_{pi_k} * u minus what owners of pi_k have already committed to rarer
 chunks; the contribution is capped by the chunk's streaming demand. The
 cloud supplies the remaining fraction of the chunk's server capacity.
 
-Unit reconciliation (documented in DESIGN.md). The paper prices the
+The co-ownership probability Psi(pi_j, pi_k) that Eqn (5) deducts with is
+left by the paper to a technical report that is not available; it is
+taken as the independence product f_j * f_k of the clipped ownership
+fractions f_i = min(nu_i / N, 1) (0 when N = 0).
+
+Unit reconciliation. The paper prices the
 per-chunk demand addressed by peers as ``m_i * r`` and the cloud
 supplement as ``Delta_i = R m_i - Gamma_i``. Taken literally this is
 dimensionally inconsistent twice over:
@@ -29,18 +34,16 @@ uncovered fraction of the queueing capacity:
     Delta_i   = R * m_i * (1 - Gamma_i / demand_i)
 
 :func:`peer_contribution` and :func:`cloud_supplement` implement this
-reading by default; the paper's literal formulas remain available via
-``demand="servers"`` / ``accounting="literal"`` for comparison.
+reading, and only it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Union
 
 import numpy as np
 
-from repro.p2p.coownership import CoOwnershipModel, independent_coownership
 from repro.p2p.ownership import OwnershipResult, ownership_from_valid
 from repro.queueing.capacity import CapacityModel, ChannelCapacityResult, solve_channel_capacity
 
@@ -52,103 +55,98 @@ __all__ = [
 ]
 
 
-def _chunk_demand(
-    servers: np.ndarray,
-    in_system: np.ndarray,
-    streaming_rate: float,
-    demand: str,
-) -> np.ndarray:
-    if demand == "viewers":
-        return np.asarray(in_system, dtype=float) * streaming_rate
-    if demand == "servers":  # the paper's literal m_i * r
-        return np.asarray(servers, dtype=float) * streaming_rate
-    raise ValueError(f"unknown demand model {demand!r}")
-
-
 def peer_contribution(
-    servers: np.ndarray,
     owners: np.ndarray,
-    population: float,
-    peer_upload: float,
+    population: Union[float, np.ndarray],
+    peer_upload: Union[float, np.ndarray],
     streaming_rate: float,
     *,
-    in_system: Optional[np.ndarray] = None,
-    coownership: Optional[CoOwnershipModel] = None,
-    demand: str = "viewers",
+    in_system: np.ndarray,
 ) -> np.ndarray:
     """Expected peer upload bandwidth Gamma_i per chunk (paper Eqn (5)).
 
+    Takes one channel, or a stack of them with the same leading axes on
+    every argument.
+
     Parameters
     ----------
-    servers:
-        Required queueing servers m_i per chunk (from the capacity solver).
     owners:
-        Expected owner counts nu_i per chunk (Proposition 1).
+        Expected owner counts nu_i per chunk (Proposition 1), ``(..., J)``.
     population:
-        Expected total channel population N = sum_i E[n_i].
+        Expected total channel population N = sum_i E[n_i], ``(...)``.
     peer_upload:
-        Average per-peer upload capacity u, bytes/second.
+        Average per-peer upload capacity u, bytes/second: one value, or
+        one per channel.
     streaming_rate:
         Playback rate r, bytes/second.
     in_system:
-        E[n_i] per chunk; required for the default ``demand="viewers"``
-        model where the chunk's peer-addressable demand is E[n_i] * r.
-    coownership:
-        Psi model; defaults to the independence approximation built from
-        ``owners`` and ``population``.
-    demand:
-        ``"viewers"`` (default, consistent units) or ``"servers"`` (the
-        paper's literal m_i * r).
+        E[n_i] per chunk, ``(..., J)``; the chunk's peer-addressable
+        demand is E[n_i] * r.
 
     Returns
     -------
     Gamma, per-chunk peer upload bandwidths (bytes/second), elementwise in
     [0, demand_i].
+
+    Every channel's rarest-first pass runs in lock step: at rank k each
+    channel serves its k-th rarest chunk (ascending owner count, chunk
+    index breaking ties), then deducts that chunk's commitment from every
+    commoner chunk's supply.  A supply thus loses its rarer chunks' shares
+    one at a time, rarest first, and a chunk with Gamma <= 0 or nu <= 0
+    deducts nothing: the arithmetic and its order are a per-channel
+    scalar loop's, so each Gamma_i is bitwise what that loop gives.
     """
-    m = np.asarray(servers, dtype=float)
     nu = np.asarray(owners, dtype=float)
-    if m.shape != nu.shape:
-        raise ValueError("servers and owners must have matching shapes")
-    if np.any(m < 0) or np.any(nu < 0):
-        raise ValueError("servers and owners must be nonnegative")
-    if peer_upload < 0:
-        raise ValueError(f"peer upload must be >= 0, got {peer_upload}")
+    demand_base = np.asarray(in_system, dtype=float)
+    pop = np.asarray(population, dtype=float)
+    if demand_base.shape != nu.shape:
+        raise ValueError("in_system must match the owners shape")
+    if pop.shape != nu.shape[:-1]:
+        raise ValueError("population must have the owners' leading shape")
+    upload = np.broadcast_to(np.asarray(peer_upload, dtype=float), pop.shape)
+    if np.any(nu < 0) or np.any(demand_base < 0):
+        raise ValueError("owners and in_system must be nonnegative")
+    if np.any(upload < 0):
+        raise ValueError(f"peer upload must be >= 0, got {upload.min()}")
     if streaming_rate <= 0:
         raise ValueError(f"streaming rate must be > 0, got {streaming_rate}")
-    if population < 0:
+    if np.any(pop < 0):
         raise ValueError("population must be nonnegative")
-    if demand == "viewers" and in_system is None:
-        raise ValueError('demand="viewers" requires the in_system vector')
-    if in_system is not None:
-        n_vec = np.asarray(in_system, dtype=float)
-        if n_vec.shape != m.shape:
-            raise ValueError("in_system must match the servers shape")
-        if np.any(n_vec < 0):
-            raise ValueError("in_system must be nonnegative")
-    else:
-        n_vec = np.zeros_like(m)
 
-    demands = _chunk_demand(m, n_vec, streaming_rate, demand)
-
-    if coownership is None:
-        coownership = independent_coownership(nu, population)
-
-    num_chunks = m.size
+    num_chunks = nu.shape[-1]
+    nu2 = nu.reshape(-1, num_chunks)
+    pop2 = pop.reshape(-1, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fractions = np.where(pop2 == 0, 0.0, np.clip(nu2 / pop2, 0.0, 1.0))
     # Rarest-first order: ascending owner count, chunk index breaking ties.
-    order = np.lexsort((np.arange(num_chunks), nu))
-    gamma = np.zeros(num_chunks, dtype=float)
+    order = np.lexsort((np.broadcast_to(np.arange(num_chunks), nu2.shape), nu2))
+    nu_s = np.take_along_axis(nu2, order, axis=-1)
+    f_s = np.take_along_axis(fractions, order, axis=-1)
+    demand_s = np.take_along_axis(
+        demand_base.reshape(-1, num_chunks) * streaming_rate, order, axis=-1
+    )
 
-    for rank, chunk in enumerate(order):
-        supply = nu[chunk] * peer_upload
-        # Deduct bandwidth that owners of this chunk already committed to
-        # every rarer chunk.
-        for prev in order[:rank]:
-            if gamma[prev] <= 0 or nu[prev] <= 0:
-                continue
-            both = coownership(int(prev), int(chunk)) * population
-            supply -= both * (gamma[prev] / nu[prev])
-        gamma[chunk] = min(demands[chunk], max(0.0, supply))
-    return gamma
+    supply = nu_s * upload.reshape(-1, 1)
+    gamma_s = np.zeros_like(supply)
+    for rank in range(num_chunks):
+        s = supply[:, rank]
+        s = np.where(s > 0.0, s, 0.0)  # max(0.0, s): NaN -> 0.0
+        d = demand_s[:, rank]
+        g = np.where(s < d, s, d)  # min(d, s)
+        gamma_s[:, rank] = g
+        n_k = nu_s[:, rank]
+        deducts = ~((g <= 0) | (n_k <= 0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Psi(rank, later) * N * (Gamma / nu), in the scalar order.
+            committed = ((f_s[:, rank, None] * f_s[:, rank + 1:]) * pop2) * (
+                (g / n_k)[:, None]
+            )
+        later = supply[:, rank + 1:]
+        np.subtract(later, committed, out=later, where=deducts[:, None])
+
+    gamma = np.empty_like(gamma_s)
+    np.put_along_axis(gamma, order, gamma_s, axis=-1)
+    return gamma.reshape(nu.shape)
 
 
 def cloud_supplement(
@@ -157,23 +155,14 @@ def cloud_supplement(
     vm_bandwidth: float,
     streaming_rate: float,
     *,
-    in_system: Optional[np.ndarray] = None,
-    accounting: str = "coverage",
+    in_system: np.ndarray,
 ) -> np.ndarray:
     """Cloud capacity Delta_i given the peer contribution Gamma_i.
 
-    ``accounting="coverage"`` (default): peers cover the fraction
-    Gamma_i / (E[n_i] r) of the chunk's streams; the cloud provisions the
-    uncovered fraction of the queueing capacity,
-    Delta = R m (1 - Gamma / (E[n] r)). Requires ``in_system``.
-
-    ``accounting="server-equivalent"``: Delta = R (m - Gamma / r); peer
-    bandwidth retires whole servers at streaming-rate granularity.
-
-    ``accounting="literal"``: the paper's Eqn as typeset,
-    Delta = R m - Gamma.
-
-    All variants are clamped at zero.
+    Peers cover the fraction Gamma_i / (E[n_i] r) of the chunk's streams;
+    the cloud provisions the uncovered fraction of the queueing capacity,
+    Delta = R m (1 - Gamma / (E[n] r)), clamped at zero.  A queue with no
+    streams (E[n] = 0) counts as uncovered.
     """
     m = np.asarray(servers, dtype=float)
     gamma = np.asarray(peer_bandwidth, dtype=float)
@@ -181,23 +170,14 @@ def cloud_supplement(
         raise ValueError("servers and peer_bandwidth must have matching shapes")
     if vm_bandwidth <= 0 or streaming_rate <= 0:
         raise ValueError("rates must be > 0")
-    if accounting == "coverage":
-        if in_system is None:
-            raise ValueError('accounting="coverage" requires in_system')
-        n_vec = np.asarray(in_system, dtype=float)
-        if n_vec.shape != m.shape:
-            raise ValueError("in_system must match the servers shape")
-        demand = n_vec * streaming_rate
-        coverage = np.divide(
-            gamma, demand, out=np.zeros_like(gamma), where=demand > 0
-        )
-        delta = vm_bandwidth * m * (1.0 - np.clip(coverage, 0.0, 1.0))
-    elif accounting == "server-equivalent":
-        delta = vm_bandwidth * (m - gamma / streaming_rate)
-    elif accounting == "literal":
-        delta = vm_bandwidth * m - gamma
-    else:
-        raise ValueError(f"unknown accounting {accounting!r}")
+    n_vec = np.asarray(in_system, dtype=float)
+    if n_vec.shape != m.shape:
+        raise ValueError("in_system must match the servers shape")
+    demand = n_vec * streaming_rate
+    coverage = np.divide(
+        gamma, demand, out=np.zeros_like(gamma), where=demand > 0
+    )
+    delta = vm_bandwidth * m * (1.0 - np.clip(coverage, 0.0, 1.0))
     return np.maximum(0.0, delta)
 
 
@@ -242,16 +222,15 @@ def solve_p2p_channel_capacity(
     peer_upload: float,
     *,
     alpha: float = 0.8,
-    coownership: Optional[CoOwnershipModel] = None,
-    demand: str = "viewers",
-    accounting: str = "coverage",
 ) -> P2PCapacityResult:
     """End-to-end P2P capacity analysis for one channel (Section IV-C).
 
     Runs the client-server analysis to get m_i and E[n_i], propagates
     ownership (Proposition 1), computes the rarest-first peer contribution
-    (Eqn (5)) and finally the cloud supplement Delta_i (see
-    :func:`cloud_supplement` for the accounting readings).
+    (Eqn (5)) and finally the cloud supplement Delta_i.  It is the
+    one-channel call of the stacked functions the controller's
+    :class:`~repro.core.demand.DemandEstimator` runs over every busy
+    channel at once.
     """
     capacity = solve_channel_capacity(
         model, transition_matrix, external_rate, alpha=alpha
@@ -264,14 +243,11 @@ def solve_p2p_channel_capacity(
     populations = capacity.little_target
     ownership = ownership_from_valid(capacity.traffic.transition_matrix, populations)
     gamma = peer_contribution(
-        capacity.servers,
         ownership.owners,
         ownership.population,
         peer_upload,
         model.streaming_rate,
         in_system=populations,
-        coownership=coownership,
-        demand=demand,
     )
     delta = cloud_supplement(
         capacity.servers,
@@ -279,7 +255,6 @@ def solve_p2p_channel_capacity(
         model.vm_bandwidth,
         model.streaming_rate,
         in_system=populations,
-        accounting=accounting,
     )
     return P2PCapacityResult(
         capacity=capacity,

@@ -11,7 +11,8 @@ states the equilibrium balance
 anchored by E[nu_ii] = E[n_i] (peers still *downloading* chunk i, who become
 owners as soon as they move on and are not counted as suppliers while in
 queue i). For each chunk i this is a linear fixed point in the unknowns
-{nu_ij : j != i}; we solve it directly with a dense linear solve per chunk.
+{nu_ij : j != i}; every chunk's system, of every channel in a stack, is
+solved directly in one stacked dense linear solve.
 
 The total supplier count for chunk i is nu_i = sum_{j != i} nu_ij.
 """
@@ -29,7 +30,7 @@ __all__ = ["OwnershipResult", "solve_ownership"]
 
 @dataclass(frozen=True)
 class OwnershipResult:
-    """Equilibrium ownership counts for one channel.
+    """Equilibrium ownership counts for one channel, or a stack of them.
 
     Attributes
     ----------
@@ -41,18 +42,13 @@ class OwnershipResult:
         Vector ``owners[i] = E[nu_i] = sum_{j != i} per_queue[i, j]``.
     population:
         Total expected channel population ``sum_i E[n_i]``.
+
+    Over a stack every field carries the stack's leading axes.
     """
 
     per_queue: np.ndarray = field(repr=False)
     owners: np.ndarray = field(repr=False)
     population: float
-
-    def rarest_order(self) -> np.ndarray:
-        """Chunk indices sorted by increasing owner count (rarest first).
-
-        Ties break on the chunk index so the order is deterministic.
-        """
-        return np.lexsort((np.arange(self.owners.size), self.owners))
 
 
 def solve_ownership(
@@ -77,41 +73,48 @@ def solve_ownership(
 def ownership_from_valid(
     p: np.ndarray, expected_in_system: np.ndarray
 ) -> OwnershipResult:
-    """:func:`solve_ownership` for a P that
-    :func:`~repro.queueing.transitions.validate_transition_matrix` has
-    already returned (the batched demand path validates each stack once).
+    """Proposition 1 over a validated stack of channels.
+
+    ``p`` is ``(..., J, J)`` as returned by
+    :func:`~repro.queueing.transitions.validate_transition_matrix` and
+    ``expected_in_system`` is ``(..., J)``.  Chunk i's unknowns
+    x_j = nu_ij (j != i) satisfy
+
+        x_j = sum_{l != i} x_l P[l, j] + n_i * P[i, j],
+
+    i.e. (I - P_sub^T) x = n_i * P[i, others]^T where P_sub drops row i
+    and column i.  All ``(..., J)`` such systems go to one stacked
+    ``np.linalg.solve``, which runs LAPACK ``gesv`` on each matrix as a
+    one-system solve would, so every entry is bitwise what a per-chunk
+    solve gives.  :func:`solve_ownership` is its one-channel call.
     """
     n = np.asarray(expected_in_system, dtype=float)
-    if n.shape != (p.shape[0],):
+    if n.shape != p.shape[:-1]:
         raise ValueError(
             f"expected_in_system shape {n.shape} does not match matrix {p.shape}"
         )
     if np.any(n < 0):
         raise ValueError("expected_in_system must be nonnegative")
 
-    j_total = p.shape[0]
-    per_queue = np.zeros((j_total, j_total), dtype=float)
+    j_total = p.shape[-1]
+    # others[i] lists the chunks j != i in increasing order.
+    cols = np.arange(j_total - 1)
+    chunks = np.arange(j_total)[:, None]
+    others = cols + (cols >= chunks)
+    p_sub = p[..., others[:, :, None], others[:, None, :]]
+    rhs = n[..., None] * p[..., chunks, others]
+    x = np.linalg.solve(
+        np.eye(j_total - 1) - np.swapaxes(p_sub, -1, -2), rhs[..., None]
+    )[..., 0]
+    x = np.where(x < 0, 0.0, x)  # clamp numerical noise
 
-    for i in range(j_total):
-        # Unknowns x_j = nu_ij for j != i; x satisfies
-        #   x_j = sum_{l != i} x_l P[l, j] + n_i * P[i, j]
-        # i.e. (I - P_sub^T) x = n_i * P[i, others]^T where P_sub drops
-        # row i and column i.
-        others = [j for j in range(j_total) if j != i]
-        if not others:
-            per_queue[i, i] = n[i]
-            continue
-        p_sub = p[np.ix_(others, others)]
-        rhs = n[i] * p[i, others]
-        identity = np.eye(len(others))
-        x = np.linalg.solve(identity - p_sub.T, rhs)
-        x = np.where(x < 0, 0.0, x)  # clamp numerical noise
-        per_queue[i, others] = x
-        per_queue[i, i] = n[i]
-
-    owners = per_queue.sum(axis=1) - np.diag(per_queue)
+    per_queue = np.zeros(p.shape, dtype=float)
+    per_queue[..., chunks, others] = x
+    diagonal = np.arange(j_total)
+    per_queue[..., diagonal, diagonal] = n
+    owners = per_queue.sum(axis=-1) - n
     return OwnershipResult(
         per_queue=per_queue,
         owners=owners,
-        population=float(n.sum()),
+        population=n.sum(axis=-1),
     )

@@ -38,9 +38,7 @@ from repro.queueing.jackson import (
 )
 from repro.queueing.startup import StartupDelayModel, channel_startup_delay
 from repro.queueing.transitions import (
-    TransitionModel,
     empirical_transition_matrix,
-    leave_probabilities,
     mixture_matrix,
     sequential_matrix,
     uniform_jump_matrix,
@@ -64,9 +62,7 @@ __all__ = [
     "solve_traffic_equations",
     "StartupDelayModel",
     "channel_startup_delay",
-    "TransitionModel",
     "empirical_transition_matrix",
-    "leave_probabilities",
     "mixture_matrix",
     "sequential_matrix",
     "uniform_jump_matrix",

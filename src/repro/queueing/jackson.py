@@ -73,14 +73,6 @@ class TrafficSolution:
     def total_external_rate(self) -> float:
         return float(self.external_rates.sum())
 
-    @property
-    def visit_ratios(self) -> np.ndarray:
-        """Expected number of visits to each queue per external arrival."""
-        total = self.total_external_rate
-        if total == 0.0:
-            return np.zeros_like(self.arrival_rates)
-        return self.arrival_rates / total
-
 
 def solve_traffic_equations(
     transition_matrix: np.ndarray,

@@ -15,20 +15,16 @@ the CloudMedia tracker reports to the controller (Section V-B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "validate_transition_matrix",
-    "leave_probabilities",
     "sequential_matrix",
     "uniform_jump_matrix",
-    "skip_forward_matrix",
     "mixture_matrix",
     "empirical_transition_matrix",
-    "TransitionModel",
 ]
 
 _TOL = 1e-9
@@ -70,12 +66,6 @@ def validate_transition_matrix(matrix: np.ndarray, *, tol: float = _TOL) -> np.n
                     "would never depart"
                 )
     return np.clip(p, 0.0, 1.0)
-
-
-def leave_probabilities(matrix: np.ndarray) -> np.ndarray:
-    """Per-chunk departure probabilities ``1 - sum_j P[i, j]``."""
-    p = np.asarray(matrix, dtype=float)
-    return np.clip(1.0 - p.sum(axis=1), 0.0, 1.0)
 
 
 def sequential_matrix(num_chunks: int, continue_prob: float = 0.9) -> np.ndarray:
@@ -120,37 +110,6 @@ def uniform_jump_matrix(
             p[i, j] += jump_prob / len(others)
         if i + 1 < num_chunks:
             p[i, i + 1] += continue_prob
-    return p
-
-
-def skip_forward_matrix(
-    num_chunks: int,
-    continue_prob: float = 0.75,
-    skip_prob: float = 0.15,
-    skip_decay: float = 0.5,
-) -> np.ndarray:
-    """Sequential viewing with geometric forward skips.
-
-    A skipping user lands on chunk i+1+d where d >= 1 has a geometric
-    distribution with ratio ``skip_decay`` (truncated at the video end, the
-    truncated mass departing). Models impatient forward seeking.
-    """
-    if num_chunks <= 0:
-        raise ValueError("need at least one chunk")
-    if continue_prob < 0 or skip_prob < 0 or continue_prob + skip_prob >= 1.0:
-        raise ValueError("need continue_prob + skip_prob < 1")
-    if not 0.0 < skip_decay < 1.0:
-        raise ValueError("skip_decay must be in (0, 1)")
-    p = np.zeros((num_chunks, num_chunks), dtype=float)
-    for i in range(num_chunks - 1):
-        p[i, i + 1] += continue_prob
-        # Distribute skip mass geometrically over chunks i+2, ..., end.
-        targets = range(i + 2, num_chunks)
-        weights = np.array([skip_decay**d for d in range(1, len(list(targets)) + 1)])
-        if weights.size:
-            weights = weights / weights.sum()
-            for j, w in zip(range(i + 2, num_chunks), weights):
-                p[i, j] += skip_prob * w
     return p
 
 
@@ -219,34 +178,3 @@ def empirical_transition_matrix(
         blended = (counts + prior_strength * prior) / denom[..., None]
     p = np.where((row_totals > 0)[..., None], blended, prior)
     return validate_transition_matrix(p)
-
-
-@dataclass(frozen=True)
-class TransitionModel:
-    """A named viewing-behaviour model bundling P with its parameters."""
-
-    name: str
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        validate_transition_matrix(self.matrix)
-
-    @property
-    def num_chunks(self) -> int:
-        return int(self.matrix.shape[0])
-
-    def departure_probs(self) -> np.ndarray:
-        return leave_probabilities(self.matrix)
-
-    @classmethod
-    def sequential(cls, num_chunks: int, continue_prob: float = 0.9) -> "TransitionModel":
-        return cls("sequential", sequential_matrix(num_chunks, continue_prob))
-
-    @classmethod
-    def vcr(
-        cls,
-        num_chunks: int,
-        continue_prob: float = 0.8,
-        jump_prob: float = 0.1,
-    ) -> "TransitionModel":
-        return cls("vcr", uniform_jump_matrix(num_chunks, continue_prob, jump_prob))

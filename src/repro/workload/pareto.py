@@ -36,13 +36,6 @@ class BoundedPareto:
         if self.shape <= 0:
             raise ValueError(f"shape must be > 0, got {self.shape}")
 
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        """Truncated CDF on [low, high]."""
-        x = np.asarray(x, dtype=float)
-        raw = 1.0 - (self.low / np.clip(x, self.low, None)) ** self.shape
-        cap = 1.0 - (self.low / self.high) ** self.shape
-        return np.clip(raw / cap, 0.0, 1.0)
-
     def mean(self) -> float:
         """Mean of the truncated distribution (closed form)."""
         k, lo, h = self.shape, self.low, self.high

@@ -119,6 +119,28 @@ class TestRun:
         assert "VM cost ($/h)" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--rate", "-1"], "arrival rate"),
+    (["analyze", "--chunks", "0"], "at least one chunk"),
+    (["analyze", "--alpha", "2"], "alpha"),
+    (["analyze", "--mode", "p2p", "--peer-upload-ratio", "-1"], "peer upload"),
+    (["trace", "OUT", "--hours", "-1"], "horizon"),
+    (["trace", "OUT", "--channels", "0"], "channel"),
+    (["run", "--hours", "0"], "horizon"),
+])
+def test_out_of_range_input_is_a_usage_error(argv, message, tmp_path, capsys):
+    """A value the analysis or a config rejects prints its message to
+    stderr and exits 2, with no traceback and nothing written."""
+    out = tmp_path / "trace.json"
+    argv = [str(out) if arg == "OUT" else arg for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestInfo:
     def test_prints_tables(self, capsys):
         assert main(["info"]) == 0

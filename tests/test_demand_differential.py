@@ -4,9 +4,13 @@ scalar per-channel one it replaced.
 The oracle below is the per-channel analysis as it stood before the
 control plane was batched: the scalar M/M/m server search, one
 ``np.linalg.solve`` per channel, E[n] recomputed from scratch per chunk,
-and the per-channel ``estimate_channel`` body.  The batched
-:meth:`DemandEstimator.estimate_all` must reproduce it bit for bit, and
-must reject exactly the inputs it rejects.
+the per-channel ``estimate_channel`` body, and the scalar P2P path: one
+``np.linalg.solve`` per chunk for Proposition 1 and the rarest-first
+loop of Eqn (5) over a co-ownership callable Psi.  The batched
+:meth:`DemandEstimator.estimate_all`, and the stacked
+:func:`ownership_from_valid` and :func:`peer_contribution` under it,
+must reproduce it bit for bit, and must reject exactly the inputs it
+rejects.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.demand import ChannelDemand, DemandEstimator
 from repro.p2p.contribution import cloud_supplement, peer_contribution
-from repro.p2p.ownership import solve_ownership
+from repro.p2p.ownership import ownership_from_valid
 from repro.queueing.capacity import CapacityModel, size_queues
 from repro.queueing.erlang import mmm_expected_number_in_system
 from repro.queueing.transitions import (
@@ -93,9 +97,103 @@ def oracle_capacity(matrix, rate, alpha):
     return p, servers, in_system, lam
 
 
+def oracle_ownership(p, expected_in_system):
+    """(per_queue, owners, population) of one channel: one solve per chunk."""
+    n = np.asarray(expected_in_system, dtype=float)
+    if n.shape != (p.shape[0],):
+        raise ValueError(
+            f"expected_in_system shape {n.shape} does not match matrix {p.shape}"
+        )
+    if np.any(n < 0):
+        raise ValueError("expected_in_system must be nonnegative")
+
+    j_total = p.shape[0]
+    per_queue = np.zeros((j_total, j_total), dtype=float)
+
+    for i in range(j_total):
+        # Unknowns x_j = nu_ij for j != i; x satisfies
+        #   x_j = sum_{l != i} x_l P[l, j] + n_i * P[i, j]
+        # i.e. (I - P_sub^T) x = n_i * P[i, others]^T where P_sub drops
+        # row i and column i.
+        others = [j for j in range(j_total) if j != i]
+        if not others:
+            per_queue[i, i] = n[i]
+            continue
+        p_sub = p[np.ix_(others, others)]
+        rhs = n[i] * p[i, others]
+        identity = np.eye(len(others))
+        x = np.linalg.solve(identity - p_sub.T, rhs)
+        x = np.where(x < 0, 0.0, x)  # clamp numerical noise
+        per_queue[i, others] = x
+        per_queue[i, i] = n[i]
+
+    owners = per_queue.sum(axis=1) - np.diag(per_queue)
+    return per_queue, owners, float(n.sum())
+
+
+def oracle_independent_coownership(owners, population):
+    """Psi(a, b) = f_a * f_b with f the clipped ownership fractions."""
+    nu = np.asarray(owners, dtype=float)
+    if np.any(nu < 0):
+        raise ValueError("owner counts must be nonnegative")
+    if population < 0:
+        raise ValueError("population must be nonnegative")
+    if population == 0:
+        fractions = np.zeros_like(nu)
+    else:
+        fractions = np.clip(nu / population, 0.0, 1.0)
+
+    def psi(chunk_a, chunk_b):
+        if chunk_a == chunk_b:
+            return float(fractions[chunk_a])
+        return float(fractions[chunk_a] * fractions[chunk_b])
+
+    return psi
+
+
+def oracle_peer_contribution(owners, population, peer_upload, streaming_rate,
+                             in_system, coownership=None):
+    """Eqn (5) for one channel: the rarest-first loop over a Psi callable."""
+    nu = np.asarray(owners, dtype=float)
+    if np.any(nu < 0):
+        raise ValueError("servers and owners must be nonnegative")
+    if peer_upload < 0:
+        raise ValueError(f"peer upload must be >= 0, got {peer_upload}")
+    if streaming_rate <= 0:
+        raise ValueError(f"streaming rate must be > 0, got {streaming_rate}")
+    if population < 0:
+        raise ValueError("population must be nonnegative")
+    n_vec = np.asarray(in_system, dtype=float)
+    if n_vec.shape != nu.shape:
+        raise ValueError("in_system must match the servers shape")
+    if np.any(n_vec < 0):
+        raise ValueError("in_system must be nonnegative")
+
+    demands = n_vec * streaming_rate
+
+    if coownership is None:
+        coownership = oracle_independent_coownership(nu, population)
+
+    num_chunks = nu.size
+    # Rarest-first order: ascending owner count, chunk index breaking ties.
+    order = np.lexsort((np.arange(num_chunks), nu))
+    gamma = np.zeros(num_chunks, dtype=float)
+
+    for rank, chunk in enumerate(order):
+        supply = nu[chunk] * peer_upload
+        # Deduct bandwidth that owners of this chunk already committed to
+        # every rarer chunk.
+        for prev in order[:rank]:
+            if gamma[prev] <= 0 or nu[prev] <= 0:
+                continue
+            both = coownership(int(prev), int(chunk)) * population
+            supply -= both * (gamma[prev] / nu[prev])
+        gamma[chunk] = min(demands[chunk], max(0.0, supply))
+    return gamma
+
+
 def oracle_estimate_channel(estimator, stats, arrival_rate=None, peer_upload=None):
     rate = stats.arrival_rate if arrival_rate is None else arrival_rate
-    rate = max(rate, estimator.min_arrival_rate)
     matrix = empirical_transition_matrix(
         stats.transition_counts,
         stats.departure_counts,
@@ -113,11 +211,9 @@ def oracle_estimate_channel(estimator, stats, arrival_rate=None, peer_upload=Non
                              np.zeros_like(cloud), in_system)
     upload = peer_upload if peer_upload is not None else stats.mean_upload_capacity
     populations = lam * T0
-    ownership = solve_ownership(p, populations)
-    gamma = peer_contribution(
-        servers, ownership.owners, ownership.population, max(0.0, upload),
-        MODEL.streaming_rate, in_system=populations,
-        coownership=estimator.coownership,
+    _, owners, population = oracle_ownership(p, populations)
+    gamma = oracle_peer_contribution(
+        owners, population, max(0.0, upload), MODEL.streaming_rate, populations,
     )
     gamma = estimator.peer_discount * gamma
     delta = cloud_supplement(servers, gamma, MODEL.vm_bandwidth,
@@ -151,7 +247,6 @@ def _outcome(call):
 SEEDS = st.integers(0, 2**32 - 1)
 RATES = st.one_of(
     st.just(0.0),
-    st.just(0.01),  # the min_arrival_rate floor used below
     st.floats(min_value=1e-6, max_value=3.0),
 )
 
@@ -227,13 +322,13 @@ def scenarios(draw, mode):
         overrides = {
             c: draw(RATES) for c in range(n) if draw(st.booleans())
         }
-    estimator = DemandEstimator(
-        MODEL,
-        mode,
-        prior_matrices=priors,
-        min_arrival_rate=draw(st.sampled_from([0.0, 0.01])),
-    )
-    peer_upload = draw(st.one_of(st.none(), st.floats(0.0, 3.0).map(lambda u: u * r)))
+    estimator = DemandEstimator(MODEL, mode, prior_matrices=priors)
+    # A negative or NaN override reaches the max(0.0, u) clamp.
+    peer_upload = draw(st.one_of(
+        st.none(),
+        st.floats(0.0, 3.0).map(lambda u: u * r),
+        st.sampled_from([-r, float("nan")]),
+    ))
     return estimator, stats, overrides, peer_upload
 
 
@@ -282,6 +377,102 @@ class TestEstimateAllMatchesScalarOracle:
                 oracle_estimate_all(estimator, stats, {0: bad})
             with pytest.raises(ValueError, match="finite"):
                 estimator.estimate_all(stats, arrival_rates={0: bad})
+
+
+
+@st.composite
+def p2p_stacks(draw):
+    """A validated (C, J, J) stack with populations that exercise the
+    rarest-first corners: owner-count ties, all-zero rows, skewed rows
+    (nu_i > N, so the fractions clip) and one upload per row."""
+    c = draw(st.integers(1, 6))
+    j = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(SEEDS))
+    p = rng.random((c, j, j)) * (rng.random((c, j, j)) < 0.6)
+    p = p / np.maximum(p.sum(axis=-1, keepdims=True), 1e-9)
+    p = p * rng.uniform(0.1, 0.9, (c, j, 1))
+    populations = rng.uniform(0.0, 40.0, (c, j))
+    kind = draw(st.sampled_from(["uniform", "integer", "skewed"]))
+    if kind == "integer":  # few distinct values: owner-count ties
+        populations = rng.integers(0, 3, (c, j)).astype(float)
+    elif kind == "skewed":  # one crowded chunk: owners exceed N elsewhere
+        populations *= 1e-3
+        populations[:, rng.integers(0, j)] = 100.0
+    populations[rng.random((c, j)) < 0.2] = 0.0
+    if draw(st.booleans()):
+        populations[draw(st.integers(0, c - 1))] = 0.0
+    uploads = rng.uniform(0.0, 3.0, c) * r
+    uploads[rng.random(c) < 0.25] = 0.0
+    servers = rng.integers(0, 6, (c, j))
+    return validate_transition_matrix(p), populations, uploads, servers
+
+
+class TestP2PSplitMatchesScalarOracle:
+    @given(stack=p2p_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise(self, stack):
+        p, populations, uploads, servers = stack
+        ownership = ownership_from_valid(p, populations)
+        gamma = peer_contribution(ownership.owners, ownership.population,
+                                  uploads, r, in_system=populations)
+        delta = cloud_supplement(servers, gamma, R, r, in_system=populations)
+        for k in range(p.shape[0]):
+            per_queue, owners, population = oracle_ownership(p[k], populations[k])
+            want_gamma = oracle_peer_contribution(
+                owners, population, float(uploads[k]), r, populations[k])
+            want_delta = cloud_supplement(servers[k], want_gamma, R, r,
+                                          in_system=populations[k])
+            assert ownership.per_queue[k].tobytes() == per_queue.tobytes()
+            assert ownership.owners[k].tobytes() == owners.tobytes()
+            assert float(ownership.population[k]) == population
+            assert gamma[k].tobytes() == want_gamma.tobytes()
+            assert delta[k].tobytes() == want_delta.tobytes()
+            if len(set(owners.tolist())) < owners.size:
+                event("owner-count tie")
+            if population == 0:
+                event("zero population")
+            elif np.any(owners > population):
+                event("clipped fraction")
+            if uploads[k] == 0:
+                event("zero upload")
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_contribution_bitwise_and_error_parity(self, data):
+        """Owner counts drawn directly, so ties and nu_i > N are common;
+        a planted negative entry must be rejected by both paths."""
+        c = data.draw(st.integers(1, 6))
+        j = data.draw(st.integers(1, 12))
+        rng = np.random.default_rng(data.draw(SEEDS))
+        owners = rng.integers(0, 6, (c, j)).astype(float) * data.draw(
+            st.sampled_from([1.0, 0.37, 25.0]))
+        in_system = rng.uniform(0.0, 10.0, (c, j))
+        population = in_system.sum(axis=-1) * rng.choice([0.0, 0.5, 1.0, 4.0], c)
+        uploads = rng.choice([0.0, 0.4, 1.0, 2.5], c) * r
+        fault = data.draw(st.sampled_from(
+            [None] * 3 + ["owners", "in_system", "population", "upload"]))
+        if fault is not None:
+            k = data.draw(st.integers(0, c - 1))
+            if fault == "owners":
+                owners[k, data.draw(st.integers(0, j - 1))] = -1.0
+            elif fault == "in_system":
+                in_system[k, data.draw(st.integers(0, j - 1))] = -1.0
+            elif fault == "population":
+                population[k] = -1.0
+            else:
+                uploads[k] = -r
+        want, want_exc = _outcome(lambda: [
+            oracle_peer_contribution(owners[k], float(population[k]),
+                                     float(uploads[k]), r, in_system[k])
+            for k in range(c)
+        ])
+        got, got_exc = _outcome(lambda: peer_contribution(
+            owners, population, uploads, r, in_system=in_system))
+        event("rejected" if want_exc else "accepted")
+        assert (got_exc is None) == (want_exc is None), (got_exc, want_exc)
+        if want_exc is None:
+            for k in range(c):
+                assert got[k].tobytes() == want[k].tobytes()
 
 
 class TestServerSearchMatchesScalarOracle:

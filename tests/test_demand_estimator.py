@@ -64,15 +64,6 @@ class TestClientServer:
         assert demand.arrival_rate == 0.5
         assert demand.total_cloud_demand > 0
 
-    def test_min_arrival_rate_floor(self, model, tracker):
-        stats = tracker.close_interval()
-        estimator = DemandEstimator(
-            model, "client-server", min_arrival_rate=0.01
-        )
-        demand = estimator.estimate_all([stats[0]])[0]
-        assert demand.arrival_rate == 0.01
-        assert demand.total_servers > 0
-
     def test_prior_matrix_used_without_observations(self, model, tracker):
         prior = sequential_matrix(4, continue_prob=0.9)
         estimator = DemandEstimator(

@@ -25,74 +25,53 @@ def model():
 
 class TestPeerContribution:
     def test_rarest_chunk_gets_full_supply(self):
-        # One rare chunk, one common; no co-ownership interference.
-        servers = np.array([2.0, 2.0])
+        # One rare chunk, one common: the rare one is served first, whole.
         in_system = np.array([10.0, 10.0])
         owners = np.array([1.0, 100.0])
         gamma = peer_contribution(
-            servers, owners, population=20.0, peer_upload=r, streaming_rate=r,
-            in_system=in_system, coownership=lambda a, b: 0.0,
+            owners, population=20.0, peer_upload=r, streaming_rate=r,
+            in_system=in_system,
         )
         # Rarest chunk (index 0): supply = 1 * r < demand 10 * r.
         assert gamma[0] == pytest.approx(r)
-        # Common chunk: capped by its demand E[n] * r.
+        # Common chunk: 100 r less what its owners gave chunk 0, capped by
+        # its demand E[n] * r.
         assert gamma[1] == pytest.approx(10 * r)
 
     def test_demand_cap_viewers(self):
-        servers = np.array([1.0])
         in_system = np.array([3.0])
         owners = np.array([50.0])
         gamma = peer_contribution(
-            servers, owners, 3.0, peer_upload=r, streaming_rate=r,
-            in_system=in_system,
+            owners, 3.0, peer_upload=r, streaming_rate=r, in_system=in_system,
         )
         assert gamma[0] == pytest.approx(3.0 * r)  # E[n] * r cap
 
-    def test_demand_cap_servers_literal(self):
-        """The paper's literal m_i * r demand model stays available."""
-        servers = np.array([1.0])
-        owners = np.array([50.0])
-        gamma = peer_contribution(
-            servers, owners, 50.0, peer_upload=r, streaming_rate=r,
-            demand="servers",
-        )
-        assert gamma[0] == pytest.approx(1.0 * r)
-
     def test_supply_cap(self):
-        servers = np.array([10.0])
         in_system = np.array([100.0])
         owners = np.array([2.0])
         gamma = peer_contribution(
-            servers, owners, 100.0, peer_upload=r, streaming_rate=r,
-            in_system=in_system,
+            owners, 100.0, peer_upload=r, streaming_rate=r, in_system=in_system,
         )
         assert gamma[0] == pytest.approx(2.0 * r)  # nu * u cap
 
     def test_coownership_deduction(self):
         """Bandwidth committed to a rarer chunk reduces a later chunk's pool."""
-        servers = np.array([4.0, 4.0])
         in_system = np.array([40.0, 40.0])
         owners = np.array([2.0, 3.0])
         population = 80.0
-
-        def overlap(a, b):
-            return 0.02 if a != b else 0.03
-
-        gamma_overlap = peer_contribution(
-            servers, owners, population, peer_upload=r, streaming_rate=r,
-            in_system=in_system, coownership=overlap,
+        gamma = peer_contribution(
+            owners, population, peer_upload=r, streaming_rate=r,
+            in_system=in_system,
         )
-        gamma_disjoint = peer_contribution(
-            servers, owners, population, peer_upload=r, streaming_rate=r,
-            in_system=in_system, coownership=lambda a, b: 0.0,
-        )
-        assert gamma_overlap[1] < gamma_disjoint[1]
-        assert gamma_overlap[0] == pytest.approx(gamma_disjoint[0])
+        assert gamma[0] == pytest.approx(2.0 * r)
+        # Psi(0, 1) * N peers own both; each gave chunk 0 Gamma_0 / nu_0.
+        both = (2.0 / population) * (3.0 / population) * population
+        assert gamma[1] == pytest.approx(3.0 * r - both * r)
+        assert gamma[1] < 3.0 * r
 
     def test_zero_upload_gives_zero(self):
         gamma = peer_contribution(
-            np.array([3.0, 2.0]), np.array([5.0, 5.0]), 10.0, 0.0, r,
-            in_system=np.array([5.0, 5.0]),
+            np.array([5.0, 5.0]), 10.0, 0.0, r, in_system=np.array([5.0, 5.0]),
         )
         assert np.all(gamma == 0.0)
 
@@ -100,11 +79,10 @@ class TestPeerContribution:
         rng = np.random.default_rng(3)
         for _ in range(20):
             n = rng.integers(1, 8)
-            servers = rng.uniform(0, 10, n)
             in_system = rng.uniform(0, 30, n)
             owners = rng.uniform(0, 50, n)
             gamma = peer_contribution(
-                servers, owners, in_system.sum(), peer_upload=2 * r,
+                owners, in_system.sum(), peer_upload=2 * r,
                 streaming_rate=r, in_system=in_system,
             )
             assert np.all(gamma >= 0.0)
@@ -113,40 +91,82 @@ class TestPeerContribution:
     def test_total_contribution_bounded_by_total_upload(self):
         """With the independence Psi, total Gamma cannot exceed roughly the
         swarm's aggregate upload capacity."""
-        servers = np.full(5, 4.0)
         in_system = np.full(5, 50.0)
         owners = np.full(5, 100.0)
         population = 250.0
         upload = 0.5 * r
-        gamma = peer_contribution(
-            servers, owners, population, upload, r, in_system=in_system
-        )
+        gamma = peer_contribution(owners, population, upload, r, in_system=in_system)
         assert gamma.sum() <= population * upload * 1.25  # loose conservation
 
     def test_viewers_demand_requires_in_system(self):
         with pytest.raises(ValueError, match="in_system"):
-            peer_contribution(np.ones(2), np.ones(2), 2.0, r, r)
+            peer_contribution(np.ones(2), 2.0, r, r, in_system=np.ones(3))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="population"):
             peer_contribution(
-                np.ones(2), np.ones(3), 3.0, r, r, in_system=np.ones(2)
+                np.ones((2, 3)), np.ones(3), r, r, in_system=np.ones((2, 3))
             )
 
     @given(upload_scale=st.floats(min_value=0.0, max_value=5.0))
     @settings(max_examples=30, deadline=None)
     def test_monotone_in_peer_upload(self, upload_scale):
-        servers = np.array([3.0, 2.0, 4.0])
         in_system = np.array([20.0, 10.0, 30.0])
         owners = np.array([5.0, 1.0, 8.0])
-        base = peer_contribution(
-            servers, owners, 60.0, r, r, in_system=in_system
-        )
+        base = peer_contribution(owners, 60.0, r, r, in_system=in_system)
         more = peer_contribution(
-            servers, owners, 60.0, r * (1 + upload_scale), r,
-            in_system=in_system,
+            owners, 60.0, r * (1 + upload_scale), r, in_system=in_system,
         )
         assert more.sum() >= base.sum() - 1e-9
+
+
+class TestStackedPeerContribution:
+    """A (C, J) stack is C rarest-first passes run side by side."""
+
+    def test_rows_match_one_row_calls_with_per_row_uploads(self):
+        rng = np.random.default_rng(7)
+        owners = rng.uniform(0.0, 30.0, (4, 6))
+        in_system = rng.uniform(0.0, 20.0, (4, 6))
+        population = in_system.sum(axis=1)
+        uploads = np.array([0.3, 0.9, 1.7, 2.4]) * r
+        gamma = peer_contribution(owners, population, uploads, r,
+                                  in_system=in_system)
+        assert gamma.shape == (4, 6)
+        for k in range(4):
+            row = peer_contribution(owners[k], population[k], uploads[k], r,
+                                    in_system=in_system[k])
+            assert gamma[k].tobytes() == row.tobytes()
+
+    def test_owner_count_ties_break_on_chunk_index(self):
+        # Three equally rare chunks: the lowest index is served first, and
+        # each later one loses what its co-owners gave the earlier ones.
+        owners = np.array([[5.0, 5.0, 5.0], [5.0, 5.0, 5.0]])
+        in_system = np.full((2, 3), 100.0)
+        gamma = peer_contribution(owners, np.array([10.0, 10.0]), r, r,
+                                  in_system=in_system)
+        assert gamma[0] == pytest.approx([5.0 * r, 2.5 * r, 1.25 * r])
+        assert gamma[1].tobytes() == gamma[0].tobytes()
+
+    def test_zero_upload_row(self):
+        owners = np.array([[3.0, 4.0], [3.0, 4.0]])
+        in_system = np.full((2, 2), 10.0)
+        gamma = peer_contribution(owners, np.array([20.0, 20.0]),
+                                  np.array([0.0, r]), r, in_system=in_system)
+        assert np.all(gamma[0] == 0.0)
+        assert np.all(gamma[1] > 0.0)
+
+    def test_single_chunk(self):
+        # J = 1: nothing is rarer, so Gamma = min(E[n] r, nu u) per row.
+        owners = np.array([[3.0], [0.0], [7.0]])
+        in_system = np.array([[5.0], [5.0], [2.0]])
+        gamma = peer_contribution(owners, np.array([5.0, 5.0, 2.0]), r, r,
+                                  in_system=in_system)
+        assert gamma[:, 0] == pytest.approx([3.0 * r, 0.0, 2.0 * r])
+
+    def test_negative_upload_in_any_row_rejected(self):
+        with pytest.raises(ValueError, match="peer upload"):
+            peer_contribution(np.ones((2, 2)), np.full(2, 2.0),
+                              np.array([r, -r]), r, in_system=np.ones((2, 2)))
 
 
 class TestCloudSupplement:
@@ -176,35 +196,17 @@ class TestCloudSupplement:
         )
         assert delta[0] == pytest.approx(R)  # no coverage info -> full m
 
-    def test_server_equivalent_reading(self):
-        m = np.array([4.0])
-        gamma = np.array([2.0 * r])
-        delta = cloud_supplement(
-            m, gamma, R, r, accounting="server-equivalent"
-        )
-        assert delta[0] == pytest.approx(R * 2.0)
-
-    def test_literal_reading(self):
-        m = np.array([4.0])
-        gamma = np.array([2.0 * r])
-        delta = cloud_supplement(m, gamma, R, r, accounting="literal")
-        assert delta[0] == pytest.approx(R * 4.0 - 2.0 * r)
-
     def test_clamped_at_zero(self):
+        # Peer bandwidth beyond the streams' demand covers them once.
         delta = cloud_supplement(
-            np.array([1.0]), np.array([5.0 * r]), R, r,
-            accounting="server-equivalent",
+            np.array([1.0]), np.array([5.0 * r]), R, r, in_system=np.array([2.0])
         )
         assert delta[0] == 0.0
 
-    def test_unknown_accounting_rejected(self):
-        with pytest.raises(ValueError):
-            cloud_supplement(np.array([1.0]), np.array([0.0]), R, r,
-                             accounting="x")
-
     def test_coverage_requires_in_system(self):
         with pytest.raises(ValueError, match="in_system"):
-            cloud_supplement(np.array([1.0]), np.array([0.0]), R, r)
+            cloud_supplement(np.array([1.0]), np.array([0.0]), R, r,
+                             in_system=np.ones(2))
 
 
 class TestEndToEnd:
@@ -237,13 +239,3 @@ class TestEndToEnd:
         assert result.cloud_demand == pytest.approx(
             result.capacity.upload_bandwidth
         )
-
-    def test_literal_accounting_barely_saves(self, model):
-        """The paper-as-typeset accounting caps savings at ~r/R — the
-        inconsistency our default reading fixes."""
-        p = uniform_jump_matrix(6, 0.6, 0.2)
-        literal = solve_p2p_channel_capacity(
-            model, p, 1.0, peer_upload=2 * r,
-            demand="servers", accounting="literal",
-        )
-        assert literal.peer_offload_ratio < 0.1

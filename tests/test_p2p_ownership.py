@@ -1,13 +1,17 @@
-"""Tests for repro.p2p.ownership (Proposition 1) and coownership models."""
+"""Tests for repro.p2p.ownership (Proposition 1) and the co-ownership
+model Eqn (5) deducts with (the independence product, inlined in
+:func:`repro.p2p.contribution.peer_contribution`)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.p2p.coownership import empirical_coownership, independent_coownership
-from repro.p2p.ownership import solve_ownership
+from repro.p2p.contribution import peer_contribution
+from repro.p2p.ownership import ownership_from_valid, solve_ownership
 from repro.queueing.transitions import sequential_matrix, uniform_jump_matrix
+
+r = 50_000.0  # streaming rate and per-peer upload, bytes/second
 
 
 class TestOwnership:
@@ -61,14 +65,6 @@ class TestOwnership:
         assert np.all(result.owners == 0.0)
         assert result.population == 0.0
 
-    def test_rarest_order_sorted(self):
-        p = uniform_jump_matrix(5, 0.6, 0.2)
-        n = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-        result = solve_ownership(p, n)
-        order = result.rarest_order()
-        owners_sorted = result.owners[order]
-        assert np.all(np.diff(owners_sorted) >= -1e-12)
-
     def test_ownership_nonnegative(self):
         p = uniform_jump_matrix(6, 0.5, 0.3)
         n = np.linspace(1.0, 6.0, 6)
@@ -103,64 +99,65 @@ class TestOwnership:
         assert np.all(result.owners <= population + 1e-6)
 
 
-class TestIndependentCoownership:
-    def test_product_form(self):
-        psi = independent_coownership(np.array([2.0, 4.0]), population=8.0)
-        assert psi(0, 1) == pytest.approx(0.25 * 0.5)
+class TestStackedOwnership:
+    def test_stack_matches_one_channel_calls(self):
+        rng = np.random.default_rng(5)
+        p = np.stack([uniform_jump_matrix(6, 0.6, 0.2),
+                      sequential_matrix(6, 0.8),
+                      uniform_jump_matrix(6, 0.3, 0.5)])
+        n = rng.uniform(0.0, 5.0, (3, 6))
+        n[1] = 0.0
+        result = ownership_from_valid(p, n)
+        assert result.per_queue.shape == (3, 6, 6)
+        for k in range(3):
+            one = solve_ownership(p[k], n[k])
+            assert result.per_queue[k].tobytes() == one.per_queue.tobytes()
+            assert result.owners[k].tobytes() == one.owners.tobytes()
+            assert result.population[k] == one.population
+        assert np.all(result.owners[1] == 0.0)
 
-    def test_diagonal_is_marginal(self):
-        psi = independent_coownership(np.array([2.0, 4.0]), population=8.0)
-        assert psi(1, 1) == pytest.approx(0.5)
+    def test_single_chunk(self):
+        # J = 1: the lone queue's viewers are downloading it, so no owners.
+        result = ownership_from_valid(np.zeros((2, 1, 1)), np.array([[3.0], [0.0]]))
+        assert result.per_queue[:, 0, 0] == pytest.approx([3.0, 0.0])
+        assert np.all(result.owners == 0.0)
+
+    def test_stack_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            ownership_from_valid(np.zeros((2, 3, 3)), np.zeros((3, 3)))
+
+
+class TestIndependentCoownership:
+    """Psi(a, b) = f_a * f_b, f = min(nu / N, 1), seen through the
+    deduction it sets in the rarest-first pass: the rarest chunk (0 here)
+    is served in full, then each of its Psi(0, 1) * N co-owners withholds
+    Gamma_0 / nu_0 from chunk 1."""
+
+    @staticmethod
+    def contribution(owners, population):
+        return peer_contribution(np.asarray(owners, dtype=float), population,
+                                 r, r, in_system=np.full(len(owners), 1e3))
+
+    def test_product_form(self):
+        gamma = self.contribution([2.0, 4.0], population=8.0)
+        assert gamma[0] == pytest.approx(2.0 * r)
+        psi = 0.25 * 0.5
+        assert gamma[1] == pytest.approx(4.0 * r - psi * 8.0 * r)
 
     def test_fraction_clipped_at_one(self):
-        psi = independent_coownership(np.array([12.0]), population=8.0)
-        assert psi(0, 0) == pytest.approx(1.0)
+        # nu_1 = 12 > N = 8: f_1 clips to 1, so Psi(0, 1) = f_0.
+        gamma = self.contribution([4.0, 12.0], population=8.0)
+        assert gamma[1] == pytest.approx(12.0 * r - 0.5 * 8.0 * r)
 
     def test_zero_population(self):
-        psi = independent_coownership(np.array([1.0, 2.0]), population=0.0)
-        assert psi(0, 1) == 0.0
+        # N = 0: every fraction is 0, nothing is deducted; the row beside
+        # it in the stack is unaffected.
+        owners = np.array([[1.0, 2.0], [2.0, 4.0]])
+        gamma = peer_contribution(owners, np.array([0.0, 8.0]), r, r,
+                                  in_system=np.full((2, 2), 1e3))
+        assert gamma[0] == pytest.approx([1.0 * r, 2.0 * r])
+        assert gamma[1].tobytes() == self.contribution([2.0, 4.0], 8.0).tobytes()
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            independent_coownership(np.array([-1.0]), population=2.0)
-
-
-class TestEmpiricalCoownership:
-    def test_exact_joint_frequencies(self):
-        buffers = np.array(
-            [
-                [1, 1, 0],
-                [1, 0, 0],
-                [0, 1, 1],
-                [1, 1, 1],
-            ],
-            dtype=bool,
-        )
-        psi = empirical_coownership(buffers)
-        assert psi(0, 1) == pytest.approx(2 / 4)  # peers 0 and 3
-        assert psi(0, 2) == pytest.approx(1 / 4)  # peer 3
-        assert psi(2, 2) == pytest.approx(2 / 4)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(1)
-        buffers = rng.random((20, 5)) < 0.4
-        psi = empirical_coownership(buffers)
-        for a in range(5):
-            for b in range(5):
-                assert psi(a, b) == pytest.approx(psi(b, a))
-
-    def test_empty_peers(self):
-        psi = empirical_coownership(np.zeros((0, 4), dtype=bool))
-        assert psi(0, 3) == 0.0
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            empirical_coownership(np.zeros(5))
-
-    def test_joint_bounded_by_marginals(self):
-        rng = np.random.default_rng(2)
-        buffers = rng.random((50, 6)) < 0.5
-        psi = empirical_coownership(buffers)
-        for a in range(6):
-            for b in range(6):
-                assert psi(a, b) <= min(psi(a, a), psi(b, b)) + 1e-12
+            self.contribution([-1.0], population=2.0)

@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.queueing.transitions import (
-    TransitionModel,
     empirical_transition_matrix,
-    leave_probabilities,
     mixture_matrix,
     sequential_matrix,
-    skip_forward_matrix,
     uniform_jump_matrix,
     validate_transition_matrix,
 )
@@ -59,11 +56,6 @@ class TestValidate:
         with pytest.raises(ValueError, match="non-finite"):
             validate_transition_matrix(np.stack([good, nan]))
 
-    def test_leave_probabilities(self):
-        p = np.array([[0.0, 0.6], [0.3, 0.0]])
-        leave = leave_probabilities(p)
-        assert leave == pytest.approx([0.4, 0.7])
-
 
 class TestBuilders:
     def test_sequential_structure(self):
@@ -94,16 +86,6 @@ class TestBuilders:
     def test_uniform_jump_needs_departure_mass(self):
         with pytest.raises(ValueError):
             uniform_jump_matrix(5, continue_prob=0.9, jump_prob=0.1)
-
-    def test_skip_forward_only_moves_forward(self):
-        p = skip_forward_matrix(6)
-        lower = np.tril(p)
-        assert np.all(lower == 0.0)
-        validate_transition_matrix(p)
-
-    def test_skip_forward_rows_bounded(self):
-        p = skip_forward_matrix(6, continue_prob=0.7, skip_prob=0.2)
-        assert np.all(p.sum(axis=1) <= 0.9 + 1e-9)
 
     def test_mixture(self):
         a = sequential_matrix(4, 0.9)
@@ -177,20 +159,3 @@ class TestEmpirical:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             empirical_transition_matrix(np.zeros((2, 2)), np.zeros(3))
-
-
-class TestTransitionModel:
-    def test_named_constructors(self):
-        seq = TransitionModel.sequential(5)
-        vcr = TransitionModel.vcr(5)
-        assert seq.num_chunks == 5
-        assert vcr.num_chunks == 5
-        assert seq.name == "sequential"
-
-    def test_departure_probs_shape(self):
-        model = TransitionModel.vcr(4)
-        assert model.departure_probs().shape == (4,)
-
-    def test_invalid_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            TransitionModel("bad", np.array([[1.5]]))

@@ -104,14 +104,6 @@ class TestPareto:
         dist = BoundedPareto().scaled_to_mean(50_000.0)
         assert dist.mean() == pytest.approx(50_000.0, rel=1e-9)
 
-    def test_cdf_monotone(self):
-        dist = BoundedPareto()
-        xs = np.linspace(dist.low, dist.high, 100)
-        cdf = dist.cdf(xs)
-        assert np.all(np.diff(cdf) >= 0)
-        assert cdf[0] == pytest.approx(0.0, abs=1e-12)
-        assert cdf[-1] == pytest.approx(1.0)
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             BoundedPareto(low=0.0)
