@@ -13,6 +13,7 @@ against the LP bounds:
 Run:  python examples/storage_planning.py
 """
 
+import numpy as np
 
 from repro.core.packing import pack_allocations
 from repro.core.storage_rental import (
@@ -20,7 +21,6 @@ from repro.core.storage_rental import (
     greedy_storage_rental,
     lp_storage_bound,
 )
-from repro.core.vm_allocation import VMProblem, greedy_vm_allocation, lp_vm_allocation
 from repro.experiments.config import (
     PAPER,
     paper_capacity_model,
@@ -28,6 +28,8 @@ from repro.experiments.config import (
     paper_vm_clusters,
 )
 from repro.experiments.reporting import format_table, mbps
+from repro.geo.allocation import GeoVMProblem, greedy_geo_allocation, lp_geo_allocation
+from repro.geo.region import GeoTopology, RegionSpec
 from repro.p2p.contribution import solve_p2p_channel_capacity
 from repro.queueing.capacity import solve_channel_capacity
 from repro.vod.channel import default_behaviour_matrix
@@ -116,15 +118,27 @@ def main() -> None:
     _, p2p_demands = build_demands(
         total_rate=0.3, mode="p2p", num_channels=6
     )
-    vm_problem = VMProblem(
-        demands=p2p_demands,
+    # Eqn (7) is the one-region geo problem; at zero local latency its
+    # objective is the undiscounted sum u~_v * z.
+    vm_problem = GeoVMProblem(
+        topology=GeoTopology(
+            [RegionSpec("local", tuple(paper_vm_clusters()))], {}, {},
+            local_latency_ms=0.0,
+        ),
+        chunks={"local": list(p2p_demands)},
+        demands={"local": list(p2p_demands.values())},
         vm_bandwidth=model.vm_bandwidth,
-        clusters=paper_vm_clusters(),
         budget_per_hour=PAPER.vm_budget_per_hour,
     )
-    vm_plan = greedy_vm_allocation(vm_problem)
-    lp_plan = lp_vm_allocation(vm_problem)
-    packing = pack_allocations(vm_plan.allocations)
+    vm_plan = greedy_geo_allocation(vm_problem)
+    lp_plan = lp_geo_allocation(vm_problem)
+    packing = pack_allocations({
+        (vm_problem.keys[chunk], vm_plan.clusters[cluster][1]): z
+        for chunk, cluster, z in zip(
+            vm_plan.chunk.tolist(), vm_plan.cluster.tolist(),
+            vm_plan.z.tolist(),
+        )
+    })
     print("VM configuration (Eqn (7)) — greedy heuristic vs LP optimum")
     print(
         format_table(
@@ -135,8 +149,8 @@ def main() -> None:
                 ["cost ($/h)", vm_plan.cost_per_hour, lp_plan.cost_per_hour],
                 [
                     "VMs rented",
-                    sum(vm_plan.integer_vm_counts().values()),
-                    sum(lp_plan.integer_vm_counts().values()),
+                    int(np.ceil(vm_plan.cluster_totals() - 1e-9).sum()),
+                    int(np.ceil(lp_plan.cluster_totals() - 1e-9).sum()),
                 ],
             ],
         )

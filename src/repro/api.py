@@ -83,8 +83,11 @@ __all__ = [
 #: column (spill cell and ``+inf`` hold sentinels) in place of the chunk
 #: column, and its running per-cell downloader counts; schema 10 pickles
 #: single-region decisions without a packing field (the packing of
-#: ``repro.core.provisioner.ProvisioningDecision`` is computed on read).
-CHECKPOINT_SCHEMA = 10
+#: ``repro.core.provisioner.ProvisioningDecision`` is computed on read);
+#: schema 11 pickles single-region decisions holding the one-region
+#: columnar plan (``ProvisioningDecision.plan``, a
+#: ``repro.geo.allocation.GeoAllocationPlan``) in place of ``vm_plan``.
+CHECKPOINT_SCHEMA = 11
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

@@ -7,8 +7,6 @@ This package implements the paper's primary contribution (Section V):
 * :mod:`repro.core.storage_rental` — the optimal storage rental problem
   (Eqn (6)): greedy heuristic, exact solver for small instances, and an LP
   relaxation bound.
-* :mod:`repro.core.vm_allocation` — the optimal VM configuration problem
-  (Eqn (7)): greedy heuristic and the exact LP optimum.
 * :mod:`repro.core.packing` — maps fractional VM shares onto concrete VMs,
   co-locating consecutive chunks of a channel on shared VMs.
 * :mod:`repro.core.predictor` — demand predictors: the paper's
@@ -18,7 +16,10 @@ This package implements the paper's primary contribution (Section V):
   policies (the paper's and the reactive, Adapt, PID and MPC rivals)
   and the policy registry.
 * :mod:`repro.core.provisioner` — the dynamic cloud provisioning controller
-  that closes the loop every interval T.
+  that closes the loop every interval T.  Its VM configuration (Eqn (7))
+  is the one-region :class:`repro.geo.allocation.GeoVMProblem`, solved by
+  :func:`repro.geo.allocation.greedy_geo_allocation` (the exact LP
+  optimum is :func:`repro.geo.allocation.lp_geo_allocation`).
 * :mod:`repro.core.sla` — consumer-side SLA terms and the SLA penalty
   model scored by the controller ablation.
 """
@@ -48,12 +49,6 @@ from repro.core.storage_rental import (
     greedy_storage_rental,
     lp_storage_bound,
 )
-from repro.core.vm_allocation import (
-    VMAllocationPlan,
-    VMProblem,
-    greedy_vm_allocation,
-    lp_vm_allocation,
-)
 
 __all__ = [
     "CONTROLLERS",
@@ -81,8 +76,4 @@ __all__ = [
     "exhaustive_storage_rental",
     "greedy_storage_rental",
     "lp_storage_bound",
-    "VMAllocationPlan",
-    "VMProblem",
-    "greedy_vm_allocation",
-    "lp_vm_allocation",
 ]

@@ -12,10 +12,11 @@ controller is handed, not a class it inherits:
   region shapes, :class:`~repro.core.provisioner.ProvisioningController`
   (single region) and
   :class:`~repro.geo.controller.GeoProvisioningController` (multi
-  region).  It also owns the tail of every decision: the broker request,
-  the rejection catch, the storage bookkeeping and the per-chunk
-  capacity floor.  A flavour's ``provision`` keeps only its solver
-  calls and its decision type.
+  region).  It also owns the Eqn (7) solve over the flavour's region
+  graph, the broker request, the rejection catch, the storage
+  bookkeeping and the per-chunk grants with their floor.  A flavour's
+  ``provision`` keeps only what differs: the broker's cluster names,
+  how storage demand is pooled, egress billing and its decision type.
 * Policies — :class:`PaperPolicy` and its rivals :class:`ReactivePolicy`,
   :class:`AdaptPolicy`, :class:`PIDPolicy`, :class:`MPCPolicy`.  The
   controller calls two hooks on its policy, handing itself over:
@@ -168,11 +169,12 @@ class Controller(Protocol):
 class ProvisioningControllerBase:
     """The shared observe -> predict -> analyze -> provision loop.
 
-    Subclasses provide :meth:`provision` (the single-region Eqn (6)/(7)
-    pipeline or the geo allocator), ``topology`` (the region graph the
-    MPC policy solves over) and ``_viewer_region`` (a channel's viewer
-    region, for :meth:`_vm_problem`); they finish each decision with
-    :meth:`_rent` and :meth:`_channel_capacities`.
+    Subclasses provide :meth:`provision`, ``topology`` (the region graph
+    every Eqn (7) solve runs over: one ``"local"`` region for the
+    single-region controller), ``_viewer_region`` (a channel's viewer
+    region, for :meth:`_vm_problem`) and ``_broker_cluster`` (the name
+    the broker knows a cluster by); they solve with :meth:`_allocate`
+    and finish each decision with :meth:`_rent`.
 
     ``bootstrap`` never consults the policy: the initial deployment has
     no history for any policy to act on, so it is policy-invariant by
@@ -271,6 +273,25 @@ class ProvisioningControllerBase:
             self._storage_planned = True
         self._last_chunk_demand = dict(chunk_demand)
         return agreement, rejected
+
+    def _allocate(self, demands: Sequence[ChannelDemand], solve):
+        """Solve Eqn (7) over ``demands`` with ``solve`` (a
+        :mod:`repro.geo.allocation` solver).
+
+        Returns the plan, the broker's VM targets (each cluster's
+        fractional total rounded up, keyed by :meth:`_broker_cluster`)
+        and the granted bytes/s per channel chunk.
+        """
+        problem, positions = self._vm_problem(demands)
+        plan = solve(problem)
+        targets = {
+            self._broker_cluster(region, cluster): int(np.ceil(total - 1e-9))
+            for (region, cluster), total in zip(
+                plan.clusters, plan.cluster_totals().tolist()
+            )
+        }
+        grants = self._channel_capacities(demands, positions[plan.chunk], plan.z)
+        return plan, targets, grants
 
     def _vm_problem(self, demands: Sequence[ChannelDemand]):
         """The multi-region VM problem over ``demands``, and where each of

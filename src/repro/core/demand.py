@@ -237,7 +237,8 @@ class DemandEstimator:
         gamma = peer_contribution(
             ownership.owners,
             ownership.population,
-            np.where(uploads > 0.0, uploads, 0.0),  # max(0.0, u): NaN -> 0.0
+            # max(0.0, u); a NaN passes through and is rejected there.
+            np.where(uploads < 0.0, 0.0, uploads),
             self.model.streaming_rate,
             in_system=populations,
         )

@@ -7,7 +7,8 @@ Every interval T the controller:
 2. feeds the observed rates to its predictor (the paper's last-interval
    rule by default) and runs the Section IV analysis to get per-chunk
    cloud demands Delta_i^(c);
-3. solves the VM configuration problem (Eqn (7) heuristic) and, when the
+3. solves the VM configuration problem (Eqn (7) heuristic, the
+   one-region :class:`repro.geo.allocation.GeoVMProblem`) and, when the
    demand profile shifted enough (or videos were added), the storage
    rental problem (Eqn (6) heuristic).  The packing of the fractional VM
    shares onto concrete VMs (Section V-A2) is not part of the replan:
@@ -22,27 +23,29 @@ user scale and viewing pattern information") is :meth:`bootstrap`, which
 runs the same pipeline on operator-supplied expected rates instead of
 tracker measurements.
 
-Steps 1-2, the request of step 4 and the grants of step 5 are the
-shared loop in :class:`repro.core.controller.ProvisioningControllerBase`,
-which also holds the controller's provisioning policy
-(``repro.core.controller`` documents the policies); this module owns the
-single-region optimization pipeline (step 3).
+Steps 1-2, the VM solve of step 3, the request of step 4 and the grants
+of step 5 are the shared loop in
+:class:`repro.core.controller.ProvisioningControllerBase`, which also
+holds the controller's provisioning policy (``repro.core.controller``
+documents the policies); this module owns what is single-region: plain
+cluster names, storage demand pooled per channel chunk, and the
+decision type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cloud.broker import SLAAgreement
-from repro.core.controller import ProvisioningControllerBase, chunk_offsets
+from repro.core.controller import ProvisioningControllerBase
 from repro.core.demand import ChannelDemand, aggregate_demand
 from repro.core.packing import PackingResult, pack_allocations
 from repro.core.storage_rental import StoragePlan, StorageProblem, greedy_storage_rental
-from repro.core.vm_allocation import VMAllocationPlan, VMProblem, greedy_vm_allocation
+from repro.geo.allocation import GeoAllocationPlan, greedy_geo_allocation
 from repro.vod.delivery import sequential_sum
 
 __all__ = [
@@ -50,18 +53,24 @@ __all__ = [
     "ProvisioningController",
 ]
 
+# perfbench's layer wiring wraps this name; a benchmark change drops the
+# alias together with that wrap.
+greedy_vm_allocation = greedy_geo_allocation
+
 
 @dataclass
 class ProvisioningDecision:
     """Everything the controller decided for one interval.
 
-    :attr:`packing` is computed on its first read and cached on the
-    decision; a replan does not pack.
+    ``plan`` is the one-region Eqn (7) plan; its cells are the chunks of
+    ``demands`` in order, keyed ``(channel, chunk)``.  :attr:`packing`
+    is computed on its first read and cached on the decision; a replan
+    does not pack.
     """
 
     time: float
     demands: List[ChannelDemand]
-    vm_plan: VMAllocationPlan
+    plan: GeoAllocationPlan
     storage_plan: Optional[StoragePlan]
     agreement: Optional[SLAAgreement]
     per_channel_capacity: Dict[int, np.ndarray] = field(default_factory=dict)
@@ -69,10 +78,27 @@ class ProvisioningDecision:
     cluster_utilities: Dict[str, float] = field(default_factory=dict)
     nfs_utilities: Dict[str, float] = field(default_factory=dict)
 
+    def _rows(self) -> List[Tuple[Tuple[Hashable, str], float]]:
+        """Each plan row as ``((chunk key, cluster name), z)``, in row
+        order."""
+        keys = [
+            (demand.channel_id, i)
+            for demand in self.demands
+            for i in range(demand.cloud_demand.size)
+        ]
+        names = [name for _, name in self.plan.clusters]
+        return [
+            ((keys[chunk], names[cluster]), z)
+            for chunk, cluster, z in zip(
+                self.plan.chunk.tolist(), self.plan.cluster.tolist(),
+                self.plan.z.tolist(),
+            )
+        ]
+
     @cached_property
     def packing(self) -> PackingResult:
         """The VM plan's shares packed onto concrete VMs (Section V-A2)."""
-        return pack_allocations(self.vm_plan.allocations)
+        return pack_allocations(dict(self._rows()))
 
     def __getstate__(self):
         # The cached packing is derived: a pickle (a checkpoint) must not
@@ -87,7 +113,15 @@ class ProvisioningDecision:
 
     @property
     def vm_counts(self) -> Dict[str, int]:
-        return self.vm_plan.integer_vm_counts()
+        """VMs per cluster the plan draws on: ceil of its fractional
+        total."""
+        totals: Dict[str, float] = {}
+        for (_, cluster), z in self._rows():
+            totals[cluster] = totals.get(cluster, 0.0) + z
+        return {
+            cluster: int(np.ceil(total - 1e-9))
+            for cluster, total in totals.items()
+        }
 
     @property
     def hourly_vm_cost(self) -> float:
@@ -96,8 +130,8 @@ class ProvisioningDecision:
     def aggregate_vm_utility(self, channel_id: Optional[int] = None) -> float:
         """sum u~_v z_iv, optionally restricted to one channel (Fig 9)."""
         total = 0.0
-        for (chunk, cluster), z in self.vm_plan.allocations.items():
-            if channel_id is not None and chunk[0] != channel_id:
+        for ((channel, _), cluster), z in self._rows():
+            if channel_id is not None and channel != channel_id:
                 continue
             total += self.cluster_utilities[cluster] * z
         return total
@@ -106,11 +140,13 @@ class ProvisioningDecision:
 class ProvisioningController(ProvisioningControllerBase):
     """Closes the provisioning loop between tracker, analysis and cloud.
 
-    The observe/predict/analyze loop and the policy live in
+    The observe/predict/analyze loop, the VM solve and the policy live in
     :class:`~repro.core.controller.ProvisioningControllerBase`; this
-    class supplies the single-region optimization pipeline.  Its
-    ``topology`` is one ``"local"`` region over the facility's VM
-    clusters, the problem the MPC policy's inner solve sees.
+    class supplies the single-region pieces.  Its ``topology`` is one
+    ``"local"`` region over the facility's VM clusters, at the default
+    local latency, so a plan's ``objective`` is in latency-discounted
+    utility (nothing reads it; :meth:`ProvisioningDecision.
+    aggregate_vm_utility` uses the raw u~_v).
     """
 
     decisions: List[ProvisioningDecision]
@@ -129,6 +165,9 @@ class ProvisioningController(ProvisioningControllerBase):
     def _viewer_region(self, channel_id: int) -> str:
         return "local"
 
+    def _broker_cluster(self, region: str, cluster: str) -> str:
+        return cluster
+
     # ------------------------------------------------------------------
     # Decision pipeline (shared by bootstrap and periodic runs)
     # ------------------------------------------------------------------
@@ -138,19 +177,10 @@ class ProvisioningController(ProvisioningControllerBase):
         demands: List[ChannelDemand],
     ) -> ProvisioningDecision:
         """Optimize, negotiate and apply a set of channel demands."""
-        chunk_demand = aggregate_demand(demands)
-
-        # --- VM configuration (every interval) --------------------------
-        vm_specs = list(self.broker.facility.vm_specs.values())
-        vm_problem = VMProblem(
-            demands=chunk_demand,
-            vm_bandwidth=self.vm_bandwidth,
-            clusters=vm_specs,
-            budget_per_hour=self.terms.vm_budget_per_hour,
-        )
-        vm_plan = greedy_vm_allocation(vm_problem)
+        plan, vm_targets, grants = self._allocate(demands, greedy_vm_allocation)
 
         # --- Storage rental (on significant change) ----------------------
+        chunk_demand = aggregate_demand(demands)
         storage_plan: Optional[StoragePlan] = None
         nfs_specs = list(self.broker.facility.nfs_specs.values())
         if self._should_replan_storage(chunk_demand):
@@ -163,26 +193,19 @@ class ProvisioningController(ProvisioningControllerBase):
             storage_plan = greedy_storage_rental(storage_problem)
 
         # --- Request to the cloud -----------------------------------------
-        vm_targets = {spec.name: 0 for spec in vm_specs}
-        vm_targets.update(vm_plan.integer_vm_counts())
         agreement, rejected = self._rent(vm_targets, storage_plan, chunk_demand)
-        offsets = chunk_offsets(demands)
-        cells = list(vm_plan.allocations.items())
         decision = ProvisioningDecision(
             time=now,
             demands=demands,
-            vm_plan=vm_plan,
+            plan=plan,
             storage_plan=storage_plan,
             agreement=agreement,
-            per_channel_capacity=self._channel_capacities(
-                demands,
-                np.array(
-                    [offsets[c] + i for ((c, i), _), _ in cells], dtype=np.intp
-                ),
-                np.array([z for _, z in cells]),
-            ),
+            per_channel_capacity=grants,
             rejected=rejected,
-            cluster_utilities={spec.name: spec.utility for spec in vm_specs},
+            cluster_utilities={
+                spec.name: spec.utility
+                for spec in self.broker.facility.vm_specs.values()
+            },
             nfs_utilities={spec.name: spec.utility for spec in nfs_specs},
         )
         self.decisions.append(decision)

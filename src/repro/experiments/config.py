@@ -191,6 +191,8 @@ class ScenarioConfig:
             raise ValueError("target population must be > 0")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0 (got {self.seed})")
 
     def capacity_model(self) -> CapacityModel:
         return paper_capacity_model(self.constants)

@@ -434,21 +434,29 @@ def _run_micro_heuristics(
     storage_chunks: int = 60,
     storage_budget_per_hour: float = 1.0,
 ) -> Dict[str, float]:
-    """Greedy-vs-LP optimality gaps of the paper's Eqn (6)/(7) heuristics."""
+    """Greedy-vs-LP optimality gaps of the paper's Eqn (6)/(7) heuristics.
+
+    Eqn (7) is the one-region geo problem at zero local latency, so its
+    objective is the undiscounted sum u~_v z_iv.  An infeasible LP
+    reports an empty plan (objective 0, so ``vm_gap`` 0).
+    """
     from repro.core.storage_rental import StorageProblem, \
         greedy_storage_rental, lp_storage_bound
-    from repro.core.vm_allocation import VMProblem, greedy_vm_allocation, \
-        lp_vm_allocation
     from repro.experiments.config import paper_nfs_clusters, paper_vm_clusters
 
-    vm_problem = VMProblem(
-        demands=heuristic_demands(int(num_chunks), seed),
+    demands = heuristic_demands(int(num_chunks), seed)
+    vm_problem = GeoVMProblem(
+        topology=GeoTopology(
+            [RegionSpec("local", tuple(paper_vm_clusters()))], {}, {},
+            local_latency_ms=0.0,
+        ),
+        chunks={"local": list(demands)},
+        demands={"local": list(demands.values())},
         vm_bandwidth=PAPER.vm_bandwidth,
-        clusters=paper_vm_clusters(),
         budget_per_hour=float(vm_budget_per_hour),
     )
-    greedy_vm = greedy_vm_allocation(vm_problem)
-    lp_vm = lp_vm_allocation(vm_problem)
+    greedy_vm = greedy_geo_allocation(vm_problem)
+    lp_vm = lp_geo_allocation(vm_problem)
     vm_gap = 1.0 - greedy_vm.objective / lp_vm.objective \
         if lp_vm.objective else 0.0
 

@@ -8,10 +8,12 @@ viewers from region s uses an *effective* utility
 billed per GB). Subject to per-cluster capacity and one global hourly
 budget, maximize the total effective utility while covering all demand.
 
-Solvers mirror the single-region module: a greedy in the paper's
-utility-per-dollar style, and the exact LP optimum via scipy.  Both work
-on flat arrays over the problem's *cells* (one per viewer-region chunk)
-and return their allocation as columns (:class:`GeoAllocationPlan`).
+With one region at zero local latency (every discount 1.0, no egress)
+this is the paper's Eqn (7) itself, and these are its only solvers: a
+greedy in the paper's utility-per-dollar style, and the exact LP optimum
+via scipy.  Both work on flat arrays over the problem's *cells* (one per
+viewer-region chunk) and return their allocation as columns
+(:class:`GeoAllocationPlan`).
 """
 
 from __future__ import annotations
@@ -91,9 +93,10 @@ class GeoVMProblem:
     name the same regions; cells follow ``demands`` order.
 
     The flattened cells are ``keys`` (chunk keys), ``viewer`` (topology
-    index of each cell's viewer region), ``need`` (Delta / R, VMs) and
-    ``rank`` (each cell's position in ``(viewer name, repr(chunk))``
-    order, the order both solvers break ties in).
+    index of each cell's viewer region), ``delta`` (Delta, bytes/s),
+    ``need`` (Delta / R, VMs) and ``rank`` (each cell's position in
+    ``(viewer name, repr(chunk))`` order, the order both solvers break
+    ties in).
     """
 
     topology: GeoTopology
@@ -103,6 +106,7 @@ class GeoVMProblem:
     budget_per_hour: float
     keys: Tuple[ChunkKey, ...] = field(init=False, repr=False)
     viewer: np.ndarray = field(init=False, repr=False)
+    delta: np.ndarray = field(init=False, repr=False)
     need: np.ndarray = field(init=False, repr=False)
     rank: np.ndarray = field(init=False, repr=False)
 
@@ -154,6 +158,7 @@ class GeoVMProblem:
         object.__setattr__(self, "demands", demands)
         object.__setattr__(self, "keys", tuple(chain.from_iterable(chunks.values())))
         object.__setattr__(self, "viewer", viewer)
+        object.__setattr__(self, "delta", flat)
         object.__setattr__(self, "need", flat / self.vm_bandwidth)
         object.__setattr__(self, "rank", rank)
 
@@ -259,11 +264,12 @@ class GeoAllocationPlan:
 def greedy_geo_allocation(problem: GeoVMProblem) -> GeoAllocationPlan:
     """Greedy in the paper's style, extended across regions.
 
-    Demand cells (viewer region, chunk) are processed in decreasing need,
-    ties broken by viewer name then ``repr(chunk)``; each draws from its
-    viewer's best effective-utility-per-dollar option with remaining
-    capacity, spilling across clusters *and regions*, while the global
-    budget lasts.
+    Demand cells (viewer region, chunk) are processed in decreasing
+    demand Delta (not Delta / R, which can round two demands one ulp
+    apart to one need), ties broken by viewer name then ``repr(chunk)``;
+    each draws from its viewer's best effective-utility-per-dollar
+    option with remaining capacity, spilling across clusters *and
+    regions*, while the global budget lasts.
 
     The cells are committed in blocks: every cell of a block takes its
     whole need from its viewer's first open option, so the block's
@@ -291,7 +297,7 @@ def greedy_geo_allocation(problem: GeoVMProblem) -> GeoAllocationPlan:
     free = option_price <= 0
 
     need, viewer = problem.need, problem.viewer
-    order = np.lexsort((problem.rank, -need))
+    order = np.lexsort((problem.rank, -problem.delta))
     # A cell needing at most _TAKE_EPS takes nothing and is never unserved.
     order = order[need[order] > _TAKE_EPS]
 

@@ -1,13 +1,14 @@
 """The multi-region provisioning controller (geo extension, Section VII).
 
 The single-region controller (:mod:`repro.core.provisioner`) solves the
-paper's Eqn (7) VM configuration per interval.  This controller runs the
-same tracker → predictor → Section IV analysis front-end per channel
-*slot* (a (viewer-region, channel) pair), then groups the resulting
-per-chunk cloud demands by viewer region and solves the multi-region
-problem (:mod:`repro.geo.allocation`): any region's clusters may serve
-any region's viewers, at a latency-discounted utility and an
-egress-inflated price, under one global hourly budget.
+paper's Eqn (7) VM configuration per interval over one region.  This
+controller runs the same tracker → predictor → Section IV analysis
+front-end per channel *slot* (a (viewer-region, channel) pair), then
+groups the resulting per-chunk cloud demands by viewer region and
+solves the multi-region problem (:mod:`repro.geo.allocation`): any
+region's clusters may serve any region's viewers, at a
+latency-discounted utility and an egress-inflated price, under one
+global hourly budget.
 
 Each decision yields
 
@@ -22,12 +23,13 @@ Each decision yields
   the engine folds into the quality metrics
   (:func:`repro.vod.metrics.latency_adjusted_quality`).
 
-The observe/predict/analyze loop, the broker request and the capacity
-floor are
+The observe/predict/analyze loop, the Eqn (7) solve, the broker request
+and the capacity floor are
 :class:`repro.core.controller.ProvisioningControllerBase` — shared with
-the single-region controller, so the geo loop is the same loop over a
-different solver, not a fork — and it holds any provisioning policy the
-same way (``repro.core.controller`` documents the policies).
+the single-region controller, which solves the same problem over one
+region, so the geo loop is the same loop over a wider topology, not a
+fork — and it holds any provisioning policy the same way
+(``repro.core.controller`` documents the policies).
 """
 
 from __future__ import annotations
@@ -171,6 +173,9 @@ class GeoProvisioningController(ProvisioningControllerBase):
     def _viewer_region(self, channel_id: int) -> str:
         return self.slot_region(channel_id)
 
+    def _broker_cluster(self, region: str, cluster: str) -> str:
+        return f"{region}:{cluster}"
+
     def _channel_chunk_demand(
         self, demands: Sequence[ChannelDemand]
     ) -> Dict[object, float]:
@@ -228,9 +233,9 @@ class GeoProvisioningController(ProvisioningControllerBase):
         self, now: float, demands: List[ChannelDemand]
     ) -> GeoProvisioningDecision:
         """Optimize, negotiate and apply one set of slot demands."""
-        problem, positions = self._vm_problem(demands)
-        solve = lp_geo_allocation if self.exact else greedy_geo_allocation
-        plan = solve(problem)
+        plan, vm_targets, grants = self._allocate(
+            demands, lp_geo_allocation if self.exact else greedy_geo_allocation
+        )
 
         # Storage rental (Eqn (6)) on significant demand shift, exactly
         # like the single-region controller — at channel granularity.
@@ -244,13 +249,6 @@ class GeoProvisioningController(ProvisioningControllerBase):
                 clusters=nfs_specs,
                 budget_per_hour=self.terms.storage_budget_per_hour,
             ))
-
-        vm_targets = {
-            f"{region}:{cluster}": int(np.ceil(total - 1e-9))
-            for (region, cluster), total in zip(
-                plan.clusters, plan.cluster_totals().tolist()
-            )
-        }
 
         agreement, rejected = self._rent(vm_targets, storage_plan, chunk_demand)
 
@@ -271,9 +269,7 @@ class GeoProvisioningController(ProvisioningControllerBase):
             demands=demands,
             plan=plan,
             agreement=agreement,
-            per_channel_capacity=self._channel_capacities(
-                demands, positions[plan.chunk], plan.z
-            ),
+            per_channel_capacity=grants,
             storage_plan=storage_plan,
             rejected=rejected,
             egress_rate_per_hour=egress_rate,

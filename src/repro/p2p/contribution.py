@@ -106,6 +106,10 @@ def peer_contribution(
     upload = np.broadcast_to(np.asarray(peer_upload, dtype=float), pop.shape)
     if np.any(nu < 0) or np.any(demand_base < 0):
         raise ValueError("owners and in_system must be nonnegative")
+    if not np.all(np.isfinite(upload)):
+        raise ValueError(
+            f"peer upload must be finite, got {upload[~np.isfinite(upload)].flat[0]}"
+        )
     if np.any(upload < 0):
         raise ValueError(f"peer upload must be >= 0, got {upload.min()}")
     if streaming_rate <= 0:

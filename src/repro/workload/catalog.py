@@ -227,6 +227,8 @@ class CatalogConfig:
             raise ValueError("flash amplitude must be >= 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0 (got {self.seed})")
 
     # ------------------------------------------------------------------
     # Derived structure
@@ -407,8 +409,9 @@ class GeoCatalogConfig(CatalogConfig):
     exact:
         Solve each epoch's multi-region VM configuration with the exact
         LP (:func:`repro.geo.allocation.lp_geo_allocation`) instead of
-        the paper-style greedy.  The LP is dense — fine for CI-sized
-        catalogs, prohibitive at acceptance scale.
+        the paper-style greedy.  The LP has one variable per (cell,
+        cluster) — fine for CI-sized catalogs, slow at acceptance
+        scale.
     """
 
     topology: str = "us-eu-ap"

@@ -68,6 +68,8 @@ class TraceConfig:
             raise ValueError("arrival rate must be >= 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0 (got {self.seed})")
 
     def channel_rates(self) -> np.ndarray:
         """Mean per-channel arrival rates (users/second)."""

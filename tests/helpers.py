@@ -54,3 +54,26 @@ def serves_consecutive_run(vm):
         return False
     indices = sorted(chunk for _, chunk in keys)
     return indices == list(range(indices[0], indices[0] + len(indices)))
+
+
+def plan_allocations(plan, keys):
+    """An Eqn (7) plan's rows as ``{(chunk key, cluster name): z}`` in
+    row order, the map the Section V-A2 packer takes; ``keys[c]`` names
+    the plan's cell ``c``."""
+    return {
+        (keys[chunk], plan.clusters[cluster][1]): z
+        for chunk, cluster, z in zip(
+            plan.chunk.tolist(), plan.cluster.tolist(), plan.z.tolist()
+        )
+    }
+
+
+def decision_allocations(decision):
+    """:func:`plan_allocations` of a single-region decision, its cells
+    keyed ``(channel, chunk)`` in the layout of ``decision.demands``."""
+    keys = [
+        (demand.channel_id, i)
+        for demand in decision.demands
+        for i in range(demand.cloud_demand.size)
+    ]
+    return plan_allocations(decision.plan, keys)

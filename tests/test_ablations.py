@@ -14,7 +14,7 @@ The start-up delay extension is checked with the Section IV validator
 import numpy as np
 import pytest
 
-from helpers import serves_consecutive_run
+from helpers import plan_allocations, serves_consecutive_run
 from repro.cloud.cluster import NFSClusterSpec
 from repro.core.packing import pack_allocations
 from repro.core.storage_rental import (
@@ -22,7 +22,6 @@ from repro.core.storage_rental import (
     exhaustive_storage_rental,
     greedy_storage_rental,
 )
-from repro.core.vm_allocation import VMProblem, greedy_vm_allocation
 from repro.experiments.config import PAPER, paper_capacity_model, paper_vm_clusters
 from repro.experiments.registry import (
     chunk_count_for,
@@ -33,6 +32,7 @@ from repro.experiments.registry import (
 )
 from repro.experiments.reporting import mbps
 from repro.geo.allocation import GeoVMProblem, greedy_geo_allocation, lp_geo_allocation
+from repro.geo.region import GeoTopology, RegionSpec
 from repro.queueing.capacity import CapacityModel, solve_channel_capacity
 from repro.vod.channel import default_behaviour_matrix
 
@@ -53,20 +53,23 @@ def test_chunk_size_tradeoff():
         capacity = solve_channel_capacity(
             model, chunk_size_behaviour(num_chunks), 0.2, alpha=0.8
         )
-        plan = greedy_vm_allocation(
-            VMProblem(
-                demands={(0, i): float(d)
-                         for i, d in enumerate(capacity.cloud_demand)},
-                vm_bandwidth=PAPER.vm_bandwidth,
-                clusters=paper_vm_clusters(),
-                budget_per_hour=PAPER.vm_budget_per_hour,
-            )
+        # Eqn (7): one region at zero latency.
+        problem = GeoVMProblem(
+            topology=GeoTopology(
+                [RegionSpec("local", tuple(paper_vm_clusters()))], {}, {},
+                local_latency_ms=0.0,
+            ),
+            chunks={"local": [(0, i) for i in range(capacity.cloud_demand.size)]},
+            demands={"local": capacity.cloud_demand},
+            vm_bandwidth=PAPER.vm_bandwidth,
+            budget_per_hour=PAPER.vm_budget_per_hour,
         )
+        plan = greedy_geo_allocation(problem)
         # A viewer crosses 60/T0 chunk boundaries per hour; each crossing
         # switches VM unless the packing co-locates the next chunk.
         shared_pairs = sum(
             len(vm.shares) - 1
-            for vm in pack_allocations(plan.allocations).vms
+            for vm in pack_allocations(plan_allocations(plan, problem.keys)).vms
             if serves_consecutive_run(vm) and len(vm.shares) > 1
         )
         total_pairs = max(1, num_chunks - 1)

@@ -21,6 +21,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import decision_allocations
 from repro.api import CHECKPOINT_SCHEMA, EngineConfig, Run, open_run, resolve_workers, resume
 from repro.core.packing import pack_allocations
 from repro.experiments.config import small_scenario
@@ -434,6 +435,17 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="schema 9"):
             resume(path)
 
+    def test_resume_rejects_schema_10(self, tmp_path):
+        """Schema 10 pickled single-region decisions holding a dict
+        ``vm_plan``; it is not read."""
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pickle.dumps({
+            "format": "repro-checkpoint",
+            "schema": 10,
+        }))
+        with pytest.raises(ValueError, match="schema 10"):
+            resume(path)
+
     @pytest.mark.parametrize("module,name", [
         ("repro.vod.user", "UserStore"),      # a deleted module
         ("repro.cloud.broker", "VMPool"),     # a deleted class
@@ -501,7 +513,7 @@ class TestCheckpointResume:
         assert len(decisions) > 2
         assert all("packing" not in vars(d) for d in decisions)
         for d in decisions:
-            assert d.packing == pack_allocations(d.vm_plan.allocations)
+            assert d.packing == pack_allocations(decision_allocations(d))
 
 
 class _Stale:

@@ -127,6 +127,11 @@ class TestRun:
     (["trace", "OUT", "--hours", "-1"], "horizon"),
     (["trace", "OUT", "--channels", "0"], "channel"),
     (["run", "--hours", "0"], "horizon"),
+    (["run", "--hours", "0.01", "--seed", "-1"], "seed"),
+    (["trace", "OUT", "--hours", "0.1", "--seed", "-1"], "seed"),
+    (["catalog", "--channels", "2", "--chunks", "2", "--hours", "0.1",
+      "--seed", "-1"], "seed"),
+    (["analyze", "--mode", "p2p", "--peer-upload-ratio", "nan"], "peer upload"),
 ])
 def test_out_of_range_input_is_a_usage_error(argv, message, tmp_path, capsys):
     """A value the analysis or a config rejects prints its message to

@@ -10,7 +10,8 @@ loop of Eqn (5) over a co-ownership callable Psi.  The batched
 :meth:`DemandEstimator.estimate_all`, and the stacked
 :func:`ownership_from_valid` and :func:`peer_contribution` under it,
 must reproduce it bit for bit, and must reject exactly the inputs it
-rejects.
+rejects, and one more: a NaN peer upload, which the oracle clamps to 0.0
+and :func:`peer_contribution` rejects.
 """
 
 from __future__ import annotations
@@ -323,7 +324,8 @@ def scenarios(draw, mode):
             c: draw(RATES) for c in range(n) if draw(st.booleans())
         }
     estimator = DemandEstimator(MODEL, mode, prior_matrices=priors)
-    # A negative or NaN override reaches the max(0.0, u) clamp.
+    # A negative override reaches the max(0.0, u) clamp; a NaN one is
+    # rejected once a busy channel reaches the rarest-first pass.
     peer_upload = draw(st.one_of(
         st.none(),
         st.floats(0.0, 3.0).map(lambda u: u * r),
@@ -360,6 +362,13 @@ class TestEstimateAllMatchesScalarOracle:
             estimator, stats, overrides, peer_upload))
         got, got_exc = _outcome(lambda: estimator.estimate_all(
             stats, arrival_rates=overrides, peer_upload=peer_upload))
+        if (want_exc is None and mode == "p2p" and peer_upload is not None
+                and math.isnan(peer_upload)
+                and any(d.arrival_rate > 0 for d in want)):
+            # The oracle clamps a NaN upload to 0.0; the batch rejects it.
+            event("NaN upload rejected")
+            assert got_exc is not None and "finite" in str(got_exc)
+            return
         event("rejected" if want_exc else "accepted")
         if want_exc is not None:
             assert got_exc is not None, f"oracle rejected: {want_exc}"

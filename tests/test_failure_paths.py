@@ -77,8 +77,8 @@ class TestInfeasibleVMBudget:
         controller, tracker = make_controller(facility, vm_budget=2.0)
         flood(tracker, 7200)
         decision = controller.run_interval(3600.0)
-        assert not decision.vm_plan.feasible
-        assert decision.vm_plan.unserved_vms > 0
+        assert not decision.plan.feasible
+        assert decision.plan.unserved_vms > 0
         # Whatever was affordable got provisioned.
         assert decision.hourly_vm_cost <= 2.0 + 1e-9
         assert controller.decisions == [decision]
@@ -88,7 +88,7 @@ class TestInfeasibleVMBudget:
         controller, tracker = make_controller(facility)
         flood(tracker, 7200)
         decision = controller.run_interval(3600.0)
-        assert not decision.vm_plan.feasible
+        assert not decision.plan.feasible
         assert facility.total_active_vms() == 1  # used all it had
 
 
@@ -169,7 +169,7 @@ class TestEmptySystem:
         facility = tiny_facility()
         controller, _tracker = make_controller(facility)
         decision = controller.run_interval(3600.0)
-        assert decision.vm_plan.feasible
+        assert decision.plan.feasible
         assert decision.total_cloud_demand == 0.0
         assert facility.total_active_vms() == 0
 

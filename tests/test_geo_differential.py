@@ -2,11 +2,14 @@
 plan against the cell-by-cell greedy and the dict plan they replaced.
 
 The oracle below is the multi-region greedy as it stood before it was
-vectorised: cells sorted by ``(-need, viewer, repr(chunk))``, each
+vectorised: cells sorted by ``(-Delta, viewer, repr(chunk))``, each
 walking its viewer's options best utility-per-dollar first, with the
 allocation kept as a dict keyed ``(viewer, chunk, serving, cluster)``
-and every reduction a Python loop over that dict.  One line differs:
-the old option sort divided utility by price unguarded, so a free local
+and every reduction a Python loop over that dict.  Two lines differ.
+The old cell sort keyed on the need Delta / R, which can round two
+demands one ulp apart to one need; here, as in the new code and the
+paper's "decreasing demand", it keys on Delta.  And the old option sort
+divided utility by price unguarded, so a free local
 option raised ``ZeroDivisionError`` (``VirtualClusterSpec`` rejects
 price <= 0, so no real topology reached it); here, as in the new code,
 a free option ranks first.  Free clusters are drawn from duck-typed
@@ -64,7 +67,7 @@ def oracle_greedy(topology, demands, vm_bandwidth, budget_per_hour):
         for cluster in region.clusters:
             remaining[(name, cluster.name)] = float(cluster.max_vms)
     cells = [
-        (viewer, chunk, float(demands[viewer][chunk]) / vm_bandwidth)
+        (viewer, chunk, float(demands[viewer][chunk]))
         for viewer, chunks in demands.items()
         for chunk in chunks
     ]
@@ -75,7 +78,8 @@ def oracle_greedy(topology, demands, vm_bandwidth, budget_per_hour):
     cost = 0.0
     objective = 0.0
     unserved = 0.0
-    for viewer, chunk, need in cells:
+    for viewer, chunk, delta in cells:
+        need = delta / vm_bandwidth
         if viewer not in options_cache:
             options_cache[viewer] = oracle_options(topology, viewer, vm_bandwidth)
         for serving, cluster, utility, price in options_cache[viewer]:

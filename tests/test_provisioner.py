@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import decision_allocations
 from repro.api import EngineConfig, open_run
 from repro.cloud.broker import Broker, CloudFacility
 from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
@@ -223,10 +224,11 @@ class TestLazyPacking:
         packing = decision.packing
         # P2P shares are fractional, so the packer has VMs to share.
         assert packing.shared_vms > 0
-        assert packing == pack_allocations(decision.vm_plan.allocations)
+        allocations = decision_allocations(decision)
+        assert packing == pack_allocations(allocations)
         assert decision.packing is packing  # cached on the decision
         planned, packed = {}, {}
-        for (_, cluster), z in decision.vm_plan.allocations.items():
+        for (_, cluster), z in allocations.items():
             planned[cluster] = planned.get(cluster, 0.0) + z
         for vm in packing.vms:
             packed[vm.cluster] = packed.get(vm.cluster, 0.0) + vm.load
