@@ -86,8 +86,12 @@ __all__ = [
 #: ``repro.core.provisioner.ProvisioningDecision`` is computed on read);
 #: schema 11 pickles single-region decisions holding the one-region
 #: columnar plan (``ProvisioningDecision.plan``, a
-#: ``repro.geo.allocation.GeoAllocationPlan``) in place of ``vm_plan``.
-CHECKPOINT_SCHEMA = 11
+#: ``repro.geo.allocation.GeoAllocationPlan``) in place of ``vm_plan``;
+#: schema 12 pickles the one controller class for every engine, holding
+#: its region graph (topology, slot maps, ``exact``), one decision type
+#: with the geo telemetry, plans carrying their cell keys, and a broker
+#: and billing meter without their agreement and rate histories.
+CHECKPOINT_SCHEMA = 12
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -336,8 +340,9 @@ class EpochSnapshot:
     Mbps.  ``vm_cost_per_hour`` is the hourly cost of the plan decided
     *at this epoch's boundary* (0.0 for the final epoch, where no
     further plan is made); ``decision`` is the full
-    ``ProvisioningDecision`` / ``GeoProvisioningDecision`` behind it —
-    per-chunk capacity grants, VM targets, storage plan, SLA agreement —
+    ``repro.core.provisioner.ProvisioningDecision`` behind it (every
+    engine's controller makes the one type) — per-chunk capacity grants,
+    the VM plan, storage plan, SLA agreement and the geo telemetry —
     or ``None`` at the final boundary.
     """
 

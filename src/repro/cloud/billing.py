@@ -17,7 +17,7 @@ matching the fine-grained usage-time charging the paper assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping
 
 from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
 from repro.vod.delivery import sequential_sum
@@ -83,8 +83,6 @@ class BillingMeter:
         self._byte_hours: Dict[str, float] = {name: 0.0 for name in nfs_clusters}
         self._egress_rate = 0.0  # $/hour, piecewise constant
         self._egress_cost = 0.0  # accrued dollars
-        # (time, hourly_vm_cost_rate) samples for time series reporting.
-        self._rate_history: List[Tuple[float, float]] = []
 
     # ------------------------------------------------------------------
     # Level updates
@@ -112,7 +110,6 @@ class BillingMeter:
             if count < 0:
                 raise ValueError(f"negative VM count for {name!r}")
             self._vm_levels[name] = float(count)
-        self._rate_history.append((now, self.current_vm_cost_rate()))
 
     def record_storage_usage(self, now: float, stored_bytes: Mapping[str, float]) -> None:
         """Set the stored bytes per NFS cluster, effective at ``now``."""
@@ -127,7 +124,7 @@ class BillingMeter:
     def record_egress_rate(self, now: float, dollars_per_hour: float) -> None:
         """Set the cross-region egress spend rate, effective at ``now``.
 
-        The geo controller derives the rate from its allocation plan
+        The controller derives the rate from its allocation plan
         (each remote fractional VM streams at the VM bandwidth across a
         priced link); the meter integrates it exactly like the VM and
         storage levels.
@@ -140,21 +137,6 @@ class BillingMeter:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def current_vm_cost_rate(self) -> float:
-        """Instantaneous VM spend in dollars/hour at current levels."""
-        return sequential_sum(
-            level * self.vm_clusters[name].price_per_hour
-            for name, level in self._vm_levels.items()
-        )
-
-    def current_egress_cost_rate(self) -> float:
-        """Instantaneous cross-region egress spend, dollars/hour."""
-        return self._egress_rate
-
-    def vm_cost_rate_history(self) -> List[Tuple[float, float]]:
-        """(time, $/hour) samples recorded at each VM level change."""
-        return list(self._rate_history)
-
     def report(self, now: float) -> CostReport:
         """Close the books through ``now`` and return aggregate charges."""
         self._accrue(now)

@@ -81,9 +81,6 @@ class CloudFacility:
     def now(self) -> float:
         return float(self.clock())
 
-    def total_active_vms(self) -> int:
-        return sum(self.active_vms.values())
-
 
 @dataclass(frozen=True)
 class ResourceRequest:
@@ -117,17 +114,12 @@ class SLAAgreement:
     hourly_storage_cost: float
     storage_accepted: bool
 
-    @property
-    def hourly_cost(self) -> float:
-        return self.hourly_vm_cost + self.hourly_storage_cost
-
 
 class Broker:
     """The consumer-facing interface: submit a request, get it applied."""
 
     def __init__(self, facility: CloudFacility) -> None:
         self.facility = facility
-        self.agreements: List[SLAAgreement] = []
         self._submitted = 0  # request ids count rejected requests too
 
     def request(self, request: ResourceRequest) -> SLAAgreement:
@@ -187,16 +179,10 @@ class Broker:
         if stored is not None:
             facility.stored_bytes = stored
             facility.billing.record_storage_usage(now, stored)
-        agreement = SLAAgreement(
+        return SLAAgreement(
             request_id=self._submitted,
             vm_grants=grants,
             hourly_vm_cost=vm_cost,
             hourly_storage_cost=storage_cost,
             storage_accepted=stored is not None,
         )
-        self.agreements.append(agreement)
-        return agreement
-
-    @property
-    def last_agreement(self) -> Optional[SLAAgreement]:
-        return self.agreements[-1] if self.agreements else None

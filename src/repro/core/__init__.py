@@ -11,15 +11,17 @@ This package implements the paper's primary contribution (Section V):
   co-locating consecutive chunks of a channel on shared VMs.
 * :mod:`repro.core.predictor` — demand predictors: the paper's
   last-interval rule plus moving-average and EWMA extensions.
-* :mod:`repro.core.controller` — the provisioning-controller protocol,
-  the shared observe/predict/analyze/rent loop, the provisioning
+* :mod:`repro.core.controller` — the observe/predict/analyze/rent
+  loop, the provisioning
   policies (the paper's and the reactive, Adapt, PID and MPC rivals)
   and the policy registry.
 * :mod:`repro.core.provisioner` — the dynamic cloud provisioning controller
-  that closes the loop every interval T.  Its VM configuration (Eqn (7))
-  is the one-region :class:`repro.geo.allocation.GeoVMProblem`, solved by
-  :func:`repro.geo.allocation.greedy_geo_allocation` (the exact LP
-  optimum is :func:`repro.geo.allocation.lp_geo_allocation`).
+  that closes the loop every interval T, the one controller of every
+  engine.  Its VM configuration (Eqn (7)) is the
+  :class:`repro.geo.allocation.GeoVMProblem` over the region graph it is
+  built with (one ``"local"`` region in the single-region engines),
+  solved by :func:`repro.geo.allocation.greedy_geo_allocation` (the
+  exact LP optimum is :func:`repro.geo.allocation.lp_geo_allocation`).
 * :mod:`repro.core.sla` — consumer-side SLA terms and the SLA penalty
   model scored by the controller ablation.
 """
@@ -27,7 +29,6 @@ This package implements the paper's primary contribution (Section V):
 from repro.core.controller import (
     CONTROLLERS,
     AdaptEstimator,
-    Controller,
     PIDLoop,
     ProvisioningControllerBase,
     ReactiveScaler,
@@ -53,7 +54,6 @@ from repro.core.storage_rental import (
 __all__ = [
     "CONTROLLERS",
     "AdaptEstimator",
-    "Controller",
     "PIDLoop",
     "ProvisioningControllerBase",
     "ReactiveScaler",

@@ -1,4 +1,4 @@
-"""The provisioning-controller protocol and the rival-policy zoo.
+"""The provisioning loop and the rival-policy zoo.
 
 The paper has exactly one provisioning loop: observe the closed
 interval, predict the next arrival rates, run the Section IV demand
@@ -6,23 +6,20 @@ analysis, then optimize, negotiate and rent (Section V-B).  This module
 holds that loop once and makes the *policy* a plain object the
 controller is handed, not a class it inherits:
 
-* :class:`Controller` — the structural protocol every engine drives
-  (``bootstrap`` / ``run_interval`` / ``provision`` / ``decisions``).
-* :class:`ProvisioningControllerBase` — the loop, shared by the two
-  region shapes, :class:`~repro.core.provisioner.ProvisioningController`
-  (single region) and
-  :class:`~repro.geo.controller.GeoProvisioningController` (multi
-  region).  It also owns the Eqn (7) solve over the flavour's region
-  graph, the broker request, the rejection catch, the storage
-  bookkeeping and the per-chunk grants with their floor.  A flavour's
-  ``provision`` keeps only what differs: the broker's cluster names,
-  how storage demand is pooled, egress billing and its decision type.
+* :class:`ProvisioningControllerBase` — the loop, the base of the one
+  controller, :class:`~repro.core.provisioner.ProvisioningController`.
+  It holds the region graph the controller is built with (a topology,
+  each slot's viewer region and catalog channel, and whether to solve
+  exactly) and owns the Eqn (7) solve over it, the broker request, the
+  rejection catch, the storage bookkeeping and the per-chunk grants
+  with their floor.  It stays a class of its own because perfbench
+  times its ``bootstrap`` and ``run_interval``.
 * Policies — :class:`PaperPolicy` and its rivals :class:`ReactivePolicy`,
   :class:`AdaptPolicy`, :class:`PIDPolicy`, :class:`MPCPolicy`.  The
   controller calls two hooks on its policy, handing itself over:
   ``target_rates(controller, stats)`` (what arrival rates to provision
   for) and ``shape_demands(controller, demands)`` (how to transform the
-  analyzed demand vector).  Any policy works with either region shape.
+  analyzed demand vector).  Any policy works on any region graph.
 * :data:`CONTROLLERS` — the registry keyed by the ``controller`` knob
   (:class:`repro.api.EngineConfig`, ``repro run/catalog/geo
   --controller``, the ``ablation-controllers`` scenarios), mapping each
@@ -59,7 +56,7 @@ consult the controller's arrival-rate predictor
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +67,6 @@ from repro.vod.delivery import sequential_sum
 from repro.vod.tracker import IntervalStats
 
 __all__ = [
-    "Controller",
     "ProvisioningControllerBase",
     "ReactiveScaler",
     "AdaptEstimator",
@@ -130,51 +126,12 @@ def storage_demand_shifted(
     return shift / baseline > threshold
 
 
-class Controller(Protocol):
-    """What every provisioning controller looks like to an engine.
-
-    The engines (:class:`repro.experiments.runner.ClosedLoopEngine`,
-    :class:`repro.sim.shard.ShardedSimulator`,
-    :class:`repro.sim.shard.GeoShardedSimulator`) only ever call these
-    three methods and read ``decisions``; anything satisfying this
-    protocol plugs into the closed loop.
-    """
-
-    decisions: List[Any]
-
-    def bootstrap(
-        self,
-        now: float,
-        expected_rates: Mapping[int, float],
-        *,
-        peer_upload: Optional[float] = None,
-    ) -> Any:
-        """Initial deployment from expected per-channel arrival rates."""
-        ...
-
-    def run_interval(
-        self,
-        now: float,
-        *,
-        peer_upload: Optional[float] = None,
-    ) -> Any:
-        """One periodic provisioning round at time ``now``."""
-        ...
-
-    def provision(self, now: float, demands: List[ChannelDemand]) -> Any:
-        """Optimize, negotiate and apply a set of channel demands."""
-        ...
-
-
 class ProvisioningControllerBase:
     """The shared observe -> predict -> analyze -> provision loop.
 
-    Subclasses provide :meth:`provision`, ``topology`` (the region graph
-    every Eqn (7) solve runs over: one ``"local"`` region for the
-    single-region controller), ``_viewer_region`` (a channel's viewer
-    region, for :meth:`_vm_problem`) and ``_broker_cluster`` (the name
-    the broker knows a cluster by); they solve with :meth:`_allocate`
-    and finish each decision with :meth:`_rent`.
+    :class:`~repro.core.provisioner.ProvisioningController` adds
+    ``provision``; it solves with :meth:`_allocate` and finishes each
+    decision with :meth:`_rent`.
 
     ``bootstrap`` never consults the policy: the initial deployment has
     no history for any policy to act on, so it is policy-invariant by
@@ -182,12 +139,28 @@ class ProvisioningControllerBase:
 
     Parameters
     ----------
+    estimator / tracker / broker / terms:
+        The Section IV analysis, the tracking server (keyed by slot id),
+        the cloud broker and the SLA budgets.
+    topology:
+        The region graph every Eqn (7) solve runs over.  Its cluster
+        names are the broker's: a plan's cluster is rented under its
+        name.
+    slot_region:
+        Maps a slot id (the tracker's channel id) to its viewer region.
+    slot_channel:
+        Maps a slot id to its catalog channel: the storage rental places
+        one copy per *channel* chunk (the NFS estate is global), so the
+        regional slots of a channel pool their demand.
     predictor:
         Arrival-rate predictor the paper-style policies consult
         (last-interval by default).
     policy:
         The provisioning policy (a :data:`CONTROLLERS` value, built);
         the paper's by default.
+    exact:
+        Solve each Eqn (7) instance with the LP optimum instead of the
+        greedy.
     min_capacity_per_chunk:
         Optional floor (bytes/s) on granted capacity for chunks with a
         nonzero expected population; guards the first interval after a
@@ -200,17 +173,25 @@ class ProvisioningControllerBase:
         tracker,
         broker,
         terms,
+        topology,
+        slot_region: Callable[[int], str],
+        slot_channel: Callable[[int], int],
         *,
         predictor=None,
         policy=None,
+        exact: bool = False,
         min_capacity_per_chunk: float = 0.0,
     ) -> None:
         self.estimator = estimator
         self.tracker = tracker
         self.broker = broker
         self.terms = terms
+        self.topology = topology
+        self.slot_region = slot_region
+        self.slot_channel = slot_channel
         self.predictor = predictor or LastIntervalPredictor()
         self.policy = policy if policy is not None else PaperPolicy()
+        self.exact = bool(exact)
         self.min_capacity_per_chunk = min_capacity_per_chunk
         self.decisions: List[Any] = []
         self._last_chunk_demand: Optional[Dict[Any, float]] = None
@@ -279,14 +260,14 @@ class ProvisioningControllerBase:
         :mod:`repro.geo.allocation` solver).
 
         Returns the plan, the broker's VM targets (each cluster's
-        fractional total rounded up, keyed by :meth:`_broker_cluster`)
-        and the granted bytes/s per channel chunk.
+        fractional total rounded up, keyed by its name) and the granted
+        bytes/s per channel chunk.
         """
         problem, positions = self._vm_problem(demands)
         plan = solve(problem)
         targets = {
-            self._broker_cluster(region, cluster): int(np.ceil(total - 1e-9))
-            for (region, cluster), total in zip(
+            cluster: int(np.ceil(total - 1e-9))
+            for (_, cluster), total in zip(
                 plan.clusters, plan.cluster_totals().tolist()
             )
         }
@@ -312,7 +293,7 @@ class ProvisioningControllerBase:
                 name: [] for name in self.topology.region_names()
             }
             for index, (channel, _) in enumerate(shape):
-                members[self._viewer_region(channel)].append(index)
+                members[self.slot_region(channel)].append(index)
             starts = np.concatenate(([0], np.cumsum([n for _, n in shape])))
             chunks = {
                 name: tuple(
@@ -371,13 +352,7 @@ class ProvisioningControllerBase:
         return dict(zip(offsets, np.split(flat, list(offsets.values())[1:])))
 
     # ------------------------------------------------------------------
-    # The subclass-provided optimization pipeline
-    # ------------------------------------------------------------------
-    def provision(self, now: float, demands: List[ChannelDemand]):
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Entry points (shared verbatim by every controller)
+    # Entry points
     # ------------------------------------------------------------------
     def bootstrap(
         self,
@@ -560,7 +535,7 @@ class PIDLoop:
 
 
 # ----------------------------------------------------------------------
-# Policies (each works with either region shape)
+# Policies (each works on any region graph)
 # ----------------------------------------------------------------------
 
 def _scaled_demand(demand: ChannelDemand, gain: float) -> ChannelDemand:
@@ -672,7 +647,7 @@ class MPCPolicy(PaperPolicy):
     The grown demand is then bounded by reality: the exact
     :class:`~repro.geo.allocation.GeoVMProblem` LP is solved over it
     under the VM budget, on the controller's ``topology`` (one
-    ``"local"`` region for the single-region controller), and each
+    ``"local"`` region in the single-region engines), and each
     chunk's anticipatory demand is clipped to the capacity that solve
     could actually place (never below the unshaped analysis).  When the
     grown demand is infeasible under the budget the LP has no solution —

@@ -54,12 +54,6 @@ class PackingResult:
 
     vms: Tuple[PackedVM, ...]
 
-    def vm_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for vm in self.vms:
-            counts[vm.cluster] = counts.get(vm.cluster, 0) + 1
-        return counts
-
     @property
     def total_vms(self) -> int:
         return len(self.vms)

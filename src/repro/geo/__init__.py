@@ -10,11 +10,13 @@ that extension on top of the reproduction's substrates:
   problem: per-region viewer demand may be served from any region, with
   latency-discounted utility and egress-inflated cost; solved with the
   same greedy style as Eqn (7) plus an LP optimum for comparison.
-* :mod:`repro.geo.controller` — the multi-region provisioning
-  controller the sharded catalog engine drives every epoch
-  (:class:`repro.sim.shard.GeoShardedSimulator`): per-region demand
-  estimation, the allocation solve, broker negotiation over the
-  regional clusters, and egress/latency-discount accounting.
+
+The provisioning controller is the paper's own
+(:class:`repro.core.provisioner.ProvisioningController`), built with a
+multi-region topology: the geo catalog engine
+(:class:`repro.sim.shard.GeoShardedSimulator`) hands it the regions,
+each slot's viewer region and catalog channel, and it meters the plan's
+cross-region egress and latency discounts.
 """
 
 from repro.geo.allocation import (
@@ -23,10 +25,6 @@ from repro.geo.allocation import (
     greedy_geo_allocation,
     lp_geo_allocation,
 )
-from repro.geo.controller import (
-    GeoProvisioningController,
-    GeoProvisioningDecision,
-)
 from repro.geo.region import GeoTopology, RegionSpec
 
 __all__ = [
@@ -34,8 +32,6 @@ __all__ = [
     "GeoVMProblem",
     "greedy_geo_allocation",
     "lp_geo_allocation",
-    "GeoProvisioningController",
-    "GeoProvisioningDecision",
     "GeoTopology",
     "RegionSpec",
 ]

@@ -193,6 +193,7 @@ class GeoVMProblem:
         return GeoAllocationPlan(
             regions=tuple(self.topology.region_names()),
             clusters=_cluster_layout(self.topology)[0],
+            keys=self.keys,
             viewer=self.viewer[chunk],
             chunk=chunk,
             cluster=np.asarray(cluster, dtype=np.intp),
@@ -208,15 +209,16 @@ class GeoVMProblem:
 class GeoAllocationPlan:
     """A (possibly partial) multi-region allocation, as columns.
 
-    Row ``a`` gives cell ``chunk[a]`` (an index into the problem's
-    ``keys``, whose viewer region is ``regions[viewer[a]]``) ``z[a]``
-    fractional VMs of cluster ``clusters[cluster[a]]``, a
+    Row ``a`` gives cell ``chunk[a]`` (an index into ``keys``, the
+    problem's chunk keys, whose viewer region is ``regions[viewer[a]]``)
+    ``z[a]`` fractional VMs of cluster ``clusters[cluster[a]]``, a
     ``(serving region, cluster name)`` pair.  Rows are in the order the
     solver committed them; every reduction below adds in that order.
     """
 
     regions: Tuple[str, ...]
     clusters: Tuple[Tuple[str, str], ...]
+    keys: Tuple[ChunkKey, ...]
     viewer: np.ndarray
     chunk: np.ndarray
     cluster: np.ndarray

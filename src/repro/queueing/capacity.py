@@ -74,11 +74,6 @@ class CapacityModel:
         """mu = R / (r * T0): chunk downloads per second per server."""
         return self.vm_bandwidth / self.chunk_size_bytes
 
-    @property
-    def mean_download_time(self) -> float:
-        """1/mu, strictly less than T0 by the R > r requirement."""
-        return 1.0 / self.service_rate
-
 
 def size_queues(
     arrival_rates: ArrayLike,

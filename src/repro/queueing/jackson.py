@@ -69,10 +69,6 @@ class TrafficSolution:
     external_rates: np.ndarray  # ext_i
     transition_matrix: np.ndarray  # P
 
-    @property
-    def total_external_rate(self) -> float:
-        return float(self.external_rates.sum())
-
 
 def solve_traffic_equations(
     transition_matrix: np.ndarray,

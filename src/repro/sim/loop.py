@@ -16,8 +16,10 @@ checkpoint.  An engine subclasses it and supplies only what differs:
   :class:`~repro.vod.multi.MultiChannelSimulator`; the catalog engines
   drive shards of them, :mod:`repro.sim.shard`);
 * ``_bootstrap()`` / ``_reprovision(t_end, data)`` — the initial and
-  each periodic provisioning decision, made by the controller that
-  ``_build_controller`` builds (single-region by default);
+  each periodic provisioning decision, made by the one
+  :class:`~repro.core.provisioner.ProvisioningController`, built over
+  the region graph ``_region_graph()`` hands over (one ``"local"``
+  region unless the engine overrides it);
 * ``_make_result()`` — the monolithic result of the drained run;
 * ``_data_plane_state()`` / ``_restore_data_plane(state)`` — the data
   plane's half of a checkpoint.
@@ -36,7 +38,12 @@ import numpy as np
 
 from repro.cloud.broker import Broker, CloudFacility
 from repro.core.controller import CONTROLLERS
-from repro.core.provisioner import ProvisioningController
+from repro.core.provisioner import (
+    ProvisioningController,
+    local_region,
+    local_topology,
+    own_channel,
+)
 from repro.vod.tracker import IntervalStats
 
 __all__ = ["EpochClock", "EpochLoop", "EpochRun", "KernelCursor"]
@@ -215,18 +222,27 @@ class EpochLoop:
         )
         self.broker = Broker(self.facility)
         self._estimator = estimator
-        self.controller = self._build_controller(
+        self.controller = ProvisioningController(
+            estimator,
+            tracker,
+            self.broker,
             spec.sla_terms(),
+            **self._region_graph(spec),
             predictor=predictor,
             policy=CONTROLLERS[controller or "paper"](),
             min_capacity_per_chunk=spec.constants.streaming_rate,
         )
 
-    def _build_controller(self, terms, **options):
-        """The control plane: single-region Eqn (6)/(7) provisioning.
-        ``options`` carry the predictor, the policy and the floor."""
-        return ProvisioningController(
-            self._estimator, self.tracker, self.broker, terms, **options
+    def _region_graph(self, spec) -> Dict[str, Any]:
+        """The controller's region data: ``topology``, ``slot_region``,
+        ``slot_channel`` and ``exact``.  Here one ``"local"`` region over
+        the facility's clusters, each slot its own channel, solved by
+        the greedy; the geo engine hands over its regions instead."""
+        return dict(
+            topology=local_topology(self.facility.vm_specs.values()),
+            slot_region=local_region,
+            slot_channel=own_channel,
+            exact=False,
         )
 
     # ------------------------------------------------------------------

@@ -60,7 +60,6 @@ from repro.cloud.billing import CostReport
 from repro.core.demand import DemandEstimator
 from repro.core.predictor import ArrivalRatePredictor
 from repro.core.provisioner import ProvisioningDecision
-from repro.geo.controller import GeoProvisioningController
 from repro.sim.loop import EpochLoop, KernelCursor, _EpochData
 from repro.vod.metrics import QUALITY_WINDOW_SECONDS, latency_adjusted_quality
 from repro.vod.multi import MultiChannelSimulator, VoDSystemConfig
@@ -990,7 +989,7 @@ class ShardedSimulator(EpochLoop):
         return merged
 
     # ------------------------------------------------------------------
-    # Control-plane hooks (the geo engine overrides the controller and
+    # Control-plane hooks (the geo engine overrides the region graph and
     # the result)
     # ------------------------------------------------------------------
     def _bootstrap(self) -> ProvisioningDecision:
@@ -1110,12 +1109,13 @@ class GeoShardedSimulator(ShardedSimulator):
     applies verbatim, and slot ids are region-major: the merged stats'
     channel-id sort IS the fixed region-then-channel reduction order.
 
-    Only the control plane differs: each epoch the merged per-slot
-    statistics are grouped by viewer region and fed to the multi-region
-    VM configuration problem (:mod:`repro.geo.allocation`), any region's
-    clusters may serve any region's viewers, the plan's cross-region
-    egress is metered into billing, and its capacity-weighted latency
-    discounts flow into the quality metrics.
+    Only the controller's region data differs (:meth:`_region_graph`):
+    each epoch the merged per-slot statistics are grouped by viewer
+    region and fed to the multi-region VM configuration problem
+    (:mod:`repro.geo.allocation`), any region's clusters may serve any
+    region's viewers, the plan's cross-region egress is metered into
+    billing, and its capacity-weighted latency discounts flow into the
+    quality metrics.
     """
 
     def __init__(
@@ -1135,20 +1135,12 @@ class GeoShardedSimulator(ShardedSimulator):
             config, jobs=jobs, predictor=predictor, controller=controller
         )
 
-    def _build_controller(
-        self, terms, **options
-    ) -> GeoProvisioningController:
-        config = self.config
-        return GeoProvisioningController(
-            self._estimator,
-            self.tracker,
-            self.broker,
-            config.geo_topology(),
-            terms,
-            config.slot_region,
-            config.slot_channel,
-            exact=config.exact,
-            **options,
+    def _region_graph(self, spec: GeoCatalogConfig) -> Dict[str, Any]:
+        return dict(
+            topology=spec.geo_topology(),
+            slot_region=spec.slot_region,
+            slot_channel=spec.slot_channel,
+            exact=spec.exact,
         )
 
     def _make_result(self) -> GeoCatalogResult:

@@ -497,14 +497,21 @@ class GeoCatalogConfig(CatalogConfig):
         return max(1.0, self._resolved_cluster_scale() / self.num_regions)
 
     def geo_topology(self) -> GeoTopology:
-        """The solver-facing topology: per-region Table II clusters at
-        the preset's price factors, plus the priced cross links."""
+        """The region graph: per-region Table II clusters at the preset's
+        price factors, plus the priced cross links.  Cluster names are
+        prefixed ``<region>:<cluster>``, the broker's and the meter's
+        one flat unique namespace, so a plan's cluster is rented under
+        its own name."""
         preset = self.preset
         scale = self.region_cluster_scale()
         regions = []
         for name, factor in zip(preset["regions"], preset["price_factors"]):
             clusters = tuple(
-                replace(spec, price_per_hour=spec.price_per_hour * factor)
+                replace(
+                    spec,
+                    name=f"{name}:{spec.name}",
+                    price_per_hour=spec.price_per_hour * factor,
+                )
                 for spec in paper_vm_clusters(self.constants, scale=scale)
             )
             regions.append(RegionSpec(name, clusters))
@@ -516,17 +523,14 @@ class GeoCatalogConfig(CatalogConfig):
         )
 
     def vm_clusters(self) -> List[VirtualClusterSpec]:
-        """The facility/billing view: every region's clusters, names
-        prefixed ``<region>:<cluster>`` (the broker and meter need one
-        flat unique namespace)."""
+        """The facility/billing view: every region's clusters, in region
+        order."""
         topology = self.geo_topology()
-        specs: List[VirtualClusterSpec] = []
-        for region_name in self.region_names:
-            specs.extend(
-                replace(spec, name=f"{region_name}:{spec.name}")
-                for spec in topology.regions[region_name].clusters
-            )
-        return specs
+        return [
+            spec
+            for region_name in self.region_names
+            for spec in topology.regions[region_name].clusters
+        ]
 
 
 def geo_catalog_config(

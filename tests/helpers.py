@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.core.provisioner import local_region, local_topology, own_channel
 from repro.workload.trace import ShardTraceArrays
 
 
@@ -56,24 +57,20 @@ def serves_consecutive_run(vm):
     return indices == list(range(indices[0], indices[0] + len(indices)))
 
 
-def plan_allocations(plan, keys):
+def plan_allocations(plan):
     """An Eqn (7) plan's rows as ``{(chunk key, cluster name): z}`` in
-    row order, the map the Section V-A2 packer takes; ``keys[c]`` names
-    the plan's cell ``c``."""
+    row order, the map the Section V-A2 packer takes."""
     return {
-        (keys[chunk], plan.clusters[cluster][1]): z
+        (plan.keys[chunk], plan.clusters[cluster][1]): z
         for chunk, cluster, z in zip(
             plan.chunk.tolist(), plan.cluster.tolist(), plan.z.tolist()
         )
     }
 
 
-def decision_allocations(decision):
-    """:func:`plan_allocations` of a single-region decision, its cells
-    keyed ``(channel, chunk)`` in the layout of ``decision.demands``."""
-    keys = [
-        (demand.channel_id, i)
-        for demand in decision.demands
-        for i in range(demand.cloud_demand.size)
-    ]
-    return plan_allocations(decision.plan, keys)
+def local_graph(facility):
+    """The single-region engines' region data over ``facility``'s
+    clusters: ``(topology, slot_region, slot_channel)``."""
+    return (
+        local_topology(facility.vm_specs.values()), local_region, own_channel
+    )

@@ -69,7 +69,7 @@ def test_chunk_size_tradeoff():
         # switches VM unless the packing co-locates the next chunk.
         shared_pairs = sum(
             len(vm.shares) - 1
-            for vm in pack_allocations(plan_allocations(plan, problem.keys)).vms
+            for vm in pack_allocations(plan_allocations(plan)).vms
             if serves_consecutive_run(vm) and len(vm.shares) > 1
         )
         total_pairs = max(1, num_chunks - 1)

@@ -33,8 +33,8 @@ class TestCapacityModel:
         assert model.chunk_size_bytes == pytest.approx(15e6)  # 15 MB
         # mu = R / (r T0): 1.25 MB/s / 15 MB = 1/12 per second.
         assert model.service_rate == pytest.approx(1.25e6 / 15e6)
-        assert model.mean_download_time == pytest.approx(12.0)
-        assert model.mean_download_time < T0
+        assert 1.0 / model.service_rate == pytest.approx(12.0)
+        assert 1.0 / model.service_rate < T0
 
     def test_requires_r_greater_than_streaming_rate(self):
         with pytest.raises(ValueError, match="exceed"):

@@ -61,7 +61,6 @@ class TestBillingMeter:
             {s.name: s for s in vm_specs()}, {s.name: s for s in nfs_specs()}
         )
         meter.record_vm_usage(0.0, {"standard": 2, "advanced": 1})
-        assert meter.current_vm_cost_rate() == pytest.approx(2 * 0.45 + 0.80)
         report = meter.report(3600.0)
         assert report.hourly_vm_cost == pytest.approx(2 * 0.45 + 0.80)
 
@@ -86,16 +85,6 @@ class TestBillingMeter:
         )
         with pytest.raises(ValueError):
             meter.record_vm_usage(0.0, {"standard": -1})
-
-    def test_rate_history_recorded(self):
-        meter = BillingMeter(
-            {s.name: s for s in vm_specs()}, {s.name: s for s in nfs_specs()}
-        )
-        meter.record_vm_usage(0.0, {"standard": 1})
-        meter.record_vm_usage(3600.0, {"standard": 3})
-        history = meter.vm_cost_rate_history()
-        assert len(history) == 2
-        assert history[1][1] == pytest.approx(3 * 0.45)
 
 
 class TestNFSScheduler:
@@ -182,7 +171,6 @@ class TestBroker:
         assert agreement.vm_grants == {"standard": 3, "advanced": 1}
         assert facility.active_vms["standard"] == 3
         assert facility.stored_bytes["high"] == pytest.approx(15e6)
-        assert broker.last_agreement is agreement
 
     def test_scale_down_via_request(self):
         facility = make_facility()
@@ -201,7 +189,6 @@ class TestBroker:
                 )
             )
         assert facility.active_vms["standard"] == 0
-        assert broker.last_agreement is None
 
     def test_request_ids_increment(self):
         broker = Broker(make_facility())
@@ -214,7 +201,8 @@ class TestFacility:
     def test_billing_tracks_applied_targets(self):
         facility = make_facility()
         Broker(facility).request(ResourceRequest(vm_targets={"standard": 4}))
-        assert facility.billing.current_vm_cost_rate() == pytest.approx(4 * 0.45)
+        report = facility.billing.report(3600.0)
+        assert report.hourly_vm_cost == pytest.approx(4 * 0.45)
 
     def test_clock_drives_billing(self):
         t = {"now": 0.0}
@@ -337,7 +325,9 @@ def test_billing_integrates_granted_levels(requests, tail):
             assert pickle.dumps(facility.billing) == meter
             continue
         assert not over_capacity and not over_budget
-        assert agreement.hourly_cost == pytest.approx(rate)
+        assert agreement.hourly_vm_cost + agreement.hourly_storage_cost == (
+            pytest.approx(rate)
+        )
         vms, stored = want_vms, want_stored
         assert facility.active_vms == vms
         assert facility.stored_bytes == pytest.approx(stored)

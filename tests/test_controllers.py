@@ -2,14 +2,14 @@
 
 Four concerns:
 
-* the registry maps every policy key to a policy class that both
-  region shapes hold, and unknown keys fail fast;
+* the registry maps every policy key to a policy class that the one
+  controller holds in every engine, and unknown keys fail fast;
 * the paper controller is *byte-identical* through the protocol refactor
   (controller=None vs controller="paper", all three engines);
 * the policy state machines match hand-computed traces (reactive
   hysteresis, Adapt level+trend damping, PID anti-windup and bounded
-  actuation, MPC greedy fallback) and both region shapes record one
-  in-budget decision per interval;
+  actuation, MPC greedy fallback) and single- and multi-region
+  controllers record one in-budget decision per interval;
 * the ``ablation-controllers`` summary artifact has the promised schema.
 """
 
@@ -19,6 +19,7 @@ import types
 import numpy as np
 import pytest
 
+from helpers import local_graph
 from repro.cloud.broker import Broker, CloudFacility
 from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
 from repro.core.controller import (
@@ -60,8 +61,8 @@ def make_controller(policy=None, budget=40.0):
     broker = Broker(make_facility())
     estimator = DemandEstimator(model, "client-server")
     controller = ProvisioningController(
-        estimator, tracker, broker,
-        SLATerms(vm_budget_per_hour=budget), policy=policy,
+        estimator, tracker, broker, SLATerms(vm_budget_per_hour=budget),
+        *local_graph(broker.facility), policy=policy,
     )
     return controller, tracker
 
@@ -101,13 +102,14 @@ class TestRegistry:
         with pytest.raises(ValueError, match="registered: paper, reactive"):
             EngineConfig(spec=catalog_config(), controller="nope")
 
-    def test_geo_flavors_subclass_geo_controller(self):
-        from repro.geo.controller import GeoProvisioningController
+    def test_every_engine_builds_the_one_controller(self):
+        from repro.experiments.config import small_scenario
+        from repro.experiments.runner import ClosedLoopEngine
 
-        for name in CONTROLLERS:
-            single, geo = _engines(name)
-            assert type(single.controller) is ProvisioningController
-            assert type(geo.controller) is GeoProvisioningController
+        closed = ClosedLoopEngine(small_scenario("p2p", horizon_hours=1))
+        single, geo = _engines("paper")
+        kinds = {type(e.controller) for e in (closed, single, geo)}
+        assert kinds == {ProvisioningController}
 
 
 def _engines(controller):

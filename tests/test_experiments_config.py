@@ -67,7 +67,7 @@ class TestPaperConstants:
 
     def test_capacity_model(self):
         model = paper_capacity_model()
-        assert model.mean_download_time == pytest.approx(12.0)
+        assert 1.0 / model.service_rate == pytest.approx(12.0)
 
     def test_table2_virtual_clusters(self):
         clusters = paper_vm_clusters()

@@ -12,7 +12,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from helpers import trace_arrays
+from helpers import local_graph, trace_arrays
 from repro.api import EngineConfig, open_run
 from repro.cloud.broker import (
     Broker,
@@ -57,6 +57,7 @@ def make_controller(facility, vm_budget=100.0, storage_budget=1.0):
             vm_budget_per_hour=vm_budget,
             storage_budget_per_hour=storage_budget,
         ),
+        *local_graph(facility),
     )
     return controller, tracker
 
@@ -89,7 +90,7 @@ class TestInfeasibleVMBudget:
         flood(tracker, 7200)
         decision = controller.run_interval(3600.0)
         assert not decision.plan.feasible
-        assert facility.total_active_vms() == 1  # used all it had
+        assert sum(facility.active_vms.values()) == 1  # used all it had
 
 
 class TestInfeasibleStorage:
@@ -114,7 +115,7 @@ class TestSLARejection:
             broker.request(
                 ResourceRequest(vm_targets={"only": 10}, max_hourly_budget=0.5)
             )
-        assert facility.total_active_vms() == 0
+        assert sum(facility.active_vms.values()) == 0
 
     def test_controller_survives_rejection(self):
         """If the negotiator rejects (e.g. operator misconfigured the SLA
@@ -171,7 +172,7 @@ class TestEmptySystem:
         decision = controller.run_interval(3600.0)
         assert decision.plan.feasible
         assert decision.total_cloud_demand == 0.0
-        assert facility.total_active_vms() == 0
+        assert sum(facility.active_vms.values()) == 0
 
     def test_simulator_with_no_sessions(self):
         channels = make_uniform_channels(2, 3, r, T0)

@@ -277,6 +277,41 @@ class TestGeoControlPlane:
         metrics = summarize_catalog(result)
         assert metrics["storage_cost_per_day"] > 0.0
 
+    def test_decisions_key_clusters_by_broker_name(self):
+        """A geo decision's packing and Fig 9 utility read the plan's
+        clusters under the broker's ``<region>:<cluster>`` names, so two
+        regions' same-named clusters are packed and priced apart."""
+        config = small_geo_config(flash_fraction=0.0)
+        with make_engine(config, jobs=1) as engine:
+            engine.start()
+            decision = engine.controller.decisions[0]
+            specs = engine.facility.vm_specs
+        plan = decision.plan
+        totals = dict(zip(
+            (name for _, name in plan.clusters), plan.cluster_totals()
+        ))
+        packed = {}
+        for vm in decision.packing.vms:
+            packed[vm.cluster] = packed.get(vm.cluster, 0.0) + vm.load
+        assert set(packed) <= set(specs)
+        for name, load in packed.items():
+            assert load == pytest.approx(totals[name])
+        regions_per_cluster = {}
+        for name in packed:
+            region, cluster = name.split(":")
+            regions_per_cluster.setdefault(cluster, set()).add(region)
+        assert max(len(r) for r in regions_per_cluster.values()) >= 2
+        expected = sum(
+            specs[plan.clusters[c][1]].utility * z
+            for c, z in zip(plan.cluster.tolist(), plan.z.tolist())
+        )
+        assert decision.aggregate_vm_utility() == pytest.approx(expected)
+        per_slot = sum(
+            decision.aggregate_vm_utility(slot)
+            for slot in range(config.channel_slots)
+        )
+        assert per_slot == pytest.approx(expected)
+
     def test_geo_engine_p2p_mode(self):
         config = small_geo_config(
             mode="p2p", num_channels=4, chunks_per_channel=3,
@@ -339,7 +374,7 @@ class TestGeoAccounting:
             assert decision.rejected is not None
             assert decision.egress_rate_per_hour == 0.0
             billing = controller.broker.facility.billing
-            assert billing.current_egress_cost_rate() == 0.0
+            assert billing.report(3600.0).egress_cost == 0.0
 
     def test_billing_meter_accrues_egress(self):
         meter = BillingMeter({}, {})

@@ -21,6 +21,7 @@ problem and return the same plan.
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -195,8 +196,12 @@ def oracle_remote_fraction(allocations):
 #: Slot ids crossing 9/10 and 99/100, where repr order leaves numeric
 #: order: "(100, 1)" < "(12, 3)" < "(120, 3)".
 SLOT_IDS = [1, 2, 8, 9, 10, 11, 12, 19, 98, 99, 100, 101, 120]
-#: A few needs, so most cells tie and the tie-break decides the order.
-NEED_LEVELS = [0.0, 1e-13, 0.25, 0.5, 1.0, 2.0]
+#: A few demands, so most cells tie and the tie-break decides the order.
+#: The last one's upper neighbour rounds to its need at R: Delta / R
+#: cannot tell the two apart, the "decreasing demand" order can.
+DELTA_LEVELS = [
+    need * R for need in (0.0, 1e-13, 0.25, 0.5, 1.0, 2.0)
+] + [3343216.2234901306]
 
 
 @st.composite
@@ -238,15 +243,25 @@ def problems(draw, max_slots=8):
     ))
     chunks = {name: [] for name in names}
     demands = {name: [] for name in names}
+    drawn = []
     for slot in slots:
         region = draw(st.sampled_from(names))
         for i in range(draw(st.integers(1, 12))):
             chunks[region].append((slot, i))
-            if draw(st.integers(0, 9)) == 0:
-                need = draw(st.floats(0.0, 4.0))
+            kind = draw(st.integers(0, 9))
+            if kind == 0:
+                delta = draw(st.floats(0.0, 4.0)) * R
+            elif kind == 1 and drawn:
+                # One ulp away from a demand drawn before, in any region:
+                # Delta / R may round the two to one need.
+                delta = float(np.nextafter(
+                    draw(st.sampled_from(drawn)),
+                    draw(st.sampled_from([0.0, math.inf])),
+                ))
             else:
-                need = draw(st.sampled_from(NEED_LEVELS))
-            demands[region].append(need * R)
+                delta = draw(st.sampled_from(DELTA_LEVELS))
+            drawn.append(delta)
+            demands[region].append(delta)
     if draw(st.booleans()):
         # A region may also be absent from the problem altogether.
         idle = [name for name in names if not chunks[name]]

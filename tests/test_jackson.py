@@ -79,8 +79,8 @@ class TestTrafficEquations:
         p = uniform_jump_matrix(5, 0.6, 0.1)
         a = solve_traffic_equations(p, external_arrival_vector(5, 1.0))
         b = solve_traffic_equations(p, external_arrival_vector(5, 7.0))
-        assert a.arrival_rates / a.total_external_rate == pytest.approx(
-            b.arrival_rates / b.total_external_rate
+        assert a.arrival_rates / a.external_rates.sum() == pytest.approx(
+            b.arrival_rates / b.external_rates.sum()
         )
 
     def test_total_visits_exceed_one(self):

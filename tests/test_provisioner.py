@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import decision_allocations
+from helpers import local_graph, plan_allocations
 from repro.api import EngineConfig, open_run
 from repro.cloud.broker import Broker, CloudFacility
 from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
@@ -44,7 +44,8 @@ def make_controller(mode="client-server", **kwargs):
     broker = Broker(facility)
     estimator = DemandEstimator(model, mode)
     controller = ProvisioningController(
-        estimator, tracker, broker, SLATerms(vm_budget_per_hour=40.0), **kwargs
+        estimator, tracker, broker, SLATerms(vm_budget_per_hour=40.0),
+        *local_graph(facility), **kwargs
     )
     return controller, tracker, facility
 
@@ -80,7 +81,7 @@ class TestBootstrap:
         controller, _, facility = make_controller()
         decision = controller.bootstrap(0.0, {0: 0.1, 1: 0.05})
         assert decision.agreement is not None
-        assert facility.total_active_vms() > 0
+        assert sum(facility.active_vms.values()) > 0
         assert decision.storage_plan is not None
         assert decision.storage_plan.feasible
         # Per-channel capacities published for both channels.
@@ -94,13 +95,28 @@ class TestBootstrap:
         assert sum(stored.values()) == pytest.approx(8 * CHUNK)
 
 
+class TestOneRegionDecision:
+    def test_one_local_region_meters_no_egress(self):
+        controller, tracker, facility = make_controller()
+        decisions = [controller.bootstrap(0.0, {0: 0.1, 1: 0.05})]
+        feed_interval(tracker, channel=0)
+        facility.clock.now = 3600.0
+        decisions.append(controller.run_interval(3600.0))
+        for decision in decisions:
+            assert decision.agreement is not None
+            assert decision.egress_rate_per_hour == 0.0
+            assert decision.remote_fraction == 0.0
+            assert list(decision.region_service) == [("local", "local")]
+        assert facility.billing.report(7200.0).egress_cost == 0.0
+
+
 class TestRunInterval:
     def test_interval_uses_tracker_stats(self):
         controller, tracker, facility = make_controller()
         feed_interval(tracker, arrivals=360)
         decision = controller.run_interval(3600.0)
         assert decision.total_cloud_demand > 0
-        assert facility.total_active_vms() > 0
+        assert sum(facility.active_vms.values()) > 0
         # Idle channel 1 got zero capacity.
         assert decision.per_channel_capacity[1].sum() == 0.0
 
@@ -108,11 +124,11 @@ class TestRunInterval:
         controller, tracker, facility = make_controller()
         feed_interval(tracker, arrivals=3600)
         controller.run_interval(3600.0)
-        high = facility.total_active_vms()
+        high = sum(facility.active_vms.values())
         # Next interval: almost nobody arrives.
         feed_interval(tracker, arrivals=4)
         controller.run_interval(7200.0)
-        low = facility.total_active_vms()
+        low = sum(facility.active_vms.values())
         assert low < high
 
     def test_predictor_feeds_forward(self):
@@ -224,7 +240,7 @@ class TestLazyPacking:
         packing = decision.packing
         # P2P shares are fractional, so the packer has VMs to share.
         assert packing.shared_vms > 0
-        allocations = decision_allocations(decision)
+        allocations = plan_allocations(decision.plan)
         assert packing == pack_allocations(allocations)
         assert decision.packing is packing  # cached on the decision
         planned, packed = {}, {}

@@ -50,10 +50,6 @@ def problem(demands, clusters=None, budget=100.0, vm_bandwidth=R):
     )
 
 
-def allocations(prob, plan):
-    return plan_allocations(plan, prob.keys)
-
-
 def integer_vm_counts(plan):
     return {
         name: int(np.ceil(total - 1e-9))
@@ -68,7 +64,7 @@ class TestGreedy:
         plan = greedy_geo_allocation(prob)
         assert plan.feasible
         totals = {}
-        for (chunk, _), z in allocations(prob, plan).items():
+        for (chunk, _), z in plan_allocations(plan).items():
             totals[chunk] = totals.get(chunk, 0.0) + z
         assert totals[("c", 0)] == pytest.approx(3.5)
         assert totals[("c", 1)] == pytest.approx(1.2)
@@ -79,7 +75,7 @@ class TestGreedy:
         demands = {("c", 0): 2.0 * R}
         prob = problem(demands)
         plan = greedy_geo_allocation(prob)
-        assert allocations(prob, plan)[(("c", 0), "standard")] == \
+        assert plan_allocations(plan)[(("c", 0), "standard")] == \
             pytest.approx(2.0)
 
     def test_spillover_to_second_cluster(self):
@@ -88,7 +84,7 @@ class TestGreedy:
             cluster("next", 0.8, 0.5, 10),  # ratio 1.6
         ]
         prob = problem({("c", 0): 5.0 * R}, clusters)
-        plan = allocations(prob, greedy_geo_allocation(prob))
+        plan = plan_allocations(greedy_geo_allocation(prob))
         assert plan[(("c", 0), "best")] == pytest.approx(2.0)
         assert plan[(("c", 0), "next")] == pytest.approx(3.0)
 
@@ -183,7 +179,7 @@ class TestInvariants:
         assert plan.cost_per_hour <= budget + 1e-9
         # No chunk over-served.
         served = {}
-        for (chunk, _), z in allocations(prob, plan).items():
+        for (chunk, _), z in plan_allocations(plan).items():
             served[chunk] = served.get(chunk, 0.0) + z
         for chunk, z in served.items():
             assert z <= demands[chunk] / R + 1e-9
@@ -312,7 +308,7 @@ def assert_matches_oracle(demands, clusters, budget):
     prob = problem(demands, clusters, budget)
     plan = greedy_geo_allocation(prob)
     oracle = greedy_vm_allocation(VMProblem(demands, R, clusters, budget))
-    assert [(key, bits(z)) for key, z in allocations(prob, plan).items()] == \
+    assert [(key, bits(z)) for key, z in plan_allocations(plan).items()] == \
         [(key, bits(z)) for key, z in oracle.allocations.items()]
     assert bits(plan.objective) == bits(oracle.objective)
     assert bits(plan.cost_per_hour) == bits(oracle.cost_per_hour)
