@@ -53,6 +53,7 @@ import numpy as np
 
 from repro import __version__, atomic_write
 from repro.experiments.config import PaperConstants, ScenarioConfig
+from repro.sim.shard import make_engine
 from repro.workload.catalog import CatalogConfig, GeoCatalogConfig
 
 __all__ = [
@@ -90,8 +91,11 @@ __all__ = [
 #: schema 12 pickles the one controller class for every engine, holding
 #: its region graph (topology, slot maps, ``exact``), one decision type
 #: with the geo telemetry, plans carrying their cell keys, and a broker
-#: and billing meter without their agreement and rate histories.
-CHECKPOINT_SCHEMA = 12
+#: and billing meter without their agreement and rate histories;
+#: schema 13 pickles epoch records without tracker statistics (the
+#: tracker absorbed them) and a kernel whose trace channel/start and
+#: hold next/from columns are narrow integer dtypes.
+CHECKPOINT_SCHEMA = 13
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -429,8 +433,6 @@ def _build_engine(config: EngineConfig):
         return ClosedLoopEngine(
             config.spec, predictor=predictor, controller=config.controller
         )
-    from repro.sim.shard import make_engine
-
     return make_engine(
         config.spec,
         jobs=config.resolved_workers(),

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.cloud.cluster import NFSClusterSpec
 
@@ -224,6 +223,9 @@ def lp_storage_bound(problem: StorageProblem) -> float:
     and the budget row. Returns +inf objective bound as NaN when even the
     relaxation is infeasible.
     """
+    # scipy loads here, not at module import: only an LP run pays for it.
+    from scipy.optimize import linprog
+
     chunks = list(problem.demands.keys())
     clusters = list(problem.clusters)
     n, f = len(chunks), len(clusters)

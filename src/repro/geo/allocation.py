@@ -25,8 +25,6 @@ from itertools import chain
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_array
 
 from repro.geo.region import GeoTopology
 
@@ -418,6 +416,10 @@ def lp_geo_allocation(problem: GeoVMProblem) -> GeoAllocationPlan:
     demand row, one capacity row and the budget row — so the LP scales
     with the number of variables, not cells times variables.
     """
+    # scipy loads here, not at module import: only an LP run pays for it.
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+
     utility, price, capacity = problem._options()
     cells = np.argsort(problem.rank)
     names = problem.topology.region_names()

@@ -80,11 +80,13 @@ class _EpochData:
     cannot silently go missing from another — only
     :func:`~repro.sim.shard.merge_epoch_reports` then needs the matching
     accumulation.  Everything is picklable (reports cross the worker
-    boundary).  The closed loop absorbs its kernel's statistics into the
-    controller's tracker straight away, so its epochs carry no
-    ``stats``, and it reads the live peer upload at reprovision time
-    instead of ``upload_sum``/``upload_count``; client-server shards,
-    whose re-provisioning reads no peer upload, report ``(0.0, 0)``.
+    boundary).  Every engine absorbs an epoch's statistics into the
+    controller's tracker as soon as the epoch ends, so the epoch kept in
+    :class:`EpochRun` holds no ``stats`` (only a shard's report and the
+    merged epoch carry them, on their way to the tracker).  The closed
+    loop reads the live peer upload at reprovision time instead of
+    ``upload_sum``/``upload_count``; client-server shards, whose
+    re-provisioning reads no peer upload, report ``(0.0, 0)``.
     """
 
     t_end: float
@@ -172,7 +174,9 @@ class EpochRun:
     plus the clock, the control-plane objects and the data plane.
     ``capacities`` are the per-channel grants in effect for the next
     epoch; ``vm_cost_series`` holds one hourly VM cost per periodic
-    decision.
+    decision.  Its ``epochs`` hold no tracker statistics (``stats`` is
+    ``[]``): the tracker absorbed them when the epoch ended, so neither
+    memory nor a checkpoint carries a second copy.
     """
 
     capacities: Dict[int, np.ndarray]

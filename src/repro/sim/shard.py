@@ -986,6 +986,9 @@ class ShardedSimulator(EpochLoop):
         self._clock.now = t_end
         for stats in merged.stats:
             self.tracker.absorb(stats)
+        # The tracker holds what the controller reads; the epoch record
+        # keeps no second copy of the statistics for the rest of the run.
+        merged.stats = []
         return merged
 
     # ------------------------------------------------------------------

@@ -320,7 +320,7 @@ class MultiChannelSimulator:
         self._cumulative_t = np.ascontiguousarray(
             np.cumsum(np.asarray(first.behaviour, dtype=float), axis=1).T
         )
-        # Stable argsorts by local channel run on a copy in the smallest
+        # Stable argsorts by local channel run on keys in the smallest
         # unsigned dtype that holds every id: numpy radix-sorts 8- and
         # 16-bit keys, in the same stable order.
         self._sort_dtype = np.min_scalar_type(len(ids) - 1)
@@ -341,12 +341,18 @@ class MultiChannelSimulator:
         self._next_quality_sample = QUALITY_WINDOW_SECONDS
 
         # Trace (already arrival-sorted); unknown channels are skipped.
+        # The local channel and start chunk are stored in the narrowest
+        # dtype that holds them (the channel one is the sort key itself).
+        # Admission widens the channel to int64 before ``* J``, where a
+        # narrow dtype would wrap; int64 plus a narrow start stays int64.
         known = np.isin(trace.channels, self.channel_ids)
         channels_arr = trace.channels[known]
         lookup = np.searchsorted(self.channel_ids, channels_arr)
         self._trace_times = trace.times[known]
-        self._trace_channel = lookup.astype(np.int64)
-        self._trace_start = trace.start_chunks[known]
+        self._trace_channel = lookup.astype(self._sort_dtype)
+        self._trace_start = trace.start_chunks[known].astype(
+            np.min_scalar_type(self.num_chunks - 1)
+        )
         self._trace_upload = trace.upload_capacities[known]
         self._cursor = 0
 
@@ -380,8 +386,12 @@ class MultiChannelSimulator:
         # ``_row_cell`` is ``local * J + chunk`` while a row downloads,
         # and the spill cell ``C * J`` while it holds or once it is dead;
         # those rows keep ``_row_received == 0.0``.  ``_row_hold_until``
-        # is finite exactly while a row holds, ``+inf`` otherwise.
+        # is finite exactly while a row holds, ``+inf`` otherwise; a held
+        # row's next chunk (``-1`` to depart) and finished chunk are
+        # stored in the narrowest signed dtype that holds ``-J`` and are
+        # widened to int64 when read.
         cap = _GROW
+        hold_dtype = np.min_scalar_type(-J)
         self._n = 0  # rows in use, including dead ones awaiting compaction
         self._row_chan = np.zeros(cap, dtype=np.int64)
         self._row_cell = np.zeros(cap, dtype=np.int64)
@@ -390,8 +400,8 @@ class MultiChannelSimulator:
         self._row_upload = np.zeros(cap)
         self._row_unsmooth = np.zeros(cap)
         self._row_hold_until = np.zeros(cap)
-        self._row_hold_next = np.zeros(cap, dtype=np.int64)
-        self._row_hold_from = np.zeros(cap, dtype=np.int64)
+        self._row_hold_next = np.zeros(cap, dtype=hold_dtype)
+        self._row_hold_from = np.zeros(cap, dtype=hold_dtype)
         self._row_alive = np.zeros(cap, dtype=bool)
         self._stale = False
         self._spill = C * J
@@ -589,12 +599,11 @@ class MultiChannelSimulator:
         if count > 1:
             # Group per channel, keeping trace order within a channel —
             # the order the per-channel accumulators saw.
-            order = np.argsort(
-                locals_.astype(self._sort_dtype), kind="stable"
-            )
+            order = np.argsort(locals_, kind="stable")
             locals_ = locals_[order]
             starts = starts[order]
             uploads = uploads[order]
+        locals_ = locals_.astype(np.int64)
         cells = locals_ * J + starts
         # Appending at the tail keeps admission order even while dead
         # rows await compaction (relative order of live rows is stable).
@@ -703,8 +712,8 @@ class MultiChannelSimulator:
         self._apply_transitions(
             rows,
             self._row_chan[rows],
-            self._row_hold_from[rows],
-            self._row_hold_next[rows],
+            self._row_hold_from[rows].astype(np.int64),
+            self._row_hold_next[rows].astype(np.int64),
         )
         return int(rows.size)
 

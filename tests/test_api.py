@@ -457,6 +457,18 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="schema 11"):
             resume(path)
 
+    def test_resume_rejects_schema_12(self, tmp_path):
+        """Schema 12 pickled epoch records holding every epoch's tracker
+        statistics and the kernel's int64 trace and hold columns; it is
+        not read."""
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pickle.dumps({
+            "format": "repro-checkpoint",
+            "schema": 12,
+        }))
+        with pytest.raises(ValueError, match="schema 12"):
+            resume(path)
+
     @pytest.mark.parametrize("module,name", [
         ("repro.vod.user", "UserStore"),      # a deleted module
         ("repro.cloud.broker", "VMPool"),     # a deleted class

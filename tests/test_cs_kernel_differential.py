@@ -62,8 +62,10 @@ class RebuildingKernel(MultiChannelSimulator):
             return 0
         sl = slice(self._cursor, end)
         self._cursor = end
-        locals_ = self._trace_channel[sl]
-        starts = self._trace_start[sl]
+        # The kernel stores both trace columns narrow; widened here so
+        # ``locals_ * J + starts`` cannot wrap.
+        locals_ = self._trace_channel[sl].astype(np.int64)
+        starts = self._trace_start[sl].astype(np.int64)
         uploads = self._trace_upload[sl]
         if count > 1:
             order = np.argsort(locals_, kind="stable")

@@ -6,6 +6,8 @@ simulation step's population and ``peak_population`` the maximum over
 the epoch's steps.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -95,3 +97,23 @@ def test_snapshot_population_is_per_step(kind, monkeypatch):
         # not trivially flat: some epoch peaks before its boundary
         assert any(max(g) > g[-1] for g in groups)
     assert max(s.peak_population for s in snaps) == int(np.max(populations))
+
+
+@pytest.mark.parametrize("kind,workers", [
+    ("closed-loop", 1), ("catalog", 1), ("catalog", 2),
+    ("geo-catalog", 1), ("geo-catalog", 2),
+])
+def test_epoch_record_holds_no_tracker_statistics(kind, workers):
+    """Every engine's tracker absorbs an epoch's statistics when the
+    epoch ends, so the run record keeps none: not in memory and not in
+    the pickle a checkpoint writes."""
+    config = EngineConfig(spec=SPECS[kind](), workers=workers)
+    with open_run(config) as run:
+        for _ in run.epochs():
+            record = run._engine._run
+            assert record.epochs and all(
+                epoch.stats == [] for epoch in record.epochs
+            )
+        run.result()
+        assert record.done and len(record.epochs) == record.epoch
+        assert b"IntervalStats" not in pickle.dumps(record)
