@@ -8,8 +8,9 @@ JSON-parsed; bare words stay strings), and prints
 * the resident set size (current and high-water) when the run is
   opened, when it has started (bootstrap, and shard build and worker
   spawn for the catalogs) and at every epoch boundary;
-* the size of the pickled run record (``EpochRun``) at the last epoch,
-  which a checkpoint writes;
+* the sizes of the pickled run record (``EpochRun``) and of the pickled
+  engine state (``snapshot_state()``, which holds the kernels and the
+  run record: what ``Run.checkpoint`` writes) at the last epoch;
 * the live bytes ``tracemalloc`` attributes to each allocation site at
   the end of the run, before the run is closed (numpy reports its array
   buffers to ``tracemalloc``), largest first.
@@ -133,6 +134,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         record = pickle.dumps(run._engine._run, pickle.HIGHEST_PROTOCOL)
         print(f"\npickled run record at epoch {run.epoch}: "
               f"{len(record):,} bytes")
+        state = pickle.dumps(run._engine.snapshot_state(),
+                             pickle.HIGHEST_PROTOCOL)
+        print(f"pickled engine state at epoch {run.epoch}: "
+              f"{len(state):,} bytes")
         if snapshot is not None:
             breakdown(snapshot, args.top)
     finally:

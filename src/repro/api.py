@@ -94,8 +94,11 @@ __all__ = [
 #: and billing meter without their agreement and rate histories;
 #: schema 13 pickles epoch records without tracker statistics (the
 #: tracker absorbed them) and a kernel whose trace channel/start and
-#: hold next/from columns are narrow integer dtypes.
-CHECKPOINT_SCHEMA = 13
+#: hold next/from columns are narrow integer dtypes; schema 14 pickles a
+#: kernel whose row channel and cell columns are narrow unsigned dtypes,
+#: with an upload column in P2P mode only, and only the unconsumed
+#: suffix of its trace.
+CHECKPOINT_SCHEMA = 14
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

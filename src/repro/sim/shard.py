@@ -151,10 +151,9 @@ class ChannelShard:
         sim = self.sim
         deltas = self._cursor.advance(sim, t_end)
         stats = sim.close_interval()
-        # Only P2P re-provisioning reads the live peer upload.
-        upload_sum, upload_count = (
-            sim.peer_upload_totals() if self.config.mode == "p2p" else (0.0, 0)
-        )
+        # Only P2P re-provisioning reads the live peer upload; a
+        # client-server kernel reports (0.0, 0).
+        upload_sum, upload_count = sim.peer_upload_totals()
         return EpochReport(
             shard_index=self.shard_index,
             stats=stats,

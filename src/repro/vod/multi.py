@@ -11,16 +11,32 @@ between intervals.  Every engine runs it: the closed loop over the whole
 scenario, the catalog engines once per shard.
 
 All users of all channels live in one dense **row table** in admission
-order — a structure-of-arrays column per attribute (channel, current
-cell, received bytes, enter time, upload capacity, hold state, alive
-flag, and in P2P mode the chunks owned) with a tail cursor for O(1)
-appends.  A downloading row's *cell* is ``channel * chunks + chunk``, its
+order — a structure-of-arrays column per attribute with a tail cursor
+for O(1) appends.  The columns, each in the narrowest dtype that holds
+its values (widened to int64 before any ``* chunks`` arithmetic):
+
+* local channel (the channel sort key's unsigned dtype) and current
+  cell (the smallest unsigned dtype that holds ``channels * chunks``);
+* received bytes, enter time, last unsmooth completion and hold-until
+  time (float64);
+* a held row's next and finished chunk (the smallest signed dtype that
+  holds ``-chunks``) and the alive flag;
+* in P2P mode only, the upload capacity (float64) and the chunks owned
+  (a ``(chunks, rows)`` bool matrix).
+
+A downloading row's *cell* is ``channel * chunks + chunk``, its
 queue in the flattened ``(channels, chunks)`` tables; held and dead rows
 carry the spill cell ``channels * chunks``.  Departures only flip the
 alive flag; the table is re-packed by one stable ``flatnonzero`` gather,
-*lazily* — once per epoch at the report boundary, or mid-epoch only when
-dead rows exceed half the table.  Per-channel state the delivery needs
-is a ``(channels, chunks)`` capacity matrix, the downloader count of
+*lazily* — once per epoch at the report boundary, mid-epoch when dead
+rows exceed half the table, or when an admission would not fit and the
+table holds dead rows (compact before growing, so capacity follows the
+live population).  The trace is held from its admission cursor on:
+:meth:`MultiChannelSimulator.close_interval` drops the consumed prefix
+once the cursor has passed half of what is held (O(trace) copies over a
+run), and a pickled kernel carries only the unconsumed suffix.
+Per-channel state the delivery needs is a ``(channels, chunks)``
+capacity matrix, the downloader count of
 every cell (kept up to date by integer adds as rows enter and leave
 queues, never re-counted), and in P2P mode a ``(channels, chunks)``
 live-owner count.  Each step runs:
@@ -120,6 +136,10 @@ __all__ = [
 ]
 
 _GROW = 256
+
+#: The trace columns, read from ``_cursor`` on.
+_TRACE_COLUMNS = ("_trace_times", "_trace_channel", "_trace_start",
+                  "_trace_upload")
 
 
 @dataclass(frozen=True)
@@ -389,15 +409,17 @@ class MultiChannelSimulator:
         # is finite exactly while a row holds, ``+inf`` otherwise; a held
         # row's next chunk (``-1`` to depart) and finished chunk are
         # stored in the narrowest signed dtype that holds ``-J`` and are
-        # widened to int64 when read.
+        # widened to int64 when read.  ``_row_chan`` is in the channel
+        # sort dtype and ``_row_cell`` in the narrowest unsigned dtype
+        # that holds the spill cell; both are widened to int64 before
+        # ``* J``, where a narrow dtype would wrap.
         cap = _GROW
         hold_dtype = np.min_scalar_type(-J)
         self._n = 0  # rows in use, including dead ones awaiting compaction
-        self._row_chan = np.zeros(cap, dtype=np.int64)
-        self._row_cell = np.zeros(cap, dtype=np.int64)
+        self._row_chan = np.zeros(cap, dtype=self._sort_dtype)
+        self._row_cell = np.zeros(cap, dtype=np.min_scalar_type(C * J))
         self._row_received = np.zeros(cap)
         self._row_enter = np.zeros(cap)
-        self._row_upload = np.zeros(cap)
         self._row_unsmooth = np.zeros(cap)
         self._row_hold_until = np.zeros(cap)
         self._row_hold_next = np.zeros(cap, dtype=hold_dtype)
@@ -414,16 +436,18 @@ class MultiChannelSimulator:
         self._hold_count = 0
         self._chan_count = np.zeros(C, dtype=np.int64)
         self._total_active = 0
-        # P2P only: the rarest-first solve, the ownership column (chunk-
-        # major, so a channel's owner masks gather as contiguous rows)
-        # and the per-(channel, chunk) count of live owners.  The
-        # client-server hot path never touches them.
+        # P2P only: the rarest-first solve, the upload column, the
+        # ownership column (chunk-major, so a channel's owner masks
+        # gather as contiguous rows) and the per-(channel, chunk) count
+        # of live owners.  The client-server hot path never touches them.
         if config.mode == "p2p":
             self._delivery = P2PDelivery(config.user_rate_cap)
+            self._row_upload = np.zeros(cap)
             self._row_owned = np.zeros((J, cap), dtype=bool)
             self._owners = np.zeros((C, J), dtype=np.int64)
         else:
             self._delivery = None
+            self._row_upload = None
             self._row_owned = None
             self._owners = None
 
@@ -479,7 +503,11 @@ class MultiChannelSimulator:
         skipping them is bitwise-neutral.
 
         Split out from :meth:`mean_peer_upload` so the sharded engine
-        can merge the raw accumulators across shards before dividing."""
+        can merge the raw accumulators across shards before dividing.
+        Client-server users upload nothing (the kernel keeps no upload
+        column there): ``(0.0, 0)``."""
+        if self._row_upload is None:
+            return 0.0, 0
         count = self._compact()
         if count == 0:
             return 0.0, 0
@@ -526,17 +554,34 @@ class MultiChannelSimulator:
         self._iv_starts[:] = 0.0
         self._iv_upload_sum = [0.0] * self.num_channels
         self._iv_upload_samples[:] = 0
+        if self._cursor and 2 * self._cursor >= self._trace_times.size:
+            # Admission never reads behind the cursor: keep a copy of
+            # the unconsumed suffix only.  Dropping once the cursor has
+            # passed half of what is held copies O(trace) over a run.
+            for name in _TRACE_COLUMNS:
+                setattr(self, name, getattr(self, name)[self._cursor :].copy())
+            self._cursor = 0
         return out
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the unconsumed trace suffix only (checkpoints and the
+        shard state the sharded engines gather)."""
+        state = self.__dict__.copy()
+        for name in _TRACE_COLUMNS:
+            state[name] = state[name][self._cursor :]
+        state["_cursor"] = 0
+        return state
 
     # ------------------------------------------------------------------
     # Slot pool
     # ------------------------------------------------------------------
+    # The columns of every mode; the P2P-only upload and ownership
+    # columns are grown and compacted beside them.
     _ROW_ARRAYS = (
         "_row_chan",
         "_row_cell",
         "_row_received",
         "_row_enter",
-        "_row_upload",
         "_row_unsmooth",
         "_row_hold_until",
         "_row_hold_next",
@@ -555,6 +600,9 @@ class MultiChannelSimulator:
             fresh[:n] = arr[:n]
             setattr(self, name, fresh)
         if self._row_owned is not None:
+            fresh = np.zeros(cap)
+            fresh[:n] = self._row_upload[:n]
+            self._row_upload = fresh
             fresh = np.zeros((self.num_chunks, cap), dtype=bool)
             fresh[:, :n] = self._row_owned[:, :n]
             self._row_owned = fresh
@@ -575,6 +623,7 @@ class MultiChannelSimulator:
                 # so compacting into the same buffer is safe.
                 arr[:m] = arr[idx]
             if self._row_owned is not None:
+                self._row_upload[:m] = self._row_upload[idx]
                 self._row_owned[:, :m] = self._row_owned[:, idx]
             self._n = m
             self._stale = False
@@ -607,19 +656,23 @@ class MultiChannelSimulator:
         cells = locals_ * J + starts
         # Appending at the tail keeps admission order even while dead
         # rows await compaction (relative order of live rows is stable).
+        # Rows that do not fit squeeze out the dead ones first, so the
+        # table grows only with the live population.
+        if self._n + count > self._row_chan.size:
+            self._compact()
+            if self._n + count > self._row_chan.size:
+                self._grow(self._n + count)
         n0 = self._n
         n1 = n0 + count
-        if n1 > self._row_chan.size:
-            self._grow(n1)
         self._row_chan[n0:n1] = locals_
         self._row_cell[n0:n1] = cells
         self._row_received[n0:n1] = 0.0
         self._row_enter[n0:n1] = self.now
-        self._row_upload[n0:n1] = uploads
         self._row_unsmooth[n0:n1] = -np.inf
         self._row_hold_until[n0:n1] = np.inf
         self._row_alive[n0:n1] = True
         if self._row_owned is not None:
+            self._row_upload[n0:n1] = uploads
             self._row_owned[:, n0:n1] = False
         self._n = n1
         per_channel = np.bincount(locals_, minlength=C)
@@ -711,7 +764,7 @@ class MultiChannelSimulator:
         hold_until[rows] = np.inf
         self._apply_transitions(
             rows,
-            self._row_chan[rows],
+            self._row_chan[rows].astype(np.int64),
             self._row_hold_from[rows].astype(np.int64),
             self._row_hold_next[rows].astype(np.int64),
         )
@@ -769,12 +822,11 @@ class MultiChannelSimulator:
                     # Channel-major, arrival order within each channel —
                     # the order the per-channel kernel consumes its
                     # behaviour stream and sojourn accumulator in.
-                    order = np.argsort(
-                        comp_local.astype(self._sort_dtype), kind="stable"
-                    )
+                    order = np.argsort(comp_local, kind="stable")
                     comp = comp[order]
                     comp_local = comp_local[order]
                     comp_cell = comp_cell[order]
+                comp_local = comp_local.astype(np.int64)
                 finished = comp_cell - comp_local * J
                 events = int(comp.size)
                 # Every completing row leaves its queue for the spill
@@ -824,10 +876,9 @@ class MultiChannelSimulator:
         in ascending channel order.
         """
         n = self._n
-        chan = self._row_chan[:n]
+        keys = self._row_chan[:n]
         # Channel-major, arrival order within each channel; each
         # channel's segment is as long as its live population.
-        keys = chan.astype(self._sort_dtype)
         if self._stale:
             live = np.flatnonzero(self._row_alive[:n])
             order = live[np.argsort(keys[live], kind="stable")]

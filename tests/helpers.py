@@ -31,9 +31,12 @@ def row_chunks(sim):
     """Each table row's chunk, read back from the kernel's columns: the
     chunk a downloading row is in (``cell - local * chunks``),
     :data:`HOLDING` for a held row (finite ``hold_until``) and ``-1``
-    for a dead one."""
+    for a dead one.  Both columns are narrow; they are widened before
+    ``* chunks``, which would wrap in their dtypes."""
     n = sim._n
-    chunks = sim._row_cell[:n] - sim._row_chan[:n] * sim.num_chunks
+    chunks = sim._row_cell[:n].astype(np.int64) - (
+        sim._row_chan[:n].astype(np.int64) * sim.num_chunks
+    )
     chunks[np.isfinite(sim._row_hold_until[:n])] = HOLDING
     chunks[~sim._row_alive[:n]] = -1
     return chunks

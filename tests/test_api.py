@@ -469,6 +469,44 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="schema 12"):
             resume(path)
 
+    def test_resume_rejects_schema_13(self, tmp_path):
+        """Schema 13 pickled the kernel with int64 row channel and cell
+        columns, an upload column in client-server mode and its whole
+        trace; it is not read."""
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pickle.dumps({
+            "format": "repro-checkpoint",
+            "schema": 13,
+        }))
+        with pytest.raises(ValueError, match="schema 13"):
+            resume(path)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_after_trace_prefix_drop_identical(self, tmp_path,
+                                                      workers):
+        """A checkpoint taken after every kernel dropped its consumed
+        trace prefix resumes to the uninterrupted run's bytes."""
+        config = small_catalog()
+        with open_run(EngineConfig(spec=config, workers=1)) as run:
+            reference = run.result()
+        # By the close of epoch 2 of 3 each kernel's cursor has passed
+        # half of its trace, so the prefix is gone: the cursor counts
+        # from the cut, below the sessions admitted.
+        with open_run(EngineConfig(spec=config, workers=1)) as run:
+            for snap in run.epochs():
+                if snap.index == 2:
+                    break
+            sims = [shard.sim for shard in run._engine._shards]
+            assert all(sim._cursor < sim.arrivals for sim in sims)
+        path = checkpoint_at(
+            EngineConfig(spec=config, workers=workers), 2,
+            tmp_path / "cut.ckpt",
+        )
+        with resume(path, workers=workers) as tail:
+            assert tail.epoch == 2
+            resumed = tail.result()
+        assert_catalog_identical(reference, resumed)
+
     @pytest.mark.parametrize("module,name", [
         ("repro.vod.user", "UserStore"),      # a deleted module
         ("repro.cloud.broker", "VMPool"),     # a deleted class

@@ -72,18 +72,22 @@ class RebuildingKernel(MultiChannelSimulator):
             locals_ = locals_[order]
             starts = starts[order]
             uploads = uploads[order]
+        # The kernel compacts before it grows; the oracle follows, so
+        # both tables keep the same rows.
+        if self._n + count > self._row_chan.size:
+            self._compact()
+            if self._n + count > self._row_chan.size:
+                self._grow(self._n + count)
         n0 = self._n
         n1 = n0 + count
-        if n1 > self._row_chan.size:
-            self._grow(n1)
         self._row_chan[n0:n1] = locals_
         self._row_chunk[n0:n1] = starts
         self._row_received[n0:n1] = 0.0
         self._row_enter[n0:n1] = self.now
-        self._row_upload[n0:n1] = uploads
         self._row_unsmooth[n0:n1] = -np.inf
         self._row_alive[n0:n1] = True
         if self._row_owned is not None:
+            self._row_upload[n0:n1] = uploads
             self._row_owned[:, n0:n1] = False
         self._n = n1
         uniq, first_idx, per_channel = np.unique(
@@ -156,7 +160,7 @@ class RebuildingKernel(MultiChannelSimulator):
         self._hold_count -= int(rows.size)
         self._apply_transitions(
             rows,
-            self._row_chan[rows],
+            self._row_chan[rows].astype(np.int64),
             self._row_hold_from[rows],
             self._row_hold_next[rows],
         )
@@ -168,7 +172,8 @@ class RebuildingKernel(MultiChannelSimulator):
         now = self.now
         user_cap = self.config.user_rate_cap
         n = self._n
-        chan = self._row_chan[:n]
+        # The kernel stores the channel narrow; widened before ``* J``.
+        chan = self._row_chan[:n].astype(np.int64)
         chunk = self._row_chunk[:n]
         holds = self._stale or self._hold_count > 0
         if holds:
@@ -337,7 +342,7 @@ def assert_same_state(new: MultiChannelSimulator, old: RebuildingKernel):
     n, J = new._n, new.num_chunks
     alive = new._row_alive[:n]
     assert same_bits(alive, old._row_alive[:n])
-    for name in ("_row_chan", "_row_enter", "_row_upload", "_row_unsmooth"):
+    for name in ("_row_chan", "_row_enter", "_row_unsmooth"):
         assert same_bits(getattr(new, name)[:n][alive],
                          getattr(old, name)[:n][alive]), name
     cell = new._row_cell[:n]
@@ -347,7 +352,7 @@ def assert_same_state(new: MultiChannelSimulator, old: RebuildingKernel):
     assert np.array_equal(downloading, alive & (old_chunk >= 0))
     assert np.array_equal(held, alive & (old_chunk == HOLDING))
     assert not np.any(downloading & held)
-    chunk = cell - new._row_chan[:n] * J
+    chunk = cell.astype(np.int64) - new._row_chan[:n].astype(np.int64) * J
     assert np.array_equal(chunk[downloading], old_chunk[downloading])
     assert same_bits(new._row_received[:n][downloading],
                      old._row_received[:n][downloading])
@@ -360,6 +365,8 @@ def assert_same_state(new: MultiChannelSimulator, old: RebuildingKernel):
     fresh = np.bincount(cell[downloading], minlength=new._counts.size)
     assert same_bits(new._counts, fresh)
     if new._owners is not None:
+        assert same_bits(new._row_upload[:n][alive],
+                         old._row_upload[:n][alive])
         assert same_bits(new._owners, old._owners)
         assert same_bits(new._row_owned[:, :n][:, alive],
                          old._row_owned[:, :n][:, alive])

@@ -1,17 +1,21 @@
 """Differential tests at the kernel's dtype edges: narrow columns against
-int64 ones.
+int64 ones, and a dropped trace prefix against a kept one.
 
-The kernel stores its trace channel in the smallest unsigned dtype that
-holds every local channel id, its trace start chunk in the smallest
-that holds ``J - 1``, and a held row's next and finished chunk in the
-smallest signed dtype that holds ``-J``.  Under numpy 2's promotion
-rules ``uint8 * J`` stays ``uint8`` and wraps, so every read that feeds
-``* J`` arithmetic must widen first.
+The kernel stores its trace channel and its row channel in the smallest
+unsigned dtype that holds every local channel id, its row cell in the
+smallest that holds the spill cell ``C * J``, its trace start chunk in
+the smallest that holds ``J - 1``, and a held row's next and finished
+chunk in the smallest signed dtype that holds ``-J``.  Under numpy 2's
+promotion rules ``uint8 * J`` stays ``uint8`` and wraps, so every read
+that feeds ``* J`` arithmetic must widen first.  It also drops the
+consumed trace prefix at an interval close, and compacts its row table
+before growing it.
 
-The oracle :class:`Int64ColumnKernel` is the same kernel with those four
-columns in int64, as they were stored before.  Both step in lock-step in
-both delivery modes, on systems sized to cross each dtype edge, and
-every observable must agree bit for bit.
+The oracle :class:`Int64ColumnKernel` is the same kernel with those six
+columns in int64, as they were stored before, and with its whole trace
+kept.  Both step in lock-step in both delivery modes, on systems sized
+to cross each dtype edge, with intervals closed mid-run, and every
+observable must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -24,17 +28,56 @@ from repro.vod.multi import MultiChannelSimulator, VoDSystemConfig
 from repro.workload.trace import ShardTraceArrays
 
 HOLD_COLUMNS = ("_row_hold_next", "_row_hold_from")
+#: The row columns the kernel stores narrow and the oracle as int64.
+NARROW_ROW_COLUMNS = ("_row_chan", "_row_cell", *HOLD_COLUMNS)
+TRACE_COLUMNS = ("_trace_times", "_trace_channel", "_trace_start",
+                 "_trace_upload")
 
 
 class Int64ColumnKernel(MultiChannelSimulator):
-    """The kernel with its trace and hold columns stored as int64."""
+    """The kernel with its trace and narrow row columns stored as int64,
+    and its whole trace kept for the whole run."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._trace_channel = self._trace_channel.astype(np.int64)
         self._trace_start = self._trace_start.astype(np.int64)
-        for name in HOLD_COLUMNS:
+        for name in NARROW_ROW_COLUMNS:
             setattr(self, name, getattr(self, name).astype(np.int64))
+
+    def close_interval(self):
+        kept = [getattr(self, name) for name in TRACE_COLUMNS], self._cursor
+        out = super().close_interval()
+        columns, self._cursor = kept
+        for name, column in zip(TRACE_COLUMNS, columns):
+            setattr(self, name, column)
+        return out
+
+
+def spy_compact_before_grow(sim) -> list:
+    """Record the table size at each compaction of a stale table that
+    runs inside an admission of ``sim``: compact before growing.  The
+    step's own check and the forced compactions run before admission
+    and are not recorded."""
+    inside = []
+    admit, compact = sim._admit_arrivals, sim._compact
+    admitting = []
+
+    def admit_spy():
+        admitting.append(True)
+        try:
+            return admit()
+        finally:
+            admitting.pop()
+
+    def compact_spy():
+        if admitting and sim._stale:
+            inside.append(sim._n)
+        return compact()
+
+    sim._admit_arrivals = admit_spy
+    sim._compact = compact_spy
+    return inside
 
 
 def same_bits(a, b) -> bool:
@@ -54,8 +97,15 @@ def assert_same_state(new, old) -> None:
     assert float(q_new.sojourn_sum).hex() == float(q_old.sojourn_sum).hex()
     assert q_new.samples == q_old.samples
     for name in ("arrivals", "departures", "steps", "peak_step_events",
-                 "_total_active", "_hold_count", "_n", "_stale", "_cursor"):
+                 "_total_active", "_hold_count", "_n", "_stale"):
         assert getattr(new, name) == getattr(old, name), name
+    # The unconsumed trace is the same, wherever each kernel cut it.
+    for name in TRACE_COLUMNS:
+        mine = getattr(new, name)[new._cursor:]
+        theirs = getattr(old, name)[old._cursor:]
+        if mine.dtype.kind == "u":
+            mine = mine.astype(np.int64)
+        assert same_bits(mine, theirs), name
     # ``_iv_transitions`` ((C, J, J), 40 MB at 300 x 130) is compared
     # through the interval statistics at every close instead.
     for name in ("_chan_count", "_counts", "_iv_arrivals", "_iv_departures",
@@ -67,10 +117,11 @@ def assert_same_state(new, old) -> None:
     n = new._n
     for name in MultiChannelSimulator._ROW_ARRAYS:
         mine = getattr(new, name)[:n]
-        if name in HOLD_COLUMNS:
+        if name in NARROW_ROW_COLUMNS:
             mine = mine.astype(np.int64)
         assert same_bits(mine, getattr(old, name)[:n]), name
     if new._owners is not None:
+        assert same_bits(new._row_upload[:n], old._row_upload[:n])
         assert same_bits(new._owners, old._owners)
         assert same_bits(new._row_owned[:, :n], old._row_owned[:, :n])
 
@@ -124,11 +175,14 @@ def system(C: int, J: int, sessions: int, seed: int):
 
 
 def run_lockstep(spec, mode):
+    """Step both kernels in lock-step; returns the narrow kernel, the
+    oracle, and the table size at each compaction inside an admission."""
     config = VoDSystemConfig(mode=mode, dt=spec["dt"],
                              user_rate_cap=spec["user_cap"], seed=11)
     channels = spec["channels"]
     new = MultiChannelSimulator(channels, spec["trace"], config)
     old = Int64ColumnKernel(channels, spec["trace"], config)
+    compacted_in_admission = spy_compact_before_grow(new)
     for step in range(spec["steps"]):
         if step % spec["epoch"] == 0:
             k = step // spec["epoch"]
@@ -145,34 +199,66 @@ def run_lockstep(spec, mode):
         assert_same_state(new, old)
     assert_same_stats(new.close_interval(), old.close_interval())
     assert same_bits(new.peer_upload_totals(), old.peer_upload_totals())
-    return new
+    return new, old, compacted_in_admission
 
 
 EDGES = {
     # 300 channels need uint16 ids, and 130 chunks an int16 hold column;
     # the largest cells (local * J + chunk) pass 32,767.
-    "uint16-int16": (300, 130, 3000, np.uint16, np.uint8, np.int16),
+    "uint16-int16": (300, 130, 3000, np.uint16, np.uint16, np.uint8,
+                     np.int16),
     # uint8 ids and int8 hold columns, with cells past 255: a local
     # channel left uint8 wraps in ``* J``.
-    "uint8-int8": (20, 20, 600, np.uint8, np.uint8, np.int8),
+    "uint8-int8": (20, 20, 600, np.uint8, np.uint16, np.uint8, np.int8),
+    # The cell edge: a spill cell of 255 still fits uint8, one of 256
+    # does not.
+    "cells-255": (15, 17, 600, np.uint8, np.uint8, np.uint8, np.int8),
+    "cells-256": (16, 16, 600, np.uint8, np.uint16, np.uint8, np.int8),
+    # The channel edge: 256 channels keep uint8 ids, 257 need uint16.
+    "channels-256": (256, 2, 1200, np.uint8, np.uint16, np.uint8, np.int8),
+    "channels-257": (257, 2, 1200, np.uint16, np.uint16, np.uint8, np.int8),
+    # Cells past 65,535 need uint32; a uint16 channel wraps in ``* J``.
+    "cells-65600": (8200, 8, 3000, np.uint16, np.uint32, np.uint8, np.int8),
 }
 
 
 @pytest.mark.parametrize("mode", ["client-server", "p2p"])
 @pytest.mark.parametrize("edge", list(EDGES))
 def test_narrow_columns_match_int64_columns(edge, mode):
-    C, J, sessions, chan_dtype, start_dtype, hold_dtype = EDGES[edge]
+    C, J, sessions, chan_dtype, cell_dtype, start_dtype, hold_dtype = \
+        EDGES[edge]
     spec = system(C, J, sessions, seed=C)
     assert (C - 1) * J + J - 1 > np.iinfo(hold_dtype).max
-    sim = run_lockstep(spec, mode)
+    sim, oracle, compacted_in_admission = run_lockstep(spec, mode)
     assert sim._trace_channel.dtype == chan_dtype
     assert sim._trace_start.dtype == start_dtype
+    assert sim._row_chan.dtype == chan_dtype
+    assert sim._row_cell.dtype == cell_dtype
     for name in HOLD_COLUMNS:
         assert getattr(sim, name).dtype == hold_dtype
+    assert (sim._row_upload is None) == (mode == "client-server")
     # The run crossed every path the narrow columns feed.
     assert sim.departures > 0
     assert sim.quality.total_retrievals > sim.quality.unsmooth_retrievals
     assert sim.quality.unsmooth_retrievals > 0
+    # A trace prefix was dropped, and dead rows were squeezed out of a
+    # full table before it grew.
+    assert sim._trace_times.size < oracle._trace_times.size
+    assert compacted_in_admission
+
+
+def two_session_kernel(C: int, J: int) -> MultiChannelSimulator:
+    """``C`` channels of ``J`` chunks, with one session on the first
+    channel and chunk and one on the last."""
+    behaviour = np.zeros((J, J))
+    channels = make_uniform_channels(C, J, 100.0, 23.0, behaviour=behaviour)
+    trace = ShardTraceArrays(
+        times=np.array([0.0, 1.0]),
+        channels=np.array([0, C - 1], dtype=np.int64),
+        start_chunks=np.array([0, J - 1], dtype=np.int64),
+        upload_capacities=np.zeros(2),
+    )
+    return MultiChannelSimulator(channels, trace, VoDSystemConfig())
 
 
 @pytest.mark.parametrize("C,J,chan_dtype,start_dtype,hold_dtype", [
@@ -188,15 +274,7 @@ def test_narrow_columns_match_int64_columns(edge, mode):
 def test_column_dtypes(C, J, chan_dtype, start_dtype, hold_dtype):
     """The narrowest dtype that holds each column's values, at and just
     past each edge."""
-    behaviour = np.zeros((J, J))
-    channels = make_uniform_channels(C, J, 100.0, 23.0, behaviour=behaviour)
-    trace = ShardTraceArrays(
-        times=np.array([0.0, 1.0]),
-        channels=np.array([0, C - 1], dtype=np.int64),
-        start_chunks=np.array([0, J - 1], dtype=np.int64),
-        upload_capacities=np.zeros(2),
-    )
-    sim = MultiChannelSimulator(channels, trace, VoDSystemConfig())
+    sim = two_session_kernel(C, J)
     assert sim._trace_channel.dtype == chan_dtype
     assert sim._trace_start.dtype == start_dtype
     assert sim._trace_channel.tolist() == [0, C - 1]
@@ -205,3 +283,25 @@ def test_column_dtypes(C, J, chan_dtype, start_dtype, hold_dtype):
         column = getattr(sim, name)
         assert column.dtype == hold_dtype
         assert np.iinfo(column.dtype).min <= -J
+
+
+@pytest.mark.parametrize("C,J,chan_dtype,cell_dtype", [
+    (1, 1, np.uint8, np.uint8),
+    (15, 17, np.uint8, np.uint8),      # spill cell 255
+    (16, 16, np.uint8, np.uint16),     # spill cell 256
+    (256, 2, np.uint8, np.uint16),
+    (257, 2, np.uint16, np.uint16),
+    (4369, 15, np.uint16, np.uint16),  # spill cell 65,535
+    (8192, 8, np.uint16, np.uint32),   # spill cell 65,536
+])
+def test_row_column_dtypes(C, J, chan_dtype, cell_dtype):
+    """The row channel takes the channel sort dtype and the row cell the
+    narrowest unsigned dtype that holds the spill cell ``C * J``, at and
+    just past each edge."""
+    sim = two_session_kernel(C, J)
+    assert sim._row_chan.dtype == chan_dtype == sim._trace_channel.dtype
+    assert sim._row_cell.dtype == cell_dtype
+    assert sim._spill == C * J <= np.iinfo(cell_dtype).max
+    sim.step()
+    assert sim._row_chan[:2].tolist() == [0, C - 1]
+    assert sim._row_cell[:2].tolist() == [0, C * J - 1]

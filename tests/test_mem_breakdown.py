@@ -35,6 +35,13 @@ def test_catalog_breakdown_prints_rss_per_epoch_and_sites():
     assert whens == ["imported", "open", "start", "epoch 1 t=600",
                      "epoch 2 t=1200", "epoch 3 t=1800", "result"]
     assert re.search(r"pickled run record at epoch 3: [\d,]+ bytes", out)
+    state = re.search(r"pickled engine state at epoch 3: ([\d,]+) bytes",
+                      out)
+    assert state is not None
+    # The engine state holds the run record and the kernels of both
+    # workers' shards.
+    record = re.search(r"pickled run record at epoch 3: ([\d,]+)", out)
+    assert int(state[1].replace(",", "")) > int(record[1].replace(",", ""))
     table = out.split("tracemalloc: ", 1)[1]
     sites = re.findall(r"^\s+[\d.]+\s+\d+  (\S.*)$", table, re.MULTILINE)
     assert len(sites) == 5
@@ -46,6 +53,8 @@ def test_closed_loop_without_tracemalloc():
                       "--no-tracemalloc")
     assert proc.returncode == 0, proc.stderr
     assert "epoch 1 t=3600" in proc.stdout
+    assert re.search(r"pickled engine state at epoch 1: [\d,]+ bytes",
+                     proc.stdout)
     assert "tracemalloc" not in proc.stdout
 
 
