@@ -6,13 +6,14 @@ an unlucky kernel OOM-killer) would:
 1. start a service subprocess with a state dir and per-epoch
    auto-checkpointing;
 2. ``repro submit`` equivalent over the client: POST a sharded catalog
-   run (shard worker processes in play);
+   run (shard worker processes in play) and a 1 h P2P closed-loop run
+   (the one-shard engine);
 3. follow the SSE epoch stream and request an explicit checkpoint;
 4. SIGKILL the server mid-run — no teardown code gets to execute — and
    check that its orphaned shard workers exit on their own;
-5. start a fresh server on the same state dir: it must re-adopt the
-   run from its checkpoint and finish it;
-6. compare the served artifact's sha256 against running the identical
+5. start a fresh server on the same state dir: it must re-adopt both
+   runs and finish them (the catalog from its checkpoint);
+6. compare each served artifact's sha256 against running the identical
    :class:`repro.api.EngineConfig` through ``open_run`` in this
    process — the bytes must match exactly;
 7. fail on any ``psm_*`` segment left in ``/dev/shm``.
@@ -38,6 +39,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import EngineConfig, open_run  # noqa: E402
+from repro.experiments.config import small_scenario  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 from repro.service.artifact import (  # noqa: E402
     artifact_bytes,
@@ -60,6 +62,17 @@ def build_config() -> EngineConfig:
         seed=2011,
     )
     return EngineConfig(spec=spec, workers=2)
+
+
+def build_closed_loop_config() -> EngineConfig:
+    return EngineConfig(spec=small_scenario("p2p", horizon_hours=1.0))
+
+
+def reference_sha256(config: EngineConfig) -> str:
+    with open_run(config) as run:
+        return sha256_hex(
+            artifact_bytes(result_payload(config.kind, run.result()))
+        )
 
 
 def spawn_serve(state_dir: Path) -> "tuple[subprocess.Popen, str]":
@@ -118,12 +131,12 @@ def dev_shm_entries() -> "list[str]":
 
 def main() -> int:
     config = build_config()
-    print("reference: running the same config through open_run ...")
-    with open_run(config) as run:
-        expected = sha256_hex(
-            artifact_bytes(result_payload(config.kind, run.result()))
-        )
-    print(f"reference sha256 {expected}")
+    closed_loop = build_closed_loop_config()
+    print("reference: running the same configs through open_run ...")
+    expected = reference_sha256(config)
+    expected_closed_loop = reference_sha256(closed_loop)
+    print(f"reference sha256 {expected} (catalog), "
+          f"{expected_closed_loop} (closed loop)")
 
     pre_existing = dev_shm_entries()
 
@@ -136,7 +149,8 @@ def main() -> int:
             client = ServiceClient(url)
             client.wait_healthy()
             run_id = client.submit(config)
-            print(f"  submitted {run_id} to {url}")
+            closed_loop_id = client.submit(closed_loop)
+            print(f"  submitted {run_id} and {closed_loop_id} to {url}")
             for event in client.events(run_id):
                 if event["event"] != "epoch":
                     continue
@@ -197,6 +211,20 @@ def main() -> int:
                 )
             if info["artifact_sha256"] != expected:
                 raise SystemExit("status document carries a different sha256")
+            info = client.wait(closed_loop_id, attempts=3000)
+            if info["state"] != "done":
+                raise SystemExit(
+                    f"closed-loop run ended {info['state']!r}: "
+                    f"{info.get('error')}"
+                )
+            actual = sha256_hex(client.result_bytes(closed_loop_id))
+            print(f"  closed-loop artifact sha256 {actual}")
+            if actual != expected_closed_loop or \
+                    info["artifact_sha256"] != expected_closed_loop:
+                raise SystemExit(
+                    "CLOSED-LOOP ARTIFACT MISMATCH after SIGKILL + restart: "
+                    f"{actual} != {expected_closed_loop}"
+                )
         finally:
             process.send_signal(signal.SIGTERM)
             try:
@@ -211,7 +239,7 @@ def main() -> int:
         raise SystemExit(f"leaked /dev/shm segments: {leaked}")
 
     print("service smoke OK: SIGKILL + restart resumed to byte-identical "
-          "artifact, no orphaned workers, no shm leaks")
+          "artifacts, no orphaned workers, no shm leaks")
     return 0
 
 

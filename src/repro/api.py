@@ -3,8 +3,10 @@
 The closed loop (predict -> provision -> serve -> observe) is an
 *online* controller, and this module exposes it that way, uniformly for
 all three engines the repo grew — the single-region closed loop
-(:mod:`repro.experiments.runner`), the sharded catalog and the
-multi-region geo catalog (:mod:`repro.sim.shard`):
+(:mod:`repro.experiments.runner`, the sharded engine over one
+in-process shard), the sharded catalog and the multi-region geo catalog
+(:mod:`repro.sim.shard`), each built by
+:func:`repro.sim.shard.make_engine`:
 
 * :class:`EngineConfig` — one typed config: the scenario/catalog spec
   plus ``workers`` as a first-class field (validated by
@@ -51,6 +53,9 @@ from typing import Any, Dict, Iterator, Optional, Union
 
 import numpy as np
 
+# make_engine builds a ScenarioConfig's engine from the runner module;
+# loading it with the api keeps a first closed-loop run free of imports.
+import repro.experiments.runner  # noqa: F401
 from repro import __version__, atomic_write
 from repro.experiments.config import PaperConstants, ScenarioConfig
 from repro.sim.shard import make_engine
@@ -97,8 +102,11 @@ __all__ = [
 #: hold next/from columns are narrow integer dtypes; schema 14 pickles a
 #: kernel whose row channel and cell columns are narrow unsigned dtypes,
 #: with an upload column in P2P mode only, and only the unconsumed
-#: suffix of its trace.
-CHECKPOINT_SCHEMA = 14
+#: suffix of its trace; schema 15 pickles the closed loop as the sharded
+#: engine's data plane (its one shard under ``shards`` and the bootstrap
+#: mean upload under ``peer_upload``) in place of its own simulator and
+#: cursor.
+CHECKPOINT_SCHEMA = 15
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -280,8 +288,6 @@ class EngineConfig:
 
     def resolved_workers(self) -> int:
         """The effective worker count (validated)."""
-        if self.kind == "closed-loop":
-            return 1
         return resolve_workers(self.workers)
 
     # -- JSON wire format (POST /runs and standalone persistence) -------
@@ -430,12 +436,6 @@ def _build_engine(config: EngineConfig):
         from repro.experiments.registry import make_predictor
 
         predictor = make_predictor(config.predictor)
-    if config.kind == "closed-loop":
-        from repro.experiments.runner import ClosedLoopEngine
-
-        return ClosedLoopEngine(
-            config.spec, predictor=predictor, controller=config.controller
-        )
     return make_engine(
         config.spec,
         jobs=config.resolved_workers(),
@@ -454,7 +454,8 @@ class Run:
     tears down worker processes.
 
     Every engine behind :func:`open_run` is a
-    :class:`repro.sim.loop.EpochLoop` subclass, which provides this
+    :class:`repro.sim.shard.ShardedSimulator` (a
+    :class:`repro.sim.loop.EpochLoop` subclass), which provides this
     protocol:
 
     * ``kind`` — ``"closed-loop"`` / ``"catalog"`` / ``"geo-catalog"``.
@@ -467,7 +468,7 @@ class Run:
     * ``snapshot_state()`` / ``restore_state(state)`` — one picklable
       object graph for checkpoint/resume.
     * ``close()`` / ``suspend()`` — release worker processes
-      (idempotent; no-ops for the closed loop).
+      (idempotent); ``suspend()`` parks in-process shards too.
     """
 
     def __init__(self, engine, config: EngineConfig) -> None:
@@ -562,12 +563,12 @@ class Run:
     def suspend(self) -> None:
         """Park the run between epochs, releasing worker processes.
 
-        The sharded engines gather their live shard state into the
-        parent and tear down their workers; the next :meth:`advance`
-        transparently respawns them and results stay byte-identical.
-        Engines without worker processes (the closed loop) treat this
-        as a no-op.  A host pausing a run indefinitely calls this so
-        paused runs hold no processes.
+        Every engine gathers its live shard state into the parent and
+        tears down its workers (an in-process engine, such as the closed
+        loop, just parks its shards); the next :meth:`advance`
+        transparently respawns them and results stay byte-identical.  A
+        host pausing a run indefinitely calls this so paused runs hold
+        no processes.
         """
         self._engine.suspend()
 

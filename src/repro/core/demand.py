@@ -17,7 +17,7 @@ from repro.p2p.contribution import cloud_supplement, peer_contribution
 from repro.p2p.ownership import ownership_from_valid
 from repro.queueing.capacity import CapacityModel, ChannelCapacityResult, capacity_from_valid
 from repro.queueing.jackson import external_arrival_vector
-from repro.queueing.transitions import empirical_transition_matrix, sequential_matrix
+from repro.queueing.transitions import empirical_transition_matrix
 from repro.vod.tracker import IntervalStats
 
 __all__ = ["ChannelDemand", "DemandEstimator", "aggregate_demand"]
@@ -66,9 +66,9 @@ class DemandEstimator:
         paper's setup.
     mode:
         ``"client-server"`` or ``"p2p"``.
-    prior_matrices:
-        Optional per-channel prior transfer matrices used to smooth the
-        empirical estimates (defaults to sequential viewing inside
+    default_prior:
+        Optional prior transfer matrix every channel's empirical
+        estimate is smoothed with (defaults to sequential viewing inside
         :func:`empirical_transition_matrix`).
     """
 
@@ -77,7 +77,6 @@ class DemandEstimator:
         model: CapacityModel,
         mode: str = "client-server",
         *,
-        prior_matrices: Optional[Mapping[int, np.ndarray]] = None,
         default_prior: Optional[np.ndarray] = None,
         peer_discount: float = 0.6,
     ) -> None:
@@ -97,10 +96,6 @@ class DemandEstimator:
             raise ValueError("peer_discount must be in [0, 1]")
         self.model = model
         self.mode = mode
-        self.prior_matrices = dict(prior_matrices or {})
-        #: Prior used for channels absent from ``prior_matrices`` — a
-        #: catalog of hundreds of identical-behaviour channels shares one
-        #: matrix instead of one dict entry per channel.
         self.default_prior = default_prior
         self.peer_discount = peer_discount
 
@@ -156,15 +151,11 @@ class DemandEstimator:
                 else None
             )
             rates.append(channel.arrival_rate if override is None else override)
-        fallback = sequential_matrix(j, continue_prob=0.9)
-        priors = [
-            self.prior_matrices.get(channel.channel_id, self.default_prior)
-            for channel in stats
-        ]
+        # One (J, J) prior broadcasts over the stack, element for element.
         matrices = empirical_transition_matrix(
             np.stack([channel.transition_counts for channel in stats]),
             np.stack([channel.departure_counts for channel in stats]),
-            prior=np.stack([fallback if p is None else p for p in priors]),
+            prior=self.default_prior,
         )
 
         # A NaN rate counts as busy, so the analysis rejects it.

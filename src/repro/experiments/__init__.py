@@ -3,8 +3,9 @@
 * :mod:`repro.experiments.config` — the paper's parameters: Tables II/III
   cluster configurations, streaming/chunking constants, budgets, and
   scenario presets (CI-sized ``small`` and Section VI-A ``paper`` scale).
-* :mod:`repro.experiments.runner` — the closed-loop runner wiring trace ->
-  simulator -> tracker -> controller -> cloud.
+* :mod:`repro.experiments.runner` — the closed loop (trace -> simulator
+  -> tracker -> controller -> cloud): the sharded engine over one
+  in-process shard.
 * :mod:`repro.experiments.figures` — one generator per paper figure,
   returning printable series.
 * :mod:`repro.experiments.claims` — the paper's quantitative claims as a
@@ -19,6 +20,8 @@
   (``repro sweep <name> --jobs N --seeds K``).
 """
 
+import importlib
+
 from repro.experiments.config import (
     PAPER,
     PaperConstants,
@@ -30,21 +33,25 @@ from repro.experiments.config import (
     paper_vm_clusters,
     small_scenario,
 )
-from repro.experiments.registry import (
-    ScenarioSpec,
-    UnknownScenarioError,
-    summarize_closed_loop,
-)
-from repro.experiments.runner import ClosedLoopEngine, ClosedLoopResult
-from repro.experiments.sweep import (
-    ArtifactStore,
-    SweepCell,
-    SweepError,
-    SweepReport,
-    cell_hash,
-    run_sweep,
-    seed_list,
-)
+
+#: Lazily re-exported, by submodule: the runner subclasses the sharded
+#: engine, whose catalog specs import :mod:`repro.experiments.config`
+#: (and so this package), and the registry and sweep import the runner —
+#: importing them eagerly here would close an import cycle.
+_LAZY_EXPORTS = {
+    "registry": ("ScenarioSpec", "UnknownScenarioError", "summarize_closed_loop"),
+    "runner": ("ClosedLoopEngine", "ClosedLoopResult"),
+    "sweep": ("ArtifactStore", "SweepCell", "SweepError", "SweepReport",
+              "cell_hash", "run_sweep", "seed_list"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY_EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "PAPER",

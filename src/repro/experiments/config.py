@@ -194,6 +194,24 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0 (got {self.seed})")
 
+    # What the sharded engine reads from its spec: a scenario runs as one
+    # shard over all its channels, each channel its own slot.
+    @property
+    def interval_seconds(self) -> float:
+        return self.constants.interval_seconds
+
+    @property
+    def channel_slots(self) -> int:
+        return self.num_channels
+
+    @property
+    def effective_shards(self) -> int:
+        return 1
+
+    def channel_rates(self) -> np.ndarray:
+        """Mean per-channel arrival rates (Zipf by rank), users/second."""
+        return self.trace_config().channel_rates()
+
     def capacity_model(self) -> CapacityModel:
         return paper_capacity_model(self.constants)
 

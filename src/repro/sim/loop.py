@@ -11,10 +11,10 @@ checkpoint.  An engine subclasses it and supplies only what differs:
 
 * ``_advance_data(t_end, capacities)`` — the data plane: advance the
   simulated system to the epoch boundary under the current capacities,
-  set the clock to the boundary reached and return the epoch's
-  :class:`_EpochData` (the closed loop steps one in-process
-  :class:`~repro.vod.multi.MultiChannelSimulator`; the catalog engines
-  drive shards of them, :mod:`repro.sim.shard`);
+  set the clock to the boundary and return the epoch's
+  :class:`_EpochData` (:class:`~repro.sim.shard.ShardedSimulator` drives
+  shards of :class:`~repro.vod.multi.MultiChannelSimulator`; the closed
+  loop is its one-shard case, :mod:`repro.experiments.runner`);
 * ``_bootstrap()`` / ``_reprovision(t_end, data)`` — the initial and
   each periodic provisioning decision, made by the one
   :class:`~repro.core.provisioner.ProvisioningController`, built over
@@ -24,7 +24,7 @@ checkpoint.  An engine subclasses it and supplies only what differs:
 * ``_data_plane_state()`` / ``_restore_data_plane(state)`` — the data
   plane's half of a checkpoint.
 
-Both data planes cut their epochs with :class:`KernelCursor`, so every
+Every shard cuts its epochs with :class:`KernelCursor`, so every
 snapshot field is computed the same way in every engine.
 """
 
@@ -74,19 +74,19 @@ class EpochClock:
 class _EpochData:
     """The accumulator schema one epoch produces.
 
-    Shared by the closed loop's epochs, a shard's
-    :class:`~repro.sim.shard.EpochReport` and the catalog-wide
-    :class:`~repro.sim.shard.MergedEpoch`, so a statistic added to one
+    Shared by a shard's :class:`~repro.sim.shard.EpochReport` and the
+    engine-wide :class:`~repro.sim.shard.MergedEpoch`, so a statistic added to one
     cannot silently go missing from another — only
     :func:`~repro.sim.shard.merge_epoch_reports` then needs the matching
     accumulation.  Everything is picklable (reports cross the worker
     boundary).  Every engine absorbs an epoch's statistics into the
     controller's tracker as soon as the epoch ends, so the epoch kept in
     :class:`EpochRun` holds no ``stats`` (only a shard's report and the
-    merged epoch carry them, on their way to the tracker).  The closed
-    loop reads the live peer upload at reprovision time instead of
-    ``upload_sum``/``upload_count``; client-server shards, whose
-    re-provisioning reads no peer upload, report ``(0.0, 0)``.
+    merged epoch carry them, on their way to the tracker).  P2P
+    re-provisioning reads the live mean peer upload as
+    ``upload_sum / upload_count`` (the bootstrap mean when no peer is in
+    the system); client-server shards, whose re-provisioning reads no
+    peer upload, report ``(0.0, 0)``.
     """
 
     t_end: float
@@ -111,7 +111,7 @@ class _EpochData:
 
 class KernelCursor:
     """The one way to cut an epoch out of the simulation kernel
-    (:class:`~repro.vod.multi.MultiChannelSimulator`).
+    (:class:`~repro.vod.multi.MultiChannelSimulator`), one per shard.
 
     Pickled with the kernel it follows.  ``totals`` are the kernel's cumulative
     (retrievals, unsmooth retrievals, sojourn sum, arrivals,
@@ -125,7 +125,7 @@ class KernelCursor:
     def advance(self, sim, t_end: float) -> Dict[str, Any]:
         """Step ``sim`` to ``t_end``; the epoch's :class:`_EpochData`
         fields except the tracker statistics, the peer-upload totals and
-        the channel populations, which each data plane adds itself."""
+        the channel populations, which the shard adds itself."""
         log_start = len(sim.bandwidth)
         populations: List[int] = []
         while sim.now + 1e-9 < t_end:
@@ -352,7 +352,7 @@ class EpochLoop:
         return self.result()
 
     # ------------------------------------------------------------------
-    # Lifecycle (engines without worker processes keep the no-ops)
+    # Lifecycle (the sharded engine releases its workers here)
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release worker processes (idempotent)."""

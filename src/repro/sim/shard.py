@@ -37,7 +37,12 @@ checkpoint are :class:`repro.sim.loop.EpochLoop`'s; this module supplies
 the sharded data plane (worker shard state is gathered/reinjected over
 the process boundary for a checkpoint; each epoch's reports come back
 as fixed-layout :class:`EpochBlockLayout` blocks over the worker pipes)
-and the single- and multi-region control planes.
+and the single- and multi-region control planes.  It is every engine's
+data plane: the closed loop
+(:class:`repro.experiments.runner.ClosedLoopEngine`) is a
+:class:`ShardedSimulator` whose
+:class:`~repro.experiments.config.ScenarioConfig` spec has one shard,
+built in process from the scenario's own trace.
 ``tests/test_api.py`` pins the streamed-vs-monolithic and
 checkpoint/resume byte-parity.
 """
@@ -52,6 +57,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import Pipe
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,6 +77,7 @@ from repro.workload.catalog import (
     channel_shapes,
     shard_channel_ids,
 )
+from repro.workload.trace import ShardTraceArrays
 
 # perfbench's layer wiring wraps this name; a benchmark change drops the
 # alias together with that wrap.
@@ -101,7 +108,11 @@ __all__ = [
 class ChannelShard:
     """A fixed subset of the catalog's channels in one simulation kernel
     (:class:`~repro.vod.multi.MultiChannelSimulator`, one vectorized pass
-    per phase over the whole channel set, in either delivery mode)."""
+    per phase over the whole channel set, in either delivery mode).
+
+    ``trace`` is the owned channels' arrivals; ``None`` builds their
+    catalog trace (:func:`~repro.workload.catalog.build_shard_trace_arrays`).
+    """
 
     def __init__(
         self,
@@ -110,6 +121,7 @@ class ChannelShard:
         *,
         shapes: Optional[list] = None,
         all_channels: Optional[list] = None,
+        trace: Optional[ShardTraceArrays] = None,
     ) -> None:
         self.config = config
         self.shard_index = shard_index
@@ -117,9 +129,13 @@ class ChannelShard:
         # ``shapes``/``all_channels`` let a caller building several
         # shards of the same catalog compute the (identical) full-catalog
         # lists once instead of once per shard.
-        if shapes is None:
-            shapes = channel_shapes(config)
-        owned_shapes = [shapes[c] for c in self.channel_ids]
+        if trace is None:
+            if shapes is None:
+                shapes = channel_shapes(config)
+            trace = build_shard_trace_arrays(
+                config, self.channel_ids,
+                shapes=[shapes[c] for c in self.channel_ids],
+            )
         if all_channels is None:
             all_channels = config.channels()
         channels = [all_channels[c] for c in self.channel_ids]
@@ -131,9 +147,7 @@ class ChannelShard:
         )
         self.sim = MultiChannelSimulator(
             channels,
-            build_shard_trace_arrays(
-                config, self.channel_ids, shapes=owned_shapes
-            ),
+            trace,
             sim_config,
             interval_seconds=config.interval_seconds,
         )
@@ -759,12 +773,17 @@ class ShardedSimulator(EpochLoop):
     The epoch loop itself is :class:`~repro.sim.loop.EpochLoop`'s; this
     engine supplies the sharded data plane (in-process shards, or worker
     processes sending fixed-layout epoch blocks over their pipes) and
-    the single-region control plane.
+    the single-region control plane.  A subclass supplies only what
+    differs: the geo engine its region graph and result, the closed loop
+    (:class:`~repro.experiments.runner.ClosedLoopEngine`) its trace
+    source (:meth:`_in_process_shards`) and result.
 
     Parameters
     ----------
     config:
-        The catalog (including its fixed shard count).
+        The catalog (including its fixed shard count), or a one-shard
+        :class:`~repro.experiments.config.ScenarioConfig` for the closed
+        loop.
     jobs:
         Worker processes; ``1`` runs every shard in-process.  Results are
         byte-identical for any value.
@@ -878,7 +897,7 @@ class ShardedSimulator(EpochLoop):
         if self.jobs <= 1:
             self._shards = (
                 restored if restored is not None
-                else _build_shards(self.config, range(shards))
+                else self._in_process_shards()
             )
         else:
             try:
@@ -889,6 +908,11 @@ class ShardedSimulator(EpochLoop):
                 raise
         self._restored_shards = None
         self._started = True
+
+    def _in_process_shards(self) -> List[ChannelShard]:
+        """The trace source of an in-process start: every shard, each
+        over its channels' catalog trace."""
+        return _build_shards(self.config, range(self.config.effective_shards))
 
     def _spawn_workers(
         self, shards: int, restored: Optional[List[ChannelShard]]
@@ -906,7 +930,7 @@ class ShardedSimulator(EpochLoop):
             for w in range(self.jobs)
         ]
         for owned in self._assignments:
-            parent_conn, child_conn = mp.Pipe()
+            parent_conn, child_conn = Pipe()
             owned_states = (
                 None if restored is None else [restored[i] for i in owned]
             )
@@ -1164,16 +1188,22 @@ class GeoShardedSimulator(ShardedSimulator):
 
 
 def make_engine(
-    config: CatalogConfig,
+    config,
     *,
     jobs: int = 1,
     predictor: Optional[ArrivalRatePredictor] = None,
     controller: Optional[str] = None,
 ) -> ShardedSimulator:
     """The right engine for the config: geo configs get the multi-region
-    control plane, plain catalogs the single-region one."""
-    cls = (
-        GeoShardedSimulator if isinstance(config, GeoCatalogConfig)
-        else ShardedSimulator
-    )
+    control plane, plain catalogs the single-region one, and a
+    :class:`~repro.experiments.config.ScenarioConfig` the closed loop
+    (one shard over the scenario's own trace)."""
+    if isinstance(config, GeoCatalogConfig):
+        cls = GeoShardedSimulator
+    elif isinstance(config, CatalogConfig):
+        cls = ShardedSimulator
+    else:
+        from repro.experiments.runner import ClosedLoopEngine
+
+        cls = ClosedLoopEngine
     return cls(config, jobs=jobs, predictor=predictor, controller=controller)

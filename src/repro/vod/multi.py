@@ -502,9 +502,8 @@ class MultiChannelSimulator:
         each channel).  Idle channels contribute an exact ``+ 0.0``, so
         skipping them is bitwise-neutral.
 
-        Split out from :meth:`mean_peer_upload` so the sharded engine
-        can merge the raw accumulators across shards before dividing.
-        Client-server users upload nothing (the kernel keeps no upload
+        Raw accumulators, so the sharded engine can merge them across
+        shards before dividing.  Client-server users upload nothing (the kernel keeps no upload
         column there): ``(0.0, 0)``."""
         if self._row_upload is None:
             return 0.0, 0
@@ -520,11 +519,6 @@ class MultiChannelSimulator:
         for k in range(len(starts) - 1):
             total += float(uploads[starts[k] : starts[k + 1]].sum())
         return total, count
-
-    def mean_peer_upload(self) -> float:
-        """Mean upload capacity over all active peers (bytes/second)."""
-        total, count = self.peer_upload_totals()
-        return total / count if count else 0.0
 
     def close_interval(self) -> List[IntervalStats]:
         """This interval's per-channel statistics; resets accumulators.

@@ -26,6 +26,7 @@ from repro.api import CHECKPOINT_SCHEMA, EngineConfig, Run, open_run, resolve_wo
 from repro.core.packing import pack_allocations
 from repro.experiments.config import small_scenario
 from repro.experiments.runner import ClosedLoopEngine
+from repro.service.artifact import artifact_bytes, result_payload
 from repro.sim.shard import summarize_catalog
 from repro.workload.catalog import catalog_config, geo_catalog_config
 
@@ -481,6 +482,17 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="schema 13"):
             resume(path)
 
+    def test_resume_rejects_schema_14(self, tmp_path):
+        """Schema 14 pickled the closed loop's own simulator and cursor
+        beside the control plane; it is not read."""
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pickle.dumps({
+            "format": "repro-checkpoint",
+            "schema": 14,
+        }))
+        with pytest.raises(ValueError, match="schema 14"):
+            resume(path)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resume_after_trace_prefix_drop_identical(self, tmp_path,
                                                       workers):
@@ -579,6 +591,33 @@ class TestCheckpointResume:
 
 class _Stale:
     """Stand-in whose pickled global is rewritten to a removed name."""
+
+
+# ----------------------------------------------------------------------
+# Suspend
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec,workers", [
+    (lambda: small_scenario("p2p", horizon_hours=3.0), 1),
+    (small_catalog, 1),
+    (small_catalog, 2),
+    (small_geo_catalog, 1),
+], ids=["closed-loop-p2p", "catalog-w1", "catalog-w2", "geo"])
+def test_suspend_mid_run_then_continue_is_byte_identical(spec, workers):
+    """Every engine parks its shards on ``suspend()`` (the closed loop
+    its one in-process shard) and picks them up on the next epoch: the
+    artifact equals the uninterrupted run's."""
+    config = EngineConfig(spec=spec(), workers=workers)
+    with open_run(config) as run:
+        reference = artifact_bytes(result_payload(run.kind, run.result()))
+    with open_run(config) as run:
+        for snap in run.epochs():
+            if snap.index == 1:
+                run.suspend()
+                assert run._engine._shards is None
+                run.suspend()  # idempotent
+        parked = artifact_bytes(result_payload(run.kind, run.result()))
+    assert parked == reference
 
 
 # ----------------------------------------------------------------------

@@ -198,7 +198,7 @@ def oracle_estimate_channel(estimator, stats, arrival_rate=None, peer_upload=Non
     matrix = empirical_transition_matrix(
         stats.transition_counts,
         stats.departure_counts,
-        prior=estimator.prior_matrices.get(stats.channel_id, estimator.default_prior),
+        prior=estimator.default_prior,
     )
     if rate <= 0:
         j = matrix.shape[0]
@@ -294,15 +294,16 @@ def channel_stats(draw, channel_id, j):
 @st.composite
 def scenarios(draw, mode):
     n = draw(st.integers(1, 6))
-    chunk_counts = [draw(st.integers(1, 16)) for _ in range(n)]
-    stats = [draw(channel_stats(c, j)) for c, j in enumerate(chunk_counts)]
-    priors = {}
-    for c, j in enumerate(chunk_counts):
-        prior = draw(prior_matrix(j))
-        if prior is not None:
-            priors[c] = prior
     # Plant, in one channel, an input both paths must reject.
     fault = draw(st.sampled_from([None] * 4 + ["superstochastic", "cycle", "negative"]))
+    prior = None
+    if fault in ("superstochastic", "cycle") or draw(st.booleans()):
+        # One prior serves every channel, so they share its chunk count.
+        chunk_counts = [draw(st.integers(1, 16))] * n
+        prior = draw(prior_matrix(chunk_counts[0]))
+    else:
+        chunk_counts = [draw(st.integers(1, 16)) for _ in range(n)]
+    stats = [draw(channel_stats(c, j)) for c, j in enumerate(chunk_counts)]
     if fault is not None:
         victim = draw(st.integers(0, n - 1))
         j = chunk_counts[victim]
@@ -312,7 +313,7 @@ def scenarios(draw, mode):
             # A prior shows through verbatim on rows without observations.
             stats[victim].transition_counts[:] = 0.0
             stats[victim].departure_counts[:] = 0.0
-            priors[victim] = (
+            prior = (
                 np.full((j, j), 1.5 / j)
                 if fault == "superstochastic"
                 else np.roll(np.eye(j), 1, axis=1)  # spectral radius 1
@@ -323,7 +324,7 @@ def scenarios(draw, mode):
         overrides = {
             c: draw(RATES) for c in range(n) if draw(st.booleans())
         }
-    estimator = DemandEstimator(MODEL, mode, prior_matrices=priors)
+    estimator = DemandEstimator(MODEL, mode, default_prior=prior)
     # A negative override reaches the max(0.0, u) clamp; a NaN one is
     # rejected once a busy channel reaches the rarest-first pass.
     peer_upload = draw(st.one_of(

@@ -67,7 +67,7 @@ class TestClientServer:
     def test_prior_matrix_used_without_observations(self, model, tracker):
         prior = sequential_matrix(4, continue_prob=0.9)
         estimator = DemandEstimator(
-            model, "client-server", prior_matrices={0: prior}
+            model, "client-server", default_prior=prior
         )
         stats = tracker.close_interval()
         demand = estimator.estimate_all([stats[0]], arrival_rates={0: 0.2})[0]

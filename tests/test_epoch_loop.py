@@ -46,9 +46,20 @@ def test_every_engine_runs_on_the_one_epoch_loop(engine):
     assert not [name for name in LOOP_OWNED if name in vars(engine)]
 
 
-def test_closed_loop_keeps_the_lifecycle_defaults():
-    for name in ("close", "suspend"):
+def test_closed_loop_supplies_only_its_trace_source_and_result():
+    """The closed loop is the sharded engine over one in-process shard:
+    it defines its trace source and its result, nothing else."""
+    assert issubclass(ClosedLoopEngine, ShardedSimulator)
+    own = {name for name in vars(ClosedLoopEngine) if not name.startswith("__")}
+    assert own == {"kind", "_in_process_shards", "_make_result"}
+
+
+def test_closed_loop_inherits_the_sharded_engines_lifecycle():
+    for name in ("close", "suspend", "_start", "_advance_data",
+                 "_bootstrap", "_reprovision", "_data_plane_state",
+                 "_restore_data_plane"):
         assert name not in vars(ClosedLoopEngine)
+        assert getattr(ClosedLoopEngine, name) is getattr(ShardedSimulator, name)
 
 
 def _split_by_epoch(times, values, t_ends):

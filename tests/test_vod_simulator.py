@@ -167,7 +167,9 @@ class TestP2PMode:
         sessions = [(0.0, 0, 0, 100.0), (0.0, 0, 1, 300.0)]
         sim = VoDSimulator(channels(), trace_arrays(sessions), config(mode="p2p"))
         sim.advance_to(10.0)
-        assert sim.mean_peer_upload() == pytest.approx(200.0)
+        total, count = sim.peer_upload_totals()
+        assert count == 2
+        assert total / count == pytest.approx(200.0)
 
 
 class TestInterface:
