@@ -6,8 +6,12 @@ factory (``closed_loop_config``, ``catalog_config`` or
 JSON-parsed; bare words stay strings), and prints
 
 * the resident set size (current and high-water) when the run is
-  opened, when it has started (bootstrap, and shard build and worker
-  spawn for the catalogs) and at every epoch boundary;
+  opened, when it has started (bootstrap, shard build and, for
+  ``--workers`` above 1, worker spawn) and at every epoch boundary;
+* the row tables of the engine's kernels after ``result()``, summed
+  over the in-process shards: rows allocated, rows in use (live plus
+  dead rows awaiting compaction) and live rows (kernels in worker
+  processes are not visible from the parent: run ``--workers 1``);
 * the sizes of the pickled run record (``EpochRun``) and of the pickled
   engine state (``snapshot_state()``, which holds the kernels and the
   run record: what ``Run.checkpoint`` writes) at the last epoch;
@@ -104,6 +108,19 @@ def breakdown(snapshot, top: int) -> None:
               f"{frame.filename}:{frame.lineno}")
 
 
+def kernel_rows(engine) -> str:
+    """One line summing the in-process kernels' row tables."""
+    shards = engine._shards
+    if shards is None:
+        return "kernel rows: in worker processes (run --workers 1)"
+    sims = [shard.sim for shard in shards]
+    allocated = sum(sim._row_alive.size for sim in sims)
+    in_use = sum(sim._n for sim in sims)
+    live = sum(sim._total_active for sim in sims)
+    return (f"kernel rows (in-process kernels: {len(sims)}): "
+            f"{allocated:,} allocated, {in_use:,} in use, {live:,} live")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = parse_args(argv)
     if not args.no_tracemalloc:
@@ -119,8 +136,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         report("open")
         run._engine.start()
-        if hasattr(run._engine, "_start"):
-            run._engine._start()  # shard build and worker spawn
+        run._engine._start()  # shard build and worker spawn
         report("start")
         while True:
             snap = run.advance()
@@ -129,6 +145,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             report(f"epoch {snap.index} t={snap.t_end:g}")
         run.result()
         report("result")
+        print(f"\n{kernel_rows(run._engine)}")
         # Snapshot before pickling, so the pickle is not among the sites.
         snapshot = None if args.no_tracemalloc else tracemalloc.take_snapshot()
         record = pickle.dumps(run._engine._run, pickle.HIGHEST_PROTOCOL)

@@ -15,9 +15,9 @@ The graph is deliberately conservative:
   constructors → ``__init__``) become precise edges;
 * ``self.x(...)`` edges to the defining class's ``x`` and to every
   override of ``x`` in the project's subclasses of that class
-  (transitively, so an ``EpochLoop`` hook reaches each engine's
-  implementation); without a defining-class ``x`` it edges to every
-  method named ``x`` in the project;
+  (transitively, so an engine hook such as ``_make_result`` reaches
+  each engine's implementation); without a defining-class ``x`` it
+  edges to every method named ``x`` in the project;
 * any other ``obj.x(...)`` attribute call edges to *every* method named
   ``x`` in the project (methods only — plain functions are not
   reachable through an attribute).

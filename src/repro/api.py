@@ -73,10 +73,10 @@ __all__ = [
 
 #: Bump when the checkpoint payload layout changes; old checkpoints then
 #: fail loudly instead of being misread.  Schema 2 added
-#: :attr:`EngineConfig.controller`; schema 3 is the pickled graph of the
-#: shared :class:`repro.sim.loop.EpochLoop` (one run-state record, one
-#: clock); schema 4 pickles every engine's data plane as the one
-#: simulation kernel, :class:`repro.vod.multi.MultiChannelSimulator`;
+#: :attr:`EngineConfig.controller`; schema 3 is the pickled graph of one
+#: shared epoch driver (one run-state record, one clock); schema 4
+#: pickles every engine's data plane as the one simulation kernel,
+#: :class:`repro.vod.multi.MultiChannelSimulator`;
 #: schema 5 pickles one controller class per region shape, holding its
 #: provisioning policy as an object (``repro.core.controller``); schema 6
 #: pickles the cloud facility as per-cluster counts
@@ -105,8 +105,10 @@ __all__ = [
 #: suffix of its trace; schema 15 pickles the closed loop as the sharded
 #: engine's data plane (its one shard under ``shards`` and the bootstrap
 #: mean upload under ``peer_upload``) in place of its own simulator and
-#: cursor.
-CHECKPOINT_SCHEMA = 15
+#: cursor; schema 16 pickles shards that keep their own epoch counters
+#: (no cursor object), epoch records of one class, no separate
+#: estimator entry, and kernels holding only their live rows.
+CHECKPOINT_SCHEMA = 16
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -145,11 +147,9 @@ _SPEC_CLASSES = {
 
 
 def _plain(value):
-    """Coerce numpy scalars/arrays to plain JSON-serializable values."""
+    """Coerce numpy scalars to plain JSON-serializable values."""
     if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     return value
 
 
@@ -199,8 +199,6 @@ def _spec_from_dict(kind: str, data: Any) -> EngineSpec:
     kwargs = dict(data)
     if kwargs.get("constants") is not None:
         kwargs["constants"] = _constants_from_dict(kwargs["constants"])
-    if kwargs.get("behaviour") is not None:
-        kwargs["behaviour"] = np.asarray(kwargs["behaviour"], dtype=float)
     return spec_cls(**kwargs)
 
 
@@ -295,8 +293,7 @@ class EngineConfig:
         """The config as one JSON-serializable dict.
 
         The spec class is encoded as the ``kind`` tag; every spec field
-        (including ``constants`` and, for scenarios, an optional
-        ``behaviour`` matrix as nested lists) is carried so the dict is
+        (including ``constants``) is carried so the dict is
         self-contained.  Numpy scalars are coerced to plain Python, and
         :meth:`from_dict` round-trips the result exactly.
         """
@@ -454,11 +451,10 @@ class Run:
     tears down worker processes.
 
     Every engine behind :func:`open_run` is a
-    :class:`repro.sim.shard.ShardedSimulator` (a
-    :class:`repro.sim.loop.EpochLoop` subclass), which provides this
-    protocol:
+    :class:`repro.sim.shard.ShardedSimulator`, the one engine class,
+    which provides this protocol (the run's ``kind`` is its config's,
+    :attr:`EngineConfig.kind`):
 
-    * ``kind`` — ``"closed-loop"`` / ``"catalog"`` / ``"geo-catalog"``.
     * ``epoch`` / ``epochs_total`` / ``done`` — progress.
     * ``start()`` — idempotent bootstrap (initial deployment).
     * ``advance_epoch()`` — run one provisioning epoch, returning the

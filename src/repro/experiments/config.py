@@ -177,7 +177,6 @@ class ScenarioConfig:
     alpha: float = 0.8
     cluster_scale: float = 1.0
     peer_upload_mean: Optional[float] = None  # None keeps the paper Pareto
-    behaviour: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         reject_non_finite(self)
@@ -216,8 +215,6 @@ class ScenarioConfig:
         return paper_capacity_model(self.constants)
 
     def behaviour_matrix(self) -> np.ndarray:
-        if self.behaviour is not None:
-            return self.behaviour
         return default_behaviour_matrix(self.chunks_per_channel)
 
     def channels(self) -> List[ChannelSpec]:

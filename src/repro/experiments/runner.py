@@ -6,10 +6,10 @@ statistics; the provisioning controller analyses them, optimizes rentals
 and negotiates with the cloud facility; the granted capacities feed back
 into the simulator for the next interval.
 
-:class:`ClosedLoopEngine` is the sharded catalog engine
+:class:`ClosedLoopEngine` is the one engine class
 (:class:`repro.sim.shard.ShardedSimulator`) run as one in-process shard
-over the scenario's whole trace: the data plane, bootstrap,
-re-provisioning, billing clock and checkpoint layout are the catalog's,
+over the scenario's whole trace: the epoch loop, data plane, bootstrap,
+re-provisioning, billing clock and checkpoint layout are that class's,
 and only the trace source and the result type are its own.
 ``repro.api.open_run`` is the one-shot entry point.
 """
@@ -73,8 +73,6 @@ class ClosedLoopEngine(ShardedSimulator):
     :class:`ClosedLoopResult` (:meth:`_make_result`).  Construct it as
     ``ClosedLoopEngine(scenario, predictor=..., controller=...)``.
     """
-
-    kind = "closed-loop"
 
     def _in_process_shards(self) -> List[ChannelShard]:
         scenario = self.config

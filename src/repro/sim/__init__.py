@@ -4,28 +4,28 @@ There is no discrete-event engine: the Section IV validator
 (:mod:`repro.vod.queue_sim`) keeps its own private event heap.
 
 * :mod:`repro.sim.rng` — deterministic, per-component random streams.
-* :mod:`repro.sim.loop` — :class:`EpochLoop`, the one epoch driver
-  every engine subclasses, and :class:`EpochClock`, its billing clock.
-* :mod:`repro.sim.shard` — sharded multi-channel catalog execution:
-  channel shards advanced in lock-step epochs across worker processes
-  under one provisioning loop, byte-deterministic for any worker count.
+* :mod:`repro.sim.loop` — the epoch loop's records: :class:`EpochClock`,
+  its billing clock, and the run-state record.
+* :mod:`repro.sim.shard` — :class:`ShardedSimulator`, the one engine
+  class: channel shards advanced in lock-step epochs across worker
+  processes under one provisioning loop, byte-deterministic for any
+  worker count.
 """
 
 from repro.sim.rng import RandomStreams, make_rng
 
 #: Lazily re-exported from :mod:`repro.sim.loop` and
-#: :mod:`repro.sim.shard`. Both depend on :mod:`repro.core`, which
-#: imports :mod:`repro.vod`, whose kernel imports :mod:`repro.sim.rng` —
-#: importing them eagerly here would close an import cycle, so resolution
-#: is deferred to first attribute access.
-_LOOP_EXPORTS = ("EpochClock", "EpochLoop")
+#: :mod:`repro.sim.shard`. Both depend on :mod:`repro.vod` (the shard
+#: module through :mod:`repro.core` too), whose kernel imports
+#: :mod:`repro.sim.rng` — importing them eagerly here would close an
+#: import cycle, so resolution is deferred to first attribute access.
+_LOOP_EXPORTS = ("EpochClock",)
 _SHARD_EXPORTS = (
     "CatalogResult",
     "ChannelShard",
     "EpochReport",
     "GeoCatalogResult",
     "GeoShardedSimulator",
-    "MergedEpoch",
     "ShardedSimulator",
     "ShardEngineError",
     "make_engine",
@@ -52,11 +52,9 @@ __all__ = [
     "CatalogResult",
     "ChannelShard",
     "EpochClock",
-    "EpochLoop",
     "EpochReport",
     "GeoCatalogResult",
     "GeoShardedSimulator",
-    "MergedEpoch",
     "ShardedSimulator",
     "ShardEngineError",
     "make_engine",

@@ -32,18 +32,17 @@ the worker count**:
 ``tests/test_catalog_engine.py`` pins this down with a jobs-1-vs-4
 byte-identity test and a merge-permutation property test.
 
-The epoch loop, its streaming payload and the control-plane half of a
-checkpoint are :class:`repro.sim.loop.EpochLoop`'s; this module supplies
-the sharded data plane (worker shard state is gathered/reinjected over
-the process boundary for a checkpoint; each epoch's reports come back
-as fixed-layout :class:`EpochBlockLayout` blocks over the worker pipes)
-and the single- and multi-region control planes.  It is every engine's
-data plane: the closed loop
-(:class:`repro.experiments.runner.ClosedLoopEngine`) is a
-:class:`ShardedSimulator` whose
+:class:`ShardedSimulator` is the one engine class: it runs the epoch
+loop (bootstrap, merge, billing clock, tracker, re-provisioning, the
+streaming payload), the sharded data plane (each epoch's reports come
+back as fixed-layout :class:`EpochBlockLayout` blocks over the worker
+pipes) and a checkpoint (worker shard state is gathered/reinjected over
+the process boundary).  Its subclasses supply only what differs: the
+geo engine its region graph and result, and the closed loop
+(:class:`repro.experiments.runner.ClosedLoopEngine`), whose
 :class:`~repro.experiments.config.ScenarioConfig` spec has one shard,
-built in process from the scenario's own trace.
-``tests/test_api.py`` pins the streamed-vs-monolithic and
+its trace source (built in process from the scenario's own trace) and
+result.  ``tests/test_api.py`` pins the streamed-vs-monolithic and
 checkpoint/resume byte-parity.
 """
 
@@ -63,10 +62,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cloud.billing import CostReport
+from repro.cloud.broker import Broker, CloudFacility
+from repro.core.controller import CONTROLLERS
 from repro.core.demand import DemandEstimator
 from repro.core.predictor import ArrivalRatePredictor
-from repro.core.provisioner import ProvisioningDecision
-from repro.sim.loop import EpochLoop, KernelCursor, _EpochData
+from repro.core.provisioner import (
+    ProvisioningController,
+    ProvisioningDecision,
+    local_region,
+    local_topology,
+    own_channel,
+)
+from repro.sim.loop import EpochClock, EpochRun, _EpochData
 from repro.vod.metrics import QUALITY_WINDOW_SECONDS, latency_adjusted_quality
 from repro.vod.multi import MultiChannelSimulator, VoDSystemConfig
 from repro.vod.tracker import IntervalStats, TrackingServer
@@ -86,7 +93,6 @@ build_shard_trace = build_shard_trace_arrays
 __all__ = [
     "ChannelShard",
     "EpochReport",
-    "MergedEpoch",
     "CatalogResult",
     "GeoCatalogResult",
     "ShardedSimulator",
@@ -112,6 +118,11 @@ class ChannelShard:
 
     ``trace`` is the owned channels' arrivals; ``None`` builds their
     catalog trace (:func:`~repro.workload.catalog.build_shard_trace_arrays`).
+    The shard cuts its epochs itself (:meth:`advance_epoch`), so every
+    snapshot field is computed the same way in every engine; it keeps
+    the kernel's quality-sample count and cumulative (retrievals,
+    unsmooth retrievals, sojourn sum, arrivals, departures) at the last
+    epoch boundary, pickled with the kernel they follow.
     """
 
     def __init__(
@@ -151,7 +162,8 @@ class ChannelShard:
             sim_config,
             interval_seconds=config.interval_seconds,
         )
-        self._cursor = KernelCursor()
+        self._samples_seen = 0
+        self._totals = (0, 0, 0.0, 0, 0)
 
     def set_capacities(self, capacities: Dict[int, np.ndarray]) -> None:
         """Install the owned channels' slice of a capacity broadcast."""
@@ -163,18 +175,50 @@ class ChannelShard:
     def advance_epoch(self, t_end: float) -> EpochReport:
         """Run lock-step to ``t_end`` and report this epoch's deltas."""
         sim = self.sim
-        deltas = self._cursor.advance(sim, t_end)
-        stats = sim.close_interval()
+        log_start = len(sim.bandwidth)
+        populations: List[int] = []
+        while sim.now + 1e-9 < t_end:
+            sim.step()
+            populations.append(sim.population())
+        log = sim.bandwidth
+        window = slice(log_start, len(log))
+        quality = sim.quality
+        samples = [
+            (s.time, int(s.total_smooth), int(s.total_users))
+            for s in quality.samples[self._samples_seen:]
+        ]
+        self._samples_seen = len(quality.samples)
+        totals = (
+            quality.total_retrievals, quality.unsmooth_retrievals,
+            quality.sojourn_sum, sim.arrivals, sim.departures,
+        )
+        retrievals, unsmooth, sojourn_sum, arrivals, departures = (
+            now - before for now, before in zip(totals, self._totals)
+        )
+        self._totals = totals
         # Only P2P re-provisioning reads the live peer upload; a
         # client-server kernel reports (0.0, 0).
         upload_sum, upload_count = sim.peer_upload_totals()
         return EpochReport(
             shard_index=self.shard_index,
-            stats=stats,
+            t_end=t_end,
+            stats=sim.close_interval(),
+            step_times=log.time[window].copy(),
+            cloud_used=log.cloud_used[window].copy(),
+            peer_used=log.peer_used[window].copy(),
+            provisioned=log.provisioned[window].copy(),
+            shortfall=log.shortfall[window].copy(),
+            populations=np.asarray(populations, dtype=np.int64),
+            quality_samples=samples,
+            arrivals=arrivals,
+            departures=departures,
+            retrievals=retrievals,
+            unsmooth=unsmooth,
+            sojourn_sum=sojourn_sum,
             upload_sum=upload_sum,
             upload_count=upload_count,
+            peak_step_events=sim.peak_step_events,
             channel_populations=dict(sim.channel_populations()),
-            **deltas,
         )
 
 
@@ -198,14 +242,10 @@ class EpochReport(_EpochData):
     shard_index: int = -1
 
 
-@dataclass
-class MergedEpoch(_EpochData):
-    """The whole catalog's view of one epoch, merged in shard order
-    (``stats`` covers all channels, channel-id order)."""
-
-
-def merge_epoch_reports(reports: Sequence[EpochReport]) -> MergedEpoch:
-    """Merge one epoch's shard reports, independent of arrival order.
+def merge_epoch_reports(reports: Sequence[EpochReport]) -> _EpochData:
+    """Merge one epoch's shard reports, independent of arrival order:
+    the whole catalog's view of the epoch (``stats`` covers all
+    channels, channel-id order).
 
     Reports are first sorted by shard index, so every float reduction
     (bandwidth sums, upload accumulators) happens in a fixed order even
@@ -272,7 +312,7 @@ def merge_epoch_reports(reports: Sequence[EpochReport]) -> MergedEpoch:
         upload_count += report.upload_count
         peak_step_events = max(peak_step_events, report.peak_step_events)
     stats.sort(key=lambda s: s.channel_id)
-    return MergedEpoch(
+    return _EpochData(
         t_end=first.t_end,
         stats=stats,
         step_times=first.step_times.copy(),
@@ -767,16 +807,65 @@ def summarize_catalog(result: CatalogResult) -> Dict[str, float]:
 # The engine
 # ----------------------------------------------------------------------
 
-class ShardedSimulator(EpochLoop):
-    """Lock-step epochs over channel shards + one provisioning loop.
+def _mean_mbps(series: np.ndarray) -> float:
+    return float(series.mean()) * 8.0 / 1e6 if series.size else 0.0
 
-    The epoch loop itself is :class:`~repro.sim.loop.EpochLoop`'s; this
-    engine supplies the sharded data plane (in-process shards, or worker
-    processes sending fixed-layout epoch blocks over their pipes) and
-    the single-region control plane.  A subclass supplies only what
-    differs: the geo engine its region graph and result, the closed loop
+
+def _sorted_capacities(decision) -> Dict[int, np.ndarray]:
+    return {
+        channel_id: decision.per_channel_capacity[channel_id]
+        for channel_id in sorted(decision.per_channel_capacity)
+    }
+
+
+def _epoch_payload(
+    k: int, t_end: float, data: _EpochData, decision,
+) -> Dict[str, Any]:
+    """Flat per-epoch summary for streaming consumers."""
+    ratios = [
+        1.0 if users == 0 else smooth / users
+        for _, smooth, users in data.quality_samples
+    ]
+    populations = data.populations
+    return {
+        "epoch": k,
+        "t_end": float(t_end),
+        "arrivals": int(data.arrivals),
+        "departures": int(data.departures),
+        "population": int(populations[-1]) if populations.size else 0,
+        "peak_population": int(populations.max()) if populations.size else 0,
+        "used_mbps": _mean_mbps(data.cloud_used),
+        "peer_mbps": _mean_mbps(data.peer_used),
+        "provisioned_mbps": _mean_mbps(data.provisioned),
+        "shortfall_mbps": _mean_mbps(data.shortfall),
+        "quality": float(np.mean(ratios)) if ratios else 1.0,
+        "vm_cost_per_hour": (
+            float(decision.hourly_vm_cost) if decision is not None else 0.0
+        ),
+        "decision": decision,
+    }
+
+
+class ShardedSimulator:
+    """Serve an epoch, observe, reprovision: the closed loop, one
+    provisioning epoch at a time, over lock-step channel shards.
+
+    The one engine class.  The constructor builds the cloud facility
+    (billed on the one :class:`~repro.sim.loop.EpochClock`), the broker,
+    the tracker, the demand estimator and the controller, whose per-chunk
+    capacity floor is one streaming rate (it keeps a just-woken channel
+    from starving its first viewers).  Each epoch the shards (in process,
+    or in worker processes sending fixed-layout epoch blocks over their
+    pipes) run to the boundary under the current grants; the engine
+    merges their reports, moves the clock to the boundary, hands the
+    statistics to the tracker and re-provisions.  Bootstrap is lazy
+    (:meth:`start`), so a checkpoint resume adopts restored state
+    without paying for it.
+
+    A subclass supplies only what differs: the geo engine its region
+    graph (:meth:`_region_graph`) and result, the closed loop
     (:class:`~repro.experiments.runner.ClosedLoopEngine`) its trace
-    source (:meth:`_in_process_shards`) and result.
+    source (:meth:`_in_process_shards`) and result (:meth:`_make_result`).
 
     Parameters
     ----------
@@ -795,8 +884,6 @@ class ShardedSimulator(EpochLoop):
         the paper controller.
     """
 
-    kind = "catalog"
-
     def __init__(
         self,
         config: CatalogConfig,
@@ -807,24 +894,33 @@ class ShardedSimulator(EpochLoop):
     ) -> None:
         self.config = config
         self.jobs = max(1, min(int(jobs), config.effective_shards))
+        self._run: Optional[EpochRun] = None
         self._peer_upload: Optional[float] = None
         self._restored_shards: Optional[List[ChannelShard]] = None
-        super().__init__(
-            config,
-            config.interval_seconds,
-            tracker=TrackingServer(
-                num_channels=config.channel_slots,
-                chunks_per_channel=[config.chunks_per_channel]
-                * config.channel_slots,
-                interval_seconds=config.interval_seconds,
-            ),
-            estimator=DemandEstimator(
+        self._clock = EpochClock(0.0)
+        self.facility = CloudFacility(
+            config.vm_clusters(), config.nfs_clusters(), self._clock
+        )
+        self.broker = Broker(self.facility)
+        self.tracker = TrackingServer(
+            num_channels=config.channel_slots,
+            chunks_per_channel=[config.chunks_per_channel]
+            * config.channel_slots,
+            interval_seconds=config.interval_seconds,
+        )
+        self.controller = ProvisioningController(
+            DemandEstimator(
                 config.capacity_model(),
                 mode=config.mode,
                 default_prior=config.behaviour_matrix(),
             ),
+            self.tracker,
+            self.broker,
+            config.sla_terms(),
+            **self._region_graph(config),
             predictor=predictor,
-            controller=controller,
+            policy=CONTROLLERS[controller or "paper"](),
+            min_capacity_per_chunk=config.constants.streaming_rate,
         )
 
         self._shards: Optional[List[ChannelShard]] = None  # jobs == 1
@@ -837,7 +933,160 @@ class ShardedSimulator(EpochLoop):
         #: The parent's copy of every shard's epoch block (jobs > 1).
         self._blocks: Optional[bytearray] = None
 
+    def _region_graph(self, spec) -> Dict[str, Any]:
+        """The controller's region data: ``topology``, ``slot_region``,
+        ``slot_channel`` and ``exact``.  Here one ``"local"`` region over
+        the facility's clusters, each slot its own channel, solved by
+        the greedy; the geo engine hands over its regions instead."""
+        return dict(
+            topology=local_topology(self.facility.vm_specs.values()),
+            slot_region=local_region,
+            slot_channel=own_channel,
+            exact=False,
+        )
+
     # ------------------------------------------------------------------
+    # Epoch-wise execution (the repro.api streaming protocol)
+    # ------------------------------------------------------------------
+    @property
+    def epoch(self) -> int:
+        """Completed epochs so far (0 before the first)."""
+        return self._run.epoch if self._run is not None else 0
+
+    @property
+    def epochs_total(self) -> int:
+        config = self.config
+        return int(math.ceil(config.horizon_seconds / config.interval_seconds))
+
+    @property
+    def done(self) -> bool:
+        return self._run is not None and self._run.done
+
+    def start(self) -> None:
+        """Bootstrap the run (idempotent; resumes skip the bootstrap):
+        the initial deployment from the expected per-slot rates."""
+        if self._run is not None:
+            return
+        config = self.config
+        expected = {c: float(r) for c, r in enumerate(config.channel_rates())}
+        if config.mode == "p2p":
+            self._peer_upload = config.upload_distribution().mean()
+        decision = self.controller.bootstrap(
+            0.0, expected, peer_upload=self._peer_upload
+        )
+        self._run = EpochRun(capacities=_sorted_capacities(decision))
+
+    def advance_epoch(self) -> Optional[Dict[str, Any]]:
+        """Run one provisioning epoch; ``None`` once the horizon is reached.
+
+        Returns the epoch's streaming payload (the flat summary
+        :mod:`repro.api` wraps into an ``EpochSnapshot``).  A fully
+        drained engine's :meth:`result` is byte-identical however the
+        run was streamed, checkpointed or resumed.
+        """
+        self.start()
+        run = self._run
+        if run.done:
+            return None
+        config = self.config
+        k = run.epoch + 1
+        t_end = min(k * config.interval_seconds, config.horizon_seconds)
+        data = merge_epoch_reports(self._advance_all(t_end, run.capacities))
+        self._clock.now = t_end
+        for stats in data.stats:
+            self.tracker.absorb(stats)
+        # The tracker holds what the controller reads; the run record
+        # keeps no second copy of the statistics for the rest of the run.
+        data.stats = []
+        run.epoch = k
+        run.epoch_times.append(t_end)
+        run.epochs.append(data)
+        decision = None
+        if t_end + 1e-9 >= config.horizon_seconds or k >= self.epochs_total:
+            run.done = True
+        else:
+            peer_upload = None
+            if config.mode == "p2p":
+                # The live mean upload; the bootstrap mean when no peer
+                # is in the system.
+                peer_upload = (
+                    data.upload_sum / data.upload_count
+                    if data.upload_count else self._peer_upload
+                )
+            decision = self.controller.run_interval(
+                t_end, peer_upload=peer_upload
+            )
+            run.capacities = _sorted_capacities(decision)
+            run.vm_cost_series.append(decision.hourly_vm_cost)
+        return _epoch_payload(k, t_end, data, decision)
+
+    def result(self):
+        """The monolithic result of the (fully drained) run."""
+        if not self.done:
+            raise RuntimeError(
+                "the run is not finished; drain advance_epoch() (or use "
+                "run()) before asking for the result"
+            )
+        return self._make_result()
+
+    def run(self):
+        """Execute the whole horizon and return the monolithic result."""
+        while self.advance_epoch() is not None:
+            pass
+        return self.result()
+
+    def _make_result(self, result_cls=CatalogResult, **extra) -> CatalogResult:
+        """The merged result; ``extra`` fields go to ``result_cls``."""
+        run = self._run
+        epochs = run.epochs
+        times = np.concatenate([m.step_times for m in epochs])
+        populations = np.concatenate([m.populations for m in epochs])
+        quality_samples = [s for m in epochs for s in m.quality_samples]
+        quality_times = np.asarray([t for t, _, _ in quality_samples])
+        quality = np.asarray([
+            1.0 if users == 0 else smooth / users
+            for _, smooth, users in quality_samples
+        ])
+        retrievals = sum(m.retrievals for m in epochs)
+        sojourn_sum = 0.0
+        for m in epochs:
+            sojourn_sum += m.sojourn_sum
+        return result_cls(
+            config=self.config,
+            times=times,
+            cloud_used=np.concatenate([m.cloud_used for m in epochs]),
+            peer_used=np.concatenate([m.peer_used for m in epochs]),
+            provisioned=np.concatenate([m.provisioned for m in epochs]),
+            shortfall=np.concatenate([m.shortfall for m in epochs]),
+            populations=populations,
+            quality_times=quality_times,
+            quality=quality,
+            epoch_times=list(run.epoch_times),
+            arrivals=sum(m.arrivals for m in epochs),
+            departures=sum(m.departures for m in epochs),
+            final_population=int(populations[-1]) if populations.size else 0,
+            peak_population=int(populations.max()) if populations.size else 0,
+            total_retrievals=retrievals,
+            unsmooth_retrievals=sum(m.unsmooth for m in epochs),
+            mean_sojourn=sojourn_sum / retrievals if retrievals else 0.0,
+            decisions=list(self.controller.decisions),
+            vm_cost_series=list(run.vm_cost_series),
+            cost_report=self.facility.billing.report(self._clock.now),
+            channel_populations=epochs[-1].channel_populations,
+            steps=int(times.size),
+            peak_step_events=max(m.peak_step_events for m in epochs),
+            **extra,
+        )
+
+    # ------------------------------------------------------------------
+    # Lifecycle: worker processes
+    # ------------------------------------------------------------------
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def close(self) -> None:
         """Tear down worker processes (idempotent)."""
         if self._closed:
@@ -1002,96 +1251,42 @@ class ShardedSimulator(EpochLoop):
             ]
         return reports
 
-    def _advance_data(
-        self, t_end: float, capacities: Dict[int, np.ndarray]
-    ) -> MergedEpoch:
-        merged = merge_epoch_reports(self._advance_all(t_end, capacities))
-        self._clock.now = t_end
-        for stats in merged.stats:
-            self.tracker.absorb(stats)
-        # The tracker holds what the controller reads; the epoch record
-        # keeps no second copy of the statistics for the rest of the run.
-        merged.stats = []
-        return merged
-
     # ------------------------------------------------------------------
-    # Control-plane hooks (the geo engine overrides the region graph and
-    # the result)
+    # Checkpoint support (repro.api's checkpoint()/resume())
     # ------------------------------------------------------------------
-    def _bootstrap(self) -> ProvisioningDecision:
-        """Initial deployment: expected per-slot rates -> capacities."""
-        config = self.config
-        rates = config.channel_rates()
-        expected = {c: float(r) for c, r in enumerate(rates)}
-        self._peer_upload = (
-            config.upload_distribution().mean()
-            if config.mode == "p2p" else None
-        )
-        return self.controller.bootstrap(
-            0.0, expected, peer_upload=self._peer_upload
-        )
+    def snapshot_state(self) -> Dict[str, Any]:
+        """One picklable object graph capturing the whole run.
 
-    def _reprovision(
-        self, t_end: float, merged: MergedEpoch
-    ) -> ProvisioningDecision:
-        """One periodic provisioning round on the merged statistics."""
-        config = self.config
-        live_upload = (
-            merged.upload_sum / merged.upload_count
-            if config.mode == "p2p" and merged.upload_count
-            else self._peer_upload
-        )
-        return self.controller.run_interval(
-            t_end,
-            peer_upload=live_upload if config.mode == "p2p" else None,
-        )
+        The control-plane objects go in together so shared references
+        (controller -> tracker/broker -> facility -> clock) survive a
+        pickle round-trip as one consistent graph; the shards are the
+        data plane's state.
+        """
+        self.start()
+        return {
+            "run": self._run,
+            "clock": self._clock,
+            "tracker": self.tracker,
+            "facility": self.facility,
+            "broker": self.broker,
+            "controller": self.controller,
+            "peer_upload": self._peer_upload,
+            "shards": self._gather_shards(),
+        }
 
-    def _make_result(self, result_cls=CatalogResult, **extra) -> CatalogResult:
-        """The merged result; ``extra`` fields go to ``result_cls``."""
-        run = self._run
-        epochs = run.epochs
-        times = np.concatenate([m.step_times for m in epochs])
-        populations = np.concatenate([m.populations for m in epochs])
-        quality_samples = [s for m in epochs for s in m.quality_samples]
-        quality_times = np.asarray([t for t, _, _ in quality_samples])
-        quality = np.asarray([
-            1.0 if users == 0 else smooth / users
-            for _, smooth, users in quality_samples
-        ])
-        retrievals = sum(m.retrievals for m in epochs)
-        sojourn_sum = 0.0
-        for m in epochs:
-            sojourn_sum += m.sojourn_sum
-        return result_cls(
-            config=self.config,
-            times=times,
-            cloud_used=np.concatenate([m.cloud_used for m in epochs]),
-            peer_used=np.concatenate([m.peer_used for m in epochs]),
-            provisioned=np.concatenate([m.provisioned for m in epochs]),
-            shortfall=np.concatenate([m.shortfall for m in epochs]),
-            populations=populations,
-            quality_times=quality_times,
-            quality=quality,
-            epoch_times=list(run.epoch_times),
-            arrivals=sum(m.arrivals for m in epochs),
-            departures=sum(m.departures for m in epochs),
-            final_population=int(populations[-1]) if populations.size else 0,
-            peak_population=int(populations.max()) if populations.size else 0,
-            total_retrievals=retrievals,
-            unsmooth_retrievals=sum(m.unsmooth for m in epochs),
-            mean_sojourn=sojourn_sum / retrievals if retrievals else 0.0,
-            decisions=list(self.controller.decisions),
-            vm_cost_series=list(run.vm_cost_series),
-            cost_report=self.facility.billing.report(self._clock.now),
-            channel_populations=epochs[-1].channel_populations,
-            steps=int(times.size),
-            peak_step_events=max(m.peak_step_events for m in epochs),
-            **extra,
-        )
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        """Adopt a :meth:`snapshot_state` graph (before any epoch ran)."""
+        if self._run is not None or self._started:
+            raise RuntimeError("can only restore into a fresh engine")
+        self._run = state["run"]
+        self._clock = state["clock"]
+        self.tracker = state["tracker"]
+        self.facility = state["facility"]
+        self.broker = state["broker"]
+        self.controller = state["controller"]
+        self._peer_upload = state["peer_upload"]
+        self._restored_shards = list(state["shards"])
 
-    # ------------------------------------------------------------------
-    # Checkpoint support: the shards are the data plane's state
-    # ------------------------------------------------------------------
     def _gather_shards(self) -> List[ChannelShard]:
         """The current shard simulators, in shard-index order."""
         if self._closed:
@@ -1111,18 +1306,6 @@ class ShardedSimulator(EpochLoop):
             shards.extend(self._expect(conn, "ok"))
         shards.sort(key=lambda shard: shard.shard_index)
         return shards
-
-    def _data_plane_state(self) -> Dict[str, Any]:
-        return {
-            "peer_upload": self._peer_upload,
-            "shards": self._gather_shards(),
-        }
-
-    def _restore_data_plane(self, state: Dict[str, Any]) -> None:
-        if self._started:
-            raise RuntimeError("can only restore into a fresh engine")
-        self._peer_upload = state["peer_upload"]
-        self._restored_shards = list(state["shards"])
 
 
 class GeoShardedSimulator(ShardedSimulator):

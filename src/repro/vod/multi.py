@@ -34,7 +34,8 @@ table holds dead rows (compact before growing, so capacity follows the
 live population).  The trace is held from its admission cursor on:
 :meth:`MultiChannelSimulator.close_interval` drops the consumed prefix
 once the cursor has passed half of what is held (O(trace) copies over a
-run), and a pickled kernel carries only the unconsumed suffix.
+run).  A pickled kernel carries only the unconsumed trace suffix and
+the live rows, gathered as a compaction would.
 Per-channel state the delivery needs is a ``(channels, chunks)``
 capacity matrix, the downloader count of
 every cell (kept up to date by integer adds as rows enter and leave
@@ -400,8 +401,7 @@ class MultiChannelSimulator:
         # squeezes the dead rows out of every column in one ordered
         # gather.  Keeping the live population contiguous turns the
         # delivery path's random slot gathers into sequential passes.
-        # Columns are zero-filled, not ``np.empty``, so the unused tail a
-        # checkpoint pickles is the same bytes in every run.
+        # A pickled kernel holds only its live rows (``__getstate__``).
         #
         # ``_row_cell`` is ``local * J + chunk`` while a row downloads,
         # and the spill cell ``C * J`` while it holds or once it is dead;
@@ -558,12 +558,26 @@ class MultiChannelSimulator:
         return out
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle the unconsumed trace suffix only (checkpoints and the
-        shard state the sharded engines gather)."""
+        """Pickle the unconsumed trace suffix and the live rows only
+        (checkpoints and the shard state the sharded engines gather).
+
+        The live rows are gathered in ascending order, as
+        :meth:`_compact` does, into the state copy; the live kernel is
+        not touched.  Row numbering is unobservable, so the unpickled
+        kernel steps exactly as the original does.
+        """
         state = self.__dict__.copy()
         for name in _TRACE_COLUMNS:
             state[name] = state[name][self._cursor :]
         state["_cursor"] = 0
+        live = np.flatnonzero(self._row_alive[: self._n])
+        for name in self._ROW_ARRAYS:
+            state[name] = state[name][live]
+        if self._row_owned is not None:
+            state["_row_upload"] = self._row_upload[live]
+            state["_row_owned"] = self._row_owned[:, live]
+        state["_n"] = self._total_active
+        state["_stale"] = False
         return state
 
     # ------------------------------------------------------------------

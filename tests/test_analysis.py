@@ -21,6 +21,9 @@ from repro.analysis import run_lint, update_baseline
 from repro.analysis.baseline import BASELINE_NAME, Baseline, find_baseline
 from repro.analysis.engine import all_rules, default_target
 from repro.analysis.model import pragma_allows
+from repro.analysis.rules import LintConfig
+from repro.analysis.taint import build_call_graph
+from repro.analysis.visitor import Project
 from repro.cli import main
 
 FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
@@ -290,6 +293,27 @@ class TestRealSource:
         )
         assert result.files > 50
         assert result.duration_seconds < 10.0
+
+    def test_artifact_path_reaches_the_kernel_and_the_controller(self):
+        """DET002/DET003 check only what the call graph reaches from the
+        artifact entry points; a refactor that cuts these edges would
+        silently stop checking the kernel or the control plane."""
+        project = Project([REPO_ROOT / "src" / "repro"])
+        reachable, _ = build_call_graph(project, LintConfig())
+        missing = [
+            name for name in (
+                "repro.sim.shard.ChannelShard.advance_epoch",
+                "repro.vod.multi.MultiChannelSimulator.step",
+                "repro.vod.multi.MultiChannelSimulator._deliver_and_complete",
+                "repro.vod.delivery.P2PDelivery.allocate",
+                "repro.sim.shard.merge_epoch_reports",
+                "repro.core.provisioner.ProvisioningController.provision",
+                "repro.workload.trace.generate_trace",
+                "repro.workload.catalog.build_shard_trace_arrays",
+            )
+            if name not in reachable
+        ]
+        assert missing == []
 
     def test_default_target_is_the_package(self):
         assert default_target().name == "repro"

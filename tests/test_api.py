@@ -493,6 +493,18 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="schema 14"):
             resume(path)
 
+    def test_resume_rejects_schema_15(self, tmp_path):
+        """Schema 15 pickled shards holding a cursor object, a separate
+        estimator entry and kernels carrying their dead rows and unused
+        tail; it is not read."""
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pickle.dumps({
+            "format": "repro-checkpoint",
+            "schema": 15,
+        }))
+        with pytest.raises(ValueError, match="schema 15"):
+            resume(path)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resume_after_trace_prefix_drop_identical(self, tmp_path,
                                                       workers):

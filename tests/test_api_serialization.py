@@ -92,17 +92,6 @@ def test_to_dict_is_json_plain():
     walk(document)
 
 
-def test_closed_loop_behaviour_matrix_round_trips():
-    spec = small_scenario("p2p", horizon_hours=0.5)
-    config = EngineConfig(spec=spec)
-    rebuilt = EngineConfig.from_dict(config.to_dict())
-    if spec.behaviour is None:
-        assert rebuilt.spec.behaviour is None
-    else:
-        assert isinstance(rebuilt.spec.behaviour, np.ndarray)
-        np.testing.assert_array_equal(rebuilt.spec.behaviour, spec.behaviour)
-
-
 # ----------------------------------------------------------------------
 # Strictness: unknown keys fail fast at every level
 # ----------------------------------------------------------------------
@@ -126,6 +115,17 @@ def test_stale_scenario_key_rejected():
     document = CONFIGS["closed-loop"]().to_dict()
     document["spec"]["bootstrap_rate_factor"] = 1.0
     with pytest.raises(ValueError, match="bootstrap_rate_factor"):
+        EngineConfig.from_dict(document)
+
+
+def test_scenario_behaviour_key_rejected():
+    """``behaviour`` was a ScenarioConfig field nothing set: a
+    closed-loop wire dict no longer has it, and one that carries it
+    fails fast."""
+    document = CONFIGS["closed-loop"]().to_dict()
+    assert "behaviour" not in document["spec"]
+    document["spec"]["behaviour"] = None
+    with pytest.raises(ValueError, match="behaviour"):
         EngineConfig.from_dict(document)
 
 

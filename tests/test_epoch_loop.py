@@ -1,12 +1,14 @@
-"""Tests for :mod:`repro.sim.loop` — the one epoch driver.
+"""Tests for the one epoch loop, :class:`~repro.sim.shard.ShardedSimulator`.
 
-Every engine runs on :class:`~repro.sim.loop.EpochLoop`, so a snapshot
-field means the same thing in every engine: ``population`` is the last
-simulation step's population and ``peak_population`` the maximum over
-the epoch's steps.
+Every engine is a :class:`~repro.sim.shard.ShardedSimulator`, so a
+snapshot field means the same thing in every engine: ``population`` is
+the last simulation step's population and ``peak_population`` the
+maximum over the epoch's steps.
 """
 
+import ast
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +16,11 @@ import pytest
 from repro.api import EngineConfig, open_run
 from repro.experiments.config import small_scenario
 from repro.experiments.runner import ClosedLoopEngine
-from repro.sim.loop import EpochLoop
 from repro.sim.shard import GeoShardedSimulator, ShardedSimulator
 from repro.vod.simulator import VoDSimulator
 from repro.workload.catalog import catalog_config, geo_catalog_config
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 SPECS = {
     "closed-loop": lambda: small_scenario("p2p", horizon_hours=3.0),
@@ -33,8 +36,16 @@ SPECS = {
 }
 
 LOOP_OWNED = (
-    "epoch", "epochs_total", "done", "start", "advance_epoch",
-    "_epoch_payload", "result", "run", "snapshot_state", "restore_state",
+    "epoch", "epochs_total", "done", "start", "advance_epoch", "result",
+    "run", "snapshot_state", "restore_state", "close", "suspend", "_start",
+    "_advance_all", "_gather_shards",
+)
+
+#: The hooks of the abstract epoch driver the engine class replaced;
+#: each had one implementation, now inlined into the engine.
+DELETED_HOOKS = (
+    "_advance_data", "_bootstrap", "_reprovision", "_data_plane_state",
+    "_restore_data_plane",
 )
 
 
@@ -42,8 +53,15 @@ LOOP_OWNED = (
     "engine", [ClosedLoopEngine, ShardedSimulator, GeoShardedSimulator]
 )
 def test_every_engine_runs_on_the_one_epoch_loop(engine):
-    assert issubclass(engine, EpochLoop)
-    assert not [name for name in LOOP_OWNED if name in vars(engine)]
+    """The epoch loop is defined once, on the engine class, and no
+    subclass redefines any of it; no engine carries a ``kind`` (the run
+    reads its config's)."""
+    assert issubclass(engine, ShardedSimulator)
+    assert ShardedSimulator.__bases__ == (object,)
+    for name in LOOP_OWNED:
+        assert name in vars(ShardedSimulator), name
+        assert getattr(engine, name) is getattr(ShardedSimulator, name)
+    assert not hasattr(engine, "kind")
 
 
 def test_closed_loop_supplies_only_its_trace_source_and_result():
@@ -51,15 +69,43 @@ def test_closed_loop_supplies_only_its_trace_source_and_result():
     it defines its trace source and its result, nothing else."""
     assert issubclass(ClosedLoopEngine, ShardedSimulator)
     own = {name for name in vars(ClosedLoopEngine) if not name.startswith("__")}
-    assert own == {"kind", "_in_process_shards", "_make_result"}
+    assert own == {"_in_process_shards", "_make_result"}
+
+
+def test_geo_engine_supplies_only_its_region_graph_and_result():
+    own = {
+        name for name in vars(GeoShardedSimulator)
+        if not name.startswith("__") or name == "__init__"
+    }
+    assert own == {"__init__", "_region_graph", "_make_result"}
 
 
 def test_closed_loop_inherits_the_sharded_engines_lifecycle():
-    for name in ("close", "suspend", "_start", "_advance_data",
-                 "_bootstrap", "_reprovision", "_data_plane_state",
-                 "_restore_data_plane"):
+    for name in ("close", "suspend", "_start", "start", "advance_epoch",
+                 "snapshot_state", "restore_state", "__enter__",
+                 "__exit__"):
         assert name not in vars(ClosedLoopEngine)
         assert getattr(ClosedLoopEngine, name) is getattr(ShardedSimulator, name)
+
+
+def test_no_class_defines_the_deleted_hooks():
+    """No class under ``src/`` defines a hook of the deleted driver, and
+    the driver, its epoch cutter and the merged-epoch subclass are gone."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if node.name in ("EpochLoop", "KernelCursor", "MergedEpoch"):
+                found.append(f"{path.name}: class {node.name}")
+            for item in node.body:
+                if (
+                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name in DELETED_HOOKS
+                ):
+                    found.append(f"{path.name}: {node.name}.{item.name}")
+    assert found == []
 
 
 def _split_by_epoch(times, values, t_ends):

@@ -1,11 +1,12 @@
-"""The kernel's memory layout: bytes per row-table row, and a trace held
-only from the admission cursor on.
+"""The kernel's memory layout: bytes per row-table row, a trace held
+only from the admission cursor on, and a pickle holding only live rows.
 
 :class:`~repro.vod.multi.MultiChannelSimulator` keeps one row per
 admitted session and the sessions it has not admitted yet.  These tests
 pin what a row costs in each delivery mode, so a column cannot widen
-unnoticed, and that neither a finished kernel nor a pickled one carries
-the consumed part of its trace.
+unnoticed, that neither a finished kernel nor a pickled one carries
+the consumed part of its trace, and that a pickled kernel carries no
+dead row and no unused tail.
 """
 
 from __future__ import annotations
@@ -120,3 +121,64 @@ def test_pickled_kernel_holds_only_its_unconsumed_trace(mode):
     assert copy.arrivals == sim.arrivals == trace.times.size
     assert copy.departures == sim.departures
     assert copy.peer_upload_totals() == sim.peer_upload_totals()
+
+
+def row_columns(sim):
+    """Every row-table column of the kernel, by name."""
+    return {
+        name: value for name, value in vars(sim).items()
+        if name.startswith("_row_") and isinstance(value, np.ndarray)
+    }
+
+
+def interval_bytes(stats):
+    return [
+        (s.channel_id, s.arrivals, s.transition_counts.tobytes(),
+         s.departure_counts.tobytes(), s.upload_capacity_sum,
+         s.upload_capacity_samples, s.start_chunk_counts.tobytes())
+        for s in stats
+    ]
+
+
+@pytest.mark.parametrize("mode", ["client-server", "p2p"])
+def test_pickled_kernel_holds_only_its_live_rows(mode):
+    sim, trace = kernel(mode)
+    # Step until departures have left dead rows awaiting compaction.
+    while not (sim._stale and sim._n > sim._total_active):
+        sim.step()
+    n, live = sim._n, sim._total_active
+    alive = sim._row_alive[:n].copy()
+    before = {name: col.copy() for name, col in row_columns(sim).items()}
+    copy = pickle.loads(pickle.dumps(sim, pickle.HIGHEST_PROTOCOL))
+    assert copy._n == live and not copy._stale
+    columns = row_columns(copy)
+    assert set(columns) == set(before)
+    for name, col in columns.items():
+        # Exactly the live rows, in admission order: no dead row and no
+        # unused tail.
+        assert col.shape[-1] == live, name
+        assert col.tobytes() == before[name][..., :n][..., alive].tobytes()
+    # Pickling did not touch the live kernel.
+    assert sim._n == n and sim._stale
+    for name, col in row_columns(sim).items():
+        assert col.tobytes() == before[name].tobytes(), name
+    # The copy steps bitwise in lock-step with the original to the end,
+    # through the interval boundaries the engine cuts.
+    boundaries = 0
+    while sim.now + 1e-9 < 3600.0:
+        for k in (sim, copy):
+            k.step()
+        assert copy.now == sim.now
+        assert copy.population() == sim.population()
+        assert copy.bandwidth._data.tobytes() == sim.bandwidth._data.tobytes()
+        assert copy.quality.samples == sim.quality.samples
+        assert copy.quality.sojourn_sum == sim.quality.sojourn_sum
+        if sim.now % 600.0 < 1e-9:
+            boundaries += 1
+            assert copy.peer_upload_totals() == sim.peer_upload_totals()
+            assert interval_bytes(copy.close_interval()) == \
+                interval_bytes(sim.close_interval())
+    assert boundaries >= 4
+    assert copy.arrivals == sim.arrivals == trace.times.size
+    assert copy.departures == sim.departures
+    assert copy.channel_populations() == sim.channel_populations()

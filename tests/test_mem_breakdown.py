@@ -34,6 +34,7 @@ def test_catalog_breakdown_prints_rss_per_epoch_and_sites():
                        re.MULTILINE)
     assert whens == ["imported", "open", "start", "epoch 1 t=600",
                      "epoch 2 t=1200", "epoch 3 t=1800", "result"]
+    assert "kernel rows: in worker processes (run --workers 1)" in out
     assert re.search(r"pickled run record at epoch 3: [\d,]+ bytes", out)
     state = re.search(r"pickled engine state at epoch 3: ([\d,]+) bytes",
                       out)
@@ -53,6 +54,13 @@ def test_closed_loop_without_tracemalloc():
                       "--no-tracemalloc")
     assert proc.returncode == 0, proc.stderr
     assert "epoch 1 t=3600" in proc.stdout
+    rows = re.search(
+        r"^kernel rows \(in-process kernels: 1\): ([\d,]+) allocated, "
+        r"([\d,]+) in use, ([\d,]+) live$", proc.stdout, re.MULTILINE,
+    )
+    assert rows is not None
+    allocated, in_use, live = (int(g.replace(",", "")) for g in rows.groups())
+    assert allocated >= in_use >= live > 0
     assert re.search(r"pickled engine state at epoch 1: [\d,]+ bytes",
                      proc.stdout)
     assert "tracemalloc" not in proc.stdout
