@@ -107,8 +107,10 @@ __all__ = [
 #: mean upload under ``peer_upload``) in place of its own simulator and
 #: cursor; schema 16 pickles shards that keep their own epoch counters
 #: (no cursor object), epoch records of one class, no separate
-#: estimator entry, and kernels holding only their live rows.
-CHECKPOINT_SCHEMA = 16
+#: estimator entry, and kernels holding only their live rows; schema 17
+#: pickles a kernel whose per-channel capacity sums are one array (its
+#: capacity matrix's row sums) in place of an id-keyed dict.
+CHECKPOINT_SCHEMA = 17
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

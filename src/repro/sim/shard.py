@@ -167,10 +167,7 @@ class ChannelShard:
 
     def set_capacities(self, capacities: Dict[int, np.ndarray]) -> None:
         """Install the owned channels' slice of a capacity broadcast."""
-        for channel_id in self.channel_ids:
-            capacity = capacities.get(channel_id)
-            if capacity is not None:
-                self.sim.set_cloud_capacity(channel_id, capacity)
+        self.sim.set_cloud_capacities(capacities)
 
     def advance_epoch(self, t_end: float) -> EpochReport:
         """Run lock-step to ``t_end`` and report this epoch's deltas."""

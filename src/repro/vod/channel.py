@@ -7,6 +7,7 @@ simulator samples user movements from).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -99,17 +100,29 @@ def make_uniform_channels(
 ) -> List[ChannelSpec]:
     """Create ``num_channels`` identical channels (the paper's setup:
     every video is 100 minutes at 400 kbps, chunked into 5-minute pieces).
+
+    The channels share one behaviour matrix, validated once: channel 0
+    is constructed (and checked), and every other channel is a copy of
+    it under its own id and name.
     """
+    if num_channels <= 0:
+        return []
     if behaviour is None:
         behaviour = default_behaviour_matrix(num_chunks)
-    return [
-        ChannelSpec(
-            channel_id=c,
-            num_chunks=num_chunks,
-            streaming_rate=streaming_rate,
-            chunk_duration=chunk_duration,
-            behaviour=behaviour,
-            name=f"channel-{c}",
-        )
-        for c in range(num_channels)
-    ]
+    first = ChannelSpec(
+        channel_id=0,
+        num_chunks=num_chunks,
+        streaming_rate=streaming_rate,
+        chunk_duration=chunk_duration,
+        behaviour=behaviour,
+        name="channel-0",
+    )
+    channels = [first]
+    for c in range(1, num_channels):
+        spec = copy.copy(first)
+        # Frozen: set the two differing fields as the generated
+        # ``__init__`` does.
+        object.__setattr__(spec, "channel_id", c)
+        object.__setattr__(spec, "name", f"channel-{c}")
+        channels.append(spec)
+    return channels

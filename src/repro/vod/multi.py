@@ -114,7 +114,7 @@ duration and behaviour matrix), which every channel family in the repo
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -299,7 +299,7 @@ class MultiChannelSimulator:
     ``trace`` holds the sessions to admit (sessions of channels not in
     ``channels`` are skipped); ``config.mode`` picks client-server or
     P2P delivery.  The engines step it (``step``/``advance_to``), install
-    capacities between epochs (``set_cloud_capacity``), read ``bandwidth``,
+    capacities between epochs (``set_cloud_capacities``), read ``bandwidth``,
     ``quality`` and the population counters, and take each epoch's
     tracker statistics from :meth:`close_interval`; :meth:`result`
     snapshots a whole run.
@@ -361,27 +361,40 @@ class MultiChannelSimulator:
         self.bandwidth = BandwidthLog()
         self._next_quality_sample = QUALITY_WINDOW_SECONDS
 
-        # Trace (already arrival-sorted); unknown channels are skipped.
-        # The local channel and start chunk are stored in the narrowest
-        # dtype that holds them (the channel one is the sort key itself).
-        # Admission widens the channel to int64 before ``* J``, where a
-        # narrow dtype would wrap; int64 plus a narrow start stays int64.
-        known = np.isin(trace.channels, self.channel_ids)
-        channels_arr = trace.channels[known]
-        lookup = np.searchsorted(self.channel_ids, channels_arr)
-        self._trace_times = trace.times[known]
-        self._trace_channel = lookup.astype(self._sort_dtype)
-        self._trace_start = trace.start_chunks[known].astype(
+        # Trace (already arrival-sorted), adopted as it is: one gather of
+        # an id -> local table maps each session's channel (-1 off the
+        # set; ids outside the table clip onto its -1 ends), and only a
+        # trace holding such sessions is filtered, so a shard keeps its
+        # trace's time and upload columns without a copy.  The local
+        # channel and start chunk are stored in the narrowest dtype that
+        # holds them (the channel one is the sort key itself).  Admission
+        # widens the channel to int64 before ``* J``, where a narrow dtype
+        # would wrap; int64 plus a narrow start stays int64.
+        base = ids[0] - 1
+        table = np.full(ids[-1] - base + 2, -1, dtype=np.min_scalar_type(-len(ids)))
+        table[self.channel_ids - base] = np.arange(len(ids))
+        local = table.take(trace.channels - base, mode="clip")
+        times, starts, uploads = (
+            trace.times, trace.start_chunks, trace.upload_capacities
+        )
+        known = local >= 0
+        if not known.all():
+            local, times, starts, uploads = (
+                local[known], times[known], starts[known], uploads[known]
+            )
+        self._trace_times = times
+        self._trace_channel = local.astype(self._sort_dtype)
+        self._trace_start = starts.astype(
             np.min_scalar_type(self.num_chunks - 1)
         )
-        self._trace_upload = trace.upload_capacities[known]
+        self._trace_upload = uploads
         self._cursor = 0
 
-        # Provisioned capacity: (C, J) matrix + per-channel sums, reduced
-        # in ascending-id order for the total.
+        # Provisioned capacity: (C, J) matrix + per-channel sums (its row
+        # sums), reduced in ascending-id order for the total.
         C, J = self.num_channels, self.num_chunks
         self._capacity = np.zeros((C, J))
-        self._capacity_sums: Dict[int, float] = {cid: 0.0 for cid in ids}
+        self._capacity_sums = np.zeros(C)
         self._provisioned_total = 0.0
         self._capacity_dirty = False
 
@@ -455,25 +468,48 @@ class MultiChannelSimulator:
     # External control surface
     # ------------------------------------------------------------------
     def set_cloud_capacity(self, channel_id: int, capacity: np.ndarray) -> None:
-        """Install the provisioned per-chunk cloud bandwidth (bytes/s)."""
-        try:
-            local = self._local_of[channel_id]
-        except KeyError:
-            raise KeyError(f"unknown channel {channel_id}") from None
-        cap = np.asarray(capacity, dtype=float)
-        if cap.shape != (self.num_chunks,):
-            raise ValueError(
-                f"capacity must have {self.num_chunks} entries, got {cap.shape}"
-            )
-        if np.any(cap < 0):
+        """Install one channel's per-chunk cloud bandwidth (bytes/s): the
+        one-row case of :meth:`set_cloud_capacities`."""
+        if channel_id not in self._local_of:
+            raise KeyError(f"unknown channel {channel_id}")
+        self.set_cloud_capacities({channel_id: capacity})
+
+    def set_cloud_capacities(self, capacities: Mapping[int, np.ndarray]) -> None:
+        """Install the provisioned per-chunk cloud bandwidth (bytes/s) of
+        every channel of this kernel that ``capacities`` names.
+
+        Ids of other channels are ignored, and channels not named keep
+        their capacity.  The rows are validated together before any is
+        installed: a wrong shape, a negative entry or a non-finite one
+        raises ``ValueError`` and leaves the kernel as it was.  A
+        channel's sum is its row's sum in the C-contiguous block, bitwise
+        the row's own ``.sum()``.
+        """
+        rows, local = [], []
+        for i, cid in enumerate(self._ids):
+            capacity = capacities.get(cid)
+            if capacity is None:
+                continue
+            cap = np.asarray(capacity, dtype=float)
+            if cap.shape != (self.num_chunks,):
+                raise ValueError(
+                    f"capacity must have {self.num_chunks} entries, "
+                    f"got {cap.shape}"
+                )
+            rows.append(cap)
+            local.append(i)
+        if not rows:
+            return
+        block = np.array(rows)
+        if np.any(block < 0):
             raise ValueError("capacities must be nonnegative")
-        # The sum is non-finite iff an entry is NaN or inf (or the
-        # entries overflow), so checking it costs no second pass.
-        total = cap.sum()
-        if not np.isfinite(total):
+        # A row sum is non-finite iff an entry is NaN or inf (or the
+        # entries overflow), so checking the sums costs no second pass.
+        sums = block.sum(axis=1)
+        if not np.isfinite(sums).all():
             raise ValueError("capacities must be finite")
-        self._capacity[local] = cap
-        self._capacity_sums[channel_id] = total
+        self._capacity[local] = block
+        self._capacity_sums[local] = sums
         self._capacity_dirty = True
 
     def total_provisioned(self) -> float:
@@ -481,7 +517,7 @@ class MultiChannelSimulator:
             # Deferred: one ascending-channel reduction of the cached
             # per-channel sums (never a re-reduction of every array).
             self._provisioned_total = float(
-                sequential_sum(self._capacity_sums.values())
+                sequential_sum(self._capacity_sums.tolist())
             )
             self._capacity_dirty = False
         return self._provisioned_total

@@ -24,6 +24,7 @@ batched candidate draw + one batched accept draw per channel).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -462,18 +463,15 @@ class GeoCatalogConfig(CatalogConfig):
         )
 
     def region_splits(self) -> np.ndarray:
-        """``(num_regions, num_channels)`` demand weights, columns sum 1.
+        """``(num_regions, num_channels)`` demand weights, columns sum 1
+        (read-only: the table is drawn once per seed and shape, and both
+        the bootstrap's rates and the shards' shapes read it).
 
         Channel ``c``'s split is drawn from its own stream (stable spawn
         key), jittered around uniform so regional audiences differ per
         channel — the imbalance the cross-region allocator exists for.
         """
-        weights = np.empty((self.num_regions, self.num_channels))
-        for c in range(self.num_channels):
-            rng = make_rng(self.seed, "geo", "split", f"channel-{c}")
-            draw = 0.5 + rng.random(self.num_regions)
-            weights[:, c] = draw / draw.sum()
-        return weights
+        return _region_splits(self.seed, self.num_regions, self.num_channels)
 
     def channel_rates(self) -> np.ndarray:
         """Mean per-*slot* arrival rates, slot-id order, users/second."""
@@ -531,6 +529,17 @@ class GeoCatalogConfig(CatalogConfig):
             for region_name in self.region_names
             for spec in topology.regions[region_name].clusters
         ]
+
+
+@lru_cache(maxsize=8)
+def _region_splits(seed: int, num_regions: int, num_channels: int) -> np.ndarray:
+    weights = np.empty((num_regions, num_channels))
+    for c in range(num_channels):
+        rng = make_rng(seed, "geo", "split", f"channel-{c}")
+        draw = 0.5 + rng.random(num_regions)
+        weights[:, c] = draw / draw.sum()
+    weights.flags.writeable = False
+    return weights
 
 
 def geo_catalog_config(
@@ -651,8 +660,6 @@ def channel_shapes(config: CatalogConfig) -> List[ChannelShape]:
 def _flash_factor(config: CatalogConfig, shape: ChannelShape,
                   times: np.ndarray) -> np.ndarray:
     """Multiplier 1 + A * exp(-(t - t_flash)^2 / 2 sigma^2) (one event)."""
-    if shape.flash_amplitude <= 0:
-        return np.ones_like(times)
     center = config.flash_hour * 3600.0
     sigma = config.flash_width_hours * 3600.0
     return 1.0 + shape.flash_amplitude * np.exp(
@@ -663,12 +670,20 @@ def _flash_factor(config: CatalogConfig, shape: ChannelShape,
 def channel_sessions(
     config: CatalogConfig, shape: ChannelShape,
     diurnal: Optional[DiurnalPattern] = None,
+    uploads: Optional[BoundedPareto] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One channel's arrivals: (times, start_chunks, upload_capacities).
 
     Thinning against the channel's rate ceiling, then the alpha-split
     start chunks and Pareto uploads, all from the channel's own trace
-    stream (key: seed + "catalog/trace/channel-<c>").
+    stream (key: seed + "catalog/trace/channel-<c>").  ``diurnal`` and
+    ``uploads`` let a shard build both once for all its channels.
+
+    The thinning rate is evaluated per channel, on that channel's
+    candidates only: one batch over a whole shard's candidates measured
+    slower, its temporaries no longer fitting in cache.  A channel the
+    flash crowd misses skips the flash factor, whose value there is 1.0
+    (an exact ``x * 1.0 == x``).
     """
     diurnal = diurnal or DiurnalPattern()
     rng = make_rng(config.seed, "catalog", "trace",
@@ -682,15 +697,15 @@ def channel_sessions(
         * (1.0 + shape.flash_amplitude)
         * 1.001
     )
+
+    def rate(t: np.ndarray) -> np.ndarray:
+        base = shape.mean_rate * diurnal.factors(t + shape.phase_seconds)
+        if shape.flash_amplitude <= 0:
+            return base
+        return base * _flash_factor(config, shape, t)
+
     times = nonhomogeneous_poisson_times(
-        rng,
-        lambda t: (
-            shape.mean_rate
-            * diurnal.factors(t + shape.phase_seconds)
-            * _flash_factor(config, shape, t)
-        ),
-        config.horizon_seconds,
-        rate_ceiling=ceiling,
+        rng, rate, config.horizon_seconds, rate_ceiling=ceiling,
     )
     n = times.size
     j = config.chunks_per_channel
@@ -700,8 +715,8 @@ def channel_sessions(
     else:
         jumps = np.zeros(n, dtype=np.int64)
     starts = np.where(from_start, 0, jumps).astype(np.int64)
-    uploads = config.upload_distribution().sample(rng, n)
-    return times, starts, uploads
+    uploads = uploads or config.upload_distribution()
+    return times, starts, uploads.sample(rng, n)
 
 
 def shard_channel_ids(config: CatalogConfig, shard_index: int) -> List[int]:
@@ -734,10 +749,11 @@ def build_shard_trace_arrays(
     into one trace sorted by (arrival time, channel id).
     """
     diurnal = DiurnalPattern()
+    uploads = config.upload_distribution()
     if shapes is None:
         all_shapes = channel_shapes(config)
         shapes = [all_shapes[c] for c in channel_ids]
     return ShardTraceArrays.merge([
-        (shape.channel_id, *channel_sessions(config, shape, diurnal))
+        (shape.channel_id, *channel_sessions(config, shape, diurnal, uploads))
         for shape in shapes
     ])

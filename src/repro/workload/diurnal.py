@@ -83,9 +83,17 @@ class DiurnalPattern:
         return float(self._raw(hours)[0] / self._norm)
 
     def factors(self, times_seconds: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`factor`."""
+        """Vectorized :meth:`factor`.
+
+        The hour of day is ``t % day`` bit for bit, at a fraction of
+        numpy's floor-remainder cost: ``fmod`` is exact, and the floor
+        remainder is it plus the day where it is negative.  (A zero
+        keeps the sign of ``t``, which no factor can see.)
+        """
         t = np.asarray(times_seconds, dtype=float)
-        hours = (t % _DAY_SECONDS) / 3600.0
+        hours = np.fmod(t, _DAY_SECONDS)
+        np.add(hours, _DAY_SECONDS, out=hours, where=hours < 0)
+        hours /= 3600.0
         return self._raw(hours) / self._norm
 
     def peak_factor(self) -> float:

@@ -83,9 +83,10 @@ class ShardTraceArrays:
     """A trace as parallel arrays, sorted by arrival time.
 
     The structure-of-arrays form every engine's simulation kernel admits
-    from.  Time ties break by channel id (``np.lexsort((channels,
-    times))``, see :meth:`merge`), and each channel's sessions appear in
-    their arrival order, which is the only order the kernel observes.
+    from.  Time ties break by channel id, as ``np.lexsort((channels,
+    times))`` would order them (see :meth:`merge`), and each channel's
+    sessions appear in their arrival order, which is the only order the
+    kernel observes.
     """
 
     times: np.ndarray  # float64, sorted
@@ -103,32 +104,52 @@ class ShardTraceArrays:
         parts: Sequence[Tuple[int, np.ndarray, np.ndarray, np.ndarray]],
     ) -> "ShardTraceArrays":
         """Merge per-channel ``(channel, times, starts, uploads)`` parts,
-        each arrival-sorted, into one trace sorted by (time, channel)."""
-        if parts:
-            times = np.concatenate(
-                [np.asarray(t, dtype=float) for _, t, _, _ in parts]
-            )
-            channels = np.concatenate([
-                np.full(len(t), c, dtype=np.int64) for c, t, _, _ in parts
-            ])
-            starts = np.concatenate(
-                [np.asarray(s, dtype=np.int64) for _, _, s, _ in parts]
-            )
-            uploads = np.concatenate(
-                [np.asarray(u, dtype=float) for _, _, _, u in parts]
-            )
-        else:
-            times = np.empty(0)
-            channels = np.empty(0, dtype=np.int64)
-            starts = np.empty(0, dtype=np.int64)
-            uploads = np.empty(0)
-        order = np.lexsort((channels, times))
-        return cls(
-            times=times[order],
-            channels=channels[order],
-            start_chunks=starts[order],
-            upload_capacities=uploads[order],
+        each arrival-sorted, into one trace sorted by (time, channel).
+
+        The parts are laid end to end in ascending channel order (a
+        stable sort of the parts, so parts of one channel keep their
+        order), and one stable ``argsort`` of the times orders the
+        sessions: a time tie keeps the concatenation order, which is
+        channel order and then arrival order within a channel, exactly
+        the permutation ``np.lexsort((channels, times))`` gives.  The
+        channel column is one ``np.repeat`` of the part ids.
+        """
+        parts = sorted(parts, key=lambda part: part[0])
+        sizes = [len(t) for _, t, _, _ in parts]
+        n = sum(sizes)
+        # The merged columns are allocated before the temporaries they
+        # are gathered from, the kept time and upload columns first:
+        # the temporaries are freed above what a shard keeps, so the
+        # next shard's build reuses their space instead of growing the
+        # heap past holes it cannot return.
+        merged = cls(
+            times=np.empty(n),
+            upload_capacities=np.empty(n),
+            channels=np.empty(n, dtype=np.int64),
+            start_chunks=np.empty(n, dtype=np.int64),
         )
+        if not parts:
+            return merged
+        times = np.concatenate(
+            [np.asarray(t, dtype=float) for _, t, _, _ in parts]
+        )
+        order = np.argsort(times, kind="stable")
+        # ``mode="clip"`` (the indices are in range) gathers straight
+        # into ``out``; the default mode would buffer a copy.
+        np.take(times, order, out=merged.times, mode="clip")
+        del times
+        columns = (
+            (merged.upload_capacities,
+             [np.asarray(u, dtype=float) for _, _, _, u in parts]),
+            (merged.start_chunks,
+             [np.asarray(s, dtype=np.int64) for _, _, s, _ in parts]),
+        )
+        for out, values in columns:
+            np.take(np.concatenate(values), order, out=out, mode="clip")
+        ids = np.array([c for c, _, _, _ in parts], dtype=np.int64)
+        np.take(np.repeat(ids, sizes), order, out=merged.channels,
+                mode="clip")
+        return merged
 
 
 def _sample_start_chunk(

@@ -505,6 +505,17 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="schema 15"):
             resume(path)
 
+    def test_resume_rejects_schema_16(self, tmp_path):
+        """Schema 16 pickled kernels keeping their capacity sums in an
+        id-keyed dict; it is not read."""
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pickle.dumps({
+            "format": "repro-checkpoint",
+            "schema": 16,
+        }))
+        with pytest.raises(ValueError, match="schema 16"):
+            resume(path)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resume_after_trace_prefix_drop_identical(self, tmp_path,
                                                       workers):
